@@ -20,11 +20,18 @@ negatives.  Values that cannot be hashed degrade gracefully:
 * a probe key of ``None`` — the attribute is absent — prunes *all*
   bucketed items, because an equality over a missing attribute can never
   hold (mirroring the interpreted ``evaluate`` returning ``False``).
+
+Buckets keep insertion order.  The NFA engine inserts events in
+timestamp order, so every event bucket is time-sorted: probes return
+whole buckets and the engine bisects the admissible time interval out of
+them, and expiry trims bucket heads (:meth:`EqualityIndex.trim`) instead
+of rebuilding the index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conditions import AttributeComparisonCondition
 
@@ -115,6 +122,16 @@ class EqualityIndex:
             self._fallback.append(item)
         self.size += 1
 
+    def add_sorted(self, key, item, sort_key: Callable) -> None:
+        """Like :meth:`add`, but keep the bucket sorted by ``sort_key``
+        (for an item that arrives behind the bucket's tail)."""
+        try:
+            bucket = self._buckets.setdefault(key, [])
+        except TypeError:
+            bucket = self._fallback
+        insort(bucket, item, key=sort_key)
+        self.size += 1
+
     def add_unkeyed(self, item) -> None:
         """Store an item that must survive every probe (e.g. list binding)."""
         self._fallback.append(item)
@@ -135,6 +152,42 @@ class EqualityIndex:
         except TypeError:
             return None, self._fallback, 0
         return primary, self._fallback, self.size - len(primary) - len(self._fallback)
+
+    def trim(self, cutoff: float, sort_key: Callable) -> None:
+        """Drop the items with ``sort_key(item) < cutoff`` from the head of
+        every bucket (each bucket must be sorted by ``sort_key``)."""
+        buckets = self._buckets
+        stale = [key for key, bucket in buckets.items() if sort_key(bucket[0]) < cutoff]
+        for key in stale:
+            bucket = buckets[key]
+            drop = bisect_left(bucket, cutoff, key=sort_key)
+            if drop == len(bucket):
+                del buckets[key]
+            else:
+                del bucket[:drop]
+            self.size -= drop
+        fallback = self._fallback
+        if fallback:
+            drop = bisect_left(fallback, cutoff, key=sort_key)
+            del fallback[:drop]
+            self.size -= drop
+
+    def retain(self, keep: Callable) -> None:
+        """Drop every item ``keep`` rejects, bucket by bucket, in place."""
+        buckets = self._buckets
+        for key in list(buckets):
+            bucket = buckets[key]
+            kept = [item for item in bucket if keep(item)]
+            if len(kept) != len(bucket):
+                self.size -= len(bucket) - len(kept)
+                if kept:
+                    bucket[:] = kept
+                else:
+                    del buckets[key]
+        fallback = self._fallback
+        kept = [item for item in fallback if keep(item)]
+        self.size -= len(fallback) - len(kept)
+        fallback[:] = kept
 
     def __len__(self) -> int:
         return self.size

@@ -47,6 +47,7 @@ from repro.conditions import (
     AttributeComparisonCondition,
     AttributeThresholdCondition,
     Condition,
+    PredicateCondition,
 )
 
 __all__ = [
@@ -281,6 +282,14 @@ def compile_step_kernel(
                 right_value = event.get(_ra)
                 return right_value is not None and _op(left_value, right_value)
 
+    elif type(condition) is PredicateCondition and new_variable in condition.variables:
+        # An opaque predicate stays a fallback (``specialized`` is about
+        # structural lowering), but its call needs no trial binding: at
+        # this step every variable but the new one is already bound, so
+        # the positional arguments are read straight off the bindings —
+        # Kleene lists included, exactly as ``evaluate`` would pass them.
+        fn = _positional_predicate(condition, new_variable)
+
     if fn is None:
 
         def fn(bindings, event, _condition=condition, _new=new_variable):
@@ -291,6 +300,32 @@ def compile_step_kernel(
     if profile is not None:
         fn = _timed2(fn, profile)
     return CompiledKernel(condition, fn, pairs, specialized)
+
+
+def _positional_predicate(condition: PredicateCondition, new_variable: str) -> Callable:
+    """``fn(bindings, event)`` calling the user predicate positionally."""
+    predicate = condition.predicate
+    ordered = tuple(condition.ordered_variables)
+    if len(ordered) == 2:
+        first, second = ordered
+        if second == new_variable:
+
+            def fn(bindings, event, _predicate=predicate, _other=first):
+                return bool(_predicate(bindings[_other], event))
+
+        else:
+
+            def fn(bindings, event, _predicate=predicate, _other=second):
+                return bool(_predicate(event, bindings[_other]))
+
+        return fn
+
+    def fn(bindings, event, _predicate=predicate, _ordered=ordered, _new=new_variable):
+        return bool(
+            _predicate(*[event if v == _new else bindings[v] for v in _ordered])
+        )
+
+    return fn
 
 
 # ----------------------------------------------------------------------

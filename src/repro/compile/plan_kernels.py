@@ -6,9 +6,12 @@ pre-resolves everything the interpreted hot path recomputes per event:
 
 * **steps** — for an order-based (NFA) plan, the conditions that become
   fully bound at each extension step ``order[k]``, already lowered to
-  :mod:`~repro.compile.kernels` closures, plus the precomputed temporal
-  order checks for SEQ patterns and (in ``indexed`` mode) the equality
-  predicate the step's candidate stores are bucketed on;
+  :mod:`~repro.compile.kernels` closures, the plan's own
+  :class:`~repro.plans.PlanStep` relations and (in ``indexed`` mode) the
+  equality predicate the step's candidate stores are bucketed on;
+  :meth:`CompiledPlanKernels.step_extender` fuses a step's kernels, its
+  statistics reports and the construction of the extended match into
+  one closure per step;
 * **joins** — for a tree plan, the lowered kernels linking each child
   node to its sibling, in both join orientations;
 * **locals** — per-variable acceptance kernels with columnar ``rows_fn``
@@ -40,7 +43,7 @@ from repro.compile.kernels import (
     compile_step_kernel,
 )
 from repro.errors import EngineError
-from repro.plans import OrderBasedPlan, TreeBasedPlan
+from repro.plans import OrderBasedPlan, PlanStep, TreeBasedPlan
 
 __all__ = [
     "COMPILE_MODES",
@@ -112,24 +115,23 @@ def validate_compile_mode(mode: str) -> str:
 class StepKernels:
     """Everything precomputed for extending a partial match of size ``k``.
 
-    ``order_checks`` holds ``(bound_variable, bound_comes_before)`` pairs
-    for SEQ patterns (empty for conjunctions, where any order passes);
-    ``index_spec`` is the equality predicate candidate stores for this
-    step are bucketed on, or ``None`` when un-indexed.
+    ``relations`` is the plan's :class:`~repro.plans.PlanStep` for this
+    position (the SEQ order relations live there, shared with the
+    interpreted mode); ``index_spec`` is the equality predicate candidate
+    stores for this step are bucketed on, or ``None`` when un-indexed.
     """
 
-    __slots__ = ("variable", "kernels", "order_checks", "index_spec")
+    __slots__ = ("variable", "kernels", "relations", "index_spec")
 
     def __init__(
         self,
-        variable: str,
+        relations: PlanStep,
         kernels: Tuple[CompiledKernel, ...],
-        order_checks: Tuple[Tuple[str, bool], ...],
         index_spec: Optional[IndexSpec],
     ):
-        self.variable = variable
+        self.variable = relations.variable
         self.kernels = kernels
-        self.order_checks = order_checks
+        self.relations = relations
         self.index_spec = index_spec
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -173,7 +175,6 @@ class CompiledPlanKernels:
         plan = self.plan
         pattern = plan.pattern
         conditions = pattern.conditions
-        self.window = pattern.window
 
         self.variable_types: Dict[str, str] = {}
         self.local_kernels: Dict[str, Tuple[CompiledKernel, ...]] = {}
@@ -208,12 +209,11 @@ class CompiledPlanKernels:
             )
 
     def _build_steps(self, plan: OrderBasedPlan) -> None:
-        pattern = plan.pattern
-        conditions = pattern.conditions
-        is_sequence = pattern.is_sequence()
+        conditions = plan.pattern.conditions
         steps: List[StepKernels] = []
-        for position, variable in enumerate(plan.order):
-            bound = plan.order[:position]
+        for position, relations in enumerate(plan.steps()):
+            variable = relations.variable
+            bound = relations.bound
             newly = conditions.newly_applicable(bound, variable)
             step_kernels = []
             for c in newly:
@@ -229,17 +229,10 @@ class CompiledPlanKernels:
                         ),
                     )
                 )
-            kernels = tuple(step_kernels)
-            order_checks: Tuple[Tuple[str, bool], ...] = ()
-            if is_sequence:
-                here = pattern.positive_index(variable)
-                order_checks = tuple(
-                    (u, pattern.positive_index(u) < here) for u in bound
-                )
             index_spec = None
             if self.indexed and position > 0:
                 index_spec = find_equality_index_spec(newly, variable, bound)
-            steps.append(StepKernels(variable, kernels, order_checks, index_spec))
+            steps.append(StepKernels(relations, tuple(step_kernels), index_spec))
         self.steps = steps
 
     def _build_joins(self, plan: TreeBasedPlan) -> None:
@@ -282,21 +275,48 @@ class CompiledPlanKernels:
                 satisfied = False
         return satisfied
 
-    def evaluate_step(self, step: StepKernels, bindings, event, collector, now) -> bool:
-        """The conditions newly bound when ``event`` extends a partial match."""
+    def step_extender(self, position: int, collector):
+        """The fused hot-path closure of one NFA plan step.
+
+        ``extend(partial, event, now)`` runs the conditions newly bound
+        when ``event`` joins a partial match of size ``position``, reports
+        each outcome to ``collector`` (every kernel runs even after a
+        failure, so estimates stay mode-independent; without a collector
+        evaluation short-circuits) and returns the extended match, or
+        ``None``.  Temporal admissibility is the caller's job: the engine
+        only offers candidates inside the step's time interval.
+        """
+        step = self.steps[position]
+        variable = step.variable
         if collector is None:
-            for kernel in step.kernels:
-                if not kernel.fn(bindings, event):
-                    return False
-            return True
-        satisfied = True
-        for kernel in step.kernels:
-            outcome = kernel.fn(bindings, event)
-            for a, b in kernel.report_pairs:
-                collector.observe_condition(a, b, now, outcome)
-            if not outcome:
-                satisfied = False
-        return satisfied
+            kernel_fns = tuple(kernel.fn for kernel in step.kernels)
+
+            def extend(partial, event, now):
+                bindings = partial.bindings
+                for fn in kernel_fns:
+                    if not fn(bindings, event):
+                        return None
+                return partial.extended(variable, event)
+
+            return extend
+
+        observe = collector.observe_condition
+        reporting = tuple((kernel.fn, kernel.report_pairs) for kernel in step.kernels)
+
+        def extend(partial, event, now):
+            bindings = partial.bindings
+            satisfied = True
+            for fn, pairs in reporting:
+                outcome = fn(bindings, event)
+                for a, b in pairs:
+                    observe(a, b, now, outcome)
+                if not outcome:
+                    satisfied = False
+            if satisfied:
+                return partial.extended(variable, event)
+            return None
+
+        return extend
 
     def evaluate_join(self, node_id: int, left_bindings, right_bindings, collector, now) -> bool:
         """The conditions linking a node's sub-match to its sibling's."""
@@ -314,34 +334,6 @@ class CompiledPlanKernels:
             if not outcome:
                 satisfied = False
         return satisfied
-
-    def order_respected(self, step: StepKernels, bindings, event) -> bool:
-        """SEQ temporal constraint via precomputed before/after relations."""
-        timestamp = event.timestamp
-        for variable, comes_before in step.order_checks:
-            bound = bindings[variable]
-            if isinstance(bound, list):
-                for bound_event in bound:
-                    if comes_before:
-                        if not bound_event.timestamp < timestamp:
-                            return False
-                    elif not timestamp < bound_event.timestamp:
-                        return False
-            elif comes_before:
-                if not bound.timestamp < timestamp:
-                    return False
-            elif not timestamp < bound.timestamp:
-                return False
-        return True
-
-    def window_ok(self, min_timestamp: float, max_timestamp: float, event_timestamp: float) -> bool:
-        """Window check over a partial match's cached timestamp extremes."""
-        window = self.window
-        if window == float("inf"):
-            return True
-        low = min_timestamp if min_timestamp < event_timestamp else event_timestamp
-        high = max_timestamp if max_timestamp > event_timestamp else event_timestamp
-        return high - low <= window
 
     def local_verdicts(self, columns: EventBatchColumns, collector) -> Dict[str, List[bool]]:
         """Whole-batch acceptance verdicts per variable (columnar sweep).

@@ -239,6 +239,11 @@ class PredicateCondition(Condition):
         return self._ordered_variables
 
     @property
+    def predicate(self) -> Callable[..., bool]:
+        """The user callable, invoked with the bound values positionally."""
+        return self._predicate
+
+    @property
     def variables(self) -> FrozenSet[str]:
         return frozenset(self._ordered_variables)
 

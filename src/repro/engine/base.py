@@ -22,7 +22,14 @@ from repro.statistics import StatisticsCollector
 
 @dataclass
 class EngineCounters:
-    """Work counters exposed by engines (used in reports and tests)."""
+    """Work counters exposed by engines (used in reports and tests).
+
+    ``extension_attempts`` counts the pairings whose conditions were
+    evaluated.  The lazy NFA only offers a partial match the candidates
+    inside its admissible time interval, so pairings ruled out by the
+    window or the SEQ order alone are not attempts (the tree engine counts
+    every sibling pairing it considers).
+    """
 
     events_processed: int = 0
     partial_matches_created: int = 0
@@ -226,16 +233,15 @@ class EvaluationEngine:
             self.counters.matches_suppressed_by_negation += 1
             return None
 
-        bindings = self._expand_kleene(bindings)
+        if self.pattern.kleene_items:
+            bindings = self._expand_kleene(bindings)
+            partial = PartialMatch(bindings)
 
         if self.suppress_all_new_after is not None:
-            if all(
-                event.timestamp >= self.suppress_all_new_after
-                for event in PartialMatch(bindings).events()
-            ):
+            if partial.min_timestamp >= self.suppress_all_new_after:
                 return None
 
-        key = PartialMatch(bindings).event_ids()
+        key = partial.event_ids()
         if key in self._emitted_keys:
             return None
         self._emitted_keys.add(key)

@@ -7,56 +7,172 @@ plan steps that happened to arrive earlier) or from future arrivals.
 
 Matching discipline
 -------------------
-For every incoming event ``e``:
+The engine relies on the :class:`~repro.events.EventStream` contract:
+events reach it in non-decreasing timestamp order (a
+:class:`~repro.streaming.ReorderBuffer` restores it for disordered
+feeds).  Every per-variable buffer and every equality-index bucket is
+therefore time-sorted, and candidates are *enumerated by time interval*
+rather than scanned and rejected one by one.
+
+For a partial match and its next plan step the admissible timestamps form
+one interval: the events that keep the match inside the window, strictly
+after the bound events the pattern orders before the step's variable and
+strictly before those it orders after (the plan's
+:class:`~repro.plans.PlanStep` relations — one source for all execution
+modes).  For every incoming event ``e``:
 
 1. ``e`` is appended to the buffers of the positive variables it can serve
    (local single-variable conditions permitting) and to the negated/Kleene
    side buffers.
 2. Every stored partial match whose *next* plan step accepts ``e``'s type
-   is tentatively extended with ``e`` (temporal order, window and newly
-   bound conditions are checked).
+   and whose interval contains ``e``'s timestamp is tentatively extended
+   with ``e`` (the newly bound conditions are evaluated).
 3. If ``e`` serves the plan's initiator variable, a fresh partial match is
    opened with it.
 4. Every partial match created in steps 2–3 is then recursively extended
-   with *buffered* (earlier) events for its remaining steps, so matches
-   whose plan order disagrees with arrival order are still found.
+   with *buffered* (earlier) events for its remaining steps — the slice of
+   the step's buffer inside the interval, found by bisection — so matches
+   whose plan order disagrees with arrival order are still found.  It is
+   then stored for future arrivals, unless its next step must *precede* an
+   already-bound event: no future arrival can take that step, so such a
+   partial match is dropped after its one history scan.
 
 With this discipline every complete match is materialised exactly once —
 during the processing of its last-arriving event — and the number of live
 partial matches tracks the quantity the plan-generation cost model
-minimises.
+minimises.  Only candidates inside the interval reach a condition, so
+``counters.extension_attempts`` counts exactly the pairings whose
+conditions were evaluated (the paper's cost proxy), not the pairings time
+alone rules out.  Expiry trims the heads of the sorted stores.
+
+An event that arrives *behind* its buffer's tail is still inserted in
+timestamp position, so the stores stay sorted and the interval search
+stays exact for every buffered pairing; what a regression can lose are
+matches that needed a partial match already dropped as closed to
+arrivals — the in-order contract is what makes dropping them safe.
 
 Execution modes
 ---------------
-``compile_mode="interpreted"`` runs the historical per-event dispatch
-through :mod:`repro.engine.semantics`.  ``"compiled"`` swaps every check
-in :meth:`_try_extend` and :meth:`_accept_into_buffers` for the plan's
-:class:`~repro.compile.CompiledPlanKernels` (and sweeps acceptance
-predicates columnar-wise in :meth:`process_batch`).  ``"indexed"`` adds
-equality hash indexes over both candidate stores — the waiting partial
-matches and the buffered events of each step — so join probes only touch
-candidates whose equality key can match; pruned candidates are counted in
-``counters.candidates_pruned`` and reported to the statistics collector
-as bulk failed attempts.  All three modes emit byte-identical matches.
+All three modes share the enumeration above and differ in the per-step
+*extender* closure that evaluates the newly bound conditions.
+``compile_mode="interpreted"`` evaluates them through
+:mod:`repro.engine.semantics`.  ``"compiled"`` uses the plan's
+:class:`~repro.compile.CompiledPlanKernels` (fused step extenders, local
+kernels in :meth:`_accept_into_buffers`, columnar acceptance sweeps in
+:meth:`process_batch`).  ``"indexed"`` adds equality hash indexes over
+both candidate stores — the waiting partial matches and the buffered
+events of each step — so join probes only touch candidates whose equality
+key can match (and, within a bucket, whose timestamp can); candidates
+pruned by key are counted in ``counters.candidates_pruned`` and reported
+to the statistics collector as bulk failed attempts.  All three modes emit
+byte-identical matches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.compile import EqualityIndex, EventBatchColumns
 from repro.engine.base import EvaluationEngine
 from repro.engine.match import Match, PartialMatch
-from repro.engine.semantics import (
-    evaluate_new_conditions,
-    local_conditions_hold,
-    sequence_order_respected,
-    window_respected,
-)
+from repro.engine.semantics import evaluate_new_conditions, local_conditions_hold
 from repro.errors import EngineError
 from repro.events import Event
-from repro.plans import OrderBasedPlan
+from repro.plans import OrderBasedPlan, PlanStep
 from repro.statistics import StatisticsCollector
+
+_TIMESTAMP = attrgetter("timestamp")
+_INF = float("inf")
+
+
+class _Step:
+    """Runtime state of one plan position: metadata, stores, extender.
+
+    ``buffer`` and ``waiting`` alias the engine's persistent per-variable
+    lists (mutated in place only); the indexes shadow them when the step
+    carries an ``index_spec``.  ``extend(partial, event, now)`` evaluates
+    the step's newly bound conditions and returns the extended match or
+    ``None``.
+    """
+
+    __slots__ = (
+        "relations",
+        "extend",
+        "buffer",
+        "waiting",
+        "index_spec",
+        "buffer_index",
+        "waiting_index",
+    )
+
+    def __init__(self, relations: PlanStep, extend: Callable, buffer, waiting, index_spec):
+        self.relations = relations
+        self.extend = extend
+        self.buffer: List[Event] = buffer
+        self.waiting: List[PartialMatch] = waiting
+        self.index_spec = index_spec
+        indexed = index_spec is not None
+        self.buffer_index: Optional[EqualityIndex] = EqualityIndex() if indexed else None
+        self.waiting_index: Optional[EqualityIndex] = EqualityIndex() if indexed else None
+
+
+def _order_bounds(relations: PlanStep, bindings) -> Tuple[float, float]:
+    """``(after, before)``: the step's event must lie strictly between."""
+    after = -_INF
+    before = _INF
+    for variable in relations.earlier:
+        bound = bindings[variable]
+        if isinstance(bound, list):
+            timestamp = max((e.timestamp for e in bound), default=after)
+        else:
+            timestamp = bound.timestamp
+        if timestamp > after:
+            after = timestamp
+    for variable in relations.later:
+        bound = bindings[variable]
+        if isinstance(bound, list):
+            timestamp = min((e.timestamp for e in bound), default=before)
+        else:
+            timestamp = bound.timestamp
+        if timestamp < before:
+            before = timestamp
+    return after, before
+
+
+def _admissible_range(
+    events: Sequence[Event],
+    after: float,
+    before: float,
+    partial: PartialMatch,
+    window: float,
+) -> Tuple[int, int]:
+    """``[lo, hi)`` of time-sorted ``events`` that may extend ``partial``.
+
+    The order bounds are exact comparisons against bound timestamps; the
+    window edges are searched with the semantics' own arithmetic
+    (``span <= window``, monotone in the candidate's timestamp), so events
+    on the boundary are classified exactly as a per-candidate check would.
+    """
+    hi = len(events)
+    lo = 0
+    if events[0].timestamp <= after:
+        lo = bisect_right(events, after, key=_TIMESTAMP)
+    if before != _INF:
+        hi = bisect_left(events, before, lo, hi, key=_TIMESTAMP)
+    if lo < hi:
+        newest = partial.max_timestamp
+        if newest - events[lo].timestamp > window:
+            lo = bisect_left(
+                events, True, lo, hi, key=lambda e: newest - e.timestamp <= window
+            )
+        oldest = partial.min_timestamp
+        if lo < hi and events[hi - 1].timestamp - oldest > window:
+            hi = bisect_left(
+                events, True, lo, hi, key=lambda e: e.timestamp - oldest > window
+            )
+    return lo, hi
 
 
 class LazyNFAEngine(EvaluationEngine):
@@ -76,7 +192,8 @@ class LazyNFAEngine(EvaluationEngine):
         self.plan = plan
         self._order = plan.order
         self._depth = len(self._order)
-        # Buffered events per positive variable (local conditions already hold).
+        # Buffered events per positive variable (local conditions already
+        # hold), in timestamp order.
         self._buffers: Dict[str, List[Event]] = {v: [] for v in self._order}
         # Partial matches indexed by the variable they are waiting for next.
         self._waiting: Dict[str, List[PartialMatch]] = {v: [] for v in self._order}
@@ -93,30 +210,71 @@ class LazyNFAEngine(EvaluationEngine):
 
     def _compile_plan(self) -> None:
         super()._compile_plan()
-        # Equality indexes shadow the candidate stores of the steps that
-        # carry an index spec; both are rebuilt from scratch on restore
-        # (and after expiry), never pickled.
-        self._index_specs = {}
-        self._waiting_index: Dict[str, EqualityIndex] = {}
-        self._buffer_index: Dict[str, EqualityIndex] = {}
-        if self._compiled is not None and self._compiled.indexed:
-            for step in self._compiled.steps:
-                if step.index_spec is not None:
-                    self._index_specs[step.variable] = step.index_spec
-                    self._waiting_index[step.variable] = EqualityIndex()
-                    self._buffer_index[step.variable] = EqualityIndex()
+        self._bind_steps()
+
+    def _bind_steps(self) -> None:
+        """Build the per-step runtime table over the persistent stores.
+
+        Extender closures and equality indexes are derived state: never
+        pickled, rebuilt here at construction and on restore.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            plan_steps: Sequence[PlanStep] = self.plan.steps()
+        else:
+            plan_steps = [step.relations for step in compiled.steps]
+        steps: List[_Step] = []
+        for position, relations in enumerate(plan_steps):
+            variable = relations.variable
+            if compiled is None:
+                extend = self._interpreted_extender(variable)
+                index_spec = None
+            else:
+                extend = compiled.step_extender(position, self.collector)
+                index_spec = compiled.steps[position].index_spec
+            if self.profiler is not None:
+                extend = _profiled(extend, self.profiler, f"extend[{variable}]")
+            step = _Step(
+                relations, extend, self._buffers[variable], self._waiting[variable], index_spec
+            )
+            if step.relations.closed_to_arrivals:
+                # Only snapshots from before closed steps stopped storing
+                # partial matches can hold any; no arrival can extend them.
+                step.waiting.clear()
+            if index_spec is not None:
+                attribute = index_spec.event_attribute
+                for event in step.buffer:
+                    step.buffer_index.add(event.get(attribute), event)
+                for partial in step.waiting:
+                    _index_waiting_partial(step.waiting_index, index_spec, partial)
+            steps.append(step)
+        self._steps = steps
+        self._step_of: Dict[str, _Step] = {s.relations.variable: s for s in steps}
+
+    def _interpreted_extender(self, variable: str) -> Callable:
+        pattern, collector, conditions = self.pattern, self.collector, self._conditions
+
+        def extend(partial: PartialMatch, event: Event, now: float):
+            if evaluate_new_conditions(
+                pattern, partial.bindings, variable, event, collector, now,
+                conditions=conditions,
+            ):
+                return partial.extended(variable, event)
+            return None
+
+        return extend
 
     def __setstate__(self, state):
         # Engines travel through checkpoints via plain __dict__ pickling;
-        # the equality indexes hold the same objects as the stores they
-        # shadow, so they are dropped pre-pickle and rebuilt here.
+        # the step table (closures, and indexes holding the same objects as
+        # the stores they shadow) is dropped pre-pickle and rebuilt here.
         self.__dict__.update(state)
-        self._rebuild_indexes()
+        self._bind_steps()
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state["_waiting_index"] = {}
-        state["_buffer_index"] = {}
+        del state["_steps"]
+        del state["_step_of"]
         return state
 
     # ------------------------------------------------------------------
@@ -139,34 +297,20 @@ class LazyNFAEngine(EvaluationEngine):
         if window == float("inf"):
             return
         cutoff = now - window
-        for variable, events in self._buffers.items():
-            self._buffers[variable] = [e for e in events if e.timestamp >= cutoff]
-        for variable, matches in self._waiting.items():
-            self._waiting[variable] = [
-                pm for pm in matches if pm.min_timestamp is None or pm.min_timestamp >= cutoff
-            ]
+        for step in self._steps:
+            events = step.buffer
+            if events and events[0].timestamp < cutoff:
+                del events[: bisect_left(events, cutoff, key=_TIMESTAMP)]
+                if step.buffer_index is not None:
+                    step.buffer_index.trim(cutoff, _TIMESTAMP)
+            waiting = step.waiting
+            kept = [pm for pm in waiting if pm.min_timestamp >= cutoff]
+            if len(kept) != len(waiting):
+                waiting[:] = kept
+                if step.waiting_index is not None:
+                    step.waiting_index.retain(lambda pm: pm.min_timestamp >= cutoff)
         self._expire_special_buffers(now)
-        if self._index_specs:
-            self._rebuild_indexes()
         self._last_expiry = now
-
-    def _rebuild_indexes(self) -> None:
-        for variable, spec in self._index_specs.items():
-            buffer_index = self._buffer_index[variable] = EqualityIndex()
-            attribute = spec.event_attribute
-            for event in self._buffers[variable]:
-                buffer_index.add(event.get(attribute), event)
-            waiting_index = self._waiting_index[variable] = EqualityIndex()
-            for partial in self._waiting[variable]:
-                self._index_waiting_partial(waiting_index, spec, partial)
-
-    @staticmethod
-    def _index_waiting_partial(index: EqualityIndex, spec, partial: PartialMatch) -> None:
-        bound = partial.bindings[spec.bound_variable]
-        if isinstance(bound, list):
-            index.add_unkeyed(partial)
-        else:
-            index.add(bound.get(spec.bound_attribute), partial)
 
     def process(self, event: Event) -> List[Match]:
         return self._process_event(event, None, 0)
@@ -201,11 +345,10 @@ class LazyNFAEngine(EvaluationEngine):
 
         new_matches = self._extend_with_event(event, accepted_variables, now)
         if self._order[0] in accepted_variables:
-            initiator = PartialMatch({self._order[0]: event})
+            new_matches.append(PartialMatch.of(self._order[0], event))
             self.counters.partial_matches_created += 1
-            new_matches.append(initiator)
 
-        completed = self._extend_from_buffers(new_matches, event, now)
+        completed = self._extend_from_buffers(new_matches, now)
 
         if self.profiler is not None:
             self.profiler.observe_population(self.partial_match_count())
@@ -242,12 +385,21 @@ class LazyNFAEngine(EvaluationEngine):
             if self.profiler is not None:
                 self.profiler.record_edge(f"buffer[{variable}]", held)
             if held:
-                self._buffers[variable].append(event)
-                spec = self._index_specs.get(variable)
-                if spec is not None:
-                    self._buffer_index[variable].add(
-                        event.get(spec.event_attribute), event
-                    )
+                step = self._step_of[variable]
+                events = step.buffer
+                # A timestamp regression: keep the stores sorted, the
+                # interval search depends on it.
+                late = bool(events) and events[-1].timestamp > event.timestamp
+                if late:
+                    insort(events, event, key=_TIMESTAMP)
+                else:
+                    events.append(event)
+                if step.buffer_index is not None:
+                    key = event.get(step.index_spec.event_attribute)
+                    if late:
+                        step.buffer_index.add_sorted(key, event, _TIMESTAMP)
+                    else:
+                        step.buffer_index.add(key, event)
                 accepted.append(variable)
         return accepted
 
@@ -256,95 +408,115 @@ class LazyNFAEngine(EvaluationEngine):
     ) -> List[PartialMatch]:
         """Extend stored partial matches whose next step accepts this event."""
         extended: List[PartialMatch] = []
+        window = self.pattern.window
+        attempts = 0
         for variable in accepted_variables:
-            spec = self._index_specs.get(variable)
-            if spec is None:
-                candidates = self._waiting[variable]
-            else:
-                primary, fallback, pruned = self._waiting_index[variable].probe(
+            step = self._step_of[variable]
+            relations = step.relations
+            if relations.closed_to_arrivals:
+                continue
+            candidates: Sequence[PartialMatch] = step.waiting
+            if step.waiting_index is not None:
+                spec = step.index_spec
+                primary, fallback, pruned = step.waiting_index.probe(
                     event.get(spec.event_attribute)
                 )
-                if primary is None:
-                    candidates = self._waiting[variable]
-                else:
-                    candidates = list(primary)
-                    candidates.extend(fallback)
+                if primary is not None:
+                    candidates = primary if not fallback else [*primary, *fallback]
                     self._record_pruned(spec, pruned, now)
+            if not candidates:
+                continue
+            extend = step.extend
+            shares_type = relations.shares_type
             for partial in candidates:
-                candidate = self._try_extend(partial, variable, event, now)
+                if partial.max_timestamp < now:
+                    # Strictly older and stored: only the window can object.
+                    if now - partial.min_timestamp > window:
+                        continue
+                elif not _admits(relations, partial, now, window):
+                    continue
+                if shares_type and partial.contains_event(event):
+                    continue
+                attempts += 1
+                candidate = extend(partial, event, now)
                 if candidate is not None:
                     extended.append(candidate)
+        self.counters.extension_attempts += attempts
+        self.counters.partial_matches_created += len(extended)
         return extended
 
     def _extend_from_buffers(
-        self,
-        new_matches: List[PartialMatch],
-        current_event: Event,
-        now: float,
-        first_level_min_ts: float = float("-inf"),
+        self, new_matches: List[PartialMatch], now: float
     ) -> List[PartialMatch]:
         """Recursively extend fresh partial matches with buffered history.
 
         Every partial match created along the way is also registered as
-        "waiting" so that future events can extend it; complete bindings are
-        returned for finalisation.
-
-        ``first_level_min_ts`` prunes buffered candidates at (or before)
-        that timestamp on the *first* frontier level only.  Injected
-        shared-prefix bindings use it: in a SEQ pattern every suffix event
-        must be strictly later than the prefix-completing event, so the
-        (usually exhaustive) scan over already-buffered suffix events can
-        be skipped without consulting the full ordering check.
+        "waiting" so that future events can extend it — unless its next
+        step is closed to arrivals; complete bindings are returned for
+        finalisation.
         """
         completed: List[PartialMatch] = []
-        frontier = list(new_matches)
-        level_min_ts = first_level_min_ts
+        frontier = new_matches
+        steps = self._steps
+        depth = self._depth
+        window = self.pattern.window
+        attempts = 0
+        created = 0
         while frontier:
             next_frontier: List[PartialMatch] = []
             for partial in frontier:
-                if partial.size == self._depth:
+                position = len(partial.bindings)
+                if position == depth:
                     completed.append(partial)
                     continue
-                next_variable = self._order[partial.size]
-                self._waiting[next_variable].append(partial)
-                spec = self._index_specs.get(next_variable)
-                if spec is None:
-                    buffered_candidates = self._buffers[next_variable]
+                step = steps[position]
+                relations = step.relations
+                if not relations.closed_to_arrivals:
+                    step.waiting.append(partial)
+                    if step.waiting_index is not None:
+                        _index_waiting_partial(
+                            step.waiting_index, step.index_spec, partial
+                        )
+                if step.buffer_index is None:
+                    stores: Tuple[Sequence[Event], ...] = (step.buffer,)
                 else:
-                    self._index_waiting_partial(
-                        self._waiting_index[next_variable], spec, partial
-                    )
-                    buffered_candidates = self._probe_buffered(
-                        spec, next_variable, partial, now
-                    )
-                for buffered in buffered_candidates:
-                    if buffered.timestamp <= level_min_ts:
+                    stores = self._probe_buffered(step, partial, now)
+                after, before = _order_bounds(relations, partial.bindings)
+                extend = step.extend
+                shares_type = relations.shares_type
+                for events in stores:
+                    if not events:
                         continue
-                    if buffered is current_event or partial.contains_event(buffered):
-                        continue
-                    candidate = self._try_extend(partial, next_variable, buffered, now)
-                    if candidate is not None:
-                        next_frontier.append(candidate)
+                    lo, hi = _admissible_range(events, after, before, partial, window)
+                    for index in range(lo, hi):
+                        buffered = events[index]
+                        if shares_type and partial.contains_event(buffered):
+                            continue
+                        attempts += 1
+                        candidate = extend(partial, buffered, now)
+                        if candidate is not None:
+                            next_frontier.append(candidate)
+            created += len(next_frontier)
             frontier = next_frontier
-            level_min_ts = float("-inf")
+        self.counters.extension_attempts += attempts
+        self.counters.partial_matches_created += created
         return completed
 
     def _probe_buffered(
-        self, spec, variable: str, partial: PartialMatch, now: float
-    ) -> List[Event]:
-        """Buffered events of ``variable`` that can satisfy the indexed equality."""
+        self, step: _Step, partial: PartialMatch, now: float
+    ) -> Tuple[Sequence[Event], ...]:
+        """Buffered events of the step that can satisfy the indexed equality."""
+        spec = step.index_spec
         bound = partial.bindings[spec.bound_variable]
         if isinstance(bound, list):
-            return self._buffers[variable]
-        primary, fallback, pruned = self._buffer_index[variable].probe(
+            return (step.buffer,)
+        primary, fallback, pruned = step.buffer_index.probe(
             bound.get(spec.bound_attribute)
         )
         if primary is None:
-            return self._buffers[variable]
-        candidates = list(primary)
-        candidates.extend(fallback)
+            return (step.buffer,)
         self._record_pruned(spec, pruned, now)
-        return candidates
+        return (primary, fallback)
 
     def _record_pruned(self, spec, pruned: int, now: float) -> None:
         if pruned <= 0:
@@ -354,46 +526,37 @@ class LazyNFAEngine(EvaluationEngine):
             a, b = spec.pair
             self.collector.observe_condition_bulk(a, b, now, pruned, 0.0)
 
-    def _try_extend(
-        self, partial: PartialMatch, variable: str, event: Event, now: float
-    ) -> Optional[PartialMatch]:
-        """Attempt to bind ``event`` as ``variable`` in ``partial``."""
-        self.counters.extension_attempts += 1
-        candidate: Optional[PartialMatch] = None
-        compiled = self._compiled
-        if compiled is not None:
-            # Partial bindings are always the plan-order prefix, so the
-            # step kernels for this extension sit at index ``partial.size``.
-            step = compiled.steps[partial.size]
-            if (
-                not partial.contains_event(event)
-                and compiled.window_ok(
-                    partial.min_timestamp, partial.max_timestamp, event.timestamp
-                )
-                and compiled.order_respected(step, partial.bindings, event)
-                and compiled.evaluate_step(
-                    step, partial.bindings, event, self.collector, now
-                )
-            ):
-                self.counters.partial_matches_created += 1
-                candidate = partial.extended(variable, event)
-        elif (
-            not partial.contains_event(event)
-            and window_respected(partial.bindings, event, self.pattern.window)
-            and sequence_order_respected(self.pattern, partial.bindings, variable, event)
-            and evaluate_new_conditions(
-                self.pattern, partial.bindings, variable, event, self.collector, now,
-                conditions=self._conditions,
-            )
-        ):
-            self.counters.partial_matches_created += 1
-            candidate = partial.extended(variable, event)
-        if self.profiler is not None:
-            self.profiler.record_edge(f"extend[{variable}]", candidate is not None)
-        return candidate
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"LazyNFAEngine(order={'->'.join(self._order)}, "
             f"partial_matches={self.partial_match_count()})"
         )
+
+
+def _admits(relations: PlanStep, partial: PartialMatch, timestamp: float, window: float) -> bool:
+    """The general time check of one pairing (ties and regressions)."""
+    after, before = _order_bounds(relations, partial.bindings)
+    if not after < timestamp < before:
+        return False
+    low = partial.min_timestamp if partial.min_timestamp < timestamp else timestamp
+    high = partial.max_timestamp if partial.max_timestamp > timestamp else timestamp
+    return high - low <= window
+
+
+def _index_waiting_partial(index: EqualityIndex, spec, partial: PartialMatch) -> None:
+    bound = partial.bindings[spec.bound_variable]
+    if isinstance(bound, list):
+        index.add_unkeyed(partial)
+    else:
+        index.add(bound.get(spec.bound_attribute), partial)
+
+
+def _profiled(extend: Callable, profiler, label: str) -> Callable:
+    """Record each extension outcome on the profiler's operator edge."""
+
+    def profiled(partial, event, now):
+        candidate = extend(partial, event, now)
+        profiler.record_edge(label, candidate is not None)
+        return candidate
+
+    return profiled

@@ -23,7 +23,6 @@ of unpickling garbage state.
 from __future__ import annotations
 
 import pickle
-import pickletools
 import struct
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -94,7 +93,7 @@ def snapshot_engine(engine: object) -> bytes:
             f"be module-level classes or functions, not closures): {exc}"
         ) from exc
     header = SNAPSHOT_MAGIC + bytes([SNAPSHOT_VERSION])
-    return header + pickletools.optimize(payload)
+    return header + payload
 
 
 def restore_engine(blob: bytes) -> object:
@@ -310,7 +309,7 @@ def snapshot_ordering_state(state: Dict[str, Any]) -> bytes:
             f"picklable objects, not closures over open files): {exc}"
         ) from exc
     header = ORDERING_SNAPSHOT_MAGIC + bytes([ORDERING_SNAPSHOT_VERSION])
-    return header + pickletools.optimize(payload)
+    return header + payload
 
 
 def restore_ordering_state(blob: bytes) -> Dict[str, Any]:

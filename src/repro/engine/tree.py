@@ -147,7 +147,7 @@ class TreeEvaluationEngine(EvaluationEngine):
                 self.profiler.record_edge(f"leaf[{leaf.variable}]", held)
             if not held:
                 continue
-            leaf_match = PartialMatch({leaf.variable: event})
+            leaf_match = PartialMatch.of(leaf.variable, event)
             self.counters.partial_matches_created += 1
             matches.extend(self._store_and_propagate(leaf, leaf_match, now))
         if self.profiler is not None:

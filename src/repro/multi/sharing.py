@@ -121,26 +121,21 @@ class SuffixNFAEngine(LazyNFAEngine):
         for type_name in self.prefix_types:
             self._type_to_variables.pop(type_name, None)
 
-    def inject_partials(
-        self, partials: List[PartialMatch], event: Event, now: float
-    ) -> List[Match]:
+    def inject_partials(self, partials: List[PartialMatch], now: float) -> List[Match]:
         """Extend delivered prefix bindings through the suffix steps.
 
-        ``event`` is the prefix-completing event (a prefix-type event, so
-        it can never collide with this engine's buffered suffix events).
+        Every delivered binding contains the prefix-completing event (at
+        timestamp ``now``, of a prefix type, so it can never collide with
+        this engine's buffered suffix events).  In a SEQ pattern the
+        suffix steps' order relations put every suffix event strictly
+        after it, so the interval search skips the already-buffered (hence
+        not-later) suffix events outright; conjunctions impose no ordering
+        and scan the whole window.
         """
         if now - self._last_expiry >= self._expiry_interval:
             self.expire(now)
         self.counters.partial_matches_created += len(partials)
-        # Every delivered binding contains the prefix-completing event (at
-        # timestamp ``now``), so in a SEQ pattern a suffix event can only
-        # attach if it is strictly later — skip the scan over the already-
-        # buffered (hence not-later) suffix events.  Conjunctions impose no
-        # ordering and keep the full scan.
-        min_ts = now if self.pattern.is_sequence() else float("-inf")
-        completed = self._extend_from_buffers(
-            list(partials), event, now, first_level_min_ts=min_ts
-        )
+        completed = self._extend_from_buffers(list(partials), now)
         matches: List[Match] = []
         for partial in completed:
             match = self._finalize(partial, now)
@@ -300,7 +295,7 @@ class SharedPrefixGroup:
         if not partials:
             return []
         self.prefix_hits += len(partials)
-        return record.engine.inject_partials(partials, event, event.timestamp)
+        return record.engine.inject_partials(partials, event.timestamp)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

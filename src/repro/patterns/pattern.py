@@ -112,6 +112,7 @@ class Pattern:
         self._operator = operator
         self._items = items
         self._positive_items = tuple(positive)
+        self._index_modifier_items()
         self._positive_index = {
             item.variable: index for index, item in enumerate(positive)
         }
@@ -126,6 +127,16 @@ class Pattern:
             raise PatternError(
                 f"condition references unknown variables: {sorted(unknown)}"
             )
+
+    def _index_modifier_items(self) -> None:
+        self._negated_items = tuple(item for item in self._items if item.negated)
+        self._kleene_items = tuple(item for item in self._items if item.kleene)
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if "_negated_items" not in state:
+            # Pickled before the modifier-item views were cached.
+            self._index_modifier_items()
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -165,12 +176,12 @@ class Pattern:
     @property
     def negated_items(self) -> Tuple[PatternItem, ...]:
         """Items under the negation operator."""
-        return tuple(item for item in self._items if item.negated)
+        return self._negated_items
 
     @property
     def kleene_items(self) -> Tuple[PatternItem, ...]:
         """Items under Kleene closure."""
-        return tuple(item for item in self._items if item.kleene)
+        return self._kleene_items
 
     @property
     def size(self) -> int:

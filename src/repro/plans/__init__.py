@@ -14,7 +14,7 @@ quantity both plan-generation algorithms minimise.
 """
 
 from repro.plans.base import EvaluationPlan
-from repro.plans.order_plan import OrderBasedPlan
+from repro.plans.order_plan import OrderBasedPlan, PlanStep
 from repro.plans.tree_plan import TreeBasedPlan, TreePlanNode, TreeLeaf, TreeInternalNode
 from repro.plans.cost import (
     order_plan_cost,
@@ -29,6 +29,7 @@ from repro.plans.cost import (
 __all__ = [
     "EvaluationPlan",
     "OrderBasedPlan",
+    "PlanStep",
     "TreeBasedPlan",
     "TreePlanNode",
     "TreeLeaf",

@@ -17,6 +17,56 @@ from repro.plans.cost import order_plan_cost
 from repro.statistics import StatisticsSnapshot
 
 
+class PlanStep:
+    """What the pattern alone fixes about binding one plan position.
+
+    When a partial match holding ``bound`` (the plan-order prefix) is
+    extended by an event for ``variable``, a SEQ pattern requires that
+    event to be strictly later than the events of the ``earlier`` bound
+    variables and strictly earlier than those of the ``later`` ones (both
+    empty for conjunctions, which impose no order).  These relations are
+    the single source of the temporal order constraint for every engine
+    execution mode.
+
+    ``closed_to_arrivals`` tells whether no *future* event can ever take
+    this step: events arrive in timestamp order, so an event that must
+    precede an already-bound one has to be in the buffered history
+    already.  ``shares_type`` tells whether some bound variable accepts
+    the same event type, i.e. whether a candidate event could already be
+    bound in the partial match it is offered to.
+    """
+
+    __slots__ = (
+        "variable",
+        "bound",
+        "earlier",
+        "later",
+        "closed_to_arrivals",
+        "shares_type",
+    )
+
+    def __init__(
+        self,
+        variable: str,
+        bound: Tuple[str, ...],
+        earlier: Tuple[str, ...],
+        later: Tuple[str, ...],
+        shares_type: bool,
+    ):
+        self.variable = variable
+        self.bound = bound
+        self.earlier = earlier
+        self.later = later
+        self.closed_to_arrivals = bool(later)
+        self.shares_type = shares_type
+
+    def __repr__(self) -> str:  # pragma: no cover - debug helper
+        return (
+            f"PlanStep({self.variable}: after {list(self.earlier)}, "
+            f"before {list(self.later)})"
+        )
+
+
 class OrderBasedPlan(EvaluationPlan):
     """A processing order over the positive items of a pattern.
 
@@ -64,6 +114,26 @@ class OrderBasedPlan(EvaluationPlan):
     def items_in_order(self) -> List[PatternItem]:
         """Pattern items in processing order."""
         return [self.pattern.item_by_variable(variable) for variable in self._order]
+
+    def steps(self) -> Tuple[PlanStep, ...]:
+        """Per-position extension metadata, in processing order."""
+        pattern = self.pattern
+        is_sequence = pattern.is_sequence()
+        type_of = {
+            item.variable: item.event_type.name for item in pattern.positive_items
+        }
+        steps = []
+        for position, variable in enumerate(self._order):
+            bound = self._order[:position]
+            earlier: Tuple[str, ...] = ()
+            later: Tuple[str, ...] = ()
+            if is_sequence:
+                here = pattern.positive_index(variable)
+                earlier = tuple(u for u in bound if pattern.positive_index(u) < here)
+                later = tuple(u for u in bound if pattern.positive_index(u) > here)
+            shares_type = any(type_of[u] == type_of[variable] for u in bound)
+            steps.append(PlanStep(variable, bound, earlier, later, shares_type))
+        return tuple(steps)
 
     def position(self, variable: str) -> int:
         """Position of a variable in the processing order."""

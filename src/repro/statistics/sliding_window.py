@@ -4,9 +4,10 @@ The paper maintains stream statistics with the histogram-based sliding
 window techniques of Datar et al.  We implement the same functionality with
 a bucketed sliding counter: the window is split into a fixed number of time
 buckets, counts are accumulated into the newest bucket and whole buckets
-expire as time advances.  This gives O(1) amortised updates, O(buckets)
-queries, and bounded relative error (at most one bucket's worth of events),
-which is the property the adaptation layer relies on.
+expire as time advances.  A running total follows the buckets, so updates
+are O(1) amortised, queries O(1) once stale buckets are gone, and the
+relative error is bounded (at most one bucket's worth of events), which is
+the property the adaptation layer relies on.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class BucketedSlidingCounter:
         "window",
         "num_buckets",
         "_bucket_width",
-        "_buckets",
+        "_run",
+        "_total",
         "_last_time",
         "late_samples",
     )
@@ -46,12 +48,29 @@ class BucketedSlidingCounter:
         self.window = float(window)
         self.num_buckets = int(num_buckets)
         self._bucket_width = self.window / self.num_buckets
-        # Each bucket is [start_time, count]; newest last.
-        self._buckets: Deque[Tuple[float, float]] = deque()
+        # Each bucket is [start_time, count]; newest last.  ``_total`` is the
+        # sum of the counts: amounts are integer-valued, so the running sum
+        # is exact whatever the order of additions and removals.
+        self._run: Deque[Tuple[float, float]] = deque()
+        self._total = 0.0
         self._last_time: Optional[float] = None
         #: Out-of-order updates absorbed so far (clamped into the newest
         #: bucket rather than rejected).
         self.late_samples = 0
+
+    @property
+    def _buckets(self) -> Deque[Tuple[float, float]]:
+        """The bucket run, under the name checkpoints know it by."""
+        return self._run
+
+    @_buckets.setter
+    def _buckets(self, run) -> None:
+        # Wholesale replacement: older pickles restore the run under this
+        # name, and delta snapshots swap it out (for a sentinel) and back.
+        self._run = run
+        self._total = (
+            float(sum(count for _start, count in run)) if isinstance(run, deque) else 0.0
+        )
 
     def add(self, timestamp: float, amount: float = 1.0) -> None:
         """Record ``amount`` occurrences at ``timestamp``.
@@ -81,11 +100,12 @@ class BucketedSlidingCounter:
             timestamp = self._last_time
         self._last_time = timestamp
         bucket_start = self._bucket_start(timestamp)
-        if self._buckets and self._buckets[-1][0] == bucket_start:
-            start, count = self._buckets[-1]
-            self._buckets[-1] = (start, count + amount)
+        run = self._run
+        if run and run[-1][0] == bucket_start:
+            run[-1] = (bucket_start, run[-1][1] + amount)
         else:
-            self._buckets.append((bucket_start, amount))
+            run.append((bucket_start, amount))
+        self._total += amount
         self._expire(timestamp)
 
     def __setstate__(self, state) -> None:
@@ -113,17 +133,25 @@ class BucketedSlidingCounter:
         reference = self._reference_time(now)
         if reference is None:
             return 0.0
+        # The running total minus the buckets already out of this window:
+        # they sit at the head, and there are none when ``now`` is the
+        # newest time seen (``add``/``advance`` expire as they go).
         cutoff = reference - self.window
-        return sum(count for start, count in self._buckets if start + self._bucket_width > cutoff)
+        total = self._total
+        for start, count in self._run:
+            if start + self._bucket_width > cutoff:
+                break
+            total -= count
+        return total
 
     def rate(self, now: Optional[float] = None) -> float:
         """Occurrences per time unit over the (possibly partially filled) window."""
         reference = self._reference_time(now)
         if reference is None:
             return 0.0
-        if not self._buckets:
+        if not self._run:
             return 0.0
-        oldest_start = self._buckets[0][0]
+        oldest_start = self._run[0][0]
         elapsed = max(reference - oldest_start, self._bucket_width)
         effective = min(elapsed, self.window)
         return self.count(now=reference) / effective
@@ -138,13 +166,14 @@ class BucketedSlidingCounter:
 
     def _expire(self, now: float) -> None:
         cutoff = now - self.window
-        while self._buckets and self._buckets[0][0] + self._bucket_width <= cutoff:
-            self._buckets.popleft()
+        buckets = self._run
+        while buckets and buckets[0][0] + self._bucket_width <= cutoff:
+            self._total -= buckets.popleft()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"BucketedSlidingCounter(window={self.window:g}, "
-            f"buckets={len(self._buckets)}/{self.num_buckets})"
+            f"buckets={len(self._run)}/{self.num_buckets})"
         )
 
 

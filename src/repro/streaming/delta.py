@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import io
 import pickle
-import pickletools
 import weakref
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
@@ -167,11 +166,9 @@ def extract_keyed_state(
                 pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
                 pickler.persistent_id = lambda obj: cold_ids.get(id(obj))
                 pickler.dump(target)
-                skeleton = pickletools.optimize(buffer.getvalue())
+                skeleton = buffer.getvalue()
             else:
-                skeleton = pickletools.optimize(
-                    pickle.dumps(target, protocol=pickle.HIGHEST_PROTOCOL)
-                )
+                skeleton = pickle.dumps(target, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             raise CheckpointError(
                 f"engine skeleton is not picklable: {exc}"

@@ -161,6 +161,44 @@ class TestBucketedSlidingCounter:
         assert old.late_samples == 1
         assert old.count(now=5.0) == 2
 
+    def test_running_total_equals_the_bucket_sum(self):
+        """``count`` is the running total minus the stale head, for any
+        ``now`` — bit-identical to summing the live buckets."""
+        import random
+
+        rng = random.Random(3)
+        counter = BucketedSlidingCounter(window=4.0, num_buckets=8)
+        clock = 0.0
+        for _ in range(400):
+            clock += rng.choice([0.0, 0.1, 0.7, 3.0])
+            if rng.random() < 0.8:
+                counter.add(clock, float(rng.randint(1, 5)))
+            else:
+                counter.advance(clock)
+            for now in (None, clock, clock + 1.3, clock + 10.0):
+                reference = clock if now is None else now
+                expected = sum(
+                    count
+                    for start, count in counter._buckets
+                    if start + counter._bucket_width > reference - counter.window
+                )
+                assert counter.count(now) == expected
+        # Querying ahead of the clock drops nothing from the counter.
+        before = list(counter._buckets)
+        counter.count(now=clock + 2.0)
+        assert list(counter._buckets) == before
+
+    def test_replacing_the_buckets_resets_the_total(self):
+        """Delta restore swaps the bucket run wholesale (``setattr``)."""
+        from collections import deque
+
+        counter = BucketedSlidingCounter(window=10.0, num_buckets=10)
+        counter.add(1.0)
+        counter._buckets = deque([(2.0, 3.0), (3.0, 4.0)])
+        assert counter.count(now=3.0) == 7.0
+        counter.add(3.5)
+        assert counter.count(now=3.5) == 8.0
+
     def test_empty_counter(self):
         counter = BucketedSlidingCounter(window=10.0)
         assert counter.count() == 0.0
