@@ -149,14 +149,34 @@ def comparison_sanity():
         assert result.mean_value("invariant", "reoptimizations") <= result.mean_value(
             "unconditional", "reoptimizations"
         ) + 2
-        # The invariant method's adaptation overhead stays in the same (small)
-        # ballpark as the unconditional method's or below it.  Overhead is a
-        # wall-clock ratio, so a generous tolerance absorbs timing noise on
-        # short benchmark runs.
-        invariant_overhead = result.mean_value("invariant", "overhead")
-        unconditional_overhead = result.mean_value("unconditional", "overhead")
-        assert invariant_overhead <= max(
-            2.0 * unconditional_overhead, unconditional_overhead + 0.05
+
+    return _check
+
+
+@pytest.fixture(scope="session")
+def stocks_shape():
+    """The paper's observations for the stocks figures (8 and 9).
+
+    Asserted on the exact per-run columns — partial matches created (the
+    paper's cost proxy) and plan reoptimizations — not on the wall-clock
+    throughput and overhead the tables print.
+    """
+
+    def _check(result):
+        mean = result.mean_value
+        # The static plan does decidedly less work than the over-adapting
+        # unconditional method (the paper's headline observation for stocks).
+        assert mean("static", "partial_matches") < mean("unconditional", "partial_matches")
+        # The invariant method stays competitive with the best of the other
+        # adaptive methods ...
+        assert mean("invariant", "partial_matches") <= 1.25 * mean(
+            "threshold", "partial_matches"
+        )
+        # ... while re-planning least often of the three.
+        assert (
+            mean("invariant", "reoptimizations")
+            < mean("threshold", "reoptimizations")
+            < mean("unconditional", "reoptimizations")
         )
 
     return _check

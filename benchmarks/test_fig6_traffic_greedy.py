@@ -20,5 +20,9 @@ def test_fig6_traffic_greedy(
     )
     comparison_sanity(result, config.sizes)
     # On the skewed, shifting traffic data the adaptive invariant method
-    # should clearly outperform the never-adapting static plan on average.
-    assert result.mean_throughput("invariant") > result.mean_throughput("static")
+    # should clearly outperform the never-adapting static plan on average:
+    # asserted on the partial matches created (the paper's cost proxy, exact
+    # per run) rather than on the wall-clock throughput the table prints.
+    assert result.mean_value("invariant", "partial_matches") < result.mean_value(
+        "static", "partial_matches"
+    )

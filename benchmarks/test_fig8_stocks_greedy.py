@@ -11,16 +11,16 @@ from __future__ import annotations
 
 
 def test_fig8_stocks_greedy(
-    benchmark, bench_scale, make_config, method_comparison_panel, comparison_sanity
+    benchmark,
+    bench_scale,
+    make_config,
+    method_comparison_panel,
+    comparison_sanity,
+    stocks_shape,
 ):
     config = make_config("stocks", "greedy")
     result = benchmark.pedantic(
         method_comparison_panel, args=(config, "Figure 8"), rounds=1, iterations=1
     )
     comparison_sanity(result, config.sizes)
-    # Static decidedly outperforms the over-adapting unconditional method on
-    # this dataset (the paper's headline observation for stocks).
-    assert result.mean_throughput("static") > result.mean_throughput("unconditional")
-    # The invariant method stays competitive with the best of the other
-    # adaptive methods.
-    assert result.mean_throughput("invariant") >= 0.8 * result.mean_throughput("threshold")
+    stocks_shape(result)

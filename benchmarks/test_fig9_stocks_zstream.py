@@ -4,12 +4,16 @@ from __future__ import annotations
 
 
 def test_fig9_stocks_zstream(
-    benchmark, bench_scale, make_config, method_comparison_panel, comparison_sanity
+    benchmark,
+    bench_scale,
+    make_config,
+    method_comparison_panel,
+    comparison_sanity,
+    stocks_shape,
 ):
     config = make_config("stocks", "zstream")
     result = benchmark.pedantic(
         method_comparison_panel, args=(config, "Figure 9"), rounds=1, iterations=1
     )
     comparison_sanity(result, config.sizes)
-    assert result.mean_throughput("static") > result.mean_throughput("unconditional")
-    assert result.mean_throughput("invariant") >= 0.8 * result.mean_throughput("threshold")
+    stocks_shape(result)

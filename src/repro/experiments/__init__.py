@@ -3,7 +3,9 @@
 Each module corresponds to one experiment of Section 5 / Appendix A:
 
 * :mod:`repro.experiments.runner` — shared single-run machinery
-  (build engine, run stream, collect :class:`~repro.metrics.RunMetrics`).
+  (build engine, run stream, collect :class:`~repro.metrics.RunMetrics`);
+  :func:`~repro.experiments.runner.build_streaming_engine` is the one place
+  an engine is built from an :class:`ExperimentConfig`.
 * :mod:`repro.experiments.distance_sweep` — Figure 5 (throughput vs the
   invariant distance ``d`` and the pattern size).
 * :mod:`repro.experiments.distance_estimation` — Table 1 (quality of the
@@ -14,12 +16,15 @@ Each module corresponds to one experiment of Section 5 / Appendix A:
   and computational overhead of the four adaptation methods).
 * :mod:`repro.experiments.ablations` — K-invariant and invariant-selection
   strategy ablations (Sections 3.3 and 3.5).
-* :mod:`repro.experiments.parallel_scaling` — sequential vs sharded
-  throughput on a keyed workload (the scale-out experiment enabled by
-  :mod:`repro.parallel`, beyond the paper).
-* :mod:`repro.experiments.streaming_rate` — throughput/latency under a
-  controlled arrival rate through the :mod:`repro.streaming` pipeline
-  (the service-mode experiment, beyond the paper).
+* :mod:`repro.experiments.profile_report` — the operator-level profiling
+  report behind the ``profile`` sub-command.
+* :mod:`repro.experiments.cli` — the command line over all of the above,
+  plus ``serve`` (the engine as a long-running streaming service).
+
+These drivers regenerate the paper's *shapes* (which method wins, how often
+it re-plans).  How fast the system is — throughput, latency, memory and the
+per-layer counters — is measured by one scale only: ``bench/run.py`` over
+the workloads of ``BENCHMARK.json`` (see ``bench/README.md``).
 """
 
 from repro.experiments.config import ExperimentConfig, PolicySpec
@@ -31,7 +36,6 @@ from repro.experiments.runner import (
     build_executor,
     make_stream,
 )
-from repro.experiments.parallel_scaling import parallel_speedup_rows
 from repro.experiments.method_comparison import (
     MethodComparisonResult,
     compare_methods,
@@ -40,7 +44,6 @@ from repro.experiments.method_comparison import (
 from repro.experiments.distance_sweep import distance_sweep, find_optimal_distance
 from repro.experiments.distance_estimation import distance_estimation_table
 from repro.experiments.ablations import k_invariant_ablation, selection_strategy_ablation
-from repro.experiments.streaming_rate import DEFAULT_RATES, rate_sweep_rows
 from repro.experiments.reporting import format_table, rows_to_csv
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "build_partitioner",
     "build_executor",
     "make_stream",
-    "parallel_speedup_rows",
     "MethodComparisonResult",
     "compare_methods",
     "DEFAULT_METHODS",
@@ -61,8 +63,6 @@ __all__ = [
     "distance_estimation_table",
     "k_invariant_ablation",
     "selection_strategy_ablation",
-    "rate_sweep_rows",
-    "DEFAULT_RATES",
     "format_table",
     "rows_to_csv",
 ]

@@ -56,6 +56,7 @@ def k_invariant_ablation(
             policy,
             initial_snapshot=dataset.initial_snapshot(pattern),
             monitoring_interval=config.monitoring_interval,
+            compile_mode=config.compile_mode,
         )
         result = engine.run(stream)
         invariant_count = len(policy.invariants) if policy.invariants else 0
@@ -104,6 +105,7 @@ def selection_strategy_ablation(
             policy,
             initial_snapshot=dataset.initial_snapshot(pattern),
             monitoring_interval=config.monitoring_interval,
+            compile_mode=config.compile_mode,
         )
         result = engine.run(stream)
         rows.append(

@@ -18,80 +18,49 @@ and run the engine as a continuously-ingesting service::
         --decision-log decisions.jsonl --checkpoint-dir ckpt
     python -m repro.experiments.cli serve --listen-port 9000 \
         --webhook-url http://127.0.0.1:9100 --checkpoint-dir ckpt
-    python -m repro.experiments.cli stream-bench --rates 0,2000,8000
-    python -m repro.experiments.cli stream-bench --backend process \
-        --worker-counts 1,2,4
-    python -m repro.experiments.cli stream-bench --rates 0 \
+    python -m repro.experiments.cli serve --compile-mode indexed --rate 5000 \
         --shuffle-slack 2 --max-lateness 2 --late-policy drop
 
-look inside the engine (operator profiling, cost-model drift)::
+and look inside the engine (operator profiling, cost-model drift)::
 
     python -m repro.experiments.cli profile --dataset stocks --top 10
-    python -m repro.experiments.cli profile --overhead --trials 3 --enforce
 
-and compare the condition-evaluation strategies (interpreted condition
-trees vs compiled kernels vs compiled + equality-indexed pruning)::
-
-    python -m repro.experiments.cli compile-bench --dataset stocks --enforce
-    python -m repro.experiments.cli serve --compile-mode indexed --rate 5000
-
-Each sub-command prints the same plain-text tables the benchmark suite
-reports and optionally writes them as CSV.
+The experiment sub-commands print the same plain-text tables the
+``benchmarks/`` suite reports and optionally write them as CSV.  None of
+them is a performance benchmark: throughput, latency, memory and the
+per-layer numbers are measured by ``bench/run.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from typing import List, Optional
 
+from repro.compile import COMPILE_MODES
 from repro.errors import StreamingError
 from repro.experiments.ablations import k_invariant_ablation, selection_strategy_ablation
-from repro.experiments.checkpoint_bench import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_FULL_EVERY,
-    checkpoint_mode_rows,
-    enforce_checkpoint_gate,
-)
-from repro.experiments.compile_bench import (
-    bench_report,
-    compile_mode_rows,
-    enforce_compile_gate,
-)
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.distance_estimation import distance_estimation_table
-from repro.experiments.multi_bench import (
-    DEFAULT_PATTERN_COUNTS,
-    enforce_multi_gate,
-    multi_pattern_rows,
-)
-from repro.experiments.multi_bench import bench_report as multi_bench_report
 from repro.experiments.distance_sweep import DEFAULT_DISTANCES, distance_sweep, find_optimal_distance
 from repro.experiments.method_comparison import DEFAULT_METHODS, RECOMMENDED_DISTANCE, compare_methods
-from repro.experiments.parallel_scaling import parallel_speedup_rows
-from repro.experiments.profile_bench import (
-    DEFAULT_TRIALS,
+from repro.experiments.profile_report import (
     drift_rows,
-    enforce_overhead_gate,
     hotspot_rows,
     operator_rows,
-    overhead_rows,
     profile_run,
 )
 from repro.experiments.reporting import format_table, pivot, rows_to_csv
-from repro.experiments.runner import build_dataset, build_workload
-from repro.experiments.streaming_rate import (
-    DEFAULT_RATES,
-    DEFAULT_WORKER_COUNTS,
+from repro.experiments.runner import (
+    build_dataset,
     build_streaming_engine,
-    rate_sweep_rows,
-    worker_sweep_rows,
+    build_workload,
 )
 from repro.metrics import NetworkMetrics
 from repro.obs import ControlPlane, DecisionLog, MetricsRegistry, Tracer
 from repro.streaming import (
+    DEFAULT_CHECKPOINT_FULL_EVERY,
     CheckpointStore,
     CSVFileSource,
     HTTPEventIngress,
@@ -144,7 +113,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--compile-mode",
-        choices=("interpreted", "compiled", "indexed"),
+        choices=COMPILE_MODES,
         default="interpreted",
         help="condition evaluation strategy: interpret the condition tree, "
         "compile it into specialized kernels at plan-build time, or "
@@ -174,7 +143,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
-    """Streaming execution-backend options (serve / stream-bench)."""
+    """Streaming execution-backend options (serve)."""
     parser.add_argument(
         "--backend",
         choices=("inline", "thread", "process"),
@@ -191,7 +160,7 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_checkpoint_mode_options(parser: argparse.ArgumentParser) -> None:
-    """Checkpoint-strategy options (serve / stream-bench / checkpoint-bench)."""
+    """Checkpoint-strategy options (serve)."""
     parser.add_argument(
         "--checkpoint-mode",
         choices=("full", "delta"),
@@ -204,14 +173,14 @@ def _add_checkpoint_mode_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--checkpoint-full-every",
         type=int,
-        default=DEFAULT_FULL_EVERY,
+        default=DEFAULT_CHECKPOINT_FULL_EVERY,
         help="with --checkpoint-mode delta: deltas between two full base "
         "snapshots (the chain length restore has to replay)",
     )
 
 
 def _add_ordering_options(parser: argparse.ArgumentParser) -> None:
-    """Event-time ordering options (serve / stream-bench)."""
+    """Event-time ordering options (serve)."""
     parser.add_argument(
         "--max-lateness",
         type=float,
@@ -411,34 +380,6 @@ def _run_table1(args: argparse.Namespace) -> int:
             rows,
             ["dataset", "algorithm", "size", "davg", "dopt", "accuracy"],
             title="Table 1 — quality of distance estimates",
-        )
-    )
-    _maybe_write_csv(rows, args.csv)
-    return 0
-
-
-def _run_parallel(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    shard_counts = tuple(int(part) for part in args.shard_counts.split(",") if part)
-    # An explicit --shards N joins the comparison instead of being ignored.
-    if args.shards > 1 and args.shards not in shard_counts:
-        shard_counts = tuple(sorted(set(shard_counts) | {args.shards}))
-    rows = parallel_speedup_rows(
-        config, shard_counts=shard_counts, entities=args.entities
-    )
-    print(
-        format_table(
-            pivot(rows, index="size", column="mode", value="throughput"),
-            title=(
-                f"{config.dataset}/{config.algorithm}: sequential vs sharded "
-                f"throughput [events/s] ({config.executor} executor)"
-            ),
-        )
-    )
-    print(
-        format_table(
-            pivot(rows, index="size", column="mode", value="matches"),
-            title="match counts (must agree across modes)",
         )
     )
     _maybe_write_csv(rows, args.csv)
@@ -713,269 +654,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_stream_bench(args: argparse.Namespace) -> int:
-    _validate_ordering_args(args)
-    config = _config_from_args(args)
-    ordering_kwargs = dict(
-        shuffle_slack=args.shuffle_slack,
-        max_lateness=args.max_lateness,
-        late_policy=args.late_policy,
-    )
-    if args.worker_counts:
-        worker_counts = tuple(
-            int(part) for part in args.worker_counts.split(",") if part
-        )
-        rows = worker_sweep_rows(
-            config,
-            worker_counts=worker_counts,
-            size=int(args.size),
-            entities=args.entities,
-            **ordering_kwargs,
-        )
-        backend = rows[-1]["backend"] if rows else config.backend
-        print(
-            format_table(
-                rows,
-                [
-                    "backend",
-                    "workers",
-                    "throughput",
-                    "speedup",
-                    "matches",
-                    "worker_queue_hw",
-                ],
-                title=(
-                    f"{config.dataset}/{config.algorithm}: multi-core streaming "
-                    f"scaling ({backend} workers vs inline; matches must agree)"
-                ),
-            )
-        )
-        _maybe_write_csv(rows, args.csv)
-        return 0
-    rates = tuple(float(part) for part in args.rates.split(",") if part)
-    rows = rate_sweep_rows(
-        config,
-        rates=rates,
-        size=int(args.size),
-        entities=args.entities,
-        patterns=int(getattr(args, "patterns", 1) or 1),
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_mode=args.checkpoint_mode,
-        checkpoint_full_every=args.checkpoint_full_every,
-        **ordering_kwargs,
-    )
-    columns = [
-        "rate",
-        "throughput",
-        "events_ingested",
-        "engine_ms_mean",
-        "engine_ms_max",
-        "queue_high_water",
-        "shed_fraction",
-        "matches",
-    ]
-    if args.max_lateness is not None:
-        columns += ["late", "watermark_lag_max"]
-    if args.checkpoint_every:
-        columns += ["checkpoints", "bytes_per_checkpoint", "checkpoint_ms_mean"]
-    print(
-        format_table(
-            rows,
-            columns,
-            title=(
-                f"{config.dataset}/{config.algorithm}: pipeline throughput and "
-                f"latency per offered rate (0 = unthrottled)"
-            ),
-        )
-    )
-    _maybe_write_csv(rows, args.csv)
-    return 0
-
-
-def _run_checkpoint_bench(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows = checkpoint_mode_rows(
-        config,
-        size=int(args.size),
-        entities=args.entities,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_full_every=args.checkpoint_full_every,
-    )
-    print(
-        format_table(
-            rows,
-            [
-                "mode",
-                "checkpoints",
-                "bytes_per_checkpoint",
-                "checkpoint_ms_mean",
-                "checkpoint_ms_max",
-                "throughput",
-                "matches",
-                "recovered",
-                "reasons",
-            ],
-            title=(
-                f"{config.dataset}/{config.algorithm}: full vs delta "
-                f"checkpoints every {args.checkpoint_every} events "
-                f"(kill/resume verified per mode)"
-            ),
-        )
-    )
-    _maybe_write_csv(rows, args.csv)
-    problems = enforce_checkpoint_gate(rows)
-    if problems:
-        for problem in problems:
-            print(f"checkpoint gate: {problem}", file=sys.stderr)
-        if args.enforce:
-            return 1
-    elif args.enforce:
-        full = next(row for row in rows if row["mode"] == "full")
-        delta = next(row for row in rows if row["mode"] == "delta")
-        saved = 1.0 - delta["bytes_per_checkpoint"] / full["bytes_per_checkpoint"]
-        print(
-            f"checkpoint gate: OK — delta writes {saved:.0%} fewer bytes per "
-            "checkpoint and kill/resume stayed exactly-once in both modes"
-        )
-    return 0
-
-
-def _run_compile_bench(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    rows = compile_mode_rows(
-        config,
-        size=int(args.size),
-        entities=args.entities,
-        trials=args.trials,
-    )
-    print(
-        format_table(
-            rows,
-            [
-                "pattern_class",
-                "mode",
-                "events",
-                "seconds",
-                "throughput",
-                "speedup",
-                "matches",
-                "matches_ok",
-                "candidates_pruned",
-            ],
-            title=(
-                f"{config.dataset}/{config.algorithm}: interpreted vs compiled "
-                f"vs indexed execution (matches must agree byte-for-byte)"
-            ),
-        )
-    )
-    _maybe_write_csv(rows, args.csv)
-    problems = enforce_compile_gate(rows)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(bench_report(rows, problems), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote bench report to {args.json}")
-    if problems:
-        for problem in problems:
-            print(f"compile gate: {problem}", file=sys.stderr)
-        if args.enforce:
-            return 1
-    elif args.enforce:
-        best = max(
-            (row for row in rows if row["mode"] != "interpreted"),
-            key=lambda row: row["speedup"],
-        )
-        print(
-            f"compile gate: OK — matches are byte-identical in every mode and "
-            f"{best['mode']} mode peaks at {best['speedup']:.1f}x on the "
-            f"{best['pattern_class']} class"
-        )
-    return 0
-
-
-def _run_multi_bench(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    counts = tuple(int(part) for part in args.patterns.split(",") if part)
-    rows = multi_pattern_rows(
-        config,
-        pattern_counts=counts,
-        size=int(args.size),
-        trials=args.trials,
-        compile_mode=config.compile_mode,
-    )
-    print(
-        format_table(
-            rows,
-            [
-                "patterns",
-                "events",
-                "isolated_seconds",
-                "shared_seconds",
-                "speedup",
-                "shared_throughput",
-                "matches",
-                "matches_ok",
-                "prefix_hits",
-                "sharing_groups",
-            ],
-            title=(
-                f"{config.dataset}/{config.algorithm}: shared one-pass serving "
-                f"vs per-pattern re-read pipelines (per-pattern matches must "
-                f"agree byte-for-byte)"
-            ),
-        )
-    )
-    _maybe_write_csv(rows, args.csv)
-    problems = enforce_multi_gate(rows)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(multi_bench_report(rows, problems), handle, indent=2)
-            handle.write("\n")
-        print(f"wrote bench report to {args.json}")
-    if problems:
-        for problem in problems:
-            print(f"multi gate: {problem}", file=sys.stderr)
-        if args.enforce:
-            return 1
-    elif args.enforce:
-        best = max(rows, key=lambda row: row["patterns"])
-        print(
-            f"multi gate: OK — per-pattern matches are byte-identical at every "
-            f"count and shared serving is {best['speedup']:.1f}x the isolated "
-            f"baseline at N={best['patterns']:.0f} "
-            f"({best['prefix_hits']:.0f} shared-prefix hits)"
-        )
-    return 0
-
-
 def _run_profile(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.overhead:
-        rows, enabled_overhead = overhead_rows(
-            config, size=int(args.size), trials=args.trials
-        )
-        print(
-            format_table(
-                rows,
-                ["mode", "trials", "median_s", "min_s", "throughput", "matches"],
-                title=(
-                    f"{config.dataset}/{config.algorithm}: instrumentation "
-                    f"off vs on, interleaved ({args.trials} trials per mode)"
-                ),
-            )
-        )
-        print(f"enabled-profiler overhead: {enabled_overhead:+.1%} (median on vs off)")
-        _maybe_write_csv(rows, args.csv)
-        problems = enforce_overhead_gate(rows, enabled_overhead)
-        if problems:
-            for problem in problems:
-                print(f"overhead gate: {problem}", file=sys.stderr)
-            if args.enforce:
-                return 1
-        elif args.enforce:
-            print("overhead gate: OK — matches agree and the enabled cost is in budget")
-        return 0
-
     frame, result = profile_run(config, size=int(args.size))
     print(
         f"profiled {result.events_processed} events, "
@@ -1073,24 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     table1.add_argument("--csv", type=str, default=None)
     table1.set_defaults(handler=_run_table1)
 
-    parallel = subparsers.add_parser(
-        "parallel", help="sequential vs sharded throughput on a keyed workload"
-    )
-    _add_common_options(parallel)
-    parallel.add_argument(
-        "--shard-counts",
-        type=str,
-        default="2,4",
-        help="comma-separated shard counts to compare against sequential",
-    )
-    parallel.add_argument(
-        "--entities",
-        type=int,
-        default=8,
-        help="number of distinct partition-key values in the keyed stream",
-    )
-    parallel.set_defaults(handler=_run_parallel)
-
     serve = subparsers.add_parser(
         "serve", help="run the engine as a continuously-ingesting service"
     )
@@ -1172,174 +834,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_options(serve)
     serve.set_defaults(handler=_run_serve)
 
-    stream_bench = subparsers.add_parser(
-        "stream-bench", help="pipeline throughput/latency under offered arrival rates"
-    )
-    _add_common_options(stream_bench)
-    _add_backend_options(stream_bench)
-    _add_ordering_options(stream_bench)
-    _add_checkpoint_mode_options(stream_bench)
-    stream_bench.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        help="also checkpoint every N events during the rate sweep (into a "
-        "temporary store) and report bytes/pause-time columns; 0 = off",
-    )
-    stream_bench.add_argument(
-        "--size", type=int, default=3, help="pattern size for the benchmark pattern"
-    )
-    stream_bench.add_argument(
-        "--patterns",
-        type=int,
-        default=1,
-        help="rate-sweep a shared PatternSet of this many similar patterns "
-        "through the one-pass multi-pattern engine (1 = single pattern)",
-    )
-    stream_bench.add_argument(
-        "--rates",
-        type=str,
-        default=",".join(str(rate) for rate in DEFAULT_RATES),
-        help="comma-separated offered rates in events/second (0 = unthrottled)",
-    )
-    stream_bench.add_argument(
-        "--entities",
-        type=int,
-        default=8,
-        help="distinct partition-key values in the keyed stream (with --partition-by)",
-    )
-    stream_bench.add_argument(
-        "--worker-counts",
-        type=str,
-        default=None,
-        help="comma-separated worker counts: run the multi-core scaling sweep "
-        f"(keyed workload, unthrottled) instead of the rate sweep; e.g. "
-        f"{','.join(str(count) for count in DEFAULT_WORKER_COUNTS)}",
-    )
-    stream_bench.set_defaults(handler=_run_stream_bench)
-
-    checkpoint_bench = subparsers.add_parser(
-        "checkpoint-bench",
-        help="full vs delta checkpoint bytes/pause comparison with a "
-        "kill/resume recovery check per mode",
-    )
-    _add_common_options(checkpoint_bench)
-    _add_backend_options(checkpoint_bench)
-    checkpoint_bench.add_argument(
-        "--size", type=int, default=3, help="pattern size for the benchmark pattern"
-    )
-    checkpoint_bench.add_argument(
-        "--entities",
-        type=int,
-        default=8,
-        help="distinct partition-key values in the keyed stream (with --partition-by)",
-    )
-    checkpoint_bench.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=DEFAULT_CHECKPOINT_EVERY,
-        help="events between checkpoints (same cadence for both modes)",
-    )
-    checkpoint_bench.add_argument(
-        "--checkpoint-full-every",
-        type=int,
-        default=DEFAULT_FULL_EVERY,
-        help="delta mode: deltas between two full base snapshots",
-    )
-    checkpoint_bench.add_argument(
-        "--enforce",
-        action="store_true",
-        help="exit non-zero unless delta checkpoints are strictly smaller "
-        "than full checkpoints and both modes recover losslessly (the CI "
-        "regression gate)",
-    )
-    checkpoint_bench.set_defaults(handler=_run_checkpoint_bench)
-
-    compile_bench = subparsers.add_parser(
-        "compile-bench",
-        help="interpreted vs compiled vs indexed execution comparison with "
-        "a byte-level match-equivalence check per mode",
-    )
-    _add_common_options(compile_bench)
-    compile_bench.add_argument(
-        "--size", type=int, default=3, help="pattern size for the benchmark patterns"
-    )
-    compile_bench.add_argument(
-        "--entities",
-        type=int,
-        default=8,
-        help="distinct partition-key values in the keyed join-heavy stream",
-    )
-    compile_bench.add_argument(
-        "--trials",
-        type=int,
-        default=1,
-        help="timed replays per mode (the fastest trial is kept)",
-    )
-    compile_bench.add_argument(
-        "--json",
-        type=str,
-        default="BENCH_compile.json",
-        help="write the rows plus the gate verdict to this JSON report "
-        "('' = skip)",
-    )
-    compile_bench.add_argument(
-        "--enforce",
-        action="store_true",
-        help="exit non-zero unless every mode reproduces the interpreted "
-        "match set, compiled mode is >= 1.3x on every pattern class and "
-        "indexed mode is >= 2x on the join-heavy class (the CI gate)",
-    )
-    compile_bench.set_defaults(handler=_run_compile_bench)
-
-    multi_bench = subparsers.add_parser(
-        "multi-bench",
-        help="shared one-pass multi-pattern serving vs N isolated pipelines, "
-        "with a per-pattern byte-level match-equivalence check",
-    )
-    _add_common_options(multi_bench)
-    # The multi gate measures prefix sharing, so its defaults pick the
-    # workload where a shared prefix is well-posed: the stocks feed has
-    # structural (order-key) inter-event conditions and balanced per-type
-    # match counts, and size-4 patterns give the three-step shared prefix
-    # a distinct final step to fan out on.
-    multi_bench.set_defaults(dataset="stocks", duration=120.0)
-    multi_bench.add_argument(
-        "--patterns",
-        type=str,
-        default=",".join(str(count) for count in DEFAULT_PATTERN_COUNTS),
-        help="comma-separated pattern counts to sweep",
-    )
-    multi_bench.add_argument(
-        "--size", type=int, default=4, help="size of every generated pattern"
-    )
-    multi_bench.add_argument(
-        "--trials",
-        type=int,
-        default=1,
-        help="timed replays per side and count (the fastest trial is kept)",
-    )
-    multi_bench.add_argument(
-        "--json",
-        type=str,
-        default="BENCH_multipattern.json",
-        help="write the rows plus the gate verdict to this JSON report "
-        "('' = skip)",
-    )
-    multi_bench.add_argument(
-        "--enforce",
-        action="store_true",
-        help="exit non-zero unless per-pattern matches are byte-identical at "
-        "every count, shared serving is >= 3x the isolated baseline at the "
-        "largest count with nonzero shared-prefix hits, and shared wall "
-        "time scales sublinearly in the pattern count (the CI gate)",
-    )
-    multi_bench.set_defaults(handler=_run_multi_bench)
-
     profile = subparsers.add_parser(
-        "profile",
-        help="operator-level engine profiling report (or, with --overhead, "
-        "the interleaved instrumentation-cost A/B bench)",
+        "profile", help="operator-level engine profiling report"
     )
     _add_common_options(profile)
     profile.add_argument(
@@ -1350,25 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10,
         help="conditions shown in the hotspot table (ranked by wall time)",
-    )
-    profile.add_argument(
-        "--overhead",
-        action="store_true",
-        help="instead of the report: time instrumentation-off vs -on runs "
-        "interleaved over the same replay and print the overhead",
-    )
-    profile.add_argument(
-        "--trials",
-        type=int,
-        default=DEFAULT_TRIALS,
-        help="with --overhead: measured trials per mode (plus one warmup)",
-    )
-    profile.add_argument(
-        "--enforce",
-        action="store_true",
-        help="with --overhead: exit non-zero unless matches agree across "
-        "modes and the enabled profiler stays within its overhead budget "
-        "(the CI gate)",
     )
     profile.set_defaults(handler=_run_profile)
 

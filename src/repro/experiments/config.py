@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.compile import COMPILE_MODES
 from repro.errors import ExperimentError
 
 
@@ -100,10 +101,10 @@ class ExperimentConfig:
             )
         if self.workers < 0:
             raise ExperimentError("workers must be non-negative (0 = use shards)")
-        if self.compile_mode not in ("interpreted", "compiled", "indexed"):
+        if self.compile_mode not in COMPILE_MODES:
             raise ExperimentError(
-                f"unknown compile_mode {self.compile_mode!r}; expected "
-                "'interpreted', 'compiled' or 'indexed'"
+                f"unknown compile_mode {self.compile_mode!r}; expected one of "
+                f"{COMPILE_MODES}"
             )
 
     @property

@@ -40,14 +40,7 @@ def distance_sweep(
         pattern = workload.pattern(family, size)
         for distance in distances:
             spec = PolicySpec("invariant", distance=distance, label=f"d={distance:g}")
-            metrics = run_single(
-                pattern,
-                dataset,
-                stream,
-                config.algorithm,
-                spec,
-                config.monitoring_interval,
-            )
+            metrics = run_single(pattern, stream, config, spec)
             rows.append(
                 {
                     "dataset": config.dataset,

@@ -26,8 +26,7 @@ from repro.metrics import RunMetrics, aggregate_metrics
 
 #: Default recommended distances / thresholds per dataset–algorithm pair,
 #: found by parameter scanning on the synthetic datasets (the paper's
-#: dopt / topt procedure applied to this reproduction); see EXPERIMENTS.md
-#: for the scan outputs.
+#: dopt / topt procedure applied to this reproduction).
 RECOMMENDED_DISTANCE = {
     ("traffic", "greedy"): 0.1,
     ("traffic", "zstream"): 0.1,
@@ -117,21 +116,7 @@ def compare_methods(
         static_metrics: Optional[RunMetrics] = None
         per_method: Dict[str, RunMetrics] = {}
         for spec in specs:
-            runs = [
-                run_single(
-                    pattern,
-                    dataset,
-                    stream,
-                    config.algorithm,
-                    spec,
-                    config.monitoring_interval,
-                    shards=config.shards,
-                    partition_by=config.partition_by,
-                    batch_size=config.batch_size,
-                    executor=config.executor,
-                )
-                for pattern in patterns
-            ]
+            runs = [run_single(pattern, stream, config, spec) for pattern in patterns]
             metrics = aggregate_metrics(runs)
             per_method[spec.name] = metrics
             if spec.kind == "static":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
 from repro.adaptive import (
     AverageRelativeDifferenceDistance,
@@ -18,6 +18,7 @@ from repro.errors import ExperimentError
 from repro.events import InMemoryEventStream
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.metrics import RunMetrics
+from repro.multi.registry import as_pattern_set
 from repro.optimizer import GreedyOrderPlanner, PlanGenerator, ZStreamTreePlanner
 from repro.parallel import (
     BroadcastPartitioner,
@@ -27,6 +28,7 @@ from repro.parallel import (
     SerialExecutor,
 )
 from repro.patterns import CompositePattern, Pattern
+from repro.streaming import backend_by_name
 from repro.workloads import WorkloadGenerator
 
 PatternLike = Union[Pattern, CompositePattern]
@@ -94,17 +96,55 @@ def make_stream(
     )
 
 
+def build_streaming_engine(
+    config: ExperimentConfig, pattern: PatternLike, spec: PolicySpec
+):
+    """A fresh engine (or worker backend) for one run.
+
+    The one place the CLI and the experiment drivers build an engine, so
+    every engine setting of ``config`` (replicas, partitioning, compile
+    mode, introspection) reaches whichever engine the config selects.
+    With ``backend != "inline"`` the result is a thread/process worker
+    backend hosting ``config.effective_workers`` engine replicas; otherwise
+    a bare engine, sharded in-process when the config asks for it (the
+    executor and batch size only matter to that engine's batch ``run``).
+    """
+    planner = build_planner(config.algorithm)
+    policy = build_policy(spec)
+    settings = dict(
+        monitoring_interval=config.monitoring_interval,
+        introspect=config.introspect,
+        compile_mode=config.compile_mode,
+    )
+    if config.backend != "inline" or config.shards > 1:
+        engine = ParallelCEPEngine(
+            pattern,
+            planner,
+            policy,
+            shards=config.engine_replicas,
+            partitioner=build_partitioner(config.partition_by),
+            executor=build_executor(config.executor),
+            batch_size=config.batch_size,
+            **settings,
+        )
+        if config.backend == "inline":
+            return engine
+        return backend_by_name(config.backend, engine)
+    if not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
+        return MultiPatternEngine(
+            as_pattern_set(pattern),
+            planner,
+            policy_factory=lambda: build_policy(spec),
+            **settings,
+        )
+    return AdaptiveCEPEngine(pattern, planner, policy, **settings)
+
+
 def run_single(
     pattern: PatternLike,
-    dataset: DatasetSimulator,
     stream: InMemoryEventStream,
-    algorithm: str,
+    config: ExperimentConfig,
     policy_spec: PolicySpec,
-    monitoring_interval: float = 1.0,
-    shards: int = 1,
-    partition_by: Optional[str] = None,
-    batch_size: int = 256,
-    executor: str = "serial",
 ) -> RunMetrics:
     """Run one adaptation method on one pattern over one stream.
 
@@ -115,60 +155,14 @@ def run_single(
     This mirrors the paper's motivation that a-priori statistics are rarely
     available in practice.
 
-    With ``shards > 1`` the run goes through the sharded
-    :class:`~repro.parallel.ParallelCEPEngine` instead of the sequential
-    engine: the stream is partitioned (``partition_by`` selects key
-    partitioning, otherwise broadcast) across that many engine replicas
-    and the merged metrics are returned.
+    The engine comes from :func:`build_streaming_engine`: with
+    ``config.shards > 1`` the stream is partitioned (``config.partition_by``
+    selects key partitioning, otherwise broadcast) across that many engine
+    replicas and the merged metrics are returned.
     """
-    planner = build_planner(algorithm)
-    if shards > 1:
-        engine: "ParallelCEPEngine | MultiPatternEngine | AdaptiveCEPEngine" = (
-            ParallelCEPEngine(
-                pattern,
-                planner,
-                build_policy(policy_spec),
-                shards=shards,
-                partitioner=build_partitioner(partition_by),
-                executor=build_executor(executor),
-                batch_size=batch_size,
-                monitoring_interval=monitoring_interval,
-            )
+    if config.backend != "inline":
+        raise ExperimentError(
+            "batch experiments run in-process; worker backends "
+            f"({config.backend!r}) only serve streaming pipelines"
         )
-    elif not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
-        from repro.multi.registry import as_pattern_set
-
-        engine = MultiPatternEngine(
-            as_pattern_set(pattern),
-            planner,
-            policy_factory=lambda: build_policy(policy_spec),
-            initial_snapshot=None,
-            monitoring_interval=monitoring_interval,
-        )
-    else:
-        engine = AdaptiveCEPEngine(
-            pattern,
-            planner,
-            build_policy(policy_spec),
-            initial_snapshot=None,
-            monitoring_interval=monitoring_interval,
-        )
-    result = engine.run(stream)
-    return result.metrics
-
-
-def run_methods_for_pattern(
-    pattern: PatternLike,
-    dataset: DatasetSimulator,
-    stream: InMemoryEventStream,
-    algorithm: str,
-    specs,
-    monitoring_interval: float = 1.0,
-) -> Dict[str, RunMetrics]:
-    """Run several adaptation methods on the same pattern and stream."""
-    return {
-        spec.name: run_single(
-            pattern, dataset, stream, algorithm, spec, monitoring_interval
-        )
-        for spec in specs
-    }
+    return build_streaming_engine(config, pattern, policy_spec).run(stream).metrics

