@@ -4,7 +4,7 @@ The script plays the operational story on a small synthetic workload:
 
 1. record a stock-ticker stream to an event file (``events.jsonl``);
 2. serve it through a :class:`StreamingPipeline` wired with a
-   :class:`DecisionLog`, a :class:`Tracer` and a :class:`MetricsRegistry`,
+   :class:`DecisionLog` and a :class:`MetricsRegistry`,
    with the HTTP :class:`ControlPlane` attached on an ephemeral port;
 3. poke the live endpoints from a separate thread while the pipeline runs:
    ``GET /health``, ``GET /ready``, ``GET /metrics`` (Prometheus text) and
@@ -41,7 +41,6 @@ from repro.obs import (
     ControlPlane,
     DecisionLog,
     MetricsRegistry,
-    Tracer,
     read_decision_records,
     verify_continuity,
 )
@@ -72,7 +71,7 @@ def fresh_engine(pattern):
     return AdaptiveCEPEngine(pattern, GreedyOrderPlanner(), InvariantBasedPolicy())
 
 
-def build_pipeline(pattern, dataset, events_path, matches_path, store, log, tracer):
+def build_pipeline(pattern, dataset, events_path, matches_path, store, log):
     source = JSONLFileSource(
         events_path, {t.name: t for t in dataset.event_types}
     )
@@ -83,7 +82,6 @@ def build_pipeline(pattern, dataset, events_path, matches_path, store, log, trac
         checkpoint_store=store,
         checkpoint_every=1000,
         decision_log=log,
-        tracer=tracer,
     )
 
 
@@ -126,10 +124,7 @@ def main() -> None:
     # 2+3. Serve with the control plane attached; curl it mid-run; die
     # without a final checkpoint ("kill -9").
     log = DecisionLog(decisions_path)
-    tracer = Tracer()
-    first = build_pipeline(
-        pattern, dataset, events_path, matches_path, store, log, tracer
-    )
+    first = build_pipeline(pattern, dataset, events_path, matches_path, store, log)
     registry = MetricsRegistry()
     registry.register_pipeline(first.metrics)
     report: dict = {}
@@ -166,7 +161,7 @@ def main() -> None:
     # stopped (the log re-reads its own tail on open).
     resumed_log = DecisionLog(decisions_path)
     second = build_pipeline(
-        pattern, dataset, events_path, matches_path, store, resumed_log, None
+        pattern, dataset, events_path, matches_path, store, resumed_log
     )
     result = second.run()
     resumed_log.close()

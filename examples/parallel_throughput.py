@@ -10,10 +10,12 @@ independent engine replicas without losing a single match.
 The script runs the same workload three ways and prints the comparison:
 
 1. the sequential :class:`AdaptiveCEPEngine` (baseline),
-2. :class:`ParallelCEPEngine` with 4 key-partitioned shards, serial
-   executor (shows the partial-match-state savings of partitioning alone),
-3. the same 4 shards under the :class:`MultiprocessExecutor` (adds real
-   CPU parallelism; start-up cost only pays off on larger streams).
+2. :class:`ParallelCEPEngine` with 4 key-partitioned shards evaluated in
+   this thread (shows the partial-match-state savings of partitioning
+   alone),
+3. the same sharded engine hosted by a :class:`ProcessWorkerBackend` — one
+   replica per worker process, fed by the streaming pipeline (adds real
+   CPU parallelism; queue and pickle cost only pays off on larger streams).
 
 Run with::
 
@@ -24,14 +26,17 @@ from __future__ import annotations
 
 from repro import (
     AdaptiveCEPEngine,
+    CollectorSink,
     GreedyOrderPlanner,
     InvariantBasedPolicy,
     KeyPartitioner,
-    MultiprocessExecutor,
     ParallelCEPEngine,
-    SerialExecutor,
+    ReplaySource,
+    StreamingPipeline,
 )
 from repro.datasets import StockDatasetSimulator
+from repro.parallel import match_signature
+from repro.streaming import ProcessWorkerBackend
 from repro.workloads import WorkloadGenerator
 
 SHARDS = 4
@@ -48,22 +53,32 @@ def build_workload():
     )
 
 
-def run_sequential(pattern, stream):
-    engine = AdaptiveCEPEngine(pattern, GreedyOrderPlanner(), InvariantBasedPolicy())
-    return engine.run(stream)
-
-
-def run_sharded(pattern, stream, executor):
-    engine = ParallelCEPEngine(
+def sharded_engine(pattern):
+    return ParallelCEPEngine(
         pattern,
         GreedyOrderPlanner(),
         InvariantBasedPolicy(),
         shards=SHARDS,
         partitioner=KeyPartitioner("entity_id"),
-        executor=executor,
-        batch_size=512,
     )
-    return engine.run(stream)
+
+
+def run_sequential(pattern, stream):
+    engine = AdaptiveCEPEngine(pattern, GreedyOrderPlanner(), InvariantBasedPolicy())
+    result = engine.run(stream)
+    return result.matches, result.metrics.throughput
+
+
+def run_sharded(pattern, stream):
+    result = sharded_engine(pattern).run(stream)
+    return result.matches, result.metrics.throughput
+
+
+def run_process_workers(pattern, stream):
+    sink = CollectorSink()
+    backend = ProcessWorkerBackend(sharded_engine(pattern))
+    result = StreamingPipeline(backend, ReplaySource(stream), sinks=[sink]).run()
+    return sink.matches, result.throughput
 
 
 def main() -> None:
@@ -72,25 +87,24 @@ def main() -> None:
     print(f"stream:  {len(stream)} events, {ENTITIES} entities\n")
 
     runs = [
-        ("sequential", run_sequential(pattern, stream)),
-        ("sharded/serial", run_sharded(pattern, stream, SerialExecutor())),
-        ("sharded/multiprocess", run_sharded(pattern, stream, MultiprocessExecutor())),
+        ("sequential", *run_sequential(pattern, stream)),
+        ("sharded/inline", *run_sharded(pattern, stream)),
+        ("sharded/process-workers", *run_process_workers(pattern, stream)),
     ]
 
-    baseline = runs[0][1].metrics.throughput
-    header = f"{'mode':<22}{'matches':>8}{'throughput':>14}{'speedup':>9}"
+    baseline = runs[0][2]
+    header = f"{'mode':<25}{'matches':>8}{'throughput':>14}{'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for label, result in runs:
-        metrics = result.metrics
-        speedup = metrics.throughput / baseline if baseline > 0 else float("inf")
-        print(
-            f"{label:<22}{result.match_count:>8}"
-            f"{metrics.throughput:>11,.0f} ev/s{speedup:>8.2f}x"
-        )
+    for label, matches, throughput in runs:
+        speedup = throughput / baseline if baseline > 0 else float("inf")
+        print(f"{label:<25}{len(matches):>8}{throughput:>11,.0f} ev/s{speedup:>8.2f}x")
 
-    match_counts = {result.match_count for _, result in runs}
-    assert len(match_counts) == 1, "sharding must not change the match set"
+    match_sets = {
+        tuple(sorted(match_signature(match) for match in matches))
+        for _, matches, _ in runs
+    }
+    assert len(match_sets) == 1, "sharding must not change the match set"
     print("\nall modes detected the identical match set — partitioning is lossless")
 
 

@@ -31,35 +31,33 @@ Quick start::
 
 Scaling out
 -----------
-The :mod:`repro.parallel` subsystem scales detection beyond a single core
-by data partitioning while leaving the per-shard ACEP algorithm untouched:
-a :class:`~repro.parallel.ParallelCEPEngine` splits the stream across N
-independent engine replicas (each with its own statistics collector and
-adaptation controller), runs them under a pluggable executor (in-process
-:class:`~repro.parallel.SerialExecutor` or process-pool
-:class:`~repro.parallel.MultiprocessExecutor`), and merges the per-shard
-matches into one deduplicated, timestamp-ordered
+The :mod:`repro.parallel` subsystem shards detection by data partitioning
+while leaving the per-shard ACEP algorithm untouched: a
+:class:`~repro.parallel.ParallelCEPEngine` routes each event to one or more
+of N independent engine replicas (each with its own statistics collector
+and adaptation controller) and merges their matches through an online
+deduplicator into the same detection-ordered
 :class:`~repro.engine.RunResult`.  Partitioning strategies:
 :class:`~repro.parallel.KeyPartitioner` (hash an event attribute; refused
 when the pattern's conditions could correlate events across keys),
 :class:`~repro.parallel.RoundRobinPartitioner` (single-event patterns
-only) and the always-correct :class:`~repro.parallel.BroadcastPartitioner`.
-Ingestion is batched (:func:`repro.parallel.batched`) so shards consume
-chunks rather than single events::
+only) and the always-correct :class:`~repro.parallel.BroadcastPartitioner`::
 
-    from repro.parallel import ParallelCEPEngine, KeyPartitioner, MultiprocessExecutor
+    from repro.parallel import ParallelCEPEngine, KeyPartitioner
 
     engine = ParallelCEPEngine(
         pattern, GreedyOrderPlanner(), InvariantBasedPolicy(),
         shards=4,
         partitioner=KeyPartitioner("person_id"),
-        executor=MultiprocessExecutor(),
     )
     result = engine.run(my_stream)   # same matches as AdaptiveCEPEngine.run
 
-With ``shards=1`` (and the default serial executor) the parallel engine is
-bit-for-bit identical to :class:`AdaptiveCEPEngine` — sharding only decides
-*which* events each replica sees, never *how* they are evaluated.
+``run`` evaluates the replicas in the calling thread; for one replica per
+core, host the same engine in a worker backend
+(``StreamingPipeline(ProcessWorkerBackend(engine), ReplaySource(events))``,
+see below).  With ``shards=1`` the parallel engine is bit-for-bit identical
+to :class:`AdaptiveCEPEngine` — sharding only decides *which* events each
+replica sees, never *how* they are evaluated.
 
 Serving streams
 ---------------
@@ -173,10 +171,6 @@ from repro.parallel import (
     KeyPartitioner,
     RoundRobinPartitioner,
     BroadcastPartitioner,
-    SerialExecutor,
-    MultiprocessExecutor,
-    EventBatch,
-    batched,
 )
 from repro.streaming import (
     StreamingPipeline,
@@ -196,7 +190,6 @@ from repro.obs import (
     DecisionLog,
     DecisionRecord,
     MetricsRegistry,
-    Tracer,
 )
 
 __version__ = "1.1.0"
@@ -286,10 +279,6 @@ __all__ = [
     "KeyPartitioner",
     "RoundRobinPartitioner",
     "BroadcastPartitioner",
-    "SerialExecutor",
-    "MultiprocessExecutor",
-    "EventBatch",
-    "batched",
     # streaming service runtime
     "StreamingPipeline",
     "PipelineResult",
@@ -307,5 +296,4 @@ __all__ = [
     "DecisionLog",
     "DecisionRecord",
     "MetricsRegistry",
-    "Tracer",
 ]

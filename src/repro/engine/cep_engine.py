@@ -79,6 +79,27 @@ class RunResult:
         return len(self.matches)
 
 
+def fold_run(engine, stream: "EventStream | Iterable[Event]") -> RunResult:
+    """``run(stream)`` of every engine facade: fold ``engine.process`` over
+    the stream, time the fold, and report the engine's ``work_metrics()``.
+
+    Matches come back in detection order, exactly the concatenation of the
+    ``process`` calls' results.
+    """
+    matches: List[Match] = []
+    events_processed = 0
+    started = time.perf_counter()
+    for event in stream:
+        matches.extend(engine.process(event))
+        events_processed += 1
+    duration = time.perf_counter() - started
+    metrics = engine.work_metrics()
+    metrics.events_processed = events_processed
+    metrics.matches_emitted = len(matches)
+    metrics.duration_seconds = duration
+    return RunResult(matches=matches, metrics=metrics, plan_history=engine.plan_history)
+
+
 class AdaptiveCEPEngine:
     """Adaptive detection of one pattern over an event stream.
 
@@ -421,22 +442,17 @@ class AdaptiveCEPEngine:
     # ------------------------------------------------------------------
     # Whole-stream API
     # ------------------------------------------------------------------
-    def run(self, stream: "EventStream | Iterable[Event]") -> RunResult:
-        """Process an entire stream and report matches plus run metrics."""
-        matches: List[Match] = []
-        events_processed = 0
-        started = time.perf_counter()
-        for event in stream:
-            matches.extend(self.process(event))
-            events_processed += 1
-        duration = time.perf_counter() - started
+    def work_metrics(self) -> RunMetrics:
+        """This engine's work counters so far, as a :class:`RunMetrics`.
 
+        The one place the adaptation statistics and the evaluation
+        engines' counters are read into run metrics; the multi-pattern and
+        sharded facades sum their replicas' with
+        :func:`~repro.metrics.aggregate_metrics`.
+        """
         counters = self._migration.total_counters()
         adaptation = self.controller.statistics
-        metrics = RunMetrics(
-            events_processed=events_processed,
-            matches_emitted=len(matches),
-            duration_seconds=duration,
+        return RunMetrics(
             reoptimizations=self._migration.switches_performed,
             decisions_evaluated=adaptation.decisions_evaluated,
             time_in_decision=adaptation.time_in_decision,
@@ -444,4 +460,7 @@ class AdaptiveCEPEngine:
             partial_matches_created=counters.partial_matches_created,
             extension_attempts=counters.extension_attempts,
         )
-        return RunResult(matches=matches, metrics=metrics, plan_history=self.plan_history)
+
+    def run(self, stream: "EventStream | Iterable[Event]") -> RunResult:
+        """Process an entire stream and report matches plus run metrics."""
+        return fold_run(self, stream)

@@ -23,26 +23,26 @@ plain ``list`` of patterns) in **one pass**:
 Matches are tagged with their originating pattern's registry id
 (``Match.pattern_id``), so the union output keeps provenance.
 
-The legacy ``CompositePattern`` constructor still works behind a
-:class:`DeprecationWarning`, and a bare :class:`Pattern` still raises the
-historical :class:`~repro.errors.EngineError`.
+The constructor takes anything :func:`~repro.multi.registry.as_pattern_set`
+coerces — a ``PatternSet``, a :class:`CompositePattern` (the paper's
+disjunction experiments) or a non-empty list of patterns; a bare
+:class:`Pattern` or an empty collection raises
+:class:`~repro.errors.EngineError`.
 """
 
 from __future__ import annotations
 
 import pickle
-import time
-import warnings
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.adaptive import ReoptimizationPolicy
-from repro.engine.cep_engine import AdaptiveCEPEngine, RunResult
+from repro.engine.cep_engine import AdaptiveCEPEngine, RunResult, fold_run
 from repro.engine.match import Match
 from repro.errors import EngineError
 from repro.events import Event, EventStream
-from repro.metrics import RunMetrics
+from repro.metrics import RunMetrics, aggregate_metrics
 from repro.multi.hub import SharedStatisticsCollector, SharedStatisticsHub
-from repro.multi.registry import PatternSet
+from repro.multi.registry import as_pattern_set
 from repro.multi.sharing import (
     PrefixShareManager,
     SharedPrefixGroup,
@@ -50,7 +50,7 @@ from repro.multi.sharing import (
     share_prefix_statistics,
 )
 from repro.optimizer import PlanGenerator
-from repro.patterns import CompositePattern, Pattern
+from repro.patterns import Pattern
 from repro.statistics import StatisticsProvider, StatisticsSnapshot
 
 PolicyFactory = Callable[[], ReoptimizationPolicy]
@@ -62,9 +62,8 @@ class MultiPatternEngine:
     Parameters
     ----------
     patterns:
-        A :class:`~repro.multi.PatternSet`, a plain iterable of
-        :class:`Pattern` objects, or (deprecated) a
-        :class:`CompositePattern`.
+        A :class:`~repro.multi.PatternSet`, a :class:`CompositePattern`
+        or a non-empty iterable of :class:`Pattern` objects.
     planner:
         Plan-generation algorithm shared by all patterns (planners are
         stateless, so sharing one instance is safe).
@@ -96,12 +95,14 @@ class MultiPatternEngine:
         statistics_window: Optional[float] = None,
         enable_sharing: bool = True,
     ):
-        pattern_set = _coerce_patterns(patterns)
-        if not len(pattern_set):
-            raise EngineError("MultiPatternEngine requires at least one pattern")
-        self.pattern = pattern_set if isinstance(patterns, PatternSet) else patterns
-        if not hasattr(self.pattern, "subpatterns"):
-            self.pattern = pattern_set
+        pattern_set = None if isinstance(patterns, Pattern) else as_pattern_set(patterns)
+        if not pattern_set:  # a bare Pattern, or an empty collection
+            raise EngineError(
+                "MultiPatternEngine takes a PatternSet, a CompositePattern or a "
+                f"non-empty list of Patterns, got {patterns!r}; serve a single "
+                "Pattern with AdaptiveCEPEngine or wrap it in a list"
+            )
+        self.pattern = patterns if hasattr(patterns, "subpatterns") else pattern_set
         self.pattern_set = pattern_set
         self.compile_mode = compile_mode
         self._sharing_enabled = bool(enable_sharing)
@@ -428,62 +429,22 @@ class MultiPatternEngine:
                 match.pattern_id = pattern_id
         return matches
 
-    def run(self, stream: "EventStream | Iterable[Event]") -> RunResult:
-        """Process a whole stream in one pass and report run metrics."""
-        matches: List[Match] = []
-        events_processed = 0
-        started = time.perf_counter()
-        for event in stream:
-            matches.extend(self.process(event))
-            events_processed += 1
-        duration = time.perf_counter() - started
-
-        metrics = RunMetrics(
-            events_processed=events_processed,
-            matches_emitted=len(matches),
-            duration_seconds=duration,
+    def work_metrics(self) -> RunMetrics:
+        """Work counters so far: the per-pattern engines' summed, plus the
+        shared-prefix groups' evaluation counters (prefix work is done once
+        per group, outside any one pattern's engine)."""
+        metrics = aggregate_metrics(
+            engine.work_metrics() for engine in self._adaptives.values()
         )
-        plan_history: List[str] = []
-        for engine in self._adaptives.values():
-            adaptation = engine.controller.statistics
-            counters = engine.migration_manager.total_counters()
-            metrics.reoptimizations += engine.reoptimization_count()
-            metrics.decisions_evaluated += adaptation.decisions_evaluated
-            metrics.time_in_decision += adaptation.time_in_decision
-            metrics.time_in_generation += adaptation.time_in_generation
-            metrics.partial_matches_created += counters.partial_matches_created
-            metrics.extension_attempts += counters.extension_attempts
-            plan_history.extend(engine.plan_history)
         for group in self._manager.groups():
             counters = group.engine.counters
             metrics.partial_matches_created += counters.partial_matches_created
             metrics.extension_attempts += counters.extension_attempts
-        return RunResult(matches=matches, metrics=metrics, plan_history=plan_history)
+        return metrics
 
-
-def _coerce_patterns(patterns) -> PatternSet:
-    """Validate and normalise the constructor's ``patterns`` argument."""
-    if isinstance(patterns, PatternSet):
-        return patterns
-    if isinstance(patterns, CompositePattern):
-        warnings.warn(
-            "passing a CompositePattern to MultiPatternEngine is deprecated; "
-            "pass a PatternSet (stable pattern ids, add/remove) or a plain "
-            "list of Patterns instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return PatternSet(patterns.subpatterns(), name=patterns.name)
-    if isinstance(patterns, Pattern) or not _is_pattern_iterable(patterns):
-        raise EngineError("MultiPatternEngine requires a CompositePattern")
-    return PatternSet(list(patterns))
-
-
-def _is_pattern_iterable(patterns) -> bool:
-    try:
-        return all(isinstance(p, Pattern) for p in patterns)
-    except TypeError:
-        return False
+    def run(self, stream: "EventStream | Iterable[Event]") -> RunResult:
+        """Process a whole stream in one pass and report run metrics."""
+        return fold_run(self, stream)
 
 
 def _restrict_snapshot(

@@ -20,7 +20,11 @@ Every conforming engine agrees on the return shapes:
 ``run(stream)``
     consumes a whole stream and returns a
     :class:`~repro.engine.RunResult` (matches + run metrics + plan
-    history).
+    history) — on every facade the same fold of ``process`` over the
+    stream (:func:`~repro.engine.cep_engine.fold_run`).
+``work_metrics()``
+    the engine's work counters so far as a
+    :class:`~repro.metrics.RunMetrics` (what ``run`` reports).
 ``snapshot_state()`` / ``restore_state(blob)``
     serialize to / rebuild from an opaque ``bytes`` blob with a
     self-describing header, so
@@ -41,6 +45,7 @@ from typing import Iterable, List, Protocol, runtime_checkable
 from repro.engine.cep_engine import RunResult
 from repro.engine.match import Match
 from repro.events import Event
+from repro.metrics import RunMetrics
 
 
 @runtime_checkable
@@ -59,6 +64,9 @@ class CEPEngine(Protocol):
         ...
 
     def run(self, stream: Iterable[Event]) -> RunResult:
+        ...
+
+    def work_metrics(self) -> RunMetrics:
         ...
 
     def snapshot_state(self) -> bytes:

@@ -11,9 +11,9 @@ counters — otherwise a resumed run would diverge from an uninterrupted one.
 Rather than enumerating that state field by field (and silently corrupting
 resumes whenever a component grows a new field), snapshots serialize the
 engine object graph wholesale with :mod:`pickle`.  Every component shipped
-with the library is picklable — the multiprocess shard executor already
-relies on this — and the same caveat applies: user-supplied conditions must
-be module-level classes or functions, not closures.
+with the library is picklable — the process worker backend ships its shard
+replicas the same way — and the same caveat applies: user-supplied
+conditions must be module-level classes or functions, not closures.
 
 Every blob is framed as ``magic + one version byte [+ CRC32] + pickled
 payload`` so that a checkpoint written by an incompatible library version

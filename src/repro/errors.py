@@ -44,7 +44,7 @@ class PartitionError(ReproError):
 
 
 class ParallelExecutionError(ReproError):
-    """A sharded executor failed to run or collect its shards."""
+    """A sharded engine was misconfigured or handed the wrong snapshot."""
 
 
 class DatasetError(ReproError):

@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel uses events)
-    from repro.parallel.batching import EventBatch
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import DatasetError
 from repro.events.event import Event
@@ -55,14 +52,6 @@ class EventStream:
         a single C-level pass instead of a per-event dict lookup loop.
         """
         return dict(Counter(event.type_name for event in self))
-
-    def batched(self, batch_size: int) -> "Iterator[EventBatch]":
-        """Iterate the stream as :class:`~repro.parallel.batching.EventBatch`
-        chunks of up to ``batch_size`` events (the sharded runtime's
-        ingestion unit)."""
-        from repro.parallel.batching import batched as _batched
-
-        return _batched(self, batch_size)
 
 
 class GeneratorEventStream(EventStream):

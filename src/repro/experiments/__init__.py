@@ -33,7 +33,6 @@ from repro.experiments.runner import (
     build_policy,
     build_planner,
     build_partitioner,
-    build_executor,
     make_stream,
 )
 from repro.experiments.method_comparison import (
@@ -53,7 +52,6 @@ __all__ = [
     "build_policy",
     "build_planner",
     "build_partitioner",
-    "build_executor",
     "make_stream",
     "MethodComparisonResult",
     "compare_methods",

@@ -58,7 +58,7 @@ from repro.experiments.runner import (
     build_workload,
 )
 from repro.metrics import NetworkMetrics
-from repro.obs import ControlPlane, DecisionLog, MetricsRegistry, Tracer
+from repro.obs import ControlPlane, DecisionLog, MetricsRegistry
 from repro.streaming import (
     DEFAULT_CHECKPOINT_FULL_EVERY,
     CheckpointStore,
@@ -103,15 +103,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         help="event attribute for key partitioning (default: broadcast to all shards)",
     )
     parser.add_argument(
-        "--batch-size", type=int, default=256, help="events per ingestion batch"
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("serial", "process"),
-        default="serial",
-        help="shard executor: in-process serial or a multiprocess worker pool",
-    )
-    parser.add_argument(
         "--compile-mode",
         choices=COMPILE_MODES,
         default="interpreted",
@@ -133,8 +124,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         monitoring_interval=args.monitoring_interval,
         shards=args.shards,
         partition_by=args.partition_by,
-        batch_size=args.batch_size,
-        executor=args.executor,
         backend=getattr(args, "backend", "inline"),
         workers=getattr(args, "workers", 0) or 0,
         introspect=getattr(args, "introspect", False),
@@ -237,12 +226,6 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         help="append a JSONL audit trail of runtime decisions (shed, late "
         "events, checkpoint cuts, compactions, re-plans) to this file; an "
         "existing file is continued, not truncated",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record batch-level spans (source → reorder → engine → sink) "
-        "for per-cycle timing attribution; off by default",
     )
 
 
@@ -491,12 +474,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     # Observability: a decision log when asked for (file-backed via
     # --decision-log, in-memory-only when just the control plane wants to
-    # answer /decisions), a tracer behind --trace, and the HTTP control
-    # plane behind --control-port.
+    # answer /decisions) and the HTTP control plane behind --control-port.
     decision_log = None
     if args.decision_log or args.control_port is not None:
         decision_log = DecisionLog(args.decision_log)
-    tracer = Tracer() if args.trace else None
 
     pipeline = StreamingPipeline(
         engine,
@@ -511,7 +492,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         max_lateness=args.max_lateness,
         late_policy=args.late_policy,
         decision_log=decision_log,
-        tracer=tracer,
     )
 
     control = None
@@ -633,24 +613,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         destination = args.decision_log if args.decision_log else "in-memory"
         print(f"decisions recorded ({destination}): {summary}")
         decision_log.close()
-    if tracer is not None:
-        totals = tracer.stage_totals()
-        if totals:
-            print(
-                format_table(
-                    [
-                        {
-                            "stage": stage,
-                            "spans": agg["spans"],
-                            "events": agg["events"],
-                            "seconds": agg["seconds"],
-                        }
-                        for stage, agg in totals.items()
-                    ],
-                    ["stage", "spans", "events", "seconds"],
-                    title="trace spans by stage",
-                )
-            )
     return 0
 
 

@@ -70,8 +70,6 @@ class ExperimentConfig:
     window: Optional[float] = None
     shards: int = 1
     partition_by: Optional[str] = None
-    batch_size: int = 256
-    executor: str = "serial"
     backend: str = "inline"
     workers: int = 0
     introspect: bool = False
@@ -88,12 +86,6 @@ class ExperimentConfig:
             raise ExperimentError("monitoring_interval must be positive")
         if self.shards < 1:
             raise ExperimentError("shards must be a positive integer")
-        if self.batch_size < 1:
-            raise ExperimentError("batch_size must be a positive integer")
-        if self.executor not in ("serial", "process"):
-            raise ExperimentError(
-                f"unknown executor {self.executor!r}; expected 'serial' or 'process'"
-            )
         if self.backend not in ("inline", "thread", "process"):
             raise ExperimentError(
                 f"unknown backend {self.backend!r}; expected 'inline', "

@@ -38,7 +38,6 @@ def profile_run(
     pipeline = StreamingPipeline(
         build_streaming_engine(replace(config, introspect=True), pattern, spec),
         ReplaySource(make_stream(dataset, config)),
-        buffer_capacity=max(config.batch_size, 1),
     )
     result = pipeline.run(resume=False)
     return pipeline.engine_introspection(), result

@@ -18,14 +18,11 @@ from repro.errors import ExperimentError
 from repro.events import InMemoryEventStream
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.metrics import RunMetrics
-from repro.multi.registry import as_pattern_set
 from repro.optimizer import GreedyOrderPlanner, PlanGenerator, ZStreamTreePlanner
 from repro.parallel import (
     BroadcastPartitioner,
     KeyPartitioner,
-    MultiprocessExecutor,
     ParallelCEPEngine,
-    SerialExecutor,
 )
 from repro.patterns import CompositePattern, Pattern
 from repro.streaming import backend_by_name
@@ -39,15 +36,6 @@ def build_partitioner(partition_by: Optional[str]):
     if partition_by:
         return KeyPartitioner(partition_by)
     return BroadcastPartitioner()
-
-
-def build_executor(executor: str):
-    """Executor factory: ``"serial"`` or ``"process"``."""
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "process":
-        return MultiprocessExecutor()
-    raise ExperimentError(f"unknown executor {executor!r}")
 
 
 def build_planner(algorithm: str) -> PlanGenerator:
@@ -106,8 +94,7 @@ def build_streaming_engine(
     mode, introspection) reaches whichever engine the config selects.
     With ``backend != "inline"`` the result is a thread/process worker
     backend hosting ``config.effective_workers`` engine replicas; otherwise
-    a bare engine, sharded in-process when the config asks for it (the
-    executor and batch size only matter to that engine's batch ``run``).
+    a bare engine, sharded in-process when the config asks for it.
     """
     planner = build_planner(config.algorithm)
     policy = build_policy(spec)
@@ -123,8 +110,6 @@ def build_streaming_engine(
             policy,
             shards=config.engine_replicas,
             partitioner=build_partitioner(config.partition_by),
-            executor=build_executor(config.executor),
-            batch_size=config.batch_size,
             **settings,
         )
         if config.backend == "inline":
@@ -132,7 +117,7 @@ def build_streaming_engine(
         return backend_by_name(config.backend, engine)
     if not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
         return MultiPatternEngine(
-            as_pattern_set(pattern),
+            pattern,
             planner,
             policy_factory=lambda: build_policy(spec),
             **settings,

@@ -1,6 +1,6 @@
 """Performance metrics collected by the experiment harness."""
 
-from repro.metrics.run_metrics import RunMetrics, ThroughputTimer, aggregate_metrics
+from repro.metrics.run_metrics import RunMetrics, aggregate_metrics
 from repro.metrics.stage_metrics import (
     NetworkMetrics,
     PipelineMetrics,
@@ -10,7 +10,6 @@ from repro.metrics.stage_metrics import (
 
 __all__ = [
     "RunMetrics",
-    "ThroughputTimer",
     "aggregate_metrics",
     "NetworkMetrics",
     "PipelineMetrics",

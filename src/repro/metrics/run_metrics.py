@@ -15,26 +15,8 @@ method, pattern size) cell:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
-
-
-class ThroughputTimer:
-    """Wall-clock timer used to measure processing time of a run."""
-
-    def __init__(self) -> None:
-        self._started: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "ThroughputTimer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._started is not None:
-            self.elapsed += time.perf_counter() - self._started
-            self._started = None
+from typing import Dict, Iterable, List
 
 
 @dataclass

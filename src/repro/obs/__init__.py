@@ -13,9 +13,6 @@ waiting for the end-of-run report:
   ``late_event_policy``, ``checkpoint_cut``, ``compaction``, ``replan``)
   with a bounded in-memory tail, on-disk rotation, restart-continuous
   sequence numbers, and a query API;
-* **tracing** (:mod:`~repro.obs.tracing`) — batch-level spans following
-  one fill/drain cycle through source → reorder → worker → merge → sink,
-  off by default, reconciling exactly with the aggregate ``StageTiming``;
 * **the control plane** (:mod:`~repro.obs.control`) — a stdlib
   ``http.server`` thread serving ``/health``, ``/ready``, ``/metrics``,
   ``/decisions``, ``/engine`` and ``POST /checkpoint`` on the running
@@ -27,9 +24,9 @@ waiting for the end-of-run report:
   cost-model drift monitor comparing the installed plan's predicted
   selectivities against what the stream actually delivers.
 
-CLI wiring: ``serve --control-port 8080 --decision-log decisions.jsonl``
-(add ``--trace`` to enable span recording).  This package must stay free
-of :mod:`repro.streaming` imports — the pipeline imports *us*.
+CLI wiring: ``serve --control-port 8080 --decision-log decisions.jsonl``.
+This package must stay free of :mod:`repro.streaming` imports — the
+pipeline imports *us*.
 """
 
 from repro.obs.control import CHECKPOINT_WAIT_SECONDS, ControlPlane
@@ -59,7 +56,6 @@ from repro.obs.registry import (
     render_json,
     render_prometheus,
 )
-from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     # decision log
@@ -85,9 +81,6 @@ __all__ = [
     "engine_introspection_frame",
     "merge_introspection_frames",
     "merge_profile_frames",
-    # tracing
-    "Tracer",
-    "Span",
     # control plane
     "ControlPlane",
     "CHECKPOINT_WAIT_SECONDS",

@@ -1,25 +1,29 @@
-"""Partitioned parallel execution of adaptive CEP.
+"""Partitioned (sharded) execution of adaptive CEP.
 
 Scales the single-threaded :class:`~repro.engine.AdaptiveCEPEngine` out by
-data partitioning: the input stream is split across ``N`` independent
-engine replicas (each with its own statistics collector and adaptation
-controller), the replicas run under a pluggable executor (in-process
-serial or multiprocess), and their match outputs are merged into one
-deduplicated, timestamp-ordered result.  The paper's per-shard algorithm
-is untouched — a single shard with the serial executor is exactly the
-sequential engine.
+data partitioning: each arriving event is routed by a partitioner to one
+or more of ``N`` independent engine replicas (each with its own statistics
+collector and adaptation controller), evaluated there immediately, and the
+replicas' matches are merged through an online, window-bounded
+deduplicator.  The paper's per-shard algorithm is untouched — a single
+shard is exactly the sequential engine.
 
 Quick start::
 
-    from repro.parallel import ParallelCEPEngine, KeyPartitioner, MultiprocessExecutor
+    from repro.parallel import ParallelCEPEngine, KeyPartitioner
 
     engine = ParallelCEPEngine(
         pattern, GreedyOrderPlanner(), InvariantBasedPolicy(),
         shards=4,
         partitioner=KeyPartitioner("entity_id"),
-        executor=MultiprocessExecutor(),
     )
     result = engine.run(stream)   # same RunResult as AdaptiveCEPEngine.run
+
+:class:`ParallelCEPEngine` evaluates its replicas in the calling thread;
+to put each replica on its own core, host the same engine in a worker
+backend of the streaming pipeline
+(``StreamingPipeline(ProcessWorkerBackend(engine), ReplaySource(events))``,
+see :mod:`repro.streaming.workers`).
 
 The partitioner is validated against the pattern before anything runs:
 key partitioning is refused when the pattern's conditions could correlate
@@ -29,26 +33,19 @@ events across partition keys (see
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Optional, Union
 
 from repro.adaptive import ReoptimizationPolicy
 from repro.engine import Match, RunResult
+from repro.engine.cep_engine import fold_run
 from repro.errors import ParallelExecutionError
 from repro.events import Event, EventStream
+from repro.metrics import RunMetrics, aggregate_metrics
 from repro.optimizer import PlanGenerator
-from repro.parallel.batching import DEFAULT_BATCH_SIZE, EventBatch, batched
-from repro.parallel.executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    ShardExecutor,
-)
 from repro.parallel.merger import (
     UNBOUNDED_DEDUP_WINDOW,
     StreamingMatchDeduplicator,
     match_signature,
-    merge_matches,
-    merge_outputs,
 )
 from repro.parallel.partitioner import (
     BroadcastPartitioner,
@@ -56,7 +53,7 @@ from repro.parallel.partitioner import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.parallel.shard import Shard, ShardedEngine, ShardOutput, build_replica
+from repro.parallel.shard import Shard, ShardedEngine, build_replica
 from repro.multi.registry import PatternSet
 from repro.patterns import CompositePattern, Pattern
 from repro.statistics import StatisticsProvider, StatisticsSnapshot
@@ -77,11 +74,6 @@ class ParallelCEPEngine:
     partitioner:
         Event-routing strategy; defaults to the always-correct
         :class:`BroadcastPartitioner`.
-    executor:
-        Shard execution strategy; defaults to the deterministic
-        :class:`SerialExecutor`.
-    batch_size:
-        Events per ingestion batch (chunked dispatch to the shards).
     statistics_provider / initial_snapshot / monitoring_interval / introspect /
     compile_mode:
         Forwarded to every shard's engine replica.
@@ -97,8 +89,6 @@ class ParallelCEPEngine:
         policy: ReoptimizationPolicy,
         shards: int = 1,
         partitioner: Optional[Partitioner] = None,
-        executor: Optional[ShardExecutor] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         statistics_provider: Optional[StatisticsProvider] = None,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
         monitoring_interval: float = 1.0,
@@ -108,8 +98,6 @@ class ParallelCEPEngine:
     ):
         self.pattern = pattern
         self._partitioner = partitioner or BroadcastPartitioner()
-        self._executor = executor or SerialExecutor()
-        self._batch_size = int(batch_size)
         if validate_partitioning:
             self._partitioner.validate(pattern, shards)
         self._sharded = ShardedEngine(
@@ -123,9 +111,11 @@ class ParallelCEPEngine:
             introspect=introspect,
             compile_mode=compile_mode,
         )
-        # Lazily created on first process() call (streaming ingestion).
-        self._streaming_dedup: Optional[StreamingMatchDeduplicator] = None
-        self._batch_run_started = False
+        self._streaming_dedup = StreamingMatchDeduplicator(
+            window=pattern.window
+            if pattern.window != float("inf")
+            else UNBOUNDED_DEDUP_WINDOW
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -137,10 +127,6 @@ class ParallelCEPEngine:
     @property
     def partitioner(self) -> Partitioner:
         return self._partitioner
-
-    @property
-    def executor(self) -> ShardExecutor:
-        return self._executor
 
     @property
     def sharded_engine(self) -> ShardedEngine:
@@ -174,44 +160,30 @@ class ParallelCEPEngine:
         }
 
     # ------------------------------------------------------------------
-    # Event-at-a-time API (streaming ingestion)
+    # Event-at-a-time API
     # ------------------------------------------------------------------
     def process(self, event: Event) -> "list[Match]":
         """Route one event through the partitioner and evaluate it now.
 
-        The streaming counterpart of :meth:`run`: events flow through the
-        partitioner to the shard replicas *as they arrive* instead of being
-        buffered for a whole-stream split, and matches are returned
-        immediately.  Replicating partitioners (broadcast) make every shard
-        report the same detections, so an online deduplicator — with memory
-        bounded by the pattern window — suppresses repeats before they
-        reach the caller.
+        Events flow through the partitioner to the shard replicas *as they
+        arrive* and matches are returned immediately.  Replicating
+        partitioners (broadcast) make every shard report the same
+        detections, so an online deduplicator — with memory bounded by the
+        pattern window — suppresses repeats before they reach the caller.
 
-        Runs the shards in-process (the streaming pipeline's single-writer
-        loop); the pluggable executor only applies to the batch :meth:`run`
-        path.  Do not interleave with :meth:`run` on the same instance.
+        Runs the shards in the calling thread (the streaming pipeline's
+        single-writer loop); the worker backends host the same replicas
+        one per thread or process.
         """
-        if self._batch_run_started:
-            raise ParallelExecutionError(
-                "this ParallelCEPEngine already ran in batch mode; create a "
-                "fresh engine for streaming ingestion"
-            )
-        if self._streaming_dedup is None:
-            self._streaming_dedup = StreamingMatchDeduplicator(
-                window=self.pattern.window
-                if self.pattern.window != float("inf")
-                else UNBOUNDED_DEDUP_WINDOW
-            )
         matches = self._sharded.process_event(event, self._partitioner)
         if not matches:
             return []
         return self._streaming_dedup.filter(matches, now=event.timestamp)
 
     def process_batch(self, events: "list[Event]") -> "list[Match]":
-        """Streaming counterpart of a batch dispatch: events are routed in
-        stream order through :meth:`process`, so the concatenated output
-        matches event-at-a-time processing exactly (the unified
-        :class:`~repro.engine.CEPEngine` surface)."""
+        """Events are routed in stream order through :meth:`process`, so
+        the concatenated output matches event-at-a-time processing exactly
+        (the unified :class:`~repro.engine.CEPEngine` surface)."""
         matches: "list[Match]" = []
         for event in events:
             matches.extend(self.process(event))
@@ -248,11 +220,10 @@ class ParallelCEPEngine:
                 (f"shard{shard.shard_id}.{name}", holder, attr)
                 for name, holder, attr in shard.engine._delta_keyed_state()
             )
-        if self._streaming_dedup is not None:
-            slots.extend(
-                (f"dedup.{name}", holder, attr)
-                for name, holder, attr in self._streaming_dedup._delta_keyed_state()
-            )
+        slots.extend(
+            (f"dedup.{name}", holder, attr)
+            for name, holder, attr in self._streaming_dedup._delta_keyed_state()
+        )
         return slots
 
     def _delta_frozen_state(self):
@@ -272,32 +243,34 @@ class ParallelCEPEngine:
     # ------------------------------------------------------------------
     # Whole-stream API
     # ------------------------------------------------------------------
+    def work_metrics(self) -> RunMetrics:
+        """Work counters so far, summed over the shard replicas."""
+        return aggregate_metrics(
+            shard.engine.work_metrics() for shard in self._sharded.shards
+        )
+
     def run(self, stream: "EventStream | Iterable[Event]") -> RunResult:
-        """Partition, execute and merge: the sharded counterpart of
-        :meth:`AdaptiveCEPEngine.run`."""
-        if self._streaming_dedup is not None:
-            raise ParallelExecutionError(
-                "this ParallelCEPEngine is already ingesting in streaming "
-                "mode; create a fresh engine for a batch run"
-            )
-        self._batch_run_started = True
-        started = time.perf_counter()
-        ingested = self._sharded.dispatch(
-            stream, self._partitioner, batch_size=self._batch_size
+        """The sharded counterpart of :meth:`AdaptiveCEPEngine.run`: the same
+        fold of :meth:`process` over the stream.
+
+        ``events_processed`` counts distinct input events (broadcast
+        replication does not inflate it; ``extra["events_dispatched"]``
+        counts every hand-off to a replica), ``duration_seconds`` is the
+        wall-clock time of the whole run, and each ``plan_history`` entry
+        names the shard whose replica installed the plan.
+        """
+        result = fold_run(self, stream)
+        result.metrics.extra.update(
+            shards=float(self.num_shards),
+            events_dispatched=float(self._sharded.events_dispatched),
+            duplicates_dropped=float(self._streaming_dedup.duplicates_dropped),
         )
-        try:
-            outputs = self._executor.execute(self._sharded.shards)
-        finally:
-            # The multiprocess executor runs *copies* of the shards, so the
-            # local buffers must be drained here too — otherwise a later
-            # run() would re-dispatch this stream's events alongside the
-            # next one's.
-            for shard in self._sharded.shards:
-                shard.clear_batches()
-        wall_seconds = time.perf_counter() - started
-        return merge_outputs(
-            outputs, events_ingested=ingested, wall_seconds=wall_seconds
-        )
+        result.plan_history = [
+            f"shard {shard.shard_id}: {plan}"
+            for shard in self._sharded.shards
+            for plan in shard.engine.plan_history
+        ]
+        return result
 
 
 __all__ = [
@@ -309,21 +282,10 @@ __all__ = [
     "BroadcastPartitioner",
     # sharding
     "Shard",
-    "ShardOutput",
     "ShardedEngine",
     "build_replica",
-    # batching
-    "EventBatch",
-    "batched",
-    "DEFAULT_BATCH_SIZE",
-    # execution
-    "ShardExecutor",
-    "SerialExecutor",
-    "MultiprocessExecutor",
     # merging
     "match_signature",
-    "merge_matches",
-    "merge_outputs",
     "StreamingMatchDeduplicator",
     "UNBOUNDED_DEDUP_WINDOW",
 ]

@@ -1,28 +1,20 @@
-"""Match merging and metric aggregation across shards.
+"""Match identity and online deduplication across shards.
 
-Per-shard match lists are merged into one timestamp-ordered, duplicate-free
-list.  Duplicates arise from broadcast partitioning (every shard finds the
-same matches); they are identified by a canonical *signature* — the pattern
-name plus the exact events bound to each variable — so two shards reporting
-the same detection are collapsed while genuinely distinct matches that
-happen to share a detection time are kept.
-
-The per-shard :class:`~repro.metrics.RunMetrics` are folded into one
-aggregate: work counters (partial matches, extension attempts,
-reoptimizations, adaptation time) are summed, ``events_processed`` reflects
-the distinct input events, and ``duration_seconds`` is the wall-clock time
-of the whole parallel run (so throughput reflects actual elapsed time, not
-the sum of shard times).  Per-shard totals are preserved in
-``metrics.extra``.
+Duplicates arise from replicating partitioners (under broadcast every shard
+finds the same matches); they are identified by a canonical *signature* —
+the pattern name plus the exact events bound to each variable — so two
+shards reporting the same detection are collapsed while genuinely distinct
+matches that happen to share a detection time are kept.
+:class:`StreamingMatchDeduplicator` admits the first report of each
+signature as matches are found, with memory bounded by the pattern window;
+the sharded engine and the worker backends both merge through it.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.engine import Match, RunResult
-from repro.metrics import RunMetrics
-from repro.parallel.shard import ShardOutput
+from repro.engine import Match
 
 #: Deduplication window substituted for patterns with an unbounded window
 #: (shared by the inline streaming path and the worker backends, so every
@@ -44,34 +36,6 @@ def match_signature(match: Match) -> Tuple:
             ids = ((value.type_name, value.timestamp, value.sequence_number),)
         bound.append((variable, ids))
     return (match.pattern_name, tuple(bound))
-
-
-def merge_matches(outputs: Sequence[ShardOutput]) -> Tuple[List[Match], int]:
-    """Merge per-shard matches into one ordered, deduplicated list.
-
-    Returns ``(matches, duplicates_dropped)``.  Matches are ordered by
-    detection time (ties broken by signature for determinism); the sort is
-    stable, so a single shard's emission order is preserved.
-    """
-    collected = []
-    for output in sorted(outputs, key=lambda o: o.shard_id):
-        collected.extend(output.matches)
-    # Signatures are computed once per match (they walk every binding, so
-    # recomputing them inside the sort comparator would dominate the merge).
-    keyed = [
-        ((match.detection_time, match_signature(match)), match)
-        for match in collected
-    ]
-    keyed.sort(key=lambda pair: pair[0])
-
-    merged: List[Match] = []
-    seen = set()
-    for (_, signature), match in keyed:
-        if signature in seen:
-            continue
-        seen.add(signature)
-        merged.append(match)
-    return merged, len(collected) - len(merged)
 
 
 class StreamingMatchDeduplicator:
@@ -130,42 +94,3 @@ class StreamingMatchDeduplicator:
             f"<StreamingMatchDeduplicator window={self.window:g} "
             f"tracked={len(self._seen)} dropped={self.duplicates_dropped}>"
         )
-
-
-def merge_outputs(
-    outputs: Sequence[ShardOutput],
-    events_ingested: int,
-    wall_seconds: float,
-) -> RunResult:
-    """Fold shard outputs into one :class:`~repro.engine.RunResult`."""
-    matches, duplicates = merge_matches(outputs)
-    metrics = RunMetrics(
-        events_processed=events_ingested,
-        matches_emitted=len(matches),
-        duration_seconds=wall_seconds,
-    )
-    shard_seconds = 0.0
-    events_dispatched = 0
-    plan_history: List[str] = []
-    for output in sorted(outputs, key=lambda o: o.shard_id):
-        shard_metrics = output.metrics
-        metrics.reoptimizations += shard_metrics.reoptimizations
-        metrics.decisions_evaluated += shard_metrics.decisions_evaluated
-        metrics.time_in_decision += shard_metrics.time_in_decision
-        metrics.time_in_generation += shard_metrics.time_in_generation
-        metrics.partial_matches_created += shard_metrics.partial_matches_created
-        metrics.extension_attempts += shard_metrics.extension_attempts
-        shard_seconds += shard_metrics.duration_seconds
-        events_dispatched += shard_metrics.events_processed
-        plan_history.extend(
-            f"shard {output.shard_id}: {plan}" for plan in output.plan_history
-        )
-    metrics.extra.update(
-        {
-            "shards": float(len(outputs)),
-            "events_dispatched": float(events_dispatched),
-            "shard_seconds": shard_seconds,
-            "duplicates_dropped": float(duplicates),
-        }
-    )
-    return RunResult(matches=matches, metrics=metrics, plan_history=plan_history)

@@ -3,10 +3,10 @@
 A :class:`Shard` owns one independent engine replica (a full
 :class:`~repro.engine.AdaptiveCEPEngine` — or
 :class:`~repro.engine.MultiPatternEngine` for composite patterns — with
-its own statistics collector and adaptation controller) plus the batches
-of events routed to it.  :class:`ShardedEngine` builds ``N`` such shards
-from one pattern/planner/policy specification and dispatches a stream
-across them through a partitioner.
+its own statistics collector and adaptation controller).
+:class:`ShardedEngine` builds ``N`` such shards from one
+pattern/planner/policy specification and routes each arriving event to
+its shards through a partitioner.
 
 The per-shard algorithm is exactly the paper's ACEP loop — sharding only
 decides *which* events each replica sees, never *how* they are evaluated,
@@ -17,16 +17,13 @@ unsharded engine.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 from repro.adaptive import ReoptimizationPolicy
 from repro.engine import AdaptiveCEPEngine, Match, MultiPatternEngine
 from repro.errors import ParallelExecutionError
-from repro.events import Event, EventStream
-from repro.metrics import RunMetrics
+from repro.events import Event
 from repro.optimizer import PlanGenerator
-from repro.parallel.batching import DEFAULT_BATCH_SIZE, EventBatch, batched
 from repro.parallel.partitioner import Partitioner
 from repro.patterns import CompositePattern, Pattern
 from repro.statistics import StatisticsProvider, StatisticsSnapshot
@@ -35,110 +32,33 @@ PatternLike = Union[Pattern, CompositePattern]
 EngineLike = Union[AdaptiveCEPEngine, MultiPatternEngine]
 
 
-@dataclass
-class ShardOutput:
-    """Result of running one shard to completion (picklable)."""
-
-    shard_id: int
-    matches: List[Match]
-    metrics: RunMetrics
-    plan_history: List[str] = field(default_factory=list)
-
-
 class Shard:
-    """One engine replica plus its buffered input batches.
+    """One engine replica and its place in the sharded engine.
 
-    A shard is self-contained and picklable: the multiprocess executor
-    ships the whole object (engine state and buffered events) to a worker
-    process and gets a :class:`ShardOutput` back.
-
-    Two lifecycles are supported.  The batch path buffers input with
-    :meth:`add_batch` and drains it with the run-to-completion :meth:`run`.
-    The streaming-worker path instead alternates :meth:`feed` (process a
-    batch incrementally, return the matches it produced *now*) with a final
-    :meth:`flush` — the init/feed/flush split that lets a long-lived worker
-    host the replica across an unbounded stream.
+    The sharded engine evaluates routed events on :attr:`engine` directly;
+    a worker backend hosts the replica in its own thread or process and
+    hands it partitioned batches through :meth:`feed`.
     """
 
     def __init__(self, shard_id: int, engine: EngineLike):
         self.shard_id = shard_id
         self.engine = engine
-        self._batches: List[EventBatch] = []
-        self.events_fed = 0
-        self.matches_found = 0
 
-    def add_batch(self, batch: EventBatch) -> None:
-        self._batches.append(batch)
-
-    def clear_batches(self) -> None:
-        """Drop buffered input (the executor's copy may already have run it)."""
-        self._batches = []
-
-    @property
-    def batches(self) -> List[EventBatch]:
-        return list(self._batches)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(len(batch) for batch in self._batches)
-
-    def _events(self):
-        for batch in self._batches:
-            yield from batch
-
-    def run(self) -> ShardOutput:
-        """Drain the buffered batches through the engine replica."""
-        result = self.engine.run(self._events())
-        self.clear_batches()
-        return ShardOutput(
-            shard_id=self.shard_id,
-            matches=result.matches,
-            metrics=result.metrics,
-            plan_history=result.plan_history,
-        )
-
-    # ------------------------------------------------------------------
-    # Streaming-worker lifecycle (init / feed / flush)
-    # ------------------------------------------------------------------
     def feed(self, events: Sequence[Event]) -> List[Match]:
         """Process one batch incrementally; return the matches found now.
 
-        Unlike :meth:`run`, the replica keeps its open partial matches and
-        adaptation state between calls — the shape a long-lived worker
-        process needs.  Events must arrive in non-decreasing timestamp
-        order across calls (the same contract the engines place on a
-        stream); a pipeline ingesting out-of-order arrivals restores that
-        order upstream with the event-time reordering stage
-        (:mod:`repro.streaming.ordering`) before events are partitioned
-        into the shard queues.
+        The replica keeps its open partial matches and adaptation state
+        between calls — the shape a long-lived worker process needs.
+        Events must arrive in non-decreasing timestamp order across calls
+        (the same contract the engines place on a stream); a pipeline
+        ingesting out-of-order arrivals restores that order upstream with
+        the event-time reordering stage (:mod:`repro.streaming.ordering`)
+        before events are partitioned into the shard queues.
         """
-        events = list(events)
-        matches = self.engine.process_batch(events)
-        self.events_fed += len(events)
-        self.matches_found += len(matches)
-        return matches
-
-    def flush(self) -> ShardOutput:
-        """End the streaming lifecycle: summarize the fed work.
-
-        The engines detect eagerly (every match is returned by the
-        :meth:`feed` that completed it), so flushing emits no new matches —
-        it closes the books: a picklable :class:`ShardOutput` with the
-        replica's counters and plan history for the coordinator to merge.
-        """
-        metrics = RunMetrics(
-            events_processed=self.events_fed,
-            matches_emitted=self.matches_found,
-        )
-        return ShardOutput(
-            shard_id=self.shard_id,
-            matches=[],
-            metrics=metrics,
-            plan_history=list(getattr(self.engine, "plan_history", [])),
-        )
+        return self.engine.process_batch(list(events))
 
     def __repr__(self) -> str:
-        return f"<Shard id={self.shard_id} pending={self.pending_events}>"
+        return f"<Shard id={self.shard_id}>"
 
 
 class ShardedEngine:
@@ -183,6 +103,9 @@ class ShardedEngine:
             )
             for shard_id in range(self._num_shards)
         ]
+        #: Events handed to replicas so far (a broadcast event counts once
+        #: per shard).
+        self.events_dispatched = 0
 
     @property
     def num_shards(self) -> int:
@@ -193,46 +116,20 @@ class ShardedEngine:
         return list(self._shards)
 
     def process_event(self, event: Event, partitioner: Partitioner) -> List[Match]:
-        """Streaming ingestion: route one event and evaluate it immediately.
+        """Route one event and evaluate it immediately.
 
-        The incremental counterpart of :meth:`dispatch` + execute — used by
-        the streaming pipeline, where events arrive one at a time and
-        matches must be emitted as they are found rather than at
-        end-of-stream.  Each routed shard's replica processes the event
-        in-process; the caller is responsible for cross-shard deduplication
-        (see :class:`~repro.parallel.merger.StreamingMatchDeduplicator`)
-        when the partitioner replicates events.
+        Each routed shard's replica processes the event in-process and the
+        matches it completes are returned now, in shard order; the caller
+        is responsible for cross-shard deduplication (see
+        :class:`~repro.parallel.merger.StreamingMatchDeduplicator`) when
+        the partitioner replicates events.
         """
+        routed = partitioner.route(event, self._num_shards)
+        self.events_dispatched += len(routed)
         matches: List[Match] = []
-        for shard_id in partitioner.route(event, self._num_shards):
+        for shard_id in routed:
             matches.extend(self._shards[shard_id].engine.process(event))
         return matches
-
-    def dispatch(
-        self,
-        stream: "EventStream | List[Event]",
-        partitioner: Partitioner,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> int:
-        """Route a stream into the shard buffers batch by batch.
-
-        Returns the number of *distinct* input events ingested (broadcast
-        replication does not inflate the count).  Events are routed in
-        stream order, so each shard's buffer remains timestamp-ordered.
-        """
-        ingested = 0
-        buckets: List[List[Event]] = [[] for _ in range(self._num_shards)]
-        for batch in batched(stream, batch_size):
-            ingested += len(batch)
-            for bucket in buckets:
-                bucket.clear()
-            for event in batch:
-                for shard_id in partitioner.route(event, self._num_shards):
-                    buckets[shard_id].append(event)
-            for shard, bucket in zip(self._shards, buckets):
-                if bucket:
-                    shard.add_batch(EventBatch(index=batch.index, events=tuple(bucket)))
-        return ingested
 
 
 def build_replica(
@@ -249,12 +146,9 @@ def build_replica(
     replica_planner = copy.deepcopy(planner)
     replica_policy = copy.deepcopy(policy)
     if not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
-        # CompositePattern or PatternSet: normalise through the registry so
-        # the replica gets stable per-pattern ids (and no deprecation shim).
-        from repro.multi.registry import as_pattern_set
-
+        # CompositePattern or PatternSet.
         return MultiPatternEngine(
-            as_pattern_set(pattern),
+            pattern,
             replica_planner,
             policy_factory=lambda: copy.deepcopy(replica_policy),
             statistics_provider=statistics_provider,

@@ -52,7 +52,6 @@ from repro.errors import CheckpointError, StreamingError
 from repro.events import Event, EventStream
 from repro.metrics import PipelineMetrics
 from repro.obs.decisions import CoalescingEmitter, DecisionLog
-from repro.obs.tracing import Tracer
 from repro.streaming.buffer import Backpressure, BoundedBuffer, OverflowPolicy
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore, DeltaCheckpoint
 from repro.streaming.delta import tracker_degradation
@@ -166,7 +165,6 @@ class StreamingPipeline:
         late_policy: str = "drop",
         late_sink: Optional[Callable[[Event], None]] = None,
         decision_log: Optional[DecisionLog] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self._backend = (
             engine if isinstance(engine, ExecutionBackend) else InlineBackend(engine)
@@ -235,11 +233,10 @@ class StreamingPipeline:
 
         # Observability: the decision log receives a typed record for every
         # runtime action (coalesced for the per-event shed/late decisions so
-        # the overload path never pays a file write per event); the tracer
-        # records batch-level spans when enabled.  Both are optional and the
-        # hot path only ever pays ``is not None`` checks for them.
+        # the overload path never pays a file write per event).  It is
+        # optional and the hot path only ever pays ``is not None`` checks
+        # for it.
         self.decision_log = decision_log
-        self.tracer = tracer
         self._shed_emitter: Optional[CoalescingEmitter] = None
         self._late_emitter: Optional[CoalescingEmitter] = None
         if decision_log is not None:
@@ -607,10 +604,6 @@ class StreamingPipeline:
             self.metrics.observe_checkpoint_bytes(size)
         except OSError:  # pragma: no cover - racing an external prune
             pass
-        if self.tracer is not None:
-            # The same measured pause StageTiming observed, so span totals
-            # and the checkpoint StageTiming reconcile exactly.
-            self.tracer.record("checkpoint", pause, kind="delta" if use_delta else "full")
         if self.decision_log is not None:
             detail = dict(
                 kind="delta" if use_delta else "full",
@@ -827,8 +820,6 @@ class StreamingPipeline:
                 # cadence-triggered checkpoint uses.
                 if self._manual_requests:
                     self._service_manual_checkpoints()
-                if self.tracer is not None:
-                    self.tracer.new_trace()
 
                 # Fill phase: stage a chunk of events from the source.  The
                 # buffer bounds how far the source can run ahead of the
@@ -842,7 +833,6 @@ class StreamingPipeline:
                     )
                 if budget > 0 and not exhausted:
                     fill_started = self._clock()
-                    pulled = 0
                     for _ in range(budget):
                         # Honour stop() mid-fill: a rate-limited source paces
                         # every pull, so finishing the chunk could stall the
@@ -855,22 +845,9 @@ class StreamingPipeline:
                             exhausted = True
                             break
                         self._ingest(event)
-                        pulled += 1
                     fill_elapsed = self._clock() - fill_started
                     self.metrics.source.observe(fill_elapsed)
                     self.metrics.observe_queue_depth(self._buffer.depth)
-                    if self.tracer is not None:
-                        # Same elapsed as the source StageTiming observed,
-                        # so span totals reconcile with the aggregate.
-                        self.tracer.record("source", fill_elapsed, events=pulled)
-                        if self._ordering is not None:
-                            self.tracer.record(
-                                "reorder",
-                                0.0,
-                                events=self._buffer.depth,
-                                depth=self._ordering.depth,
-                                watermark=self._ordering.watermark,
-                            )
 
                 if len(self._buffer) == 0:
                     if exhausted:
@@ -882,10 +859,6 @@ class StreamingPipeline:
                     continue
 
                 # Drain phase: feed the staged events to the engine.
-                if self.tracer is not None:
-                    engine_before = self.metrics.engine.total_seconds
-                    sink_before = self.metrics.sink.total_seconds
-                    drained_before = processed_this_run
                 while (
                     len(self._buffer) > 0
                     and not self._stop_requested
@@ -893,19 +866,6 @@ class StreamingPipeline:
                 ):
                     self._process_one(self._buffer.pop())
                     processed_this_run += 1
-                if self.tracer is not None:
-                    # Batch-granularity engine/sink spans carrying exactly
-                    # the time the StageTimings accumulated over this drain.
-                    self.tracer.record(
-                        "engine",
-                        self.metrics.engine.total_seconds - engine_before,
-                        events=processed_this_run - drained_before,
-                    )
-                    self.tracer.record(
-                        "sink",
-                        self.metrics.sink.total_seconds - sink_before,
-                        events=processed_this_run - drained_before,
-                    )
 
             # Barrier: with a worker backend, matches for the last submitted
             # events may still be in flight — wait for them and deliver.

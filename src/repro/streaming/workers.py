@@ -255,12 +255,12 @@ class InlineBackend(ExecutionBackend):
 def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
     """Host one shard replica: consume batches, ship match deltas back.
 
-    The replica runs the :class:`~repro.parallel.Shard` streaming
-    lifecycle: each ``events`` message is one :meth:`Shard.feed` call, so
-    the worker's behaviour is exactly the shard semantics the batch path
-    and the tests define.  For incremental checkpoints the worker owns its
-    shard's :class:`~repro.streaming.delta.DeltaTracker`, so only the
-    changed state crosses the output queue at a delta barrier.
+    Each ``events`` message is one :meth:`~repro.parallel.Shard.feed` call:
+    the replica processes the batch incrementally and keeps its partial
+    matches and adaptation state for the next one.  For incremental
+    checkpoints the worker owns its shard's
+    :class:`~repro.streaming.delta.DeltaTracker`, so only the changed
+    state crosses the output queue at a delta barrier.
     """
     shard = Shard(shard_id, engine)
     tracker: Optional[DeltaTracker] = None
@@ -886,8 +886,7 @@ class _WorkerBackendBase(ExecutionBackend):
         for shard_id, shard in enumerate(engine.sharded_engine.shards):
             self._adopt_engine(shard_id, shard.engine)
         self._partitioner = engine.partitioner
-        if engine._streaming_dedup is not None:
-            self._dedup = engine._streaming_dedup
+        self._dedup = engine._streaming_dedup
 
     def __repr__(self) -> str:
         return (

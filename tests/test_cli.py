@@ -21,24 +21,58 @@ RETIRED_SUBCOMMANDS = ("parallel",) + tuple(
     f"{stem}-bench" for stem in ("stream", "checkpoint", "compile", "multi")
 )
 
+#: Options retired with the batch executor path and the span tracer, spelled
+#: the same way for the same reason.
+RETIRED_EXECUTOR, RETIRED_BATCH_SIZE, RETIRED_TRACE = (
+    "--" + stem for stem in ("executor", "batch-size", "trace")
+)
 
-def known_subcommands() -> set:
+
+def cli_parsers() -> dict:
+    """Sub-command name -> the argparse parser ``build_parser()`` gives it."""
     (subparsers,) = (
         action
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    return set(subparsers.choices)
+    return dict(subparsers.choices)
+
+
+def known_subcommands() -> set:
+    return set(cli_parsers())
 
 
 _CLI_INVOCATION = re.compile(r"repro\.experiments\.cli(?:\s|\\)+([A-Za-z][\w-]*)")
+_CLI_OPTION = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+#: Where a quoted command line stops being the CLI's: a pipe, a second
+#: command, a comment, or a continuation line that does not carry on with
+#: options (backslash-joined lines are folded into one before this applies).
+_CLI_COMMAND_END = re.compile(r"[|;&#]|\n(?!\s*--)")
 
 
-def unknown_cli_invocations(text: str, known: set) -> list:
-    """Sub-commands that ``text`` invokes but ``build_parser()`` lacks."""
-    return [
-        name for name in _CLI_INVOCATION.findall(text) if name not in known
-    ]
+def unknown_cli_invocations(text: str, parsers: dict) -> list:
+    """What ``text`` quotes that ``build_parser()`` would reject.
+
+    A sub-command the parser lacks is reported by name; for a live one,
+    every ``--option`` on its command line (backslash- or YAML-folded
+    continuation lines included) that its parser does not accept is
+    reported as ``"<sub-command> --option"``.
+    """
+    text = re.sub(r"\\\s*\n", " ", text)
+    unknown = []
+    for invocation in _CLI_INVOCATION.finditer(text):
+        name = invocation.group(1)
+        if name not in parsers:
+            unknown.append(name)
+            continue
+        accepted = parsers[name]._option_string_actions
+        command_line = _CLI_COMMAND_END.split(text[invocation.end():], maxsplit=1)[0]
+        unknown.extend(
+            f"{name} {option}"
+            for option in _CLI_OPTION.findall(command_line)
+            if option not in accepted
+        )
+    return unknown
 
 
 class TestParser:
@@ -70,8 +104,6 @@ class TestParser:
         assert args.algorithm == "greedy"
         assert args.shards == 1
         assert args.partition_by is None
-        assert args.batch_size == 256
-        assert args.executor == "serial"
         assert args.compile_mode == "interpreted"
 
     def test_sweep_distances_option(self):
@@ -84,15 +116,21 @@ class TestParser:
 
     def test_scale_out_options_on_compare(self):
         args = build_parser().parse_args(
-            ["compare", "--shards", "2", "--partition-by", "entity_id", "--batch-size", "64"]
+            ["compare", "--shards", "2", "--partition-by", "entity_id"]
         )
         assert args.shards == 2
         assert args.partition_by == "entity_id"
-        assert args.batch_size == 64
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compare", "--executor", "bogus"])
+    @pytest.mark.parametrize("name", sorted(known_subcommands()))
+    @pytest.mark.parametrize(
+        "retired",
+        [[RETIRED_EXECUTOR, "process"], [RETIRED_BATCH_SIZE, "64"], [RETIRED_TRACE]],
+    )
+    def test_retired_options_exit_2_everywhere(self, name, retired, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([name, *retired])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
@@ -223,7 +261,8 @@ class TestExecution:
 
 
 class TestDocsAndCIDrift:
-    """Every CLI invocation quoted in the docs and CI names a live sub-command."""
+    """Every CLI invocation quoted in the docs and CI names a live
+    sub-command and passes it only options its parser accepts."""
 
     @pytest.mark.parametrize(
         "relative_path",
@@ -232,7 +271,7 @@ class TestDocsAndCIDrift:
     def test_quoted_invocations_exist(self, relative_path):
         text = (REPO_ROOT / relative_path).read_text(encoding="utf-8")
         assert _CLI_INVOCATION.search(text), f"{relative_path} quotes no CLI call"
-        assert unknown_cli_invocations(text, known_subcommands()) == []
+        assert unknown_cli_invocations(text, cli_parsers()) == []
 
     @pytest.mark.parametrize("name", RETIRED_SUBCOMMANDS)
     def test_checker_reports_a_retired_subcommand(self, name):
@@ -241,4 +280,22 @@ class TestDocsAndCIDrift:
             "--dataset stocks --" + "enforce\n"
             "PYTHONPATH=src python -m repro.experiments.cli \\\n    serve --rate 0\n"
         )
-        assert unknown_cli_invocations(text, known_subcommands()) == [name]
+        assert unknown_cli_invocations(text, cli_parsers()) == [name]
+
+    def test_checker_reports_retired_options(self):
+        # A seeded regression in each continuation style the three files
+        # use; the live options around the retired ones are not reported.
+        text = (
+            "PYTHONPATH=src python -m repro.experiments.cli serve \\\n"
+            f"    --dataset stocks {RETIRED_EXECUTOR} process \\\n"
+            "    --sink matches.jsonl | grep --count x\n"
+            "run: >\n"
+            "  PYTHONPATH=src python -m repro.experiments.cli serve\n"
+            f"  --size 3 {RETIRED_TRACE}\n"
+            "  | tee serve.log\n"
+            "python3 bench/run.py --workload serve_drift_seq --trace 0\n"
+        )
+        assert unknown_cli_invocations(text, cli_parsers()) == [
+            f"serve {RETIRED_EXECUTOR}",
+            f"serve {RETIRED_TRACE}",
+        ]

@@ -6,19 +6,19 @@ detected — is enforced here as a differential harness.  One seeded
 workload is pushed through every execution mode the library offers:
 
 1. sequential ``AdaptiveCEPEngine.run`` (the reference),
-2. batch ``ParallelCEPEngine.run`` with the serial executor,
-3. batch ``ParallelCEPEngine.run`` with the multiprocess executor,
-4. streaming pipeline, inline backend, sequential engine,
-5. streaming pipeline, inline backend, sharded engine (``process()``),
-6. streaming pipeline, thread worker backend,
-7. streaming pipeline, process worker backend,
+2. sharded ``ParallelCEPEngine.run`` (the same fold of ``process()``),
+3. streaming pipeline, inline backend, sequential engine,
+4. streaming pipeline, inline backend, sharded engine (``process()``),
+5. streaming pipeline, thread worker backend,
+6. streaming pipeline, process worker backend,
 
-and the *byte-identical* sorted JSON records of the match sets are
+— six modes over five code paths (2 and 4 both fold the sharded
+``process()``, directly and through the pipeline) — and the *byte-identical* sorted JSON records of the match sets are
 compared.  Sorting removes the one legitimate difference (emission order
 across shards); everything else — bindings, timestamps, sequence numbers,
 detection times — must agree exactly.
 
-The compile-mode differential re-runs all seven execution modes with
+The compile-mode differential re-runs all six execution modes with
 ``compile_mode="compiled"`` and ``"indexed"`` (see :mod:`repro.compile`):
 lowering conditions into specialized kernels and pruning join candidates
 through equality indexes must leave every byte of the match set alone.
@@ -28,7 +28,7 @@ arrival: each workload is shuffled within a bounded slack
 (:func:`~repro.streaming.bounded_shuffle`) and re-run through every mode
 with the event-time reordering layer absorbing the disorder — the
 streaming modes via the pipeline's ``max_lateness`` ordering stage, the
-batch modes via offline :func:`~repro.streaming.reorder_events`.  The
+whole-stream modes via offline :func:`~repro.streaming.reorder_events`.  The
 sorted match records must still equal the sorted-replay reference byte
 for byte.
 """
@@ -48,9 +48,7 @@ from repro.optimizer import GreedyOrderPlanner
 from repro.parallel import (
     BroadcastPartitioner,
     KeyPartitioner,
-    MultiprocessExecutor,
     ParallelCEPEngine,
-    SerialExecutor,
 )
 from repro.patterns import seq
 from repro.streaming import (
@@ -87,14 +85,13 @@ def _policy():
     return InvariantBasedPolicy()
 
 
-def _parallel(pattern, partitioner, executor=None, compile_mode="interpreted"):
+def _parallel(pattern, partitioner, compile_mode="interpreted"):
     return ParallelCEPEngine(
         pattern,
         _planner(),
         _policy(),
         shards=SHARDS,
         partitioner=partitioner,
-        executor=executor,
         compile_mode=compile_mode,
     )
 
@@ -109,16 +106,8 @@ def run_sequential(pattern, events, partitioner, compile_mode="interpreted"):
     return engine.run(events).matches
 
 
-def run_batch_serial(pattern, events, partitioner, compile_mode="interpreted"):
-    engine = _parallel(
-        pattern, partitioner, SerialExecutor(), compile_mode=compile_mode
-    )
-    return engine.run(events).matches
-
-
-def run_batch_multiprocess(pattern, events, partitioner, compile_mode="interpreted"):
-    executor = MultiprocessExecutor(max_workers=SHARDS)
-    engine = _parallel(pattern, partitioner, executor, compile_mode=compile_mode)
+def run_sharded(pattern, events, partitioner, compile_mode="interpreted"):
+    engine = _parallel(pattern, partitioner, compile_mode=compile_mode)
     return engine.run(events).matches
 
 
@@ -173,8 +162,7 @@ def run_pipeline_process_workers(
 
 
 MODES = {
-    "batch-serial": run_batch_serial,
-    "batch-multiprocess": run_batch_multiprocess,
+    "sharded-run": run_sharded,
     "pipeline-inline": run_pipeline_inline,
     "pipeline-inline-sharded": run_pipeline_inline_sharded,
     "pipeline-thread-workers": run_pipeline_thread_workers,
@@ -182,7 +170,7 @@ MODES = {
 }
 
 #: Modes whose disorder handling is the pipeline's event-time ordering
-#: stage; the rest (sequential / batch) reorder offline before ingesting.
+#: stage; the rest (sequential / sharded run) reorder offline before ingesting.
 STREAMING_MODES = frozenset(
     name for name in MODES if name.startswith("pipeline-")
 )
@@ -253,7 +241,7 @@ def test_mode_equals_sequential_reference(references, workload_name, mode_name):
 def test_compile_mode_equals_interpreted_reference(
     references, workload_name, mode_name, compile_mode
 ):
-    """3 compile modes x 7 execution modes, one byte-identical match set.
+    """3 compile modes x 6 execution modes, one byte-identical match set.
 
     The interpreted reference is the module fixture; this parametrization
     re-runs every execution mode with plan-compiled kernels (and, in

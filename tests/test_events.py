@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DatasetError, ParallelExecutionError, SchemaError
+from repro.errors import DatasetError, SchemaError
 from repro.events import (
     AttributeSpec,
     Event,
@@ -273,46 +273,6 @@ class TestMergedEventStream:
         merged = MergedEventStream([sized, _UnsizedStream([])])
         with pytest.raises(TypeError, match="_UnsizedStream"):
             len(merged)
-
-
-class TestBatched:
-    """Edge cases of the sharded runtime's batched-ingestion helper."""
-
-    @staticmethod
-    def _stream(count):
-        return InMemoryEventStream(
-            [Event(EventType("A"), float(i)) for i in range(count)]
-        )
-
-    def test_empty_stream_yields_no_batches(self):
-        assert list(self._stream(0).batched(4)) == []
-
-    def test_batch_size_larger_than_stream_yields_one_short_batch(self):
-        batches = list(self._stream(3).batched(10))
-        assert len(batches) == 1
-        assert len(batches[0]) == 3
-        assert batches[0].index == 0
-
-    def test_batch_size_one_yields_singleton_batches(self):
-        batches = list(self._stream(3).batched(1))
-        assert [len(b) for b in batches] == [1, 1, 1]
-        assert [b.index for b in batches] == [0, 1, 2]
-
-    def test_uneven_split_preserves_order_and_events(self):
-        batches = list(self._stream(7).batched(3))
-        assert [len(b) for b in batches] == [3, 3, 1]
-        flattened = [event.timestamp for batch in batches for event in batch]
-        assert flattened == [float(i) for i in range(7)]
-
-    def test_non_positive_batch_size_rejected(self):
-        with pytest.raises(ParallelExecutionError):
-            list(self._stream(2).batched(0))
-
-    def test_batch_time_span_and_bounds(self):
-        (batch,) = list(self._stream(3).batched(5))
-        assert batch.first_timestamp == 0.0
-        assert batch.last_timestamp == 2.0
-        assert batch.time_span() == 2.0
 
 
 class TestStreamFromTuples:

@@ -145,9 +145,7 @@ class TestRunSingle:
         pattern = workload.sequence_pattern(3)
         spec = PolicySpec("invariant", distance=0.1)
         sequential = run_single(pattern, stream, SMALL, spec)
-        sharded = run_single(
-            pattern, stream, replace(SMALL, shards=2, batch_size=128), spec
-        )
+        sharded = run_single(pattern, stream, replace(SMALL, shards=2), spec)
         assert sharded.matches_emitted == sequential.matches_emitted
         assert sharded.events_processed == sequential.events_processed
         assert sharded.extra["shards"] == 2.0

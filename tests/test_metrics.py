@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.metrics import RunMetrics, ThroughputTimer, aggregate_metrics
+from repro.metrics import RunMetrics, aggregate_metrics
 from repro.metrics.run_metrics import summarize_rows
 
 
@@ -68,20 +66,3 @@ class TestAggregation:
 
     def test_summarize_rows_empty(self):
         assert summarize_rows([], ["x"]) == {"x": 0.0}
-
-
-class TestThroughputTimer:
-    def test_measures_elapsed_time(self):
-        timer = ThroughputTimer()
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.009
-
-    def test_accumulates_over_multiple_uses(self):
-        timer = ThroughputTimer()
-        with timer:
-            time.sleep(0.005)
-        first = timer.elapsed
-        with timer:
-            time.sleep(0.005)
-        assert timer.elapsed > first

@@ -1,6 +1,6 @@
 """Tests for shared one-pass multi-pattern serving (the ``repro.multi`` stack).
 
-Covers the pattern registry, the constructor deprecation shim, the common
+Covers the pattern registry, the constructor's input coercion, the common
 evaluator protocol, match provenance, the cost-model sharing decision
 (including evidence-driven plan reordering) and the headline guarantee:
 N patterns served by one shared pipeline produce per-pattern match sets
@@ -11,6 +11,7 @@ a kill/resume cycle.
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -146,21 +147,22 @@ class TestConstructorShim:
         )
         assert engine.pattern_set.ids() == ("p1", "p2")
 
-    def test_composite_pattern_deprecated_but_working(self):
+    def test_composite_pattern_accepted_without_warning(self):
         p1 = seq([A, B], window=5.0, name="p1")
         p2 = seq([C, D], window=5.0, name="p2")
-        with pytest.warns(DeprecationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             engine = MultiPatternEngine(
                 CompositePattern([p1, p2]), GreedyOrderPlanner(), InvariantBasedPolicy
             )
         assert engine.pattern_set.ids() == ("p1", "p2")
 
     def test_bare_pattern_keeps_historical_engine_error(self):
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="PatternSet, a CompositePattern or"):
             MultiPatternEngine(
                 seq([A, B], window=5.0), GreedyOrderPlanner(), InvariantBasedPolicy
             )
-        with pytest.raises(EngineError):
+        with pytest.raises(EngineError, match="non-empty list"):
             MultiPatternEngine([], GreedyOrderPlanner(), InvariantBasedPolicy)
 
 

@@ -31,7 +31,6 @@ from repro.obs import (
     DecisionLog,
     DecisionRecord,
     MetricsRegistry,
-    Tracer,
     read_decision_records,
     render_prometheus,
     verify_continuity,
@@ -280,38 +279,11 @@ class TestCoalescingEmitter:
         assert len(log.query()) == 0
 
 
-class TestTracer:
-    def test_spans_and_totals(self):
-        tracer = Tracer()
-        first = tracer.new_trace()
-        tracer.record("source", 0.25, events=10)
-        tracer.record("engine", 0.5, events=10)
-        second = tracer.new_trace()
-        tracer.record("engine", 0.25, events=4)
-        assert first != second
-        assert [span.stage for span in tracer.spans(trace_id=first)] == [
-            "source",
-            "engine",
-        ]
-        totals = tracer.stage_totals()
-        assert totals["engine"]["seconds"] == 0.75
-        assert totals["engine"]["spans"] == 2
-        assert totals["engine"]["events"] == 14
-
-    def test_span_buffer_is_bounded(self):
-        tracer = Tracer(max_spans=4)
-        tracer.new_trace()
-        for i in range(10):
-            tracer.record("engine", 0.001, events=1)
-        assert len(tracer.spans()) == 4
-
-
 class TestPipelineObservability:
-    """Decision records and traces emitted by a real pipeline run."""
+    """Decision records emitted by a real pipeline run."""
 
     def _run_pipeline(self, camera_pattern, tmp_path, **kwargs):
         log = DecisionLog()
-        tracer = Tracer()
         store = CheckpointStore(str(tmp_path / "ckpt"))
         pipeline = StreamingPipeline(
             _fresh_engine(camera_pattern),
@@ -322,14 +294,13 @@ class TestPipelineObservability:
             checkpoint_store=store,
             checkpoint_every=400,
             decision_log=log,
-            tracer=tracer,
             **kwargs,
         )
         result = pipeline.run()
-        return pipeline, result, log, tracer, store
+        return pipeline, result, log, store
 
     def test_checkpoint_cut_records_and_reasons(self, camera_pattern, tmp_path):
-        _, result, log, _, store = self._run_pipeline(camera_pattern, tmp_path)
+        _, result, log, store = self._run_pipeline(camera_pattern, tmp_path)
         cuts = log.query(type="checkpoint_cut")
         assert len(cuts) == result.metrics.checkpoints_written
         assert cuts[-1].detail["reason"] == "shutdown"
@@ -337,20 +308,6 @@ class TestPipelineObservability:
         assert all(cut.detail["bytes"] > 0 for cut in cuts)
         reasons = store.stats()["reasons"]
         assert reasons.get("shutdown") == 1
-
-    def test_tracer_reconciles_with_stage_timings(self, camera_pattern, tmp_path):
-        _, result, _, tracer, _ = self._run_pipeline(camera_pattern, tmp_path)
-        totals = tracer.stage_totals()
-        metrics = result.metrics
-        for stage, timing in (
-            ("source", metrics.source),
-            ("engine", metrics.engine),
-            ("sink", metrics.sink),
-            ("checkpoint", metrics.checkpoint),
-        ):
-            assert totals[stage]["seconds"] == pytest.approx(
-                timing.total_seconds, abs=1e-9
-            )
 
     def test_shed_decisions_under_overload(self, camera_pattern, tmp_path):
         from repro.streaming import DropNewest
@@ -374,7 +331,7 @@ class TestPipelineObservability:
     def test_manual_checkpoint_requires_running_pipeline(
         self, camera_pattern, tmp_path
     ):
-        pipeline, _, _, _, _ = self._run_pipeline(camera_pattern, tmp_path)
+        pipeline, _, _, _ = self._run_pipeline(camera_pattern, tmp_path)
         with pytest.raises(StreamingError):
             pipeline.request_checkpoint()
 

@@ -10,21 +10,18 @@ from repro.engine import AdaptiveCEPEngine
 from repro.errors import ParallelExecutionError, PartitionError
 from repro.events import Event, EventType, InMemoryEventStream
 from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
+import repro.parallel
+from repro.engine import MultiPatternEngine
 from repro.parallel import (
     BroadcastPartitioner,
-    EventBatch,
     KeyPartitioner,
-    MultiprocessExecutor,
     ParallelCEPEngine,
     RoundRobinPartitioner,
-    SerialExecutor,
     ShardedEngine,
-    batched,
     match_signature,
-    merge_matches,
 )
-from repro.parallel.shard import ShardOutput
 from repro.patterns import seq
+from repro.streaming import match_record
 from repro.workloads import WorkloadGenerator
 
 from tests.conftest import make_camera_stream
@@ -178,47 +175,6 @@ class TestPartitioners:
 
 
 # ----------------------------------------------------------------------
-# Merger
-# ----------------------------------------------------------------------
-class TestMerger:
-    def _output(self, shard_id, matches):
-        from repro.metrics import RunMetrics
-
-        return ShardOutput(shard_id=shard_id, matches=matches, metrics=RunMetrics())
-
-    def test_merge_deduplicates_identical_matches(self):
-        from repro.engine.match import Match
-
-        event = Event(EventType("A"), 1.0, {"x": 1})
-        duplicate = Match("p", {"a": event}, detection_time=1.0)
-        merged, dropped = merge_matches(
-            [self._output(0, [duplicate]), self._output(1, [duplicate])]
-        )
-        assert len(merged) == 1
-        assert dropped == 1
-
-    def test_merge_orders_by_detection_time(self):
-        from repro.engine.match import Match
-
-        early = Match("p", {"a": Event(EventType("A"), 1.0)}, detection_time=1.0)
-        late = Match("p", {"a": Event(EventType("A"), 5.0)}, detection_time=5.0)
-        merged, dropped = merge_matches(
-            [self._output(0, [late]), self._output(1, [early])]
-        )
-        assert [match.detection_time for match in merged] == [1.0, 5.0]
-        assert dropped == 0
-
-    def test_distinct_matches_at_same_time_are_kept(self):
-        from repro.engine.match import Match
-
-        first = Match("p", {"a": Event(EventType("A"), 2.0)}, detection_time=2.0)
-        second = Match("p", {"a": Event(EventType("A"), 2.0)}, detection_time=2.0)
-        merged, dropped = merge_matches([self._output(0, [first, second])])
-        assert len(merged) == 2
-        assert dropped == 0
-
-
-# ----------------------------------------------------------------------
 # Sharded engine plumbing
 # ----------------------------------------------------------------------
 class TestShardedEngine:
@@ -236,35 +192,6 @@ class TestShardedEngine:
         assert len({id(engine) for engine in engines}) == 3
         assert len({id(engine.collector) for engine in engines}) == 3
         assert len({id(engine.controller) for engine in engines}) == 3
-
-    def test_dispatch_counts_distinct_events_under_broadcast(self, camera_pattern):
-        sharded = ShardedEngine(
-            camera_pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), 2
-        )
-        stream = make_camera_stream(count=50)
-        ingested = sharded.dispatch(stream, BroadcastPartitioner(), batch_size=16)
-        assert ingested == 50
-        for shard in sharded.shards:
-            assert shard.pending_events == 50
-
-    def test_dispatch_preserves_per_shard_order(self, keyed_workload):
-        pattern, stream = keyed_workload
-        sharded = ShardedEngine(pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), 4)
-        sharded.dispatch(stream, KeyPartitioner("entity_id"), batch_size=64)
-        for shard in sharded.shards:
-            timestamps = [
-                event.timestamp for batch in shard.batches for event in batch
-            ]
-            assert timestamps == sorted(timestamps)
-
-    def test_batches_respect_requested_size(self, camera_pattern):
-        sharded = ShardedEngine(
-            camera_pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), 1
-        )
-        stream = make_camera_stream(count=100)
-        sharded.dispatch(stream, BroadcastPartitioner(), batch_size=32)
-        sizes = [len(batch) for batch in sharded.shards[0].batches]
-        assert sizes == [32, 32, 32, 4]
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +276,8 @@ class TestEquivalence:
         assert signatures(parallel.matches) == signatures(sequential.matches)
 
     def test_single_shard_serial_is_identical_to_sequential(self, keyed_workload):
-        """The acceptance criterion: shards=1 + SerialExecutor reproduces the
-        sequential engine bit for bit (same matches, same count metrics)."""
+        """The acceptance criterion: shards=1 reproduces the sequential
+        engine bit for bit (same matches, same count metrics)."""
         pattern, stream = keyed_workload
         sequential = sequential_matches(pattern, stream)
         parallel = ParallelCEPEngine(
@@ -358,7 +285,6 @@ class TestEquivalence:
             GreedyOrderPlanner(),
             InvariantBasedPolicy(),
             shards=1,
-            executor=SerialExecutor(),
         ).run(stream)
         assert signatures(parallel.matches) == signatures(sequential.matches)
         assert parallel.metrics.matches_emitted == sequential.metrics.matches_emitted
@@ -391,78 +317,154 @@ class TestEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Executors
+# run() is the fold of process() — on every facade
 # ----------------------------------------------------------------------
-class TestExecutors:
-    def test_multiprocess_matches_serial(self, keyed_workload):
+def _sharded(pattern, shards, partitioner):
+    return ParallelCEPEngine(
+        pattern,
+        GreedyOrderPlanner(),
+        InvariantBasedPolicy(),
+        shards=shards,
+        partitioner=partitioner,
+    )
+
+
+def records(matches):
+    return [match_record(match) for match in matches]
+
+
+class TestRunIsTheProcessFold:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("partitioning", ["broadcast", "key"])
+    def test_run_equals_concatenated_process(self, keyed_workload, partitioning, shards):
         pattern, stream = keyed_workload
 
-        def run(executor):
-            return ParallelCEPEngine(
-                pattern,
-                GreedyOrderPlanner(),
-                InvariantBasedPolicy(),
-                shards=2,
-                partitioner=KeyPartitioner("entity_id"),
-                executor=executor,
-            ).run(stream)
+        def engine():
+            partitioner = (
+                KeyPartitioner("entity_id")
+                if partitioning == "key"
+                else BroadcastPartitioner()
+            )
+            return _sharded(pattern, shards, partitioner)
 
-        serial = run(SerialExecutor())
-        multiprocess = run(MultiprocessExecutor(max_workers=2))
-        assert signatures(multiprocess.matches) == signatures(serial.matches)
-        assert multiprocess.metrics.matches_emitted == serial.metrics.matches_emitted
+        folded = []
+        stepper = engine()
+        for event in stream:
+            folded.extend(stepper.process(event))
+        result = engine().run(stream)
+        assert folded, "workload produced no matches to order"
+        assert records(result.matches) == records(folded)
+        # Detection-time order, first report wins: no signature repeats.
+        times = [match.detection_time for match in result.matches]
+        assert times == sorted(times)
+        assert len(set(signatures(result.matches))) == len(result.matches)
 
-    def test_multiprocess_single_shard_runs_inline(self, keyed_workload):
+    @pytest.mark.parametrize("partitioning", ["broadcast", "key"])
+    def test_run_metrics_are_the_replicas_own_counters(self, keyed_workload, partitioning):
         pattern, stream = keyed_workload
-        result = ParallelCEPEngine(
-            pattern,
-            GreedyOrderPlanner(),
-            InvariantBasedPolicy(),
-            shards=1,
-            executor=MultiprocessExecutor(),
-        ).run(stream)
-        assert result.metrics.extra["shards"] == 1.0
+        partitioner = (
+            KeyPartitioner("entity_id") if partitioning == "key" else BroadcastPartitioner()
+        )
+        engine = _sharded(pattern, 3, partitioner)
+        metrics = engine.run(stream).metrics
+        replicas = [
+            shard.engine.work_metrics() for shard in engine.sharded_engine.shards
+        ]
+        for counter in (
+            "reoptimizations",
+            "decisions_evaluated",
+            "partial_matches_created",
+            "extension_attempts",
+        ):
+            assert getattr(metrics, counter) == sum(
+                getattr(replica, counter) for replica in replicas
+            ), counter
+        assert metrics.partial_matches_created > 0
+        # Distinct input events, however many replicas each one reached.
+        assert metrics.events_processed == len(stream)
+        fanout = 3 if partitioning == "broadcast" else 1
+        assert metrics.extra["events_dispatched"] == fanout * len(stream)
+        assert "shard_seconds" not in metrics.extra
 
-    def test_multiprocess_rejects_non_positive_workers(self):
-        with pytest.raises(ParallelExecutionError):
-            MultiprocessExecutor(max_workers=0)
-
-    def test_buffers_drained_after_multiprocess_run(self, keyed_workload):
-        # The process pool runs *copies* of the shards; the facade must still
-        # drain the parent-side buffers so later runs never re-dispatch.
+    @pytest.mark.parametrize("run_half", ["first", "second"])
+    def test_run_and_process_continue_one_stream(self, keyed_workload, run_half):
+        # A run() is just more process() calls: either order, one clock.
         pattern, stream = keyed_workload
-        engine = ParallelCEPEngine(
-            pattern,
-            GreedyOrderPlanner(),
-            InvariantBasedPolicy(),
-            shards=2,
-            partitioner=KeyPartitioner("entity_id"),
-            executor=MultiprocessExecutor(max_workers=2),
-        )
-        engine.run(stream)
-        assert all(
-            shard.pending_events == 0 for shard in engine.sharded_engine.shards
+        events = stream.to_list()
+        half = len(events) // 2
+        engine = _sharded(pattern, 2, KeyPartitioner("entity_id"))
+        found = []
+        if run_half == "first":
+            found.extend(engine.run(events[:half]).matches)
+            for event in events[half:]:
+                found.extend(engine.process(event))
+        else:
+            for event in events[:half]:
+                found.extend(engine.process(event))
+            found.extend(engine.run(events[half:]).matches)
+        expected = sequential_matches(pattern, stream).matches
+        assert expected
+        assert signatures(found) == signatures(expected)
+
+    def test_single_shard_run_is_record_identical_to_sequential(self, keyed_workload):
+        pattern, stream = keyed_workload
+        sequential = sequential_matches(pattern, stream)
+        parallel = _sharded(pattern, 1, BroadcastPartitioner()).run(stream)
+        assert records(parallel.matches) == records(sequential.matches)
+        assert [entry.split(": ", 1)[1] for entry in parallel.plan_history] == (
+            sequential.plan_history
         )
 
-    def test_unpicklable_shard_reports_pickling_error(self):
-        from repro.conditions import PredicateCondition
+    def test_every_facade_reports_the_engines_own_work_counters(self, keyed_workload):
+        """The single source of truth for the metric fold: ``run`` on all
+        three facades reports what summing the adaptive engines'
+        ``migration_manager.total_counters()`` by hand gives."""
+        pattern, stream = keyed_workload
+        single = AdaptiveCEPEngine(pattern, GreedyOrderPlanner(), InvariantBasedPolicy())
+        # Two disjoint patterns: nothing to share, so every counter lives
+        # in a per-pattern engine.
+        other = seq([EventType("X"), EventType("Y")], window=5.0, name="other")
+        multi = MultiPatternEngine(
+            [pattern, other], GreedyOrderPlanner(), InvariantBasedPolicy
+        )
+        sharded = _sharded(pattern, 2, KeyPartitioner("entity_id"))
+        adaptives = {
+            "single": [single],
+            "multi": multi.sub_engines,
+            "sharded": [shard.engine for shard in sharded.sharded_engine.shards],
+        }
+        for name, facade in (("single", single), ("multi", multi), ("sharded", sharded)):
+            metrics = facade.run(stream).metrics
+            by_hand = [
+                engine.migration_manager.total_counters() for engine in adaptives[name]
+            ]
+            assert metrics.partial_matches_created == sum(
+                counters.partial_matches_created for counters in by_hand
+            ), name
+            assert metrics.extension_attempts == sum(
+                counters.extension_attempts for counters in by_hand
+            ), name
+            assert metrics.extension_attempts > 0, name
+            assert metrics.events_processed == len(stream), name
 
-        pattern = seq(
-            [EventType("A"), EventType("B")],
-            condition=PredicateCondition(
-                ["a", "b"], lambda a, b: True, name="closure"
-            ),
-            window=10.0,
+    def test_public_surface_is_pinned(self):
+        # An executor, a batch type or an end-of-run merger cannot quietly
+        # come back: the package exports exactly the one sharded path.
+        assert sorted(repro.parallel.__all__) == sorted(
+            [
+                "ParallelCEPEngine",
+                "Partitioner",
+                "KeyPartitioner",
+                "RoundRobinPartitioner",
+                "BroadcastPartitioner",
+                "Shard",
+                "ShardedEngine",
+                "build_replica",
+                "match_signature",
+                "StreamingMatchDeduplicator",
+                "UNBOUNDED_DEDUP_WINDOW",
+            ]
         )
-        engine = ParallelCEPEngine(
-            pattern,
-            GreedyOrderPlanner(),
-            InvariantBasedPolicy(),
-            shards=2,
-            executor=MultiprocessExecutor(max_workers=2),
-        )
-        with pytest.raises(ParallelExecutionError, match="not picklable"):
-            engine.run(make_camera_stream(count=20))
 
 
 # ----------------------------------------------------------------------

@@ -797,26 +797,6 @@ class TestParallelStreaming:
         assert sorted(_signatures(collected)) == expected
         assert engine._streaming_dedup.duplicates_dropped >= len(expected)
 
-    def test_streaming_then_batch_run_rejected(self):
-        pattern, stream = _keyed_workload()
-        engine = ParallelCEPEngine(
-            pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), shards=2,
-            partitioner=KeyPartitioner("entity_id"),
-        )
-        engine.process(stream.to_list()[0])
-        with pytest.raises(ParallelExecutionError):
-            engine.run(stream)
-
-    def test_batch_then_streaming_rejected(self):
-        pattern, stream = _keyed_workload()
-        engine = ParallelCEPEngine(
-            pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), shards=2,
-            partitioner=KeyPartitioner("entity_id"),
-        )
-        engine.run(stream)
-        with pytest.raises(ParallelExecutionError):
-            engine.process(stream.to_list()[0])
-
     def test_sharded_checkpoint_kill_resume(self, tmp_path):
         pattern, stream = _keyed_workload()
         events = stream.to_list()

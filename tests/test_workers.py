@@ -69,7 +69,7 @@ def _signatures(matches):
 
 
 # ----------------------------------------------------------------------
-# Shard lifecycle: init / feed / flush
+# Shard lifecycle: init / feed
 # ----------------------------------------------------------------------
 class TestShardFeedLifecycle:
     def test_feed_matches_run_to_completion(self):
@@ -88,25 +88,6 @@ class TestShardFeedLifecycle:
         for start in range(0, len(events), 16):
             collected.extend(shard.feed(events[start : start + 16]))
         assert _signatures(collected) == expected
-        assert shard.events_fed == len(events)
-        assert shard.matches_found == len(collected)
-
-    def test_flush_summarizes_without_new_matches(self):
-        pattern = _camera_pattern()
-        events = make_camera_stream(count=120, seed=3).to_list()
-        shard = Shard(
-            1,
-            build_replica(
-                pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), None, None, 1.0
-            ),
-        )
-        found = shard.feed(events)
-        output = shard.flush()
-        assert output.shard_id == 1
-        assert output.matches == []
-        assert output.metrics.events_processed == len(events)
-        assert output.metrics.matches_emitted == len(found)
-        assert output.plan_history  # the replica's initial plan at minimum
 
 
 # ----------------------------------------------------------------------
