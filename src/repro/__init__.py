@@ -64,10 +64,11 @@ Serving streams
 The :mod:`repro.streaming` subsystem turns either engine into a deployable,
 continuously-ingesting service: lazy single-pass **sources** (rate-controlled
 replay, JSONL/CSV file tailing, iterable/callback adapters), **sinks**
-(JSONL match writer, collector, counters), a bounded staging buffer with
-backpressure/load-shedding policies, and **checkpointing** that snapshots
-engine state + source offset + sink positions so a killed pipeline resumes
-with no lost and no duplicated matches::
+(JSONL match writer, collector, counters), a run loop that pulls the source
+— the only way events enter the service — in bounded chunks, and
+**checkpointing** that snapshots engine state + source offset + sink
+positions so a killed pipeline resumes with no lost and no duplicated
+matches::
 
     from repro.streaming import (
         StreamingPipeline, ReplaySource, JSONLMatchWriter, CheckpointStore,

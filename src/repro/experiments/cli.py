@@ -68,13 +68,11 @@ from repro.streaming import (
     JSONLMatchWriter,
     MetricsSink,
     NetworkEventSource,
+    ReorderBuffer,
     ReplaySource,
-    SocketMatchSink,
     StreamingPipeline,
-    TCPEventIngress,
     WebhookMatchSink,
     bounded_shuffle,
-    overflow_policy_by_name,
 )
 
 
@@ -223,9 +221,9 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         "--decision-log",
         type=str,
         default=None,
-        help="append a JSONL audit trail of runtime decisions (shed, late "
-        "events, checkpoint cuts, compactions, re-plans) to this file; an "
-        "existing file is continued, not truncated",
+        help="append a JSONL audit trail of runtime decisions (late events, "
+        "checkpoint cuts, compactions, re-plans, delivery retries) to this "
+        "file; an existing file is continued, not truncated",
     )
 
 
@@ -240,25 +238,17 @@ def _add_network_options(parser: argparse.ArgumentParser) -> None:
         "(0 = ephemeral, printed at startup); overrides --source",
     )
     parser.add_argument(
-        "--tcp-port",
-        type=int,
-        default=None,
-        help="ingest events over a line-delimited TCP socket on this port "
-        "(one JSON record per line, per-line acks; a full buffer blocks "
-        "the reader); combinable with --listen-port",
-    )
-    parser.add_argument(
         "--listen-host",
         type=str,
         default="127.0.0.1",
-        help="bind address for --listen-port / --tcp-port",
+        help="bind address for --listen-port",
     )
     parser.add_argument(
         "--listen-idle-timeout",
         type=float,
         default=None,
         help="stop the network source after this many seconds with no "
-        "arrivals (default: wait for POST /end, a TCP END line, or Ctrl-C)",
+        "arrivals (default: wait for POST /end or Ctrl-C)",
     )
     parser.add_argument(
         "--webhook-url",
@@ -267,13 +257,6 @@ def _add_network_options(parser: argparse.ArgumentParser) -> None:
         help="deliver each match by HTTP POST to this URL, acked against "
         "the checkpoint barrier (Idempotency-Key header; retries with "
         "capped backoff)",
-    )
-    parser.add_argument(
-        "--socket-sink",
-        type=str,
-        default=None,
-        help="deliver matches over TCP to HOST:PORT (line frames with "
-        "per-match acks)",
     )
     parser.add_argument(
         "--dead-letter",
@@ -427,15 +410,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     spec = PolicySpec("invariant", distance=0.1, label="invariant")
     engine = build_streaming_engine(config, pattern, spec)
 
-    # Network data plane: a push-buffer source behind HTTP/TCP ingress
-    # servers (replacing --source) and/or acked delivery sinks, all sharing
-    # one NetworkMetrics object (registered with the control plane below).
-    use_network_source = args.listen_port is not None or args.tcp_port is not None
-    net_metrics = (
-        NetworkMetrics()
-        if use_network_source or args.webhook_url or args.socket_sink
-        else None
-    )
+    # Network data plane: a push-buffer source behind the HTTP ingress
+    # (replacing --source) and/or the acked webhook sink, sharing one
+    # NetworkMetrics object (registered with the control plane below).
+    use_network_source = args.listen_port is not None
+    net_metrics = NetworkMetrics() if use_network_source or args.webhook_url else None
     if use_network_source:
         types = {t.name: t for t in dataset.event_types}
         source = NetworkEventSource(
@@ -452,20 +431,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         sinks.append(
             WebhookMatchSink(
                 args.webhook_url,
-                dead_letter_path=args.dead_letter,
-                metrics=net_metrics,
-            )
-        )
-    if args.socket_sink:
-        sink_host, _, sink_port = args.socket_sink.rpartition(":")
-        if not sink_host or not sink_port.isdigit():
-            raise StreamingError(
-                f"--socket-sink expects HOST:PORT, got {args.socket_sink!r}"
-            )
-        sinks.append(
-            SocketMatchSink(
-                sink_host,
-                int(sink_port),
                 dead_letter_path=args.dead_letter,
                 metrics=net_metrics,
             )
@@ -487,10 +452,11 @@ def _run_serve(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every if store else 0,
         checkpoint_mode=args.checkpoint_mode,
         checkpoint_full_every=args.checkpoint_full_every,
-        buffer_capacity=args.buffer_capacity,
-        overflow_policy=overflow_policy_by_name(args.overflow),
-        max_lateness=args.max_lateness,
-        late_policy=args.late_policy,
+        ordering=(
+            None
+            if args.max_lateness is None
+            else ReorderBuffer(args.max_lateness, late_policy=args.late_policy)
+        ),
         decision_log=decision_log,
     )
 
@@ -512,24 +478,15 @@ def _run_serve(args: argparse.Namespace) -> int:
         control.start()
         print(f"control plane listening on {control.url}")
 
-    # The ingress servers accept pushes the moment they are up; events that
-    # land before the pipeline finishes a checkpoint restore are handled by
-    # the source's sequence-number dedup, so starting early is safe.
-    ingresses = []
-    if args.listen_port is not None:
-        http_ingress = HTTPEventIngress(
+    # The ingress accepts pushes the moment it is up; events that land
+    # before the pipeline finishes a checkpoint restore are handled by the
+    # source's sequence-number dedup, so starting early is safe.
+    ingress = None
+    if use_network_source:
+        ingress = HTTPEventIngress(
             source, host=args.listen_host, port=args.listen_port
         ).start()
-        ingresses.append(http_ingress)
-        print(f"HTTP event ingress listening on {http_ingress.url}/events")
-    if args.tcp_port is not None:
-        tcp_ingress = TCPEventIngress(
-            source, host=args.listen_host, port=args.tcp_port
-        ).start()
-        ingresses.append(tcp_ingress)
-        print(
-            f"TCP event ingress listening on {args.listen_host}:{tcp_ingress.port}"
-        )
+        print(f"HTTP event ingress listening on {ingress.url}/events")
 
     # Graceful shutdown on Ctrl-C: finish the in-flight event, write a final
     # checkpoint, flush the sinks.  A second Ctrl-C falls through to the
@@ -544,7 +501,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         result = pipeline.run(max_events=args.serve_events)
     finally:
         signal.signal(signal.SIGINT, previous_handler)
-        for ingress in ingresses:
+        if ingress is not None:
             ingress.stop()
         if control is not None:
             control.stop()
@@ -770,15 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10000,
         help="events between checkpoints (with --checkpoint-dir)",
-    )
-    serve.add_argument(
-        "--buffer-capacity", type=int, default=1024, help="staging buffer capacity"
-    )
-    serve.add_argument(
-        "--overflow",
-        choices=("backpressure", "drop-newest", "drop-oldest"),
-        default="backpressure",
-        help="policy when the staging buffer is full",
     )
     serve.add_argument(
         "--entities",

@@ -94,11 +94,12 @@ class NetworkMetrics:
     """Counters of the network data plane (ingestion and match delivery).
 
     One object is shared by every network endpoint of a pipeline — the
-    socket/HTTP ingestion servers count arrivals (accepted into the push
-    queue, rejected under backpressure, dropped as duplicates of an
-    already-ingested sequence number, or invalid), and the acked match
-    sinks count deliveries, retries and dead-letter spills.  ``delivery``
-    aggregates the wall time of each successful receiver round trip.
+    HTTP ingress counts arrivals (accepted into the push queue, rejected
+    with a 429 because the queue is full or the stream has ended, dropped
+    as duplicates of an already-ingested sequence number, or invalid), and
+    the webhook sink counts deliveries, retries and dead-letter spills.
+    ``delivery`` aggregates the wall time of each successful receiver
+    round trip.
     """
 
     events_accepted: int = 0
@@ -142,7 +143,7 @@ class PipelineMetrics:
     sleeps and file-tail polling), ``engine`` the per-event detection work
     (for worker backends: the hand-off into the shard queues), ``sink`` the
     per-event match emission, and ``checkpoint`` each state snapshot.  Queue
-    metrics describe the staging buffer between the source and the engine;
+    metrics describe the events staged between the source and the engine;
     ``workers`` holds one :class:`WorkerLaneMetrics` per shard worker when a
     multi-core backend is attached.
     """
@@ -160,6 +161,9 @@ class PipelineMetrics:
     watermark_lag: StageTiming = field(default_factory=StageTiming)
     events_ingested: int = 0
     events_processed: int = 0
+    #: Always 0: the pipeline has no load-shedding path any more (events
+    #: enter only through the pull loop, which never drops one).  Kept only
+    #: because ``bench/`` still reads it; remove with that reader.
     events_shed: int = 0
     #: Events that arrived behind the watermark (dropped or side-routed by
     #: the configured late policy).
@@ -212,12 +216,6 @@ class PipelineMetrics:
             lane = self.workers[shard_id] = WorkerLaneMetrics(shard_id=shard_id)
         return lane
 
-    @property
-    def shed_fraction(self) -> float:
-        if self.events_ingested == 0:
-            return 0.0
-        return self.events_shed / self.events_ingested
-
     def as_row(self) -> Dict[str, float]:
         """Flat dictionary representation used by report tables.
 
@@ -232,8 +230,6 @@ class PipelineMetrics:
             "events_ingested": float(self.events_ingested),
             "events": float(self.events_processed),
             "matches": float(self.matches_emitted),
-            "shed": float(self.events_shed),
-            "shed_fraction": self.shed_fraction,
             "late_events": float(self.late_events),
             "queue_high_water": float(self.queue_high_water),
             "checkpoints": float(self.checkpoints_written),
@@ -263,7 +259,7 @@ class PipelineMetrics:
     def __repr__(self) -> str:
         return (
             f"PipelineMetrics(processed={self.events_processed}, "
-            f"matches={self.matches_emitted}, shed={self.events_shed}, "
+            f"matches={self.matches_emitted}, "
             f"queue_hw={self.queue_high_water}, "
             f"engine={self.engine!r})"
         )

@@ -7,11 +7,12 @@ a load balancer, an orchestrator, and an operator each need:
 ``GET /health``
     Liveness: 200 while the process is up and the control plane running.
 ``GET /ready``
-    Readiness: 200 only when the pipeline is accepting and keeping up —
-    503 while restoring from a checkpoint, before/after the run, and
-    while the staging buffer is saturated under a backpressure policy.
-    Liveness and readiness are deliberately distinct signals: a pipeline
-    replaying a long delta chain is *alive* but must not be routed to.
+    Readiness: 200 only while the pipeline's run loop is running — 503
+    while restoring from a checkpoint and before/after the run.  (A
+    producer outrunning detection is told so by the network source's 429,
+    not by readiness.)  Liveness and readiness are deliberately distinct
+    signals: a pipeline replaying a long delta chain is *alive* but must
+    not be routed to.
 ``GET /metrics``
     Prometheus text exposition (``?format=json`` for JSON) rendered from
     the :class:`~repro.obs.registry.MetricsRegistry` at scrape time.
@@ -27,9 +28,9 @@ a load balancer, an orchestrator, and an operator each need:
     ``introspect=True``.
 ``GET /network``
     Data-plane counters of a networked pipeline: events accepted /
-    rejected (backpressure) / duplicate / invalid at the ingestion
-    endpoints, matches delivered / retried / dead-lettered by the acked
-    sinks, and the delivery-latency aggregate.  404 when the pipeline has
+    rejected (429) / duplicate / invalid at the HTTP ingress, matches
+    delivered / retried / dead-lettered by the webhook sink, and the
+    delivery-latency aggregate.  404 when the pipeline has
     no network data plane attached.
 ``POST /checkpoint``
     Manual checkpoint cut: requests a cut through the pipeline's existing

@@ -1,13 +1,14 @@
 """The decision log: a queryable audit trail of runtime actions.
 
-Every consequential action a running pipeline takes — shedding events
-under overload, dropping or side-routing late arrivals, cutting a
-checkpoint, compacting a delta chain, replacing an evaluation plan — is
-today observable only through aggregate counters.  The decision log turns
-each of those actions into a **typed, timestamped record** (the ProvSQL
-idea applied to runtime decisions instead of query results): an operator
-can ask *which* events were shed and when, whether a checkpoint was cut by
-cadence or by hand, and what statistics change triggered a re-plan.
+Every consequential action a running pipeline takes — dropping or
+side-routing late arrivals, cutting a checkpoint, compacting a delta
+chain, replacing an evaluation plan, retrying or dead-lettering a match
+delivery — is otherwise observable only through aggregate counters.  The
+decision log turns each of those actions into a **typed, timestamped
+record** (the ProvSQL idea applied to runtime decisions instead of query
+results): an operator can ask *which* events arrived late and when,
+whether a checkpoint was cut by cadence or by hand, and what statistics
+change triggered a re-plan.
 
 Records are structured and append-only:
 
@@ -21,9 +22,9 @@ Records are structured and append-only:
   open), which is what lets the CI soak smoke assert that no record was
   lost or duplicated across a kill/resume cycle.
 
-High-frequency decisions (shedding under sustained overload, late events
-under heavy disorder) would flood a per-event log, so the pipeline routes
-them through a :class:`CoalescingEmitter` that aggregates bursts into one
+High-frequency decisions (late events under heavy disorder) would flood a
+per-event log, so the pipeline routes them through a
+:class:`CoalescingEmitter` that aggregates bursts into one
 record carrying a count and the first/last timestamps — the hot path pays
 one counter bump per event, not one file write.
 """
@@ -43,7 +44,6 @@ from repro.errors import StreamingError
 #: The record types the runtime emits (the control plane's ``type=`` filter
 #: accepts any string, so forward-compatible readers need no update).
 DECISION_TYPES = (
-    "shed",
     "late_event_policy",
     "checkpoint_cut",
     "compaction",
@@ -302,9 +302,9 @@ def verify_continuity(records: Iterable[DecisionRecord]) -> List[str]:
 class CoalescingEmitter:
     """Aggregate a burst of identical decisions into one record.
 
-    Shedding and late-event decisions fire per *event*; logging each one
-    would put a file write on the overload path (precisely when the
-    pipeline can least afford it).  The emitter counts observations and
+    Late-event decisions fire per *event*; logging each one would put a
+    file write on the per-event path exactly when disorder is heaviest.
+    The emitter counts observations and
     flushes one aggregate record when ``flush_every`` accumulate or when
     ``flush_interval`` seconds pass between the first and the latest
     observation — whichever comes first.  The final partial burst is

@@ -401,13 +401,6 @@ class MetricsRegistry:
                 "counter",
             ),
             Sample(
-                f"{prefix}_events_shed_total",
-                float(m.events_shed),
-                dict(base),
-                "Events dropped by the overflow (load-shedding) policy.",
-                "counter",
-            ),
-            Sample(
                 f"{prefix}_late_events_total",
                 float(m.late_events),
                 dict(base),

@@ -23,12 +23,11 @@ The building blocks:
   callback adapters;
 * **sinks** (:mod:`~repro.streaming.sinks`) — match consumers with
   checkpointable positions: JSONL writer, in-memory collector, counters;
-* **buffering** (:mod:`~repro.streaming.buffer`) — a bounded staging
-  buffer with backpressure and load-shedding overflow policies;
 * **event-time ordering** (:mod:`~repro.streaming.ordering`) — watermark
   generators (bounded out-of-orderness, punctuated), a heap-based reorder
   buffer releasing out-of-order arrivals in timestamp order, and
-  drop/side-output/raise late-event policies (``max_lateness=…`` on the
+  drop/side-output/raise late-event policies
+  (``ordering=ReorderBuffer(max_lateness, late_policy=…)`` on the
   pipeline, ``--max-lateness``/``--late-policy`` on the CLI);
 * **checkpointing** (:mod:`~repro.streaming.checkpoint`) — atomic
   snapshots of engine state + source offset + sink positions — plus the
@@ -40,15 +39,15 @@ The building blocks:
   of only the changed state between (``--checkpoint-mode delta`` on the
   CLI); restore replays base + deltas, and worker backends ship per-shard
   deltas through the snapshot barrier;
-* **the network data plane** (:mod:`~repro.streaming.net`) — socket/HTTP
-  event ingestion feeding the pipeline with backpressure (HTTP 429s,
-  blocking socket reads) and acked match delivery (webhook / socket sinks
-  with idempotency keys, retry with capped backoff, dead-letter spill)
-  that stays exactly-once through kill/resume (``--listen-port`` /
-  ``--tcp-port`` / ``--webhook-url`` / ``--socket-sink`` on the CLI);
+* **the network data plane** (:mod:`~repro.streaming.net`) — HTTP event
+  ingestion into a bounded source the pipeline pulls (a full source
+  answers 429) and acked webhook match delivery (idempotency keys, retry
+  with capped backoff, dead-letter spill) that stays exactly-once through
+  kill/resume (``--listen-port`` / ``--webhook-url`` on the CLI);
 * **the pipeline** (:mod:`~repro.streaming.pipeline`) — the run loop
-  wiring it all together, with per-stage latency/queue metrics and
-  graceful shutdown;
+  wiring it all together: it pulls the source, the only way events
+  enter the service, with per-stage latency/queue metrics and graceful
+  shutdown;
 * **execution backends** (:mod:`~repro.streaming.workers`) — where the
   detection runs: inline in the pipeline thread, or on per-shard worker
   threads/processes fed by bounded queues for true multi-core serving
@@ -57,14 +56,6 @@ The building blocks:
 The CLI front-end is ``python -m repro.experiments.cli serve``.
 """
 
-from repro.streaming.buffer import (
-    Backpressure,
-    BoundedBuffer,
-    DropNewest,
-    DropOldest,
-    OverflowPolicy,
-    overflow_policy_by_name,
-)
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore, DeltaCheckpoint
 from repro.streaming.delta import (
     DeltaTracker,
@@ -76,13 +67,9 @@ from repro.streaming.net import (
     AckedDeliverySink,
     HTTPEventIngress,
     NetworkEventSource,
-    SocketMatchReceiver,
-    SocketMatchSink,
-    TCPEventIngress,
     WebhookMatchSink,
     WebhookReceiver,
     push_events_http,
-    push_events_tcp,
     read_event_records,
 )
 from repro.streaming.ordering import (
@@ -98,7 +85,7 @@ from repro.streaming.ordering import (
 from repro.streaming.pipeline import (
     CHECKPOINT_MODES,
     DEFAULT_CHECKPOINT_FULL_EVERY,
-    DEFAULT_FILL_CHUNK,
+    FILL_CHUNK,
     PipelineResult,
     StreamingPipeline,
 )
@@ -136,7 +123,7 @@ __all__ = [
     # pipeline
     "StreamingPipeline",
     "PipelineResult",
-    "DEFAULT_FILL_CHUNK",
+    "FILL_CHUNK",
     # sources
     "EventSource",
     "IterableSource",
@@ -158,22 +145,11 @@ __all__ = [
     # network data plane
     "NetworkEventSource",
     "HTTPEventIngress",
-    "TCPEventIngress",
     "AckedDeliverySink",
     "WebhookMatchSink",
-    "SocketMatchSink",
     "WebhookReceiver",
-    "SocketMatchReceiver",
     "push_events_http",
-    "push_events_tcp",
     "read_event_records",
-    # buffering
-    "BoundedBuffer",
-    "OverflowPolicy",
-    "Backpressure",
-    "DropNewest",
-    "DropOldest",
-    "overflow_policy_by_name",
     # event-time ordering
     "WatermarkGenerator",
     "BoundedOutOfOrdernessWatermarks",

@@ -1,25 +1,23 @@
-"""The network data plane: socket/HTTP ingestion and acked match delivery.
+"""The network data plane: HTTP ingestion and acked match delivery.
 
 Everything before this module moves events and matches through files.  This
 module puts the pipeline on the wire — stdlib only, matching the control
 plane's :mod:`http.server` idiom — with the same exactly-once discipline
-the file seams already have:
+the file seams already have.  One transport in, one transport out:
 
-* **Ingestion** — a :class:`NetworkEventSource` is a push-buffer behind the
-  existing :class:`~repro.streaming.sources.CallbackSource` pull seam.  Two
-  servers feed it: :class:`HTTPEventIngress` (``POST /events`` with JSON
-  records, answering **429** when the push buffer is full — backpressure a
-  load balancer understands) and :class:`TCPEventIngress` (one JSON record
-  per line, ``ok``/``dup``/``err`` acks; a full buffer *blocks* the accept,
-  so backpressure reaches the client as slow reads).  Records carry an
-  explicit ``sequence`` field — the same deterministic record index the
-  file sources assign — so a resumed pipeline deduplicates re-pushed
-  events by sequence number exactly as ``source.skip()`` seeks a file.
+* **Ingestion** — a :class:`NetworkEventSource` is a bounded push-buffer
+  behind the existing :class:`~repro.streaming.sources.CallbackSource` pull
+  seam: the one adapter from push to the pipeline's pull loop.
+  :class:`HTTPEventIngress` feeds it (``POST /events`` with JSON records)
+  and answers **429** when the buffer is full — the one backpressure
+  signal, and one a load balancer understands.  Records carry an explicit
+  ``sequence`` field — the same deterministic record index the file
+  sources assign — so a resumed pipeline deduplicates re-pushed events by
+  sequence number exactly as ``source.skip()`` seeks a file.
 
 * **Delivery** — :class:`WebhookMatchSink` (HTTP POST per match with an
-  ``Idempotency-Key`` header) and :class:`SocketMatchSink` (length-framed
-  lines with per-match acks) extend :class:`AckedDeliverySink`, which holds
-  unacked matches in a bounded in-flight buffer, retries with capped
+  ``Idempotency-Key`` header) extends :class:`AckedDeliverySink`, which
+  holds unacked matches in a bounded in-flight buffer, retries with capped
   exponential backoff, spills to a dead-letter file after the retry budget,
   and checkpoints the **durably acked** match sequence.  ``flush()`` drains
   the buffer, so by the time the pipeline's snapshot barrier collects
@@ -27,11 +25,11 @@ the file seams already have:
   its checkpoint re-derives the match with the *same* idempotency key, so
   the receiver's dedup makes redelivery invisible.
 
-* **Receivers** — :class:`WebhookReceiver` and :class:`SocketMatchReceiver`
-  are the counterpart processes (tests, the CLI smoke, and a reference for
-  real consumers): they write the raw match JSON line *before* acking and
-  deduplicate by idempotency key, which is what makes the loopback
-  differential byte-identical to a file-source run.
+* **Receiver** — :class:`WebhookReceiver` is the counterpart process
+  (tests, the CLI smoke, and a reference for real consumers): it writes
+  the raw match JSON line *before* acking and deduplicates by idempotency
+  key, which is what makes the loopback differential byte-identical to a
+  file-source run.
 
 Run a receiver or push an event file from the command line::
 
@@ -45,8 +43,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
-import socketserver
 import threading
 import time
 import urllib.error
@@ -61,16 +57,17 @@ from repro.metrics import NetworkMetrics
 from repro.streaming.sinks import MatchSink, match_record
 from repro.streaming.sources import NO_EVENT, CallbackSource
 
-#: Push statuses a :class:`NetworkEventSource` answers (the TCP ack words).
+#: Push statuses a :class:`NetworkEventSource` answers.
 PUSH_ACCEPTED = "accepted"
 PUSH_DUPLICATE = "duplicate"
 PUSH_REJECTED = "rejected"
 PUSH_INVALID = "invalid"
 
-#: Default capacity of the push buffer between the ingress servers and the
-#: pipeline's pull loop.  Deliberately modest: the pipeline's own staging
-#: buffer does the real smoothing; this one exists to surface backpressure
-#: to the network quickly.
+#: Default capacity of the push buffer between the HTTP ingress and the
+#: pipeline's pull loop.  It is the only queue in front of the pipeline
+#: that can refuse an event (the pull loop itself never stages more than a
+#: fill chunk past what it has processed), so its bound is what turns a
+#: producer outrunning detection into 429s.
 DEFAULT_PUSH_CAPACITY = 1024
 
 #: Default in-flight bound of the acked delivery sinks.
@@ -81,7 +78,7 @@ DEFAULT_MAX_IN_FLIGHT = 128
 # Ingestion: the push-buffer source
 # ----------------------------------------------------------------------
 class NetworkEventSource(CallbackSource):
-    """A push-buffer event source fed by the ingress servers.
+    """A bounded push-buffer event source fed by the HTTP ingress.
 
     Producers call :meth:`push_record` from server threads; the pipeline
     pulls through the inherited :class:`CallbackSource` seam (the poll
@@ -95,7 +92,7 @@ class NetworkEventSource(CallbackSource):
       below the cursor was already ingested (this run or a previous one)
       and is dropped as a duplicate before it ever reaches the buffer;
     * ``_floor`` — pop-time dedup: :meth:`skip` (called by a resuming
-      pipeline *after* the servers may have started accepting) raises the
+      pipeline *after* the ingress may have started accepting) raises the
       floor, and buffered events below it are discarded on the way out.
 
     Parameters
@@ -105,7 +102,8 @@ class NetworkEventSource(CallbackSource):
     timestamp_field / type_field:
         Record field names (file-source schema).
     capacity:
-        Push-buffer bound; a full buffer rejects (HTTP) or blocks (TCP).
+        Push-buffer bound; a push into a full buffer is rejected (the
+        ingress answers 429 and the client retries).
     poll_interval:
         How long one idle wait blocks before re-checking for shutdown.
     idle_timeout:
@@ -143,7 +141,6 @@ class NetworkEventSource(CallbackSource):
         self._pending: Deque[Event] = deque()
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
-        self._space = threading.Condition(self._lock)
         self._next_sequence = 0
         self._floor = 0
         self._ended = False
@@ -177,14 +174,11 @@ class NetworkEventSource(CallbackSource):
                 raise StreamingError(f"bad sequence: {sequence} is negative")
         return Event(event_type, timestamp, fields, sequence_number=sequence)
 
-    def push_record(
-        self, record: Mapping[str, Any], block: bool = True, timeout: Optional[float] = None
-    ) -> str:
+    def push_record(self, record: Mapping[str, Any]) -> str:
         """Offer one event record; returns a ``PUSH_*`` status string.
 
-        ``block=True`` (the TCP path) waits for buffer space — backpressure
-        as slow reads; ``block=False`` (the HTTP path) answers
-        :data:`PUSH_REJECTED` immediately so the server can say 429.
+        Never blocks: a full buffer (or an ended stream) answers
+        :data:`PUSH_REJECTED` at once, so the ingress can say 429.
         """
         if not isinstance(record, Mapping):
             self.metrics.events_invalid += 1
@@ -206,24 +200,9 @@ class NetworkEventSource(CallbackSource):
             if event.sequence_number < self._next_sequence:
                 self.metrics.events_duplicate += 1
                 return PUSH_DUPLICATE
-            if self._ended:
+            if self._ended or len(self._pending) >= self.capacity:
                 self.metrics.events_rejected += 1
                 return PUSH_REJECTED
-            deadline = None if timeout is None else self._clock() + timeout
-            while len(self._pending) >= self.capacity:
-                if not block:
-                    self.metrics.events_rejected += 1
-                    return PUSH_REJECTED
-                remaining = self._poll_interval
-                if deadline is not None:
-                    remaining = min(remaining, deadline - self._clock())
-                    if remaining <= 0:
-                        self.metrics.events_rejected += 1
-                        return PUSH_REJECTED
-                self._space.wait(remaining)
-                if self._ended or not self._following:
-                    self.metrics.events_rejected += 1
-                    return PUSH_REJECTED
             self._next_sequence = event.sequence_number + 1
             self._pending.append(event)
             self.metrics.events_accepted += 1
@@ -235,21 +214,18 @@ class NetworkEventSource(CallbackSource):
         with self._lock:
             self._ended = True
             self._available.notify_all()
-            self._space.notify_all()
 
     def stop_following(self) -> None:
         """Graceful-stop hook (the pipeline calls this from ``stop()``)."""
         with self._lock:
             self._following = False
             self._available.notify_all()
-            self._space.notify_all()
 
     # -- consumer side (the pipeline's pull loop) -----------------------
     def _poll_pending(self) -> Optional[Event]:
         with self._lock:
             while self._pending:
                 event = self._pending.popleft()
-                self._space.notify()
                 if event.sequence_number < self._floor:
                     # Buffered before a resume raised the floor: the
                     # checkpoint already covers this event.
@@ -314,7 +290,7 @@ class NetworkEventSource(CallbackSource):
 
 
 # ----------------------------------------------------------------------
-# Ingestion: the wire servers
+# Ingestion: the wire server
 # ----------------------------------------------------------------------
 class HTTPEventIngress:
     """HTTP ingestion endpoint feeding a :class:`NetworkEventSource`.
@@ -389,7 +365,7 @@ class HTTPEventIngress:
             return 400, {"error": str(exc)}
         counts = {PUSH_ACCEPTED: 0, PUSH_DUPLICATE: 0, PUSH_INVALID: 0}
         for index, record in enumerate(records):
-            status = self.source.push_record(record, block=False)
+            status = self.source.push_record(record)
             if status == PUSH_REJECTED:
                 return 429, {
                     "error": "push buffer full",
@@ -464,82 +440,6 @@ def parse_event_payload(body: bytes) -> List[Dict[str, Any]]:
             raise StreamingError(f"line {number}: expected a JSON object")
         records.append(record)
     return records
-
-
-class TCPEventIngress:
-    """Line-protocol TCP ingestion feeding a :class:`NetworkEventSource`.
-
-    One JSON record per line; the server answers ``accepted``,
-    ``duplicate`` or ``invalid`` per line and ``ended`` for the literal
-    line ``END``.  A full push buffer **blocks** the handler before it
-    acks — the client sees its writes stall (TCP flow control), which is
-    the socket world's backpressure signal.
-    """
-
-    def __init__(self, source: NetworkEventSource, host: str = "127.0.0.1", port: int = 0):
-        self.source = source
-        self.host = host
-        self._requested_port = int(port)
-        self._server: Optional[socketserver.ThreadingTCPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    def start(self) -> "TCPEventIngress":
-        if self._server is not None:
-            raise StreamingError("TCP ingress already started")
-        ingress = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                for raw in self.rfile:
-                    line = raw.decode("utf-8", errors="replace").strip()
-                    if not line:
-                        continue
-                    if line == "END":
-                        ingress.source.end_of_stream()
-                        self.wfile.write(b"ended\n")
-                        return
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        record = None
-                    if not isinstance(record, dict):
-                        ingress.source.metrics.events_invalid += 1
-                        self.wfile.write(b"invalid\n")
-                        continue
-                    status = ingress.source.push_record(record, block=True)
-                    self.wfile.write(status.encode("ascii") + b"\n")
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((self.host, self._requested_port), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="tcp-ingress", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "TCPEventIngress":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------
@@ -737,71 +637,11 @@ class WebhookMatchSink(AckedDeliverySink):
             raise StreamingError(f"webhook answered {status}")
 
 
-class SocketMatchSink(AckedDeliverySink):
-    """Deliver matches over a TCP connection with per-match acks.
-
-    Frame: ``<key>\\t<match JSON>\\n``; the receiver answers
-    ``ack <key>\\n`` after durably writing the match.  The key precedes the
-    JSON so the receiver can deduplicate (and the differential test can
-    compare) without re-serialising the record.  Any socket error tears the
-    connection down; the next attempt reconnects.
-    """
-
-    name = "socket"
-
-    def __init__(self, host: str, port: int, timeout: float = 5.0, **kwargs: Any):
-        super().__init__(**kwargs)
-        self.host = host
-        self.port = int(port)
-        self.timeout = float(timeout)
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
-
-    def _connect(self) -> None:
-        if self._sock is None:
-            sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-            self._sock = sock
-            self._reader = sock.makefile("rb")
-
-    def _disconnect(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:
-                pass
-            self._reader = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
-
-    def _send(self, key: str, record: Dict[str, Any]) -> None:
-        try:
-            self._connect()
-            frame = f"{key}\t{json.dumps(record)}\n".encode("utf-8")
-            self._sock.sendall(frame)
-            ack = self._reader.readline().decode("utf-8", errors="replace").strip()
-        except OSError as exc:
-            self._disconnect()
-            raise StreamingError(f"socket delivery failed: {exc}") from exc
-        if ack != f"ack {key}":
-            self._disconnect()
-            raise StreamingError(f"bad ack {ack!r} for {key}")
-
-    def close(self) -> None:
-        try:
-            super().close()
-        finally:
-            self._disconnect()
-
-
 # ----------------------------------------------------------------------
-# Receivers (the consumer side: tests, CLI smoke, reference consumers)
+# Receiver (the consumer side: tests, CLI smoke, reference consumers)
 # ----------------------------------------------------------------------
 class _ReceiverCore:
-    """Shared dedup-and-write logic of both receivers.
+    """The receiver's dedup-and-write logic, shared by its handler threads.
 
     The ordering discipline that makes the hop exactly-once: the match line
     is written and fsynced **before** the ack goes back, and a key seen
@@ -943,81 +783,6 @@ class WebhookReceiver:
         self.stop()
 
 
-class SocketMatchReceiver:
-    """TCP counterpart of :class:`WebhookReceiver` (line frames + acks).
-
-    Accepts ``<key>\\t<json>\\n`` frames, writes the JSON part verbatim on
-    first delivery, answers ``ack <key>\\n`` either way.  ``--fail-first``
-    injects dropped connections before the first success.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fail_first: int = 0,
-    ):
-        self.core = _ReceiverCore(path, fail_first=fail_first)
-        self.host = host
-        self._requested_port = int(port)
-        self._server: Optional[socketserver.ThreadingTCPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    def start(self) -> "SocketMatchReceiver":
-        if self._server is not None:
-            raise StreamingError("socket receiver already started")
-        core = self.core
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                for raw in self.rfile:
-                    line = raw.decode("utf-8", errors="replace").rstrip("\n")
-                    if not line:
-                        continue
-                    key, sep, payload = line.partition("\t")
-                    if not sep:
-                        self.wfile.write(b"err missing frame separator\n")
-                        continue
-                    outcome = core.accept(key, payload)
-                    if outcome == "injected":
-                        return  # drop the connection: the sink reconnects
-                    self.wfile.write(f"ack {key}\n".encode("utf-8"))
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((self.host, self._requested_port), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="socket-receiver", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.core.close()
-
-    def __enter__(self) -> "SocketMatchReceiver":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-
 # ----------------------------------------------------------------------
 # Client helpers (the producer side: tests, CLI, examples)
 # ----------------------------------------------------------------------
@@ -1117,61 +882,18 @@ def push_events_http(
     return totals
 
 
-def push_events_tcp(
-    host: str,
-    port: int,
-    records: Iterable[Dict[str, Any]],
-    end: bool = False,
-    timeout: float = 30.0,
-) -> Dict[str, int]:
-    """Stream event records to a :class:`TCPEventIngress`, one per line.
-
-    Blocks naturally when the server blocks (backpressure as slow acks).
-    Returns per-status counts.
-    """
-    totals = {PUSH_ACCEPTED: 0, PUSH_DUPLICATE: 0, PUSH_INVALID: 0, PUSH_REJECTED: 0}
-    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
-        reader = sock.makefile("rb")
-        for record in records:
-            sock.sendall(json.dumps(record).encode("utf-8") + b"\n")
-            ack = reader.readline().decode("utf-8", errors="replace").strip()
-            if ack in totals:
-                totals[ack] += 1
-            else:
-                raise StreamingError(f"unexpected ack {ack!r}")
-        if end:
-            sock.sendall(b"END\n")
-            ack = reader.readline().decode("utf-8", errors="replace").strip()
-            if ack != "ended":
-                raise StreamingError(f"unexpected end-of-stream ack {ack!r}")
-        reader.close()
-    return totals
-
-
 # ----------------------------------------------------------------------
 # Module CLI: `python -m repro.streaming.net receive|push`
 # ----------------------------------------------------------------------
 def _cmd_receive(options: argparse.Namespace) -> int:
-    if options.mode == "webhook":
-        receiver: Any = WebhookReceiver(
-            options.out,
-            host=options.host,
-            port=options.port,
-            fail_first=options.fail_first,
-        )
-    else:
-        receiver = SocketMatchReceiver(
-            options.out,
-            host=options.host,
-            port=options.port,
-            fail_first=options.fail_first,
-        )
-    receiver.start()
+    receiver = WebhookReceiver(
+        options.out,
+        host=options.host,
+        port=options.port,
+        fail_first=options.fail_first,
+    ).start()
     print(
-        json.dumps(
-            {"mode": options.mode, "host": options.host, "port": receiver.port,
-             "out": options.out}
-        ),
+        json.dumps({"host": options.host, "port": receiver.port, "out": options.out}),
         flush=True,
     )
     try:
@@ -1186,28 +908,20 @@ def _cmd_receive(options: argparse.Namespace) -> int:
 
 def _cmd_push(options: argparse.Namespace) -> int:
     records = read_event_records(options.file, start=options.start, count=options.count)
-    if options.url:
-        totals = push_events_http(
-            options.url, records, batch=options.batch, end=options.end
-        )
-    else:
-        host, _, port = options.tcp.rpartition(":")
-        if not host or not port.isdigit():
-            raise StreamingError(f"--tcp expects HOST:PORT, got {options.tcp!r}")
-        totals = push_events_tcp(host, int(port), records, end=options.end)
+    totals = push_events_http(options.url, records, batch=options.batch, end=options.end)
     print(json.dumps(totals), flush=True)
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.streaming.net",
-        description="Network data-plane utilities: match receivers and event pushers.",
+        description="Network data-plane utilities: the webhook receiver and the "
+        "HTTP event pusher.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    receive = commands.add_parser("receive", help="run a match receiver")
-    receive.add_argument("--mode", choices=("webhook", "socket"), default="webhook")
+    receive = commands.add_parser("receive", help="run a webhook match receiver")
     receive.add_argument("--host", default="127.0.0.1")
     receive.add_argument("--port", type=int, default=0)
     receive.add_argument("--out", required=True, help="output JSONL file")
@@ -1217,18 +931,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     receive.set_defaults(run=_cmd_receive)
 
-    push = commands.add_parser("push", help="push a JSONL event file")
-    target = push.add_mutually_exclusive_group(required=True)
-    target.add_argument("--url", help="HTTP ingress base URL")
-    target.add_argument("--tcp", help="TCP ingress HOST:PORT")
+    push = commands.add_parser("push", help="push a JSONL event file over HTTP")
+    push.add_argument("--url", required=True, help="HTTP ingress base URL")
     push.add_argument("--file", required=True, help="JSONL event file")
     push.add_argument("--start", type=int, default=0, help="skip the first N records")
     push.add_argument("--count", type=int, default=None, help="push at most N records")
     push.add_argument("--batch", type=int, default=100, help="HTTP batch size")
     push.add_argument("--end", action="store_true", help="declare end-of-stream after")
     push.set_defaults(run=_cmd_push)
+    return parser
 
-    options = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    options = build_parser().parse_args(argv)
     return options.run(options)
 
 

@@ -3,12 +3,16 @@
 :class:`StreamingPipeline` wires ``source → engine → sinks`` into a
 long-running, incrementally-fed service:
 
-* events are staged through a :class:`~repro.streaming.buffer.BoundedBuffer`
-  whose overflow policy decides between backpressure and load shedding;
-* with an event-time ordering stage (``max_lateness`` or an explicit
+* :meth:`~StreamingPipeline.run` is the only way in: it pulls the source
+  in chunks of at most :data:`FILL_CHUNK` events, so how far the source
+  runs ahead of the engine is bounded by *not pulling* — a push-style
+  producer goes through a bounded source instead (e.g.
+  :class:`~repro.streaming.net.NetworkEventSource`, whose HTTP ingress
+  answers 429 when full);
+* with an event-time ordering stage (a
   :class:`~repro.streaming.ordering.ReorderBuffer`), out-of-order arrivals
   are buffered and released in timestamp order before they reach the
-  engine, late events are dropped/side-routed/raised per the configured
+  engine, late events are dropped/side-routed/raised per the buffer's
   policy, and the event-time low watermark is propagated to worker
   backends so their deduplication eviction clock follows event time;
 * the engine is fed event-at-a-time (the paper's detection–adaptation loop
@@ -26,10 +30,6 @@ long-running, incrementally-fed service:
   finishes the in-flight event, writes a final checkpoint and flushes the
   sinks.
 
-Two ingestion styles are supported: the pull-driven :meth:`run` loop
-(sources) and the push-style :meth:`submit` / :meth:`drain` pair (for
-callers that receive events from elsewhere and cannot be pulled from).
-
 Where the detection work happens is pluggable: passing an
 :class:`~repro.streaming.workers.ExecutionBackend` instead of a bare
 engine routes events to per-shard worker threads or processes (see
@@ -44,7 +44,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Deque, Iterable, Iterator, List, Optional, Sequence
 
 from repro.engine import Match
 from repro.engine.state import restore_ordering_state, snapshot_ordering_state
@@ -52,7 +52,6 @@ from repro.errors import CheckpointError, StreamingError
 from repro.events import Event, EventStream
 from repro.metrics import PipelineMetrics
 from repro.obs.decisions import CoalescingEmitter, DecisionLog
-from repro.streaming.buffer import Backpressure, BoundedBuffer, OverflowPolicy
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore, DeltaCheckpoint
 from repro.streaming.delta import tracker_degradation
 from repro.streaming.ordering import ReorderBuffer
@@ -60,8 +59,9 @@ from repro.streaming.sinks import MatchSink
 from repro.streaming.sources import EventSource, IterableSource
 from repro.streaming.workers import ExecutionBackend, InlineBackend
 
-#: How many events one fill phase pulls at most (bounds per-iteration latency).
-DEFAULT_FILL_CHUNK = 256
+#: How many events one fill phase pulls at most (bounds per-iteration latency
+#: and how far the source runs ahead of the engine).
+FILL_CHUNK = 256
 
 #: Deltas between two full base snapshots in ``checkpoint_mode="delta"``.
 DEFAULT_CHECKPOINT_FULL_EVERY = 8
@@ -132,18 +132,12 @@ class StreamingPipeline:
         high-cadence checkpointing cheap and shrinks worker-barrier
         hand-offs from O(total state) to O(changed state).  Either mode
         resumes from a store written by the other.
-    buffer_capacity / overflow_policy:
-        The staging buffer between source and engine; the policy decides
-        between backpressure and load shedding when it is full (only
-        reachable through push-style :meth:`submit` — the pull loop stops
-        pulling instead).
-    ordering / max_lateness / late_policy / late_sink:
-        Event-time out-of-order tolerance.  ``max_lateness`` builds a
-        bounded-out-of-orderness :class:`~repro.streaming.ordering.ReorderBuffer`
-        in front of the engine (``late_policy`` one of ``drop`` /
-        ``side-output`` / ``raise``; ``late_sink`` receives side-routed
-        events); pass ``ordering`` directly for punctuated or custom
-        watermarking.  Without either, the source must already be
+    ordering:
+        Event-time out-of-order tolerance: a
+        :class:`~repro.streaming.ordering.ReorderBuffer` in front of the
+        engine (``ReorderBuffer(max_lateness, late_policy=…, late_sink=…)``
+        for bounded disorder, or one built on punctuated/custom
+        watermarks).  Without it the source must already be
         timestamp-ordered (the original contract).
     """
 
@@ -156,14 +150,8 @@ class StreamingPipeline:
         checkpoint_every: int = 0,
         checkpoint_mode: str = "full",
         checkpoint_full_every: int = DEFAULT_CHECKPOINT_FULL_EVERY,
-        buffer_capacity: int = 1024,
-        overflow_policy: Optional[OverflowPolicy] = None,
-        fill_chunk: int = DEFAULT_FILL_CHUNK,
         clock: Callable[[], float] = time.perf_counter,
         ordering: Optional[ReorderBuffer] = None,
-        max_lateness: Optional[float] = None,
-        late_policy: str = "drop",
-        late_sink: Optional[Callable[[Event], None]] = None,
         decision_log: Optional[DecisionLog] = None,
     ):
         self._backend = (
@@ -187,8 +175,6 @@ class StreamingPipeline:
                 f"checkpoint_full_every must be positive, "
                 f"got {checkpoint_full_every!r}"
             )
-        if fill_chunk < 1:
-            raise StreamingError(f"fill_chunk must be positive, got {fill_chunk!r}")
         self._source = (
             source if isinstance(source, EventSource) else IterableSource(source)
         )
@@ -206,17 +192,10 @@ class StreamingPipeline:
         self._base_index: Optional[int] = None
         self._chain_deltas = 0
         self._epoch_seq = 0
-        self._buffer = BoundedBuffer(buffer_capacity, overflow_policy)
-        self._fill_chunk = int(fill_chunk)
+        # Events pulled (and released by the ordering stage) but not yet
+        # processed; ordering checkpoints snapshot it as ``staged``.
+        self._staged: Deque[Event] = deque()
         self._clock = clock
-        if ordering is not None and max_lateness is not None:
-            raise StreamingError(
-                "pass either an ordering buffer or max_lateness, not both"
-            )
-        if ordering is None and max_lateness is not None:
-            ordering = ReorderBuffer(
-                max_lateness, late_policy=late_policy, late_sink=late_sink
-            )
         self._ordering = ordering
         # Event-time high-water mark (max timestamp pulled); the reference
         # the watermark-lag gauge measures disorder against.
@@ -232,15 +211,13 @@ class StreamingPipeline:
         self._running = False
 
         # Observability: the decision log receives a typed record for every
-        # runtime action (coalesced for the per-event shed/late decisions so
-        # the overload path never pays a file write per event).  It is
+        # runtime action (coalesced for the per-event late decisions so
+        # heavy disorder never pays a file write per event).  It is
         # optional and the hot path only ever pays ``is not None`` checks
         # for it.
         self.decision_log = decision_log
-        self._shed_emitter: Optional[CoalescingEmitter] = None
         self._late_emitter: Optional[CoalescingEmitter] = None
         if decision_log is not None:
-            self._shed_emitter = CoalescingEmitter(decision_log, "shed")
             self._late_emitter = CoalescingEmitter(decision_log, "late_event_policy")
         self._attach_observers()
         # Lifecycle state backing the control plane's /ready endpoint:
@@ -275,10 +252,6 @@ class StreamingPipeline:
     @property
     def sinks(self) -> List[MatchSink]:
         return list(self._sinks)
-
-    @property
-    def buffer(self) -> BoundedBuffer:
-        return self._buffer
 
     @property
     def ordering(self) -> Optional[ReorderBuffer]:
@@ -332,17 +305,15 @@ class StreamingPipeline:
     def readiness(self) -> "tuple[bool, str]":
         """Whether the pipeline should receive traffic, and why (not).
 
-        Distinct from liveness: a pipeline replaying a checkpoint chain or
-        saturated under backpressure is *alive* but not *ready* — the
-        control plane's ``/ready`` endpoint answers 503 from this signal
-        so a load balancer routes around the instance without killing it.
+        Distinct from liveness: a pipeline replaying a checkpoint chain is
+        *alive* but not *ready* — the control plane's ``/ready`` endpoint
+        answers 503 from this signal so a load balancer routes around the
+        instance without killing it.
         """
         if self._state == "restoring":
             return False, "restoring from checkpoint"
         if not self._running:
             return False, f"pipeline is not running (state={self._state})"
-        if self._buffer.full and isinstance(self._buffer.policy, Backpressure):
-            return False, "backpressure: staging buffer saturated"
         return True, "ok"
 
     def request_checkpoint(self) -> threading.Event:
@@ -364,12 +335,6 @@ class StreamingPipeline:
     def _record_decision(self, type: str, **detail) -> None:
         if self.decision_log is not None:
             self.decision_log.record(type, **detail)
-
-    def _on_shed(self, event: Event, policy: str) -> None:
-        self._shed_emitter.observe(
-            sample={"type": event.type_name, "timestamp": event.timestamp},
-            policy=policy,
-        )
 
     def _on_late(self, event: Event, policy: str) -> None:
         self._late_emitter.observe(
@@ -423,7 +388,7 @@ class StreamingPipeline:
                     yield from self._iter_controllers(inner)
 
     def _attach_observers(self) -> None:
-        """(Re-)attach decision hooks to the live buffer/ordering/engine.
+        """(Re-)attach decision hooks to the live ordering stage and engine.
 
         Called at construction and again after a checkpoint restore — the
         restore replaces the ordering buffer and the engine state, and the
@@ -432,7 +397,6 @@ class StreamingPipeline:
         """
         if self.decision_log is None:
             return
-        self._buffer.on_shed = self._on_shed
         if self._ordering is not None:
             self._ordering.on_late = self._on_late
         for controller in self._iter_controllers():
@@ -503,13 +467,12 @@ class StreamingPipeline:
             if self._ordering is None:
                 raise CheckpointError(
                     "checkpoint holds an in-flight reorder buffer; resume "
-                    "with an ordering stage (max_lateness / ordering) or "
+                    "with an ordering stage (ordering=ReorderBuffer(...)) or "
                     "clear the store"
                 )
             state = restore_ordering_state(ordering_blob)
             self._ordering = state["ordering"]
-            for event in state.get("staged", ()):
-                self._buffer.force_append(event)
+            self._staged.extend(state.get("staged", ()))
             self._max_event_time = float(state.get("high_water", float("-inf")))
             self.metrics.late_events = self._ordering.late_events
             records = int(getattr(checkpoint, "records_ingested", -1))
@@ -542,7 +505,7 @@ class StreamingPipeline:
             ordering_blob = snapshot_ordering_state(
                 {
                     "ordering": self._ordering,
-                    "staged": self._buffer.snapshot_events(),
+                    "staged": list(self._staged),
                     "high_water": self._max_event_time,
                 }
             )
@@ -621,28 +584,14 @@ class StreamingPipeline:
             self.decision_log.record("checkpoint_cut", **detail)
 
     # ------------------------------------------------------------------
-    # Ingestion (shared by the pull loop and push-style submit)
+    # Ingestion
     # ------------------------------------------------------------------
-    def _stage_released(self, events: Sequence[Event]) -> None:
-        """Move ordering-stage releases into the staging buffer.
-
-        A released event already left the source *and* the reorder buffer,
-        so under the backpressure policy a full staging buffer cannot refuse
-        it — the buffer transiently exceeds its capacity instead (bounded by
-        the reorder occupancy; the pull loop's fill budget still keeps the
-        source from running further ahead).  Drop policies shed per policy,
-        as for sorted ingestion.
-        """
-        for event in events:
-            if not self._buffer.offer(event):
-                self._buffer.force_append(event)
-
     def _ingest(self, event: Event) -> None:
         """Route one arrival through the (optional) ordering stage."""
         self._records_ingested_total += 1
         self.metrics.events_ingested += 1
         if self._ordering is None:
-            self._buffer.offer(event)
+            self._staged.append(event)
             return
         # Lag behind the event-time high-water mark = this arrival's actual
         # disorder (0 when in order) — measured before the event itself can
@@ -660,73 +609,9 @@ class StreamingPipeline:
         self.metrics.observe_watermark_lag(lag, self._ordering.depth)
         self.metrics.late_events = self._ordering.late_events
         if released:
-            self._stage_released(released)
+            self._staged.extend(released)
         if watermark > watermark_before:
             self._backend.advance_watermark(watermark)
-
-    # ------------------------------------------------------------------
-    # Push-style ingestion
-    # ------------------------------------------------------------------
-    def submit(self, event: Event) -> bool:
-        """Offer one event for later processing (push-style ingestion).
-
-        Returns ``False`` when the buffer is full under the backpressure
-        policy — the producer must retry after :meth:`drain`.  Drop
-        policies always return ``True`` and account shed events in
-        :attr:`metrics`.  With an ordering stage the event is always
-        consumed (the reorder buffer absorbs it; shedding applies when the
-        watermark releases it).
-        """
-        if self._ordering is not None:
-            self._ingest(event)
-            self.metrics.observe_queue_depth(self._buffer.depth)
-            return True
-        consumed = self._buffer.offer(event)
-        if consumed:
-            self._records_ingested_total += 1
-            self.metrics.events_ingested += 1
-            self.metrics.observe_queue_depth(self._buffer.depth)
-        return consumed
-
-    def flush_ordering(self) -> int:
-        """Declare end-of-stream to the ordering stage (push-style callers).
-
-        Releases every event still held by the reorder buffer into the
-        staging buffer — in timestamp order — and returns how many were
-        released; a following :meth:`drain` processes them.  The pull-driven
-        :meth:`run` loop does this automatically when the source runs dry.
-        No-op without an ordering stage.
-        """
-        if self._ordering is None or not self._ordering.depth:
-            return 0
-        released = self._ordering.flush()
-        self._stage_released(released)
-        self.metrics.observe_queue_depth(self._buffer.depth)
-        return len(released)
-
-    def drain(self, max_events: Optional[int] = None) -> List[Match]:
-        """Process buffered events now; returns the matches they produced.
-
-        With a worker backend this includes a barrier, so every drained
-        event's matches are returned (not just the ones ready so far).
-        """
-        collected: List[Match] = []
-        processed = 0
-        while len(self._buffer) > 0:
-            if max_events is not None and processed >= max_events:
-                break
-            collected.extend(self._process_one(self._buffer.pop()))
-            processed += 1
-        tail = self._backend.flush()
-        self._emit(tail)
-        collected.extend(tail)
-        self.metrics.events_shed += self._buffer.events_shed
-        self._buffer.events_shed = 0
-        return collected
-
-    def close(self) -> None:
-        """Release backend workers (push-style callers; run() does this)."""
-        self._backend.close()
 
     # ------------------------------------------------------------------
     # The run loop
@@ -743,21 +628,19 @@ class StreamingPipeline:
         self._matches_emitted_total += len(matches)
         self.metrics.matches_emitted += len(matches)
 
-    def _process_one(self, event: Event) -> List[Match]:
+    def _process_one(self, event: Event) -> None:
         started = self._clock()
         self._backend.submit(event)
         self.metrics.engine.observe(self._clock() - started)
         self._events_processed_total += 1
         self.metrics.events_processed += 1
-        matches = self._backend.collect()
-        self._emit(matches)
+        self._emit(self._backend.collect())
         if (
             self._checkpoint_every
             and self._events_processed_total - self._events_at_last_checkpoint
             >= self._checkpoint_every
         ):
             self._write_checkpoint()
-        return matches
 
     def run(
         self,
@@ -822,14 +705,13 @@ class StreamingPipeline:
                     self._service_manual_checkpoints()
 
                 # Fill phase: stage a chunk of events from the source.  The
-                # buffer bounds how far the source can run ahead of the
-                # engine — with the backpressure policy this *is* the
-                # backpressure (we simply stop pulling).
-                budget = min(self._fill_chunk, self._buffer.free)
+                # chunk bounds how far the source can run ahead of the
+                # engine — the loop simply stops pulling until it is drained.
+                budget = FILL_CHUNK
                 if max_events is not None:
                     budget = min(
                         budget,
-                        max_events - processed_this_run - len(self._buffer),
+                        max_events - processed_this_run - len(self._staged),
                     )
                 if budget > 0 and not exhausted:
                     fill_started = self._clock()
@@ -847,24 +729,26 @@ class StreamingPipeline:
                         self._ingest(event)
                     fill_elapsed = self._clock() - fill_started
                     self.metrics.source.observe(fill_elapsed)
-                    self.metrics.observe_queue_depth(self._buffer.depth)
+                    self.metrics.observe_queue_depth(len(self._staged))
 
-                if len(self._buffer) == 0:
+                if not self._staged:
                     if exhausted:
                         # End-of-stream: no more watermarks will arrive, so
                         # release whatever the ordering stage still holds.
-                        if self.flush_ordering():
+                        if self._ordering is not None and self._ordering.depth:
+                            self._staged.extend(self._ordering.flush())
+                            self.metrics.observe_queue_depth(len(self._staged))
                             continue
                         break
                     continue
 
                 # Drain phase: feed the staged events to the engine.
                 while (
-                    len(self._buffer) > 0
+                    self._staged
                     and not self._stop_requested
                     and (max_events is None or processed_this_run < max_events)
                 ):
-                    self._process_one(self._buffer.pop())
+                    self._process_one(self._staged.popleft())
                     processed_this_run += 1
 
             # Barrier: with a worker backend, matches for the last submitted
@@ -883,8 +767,6 @@ class StreamingPipeline:
             self._backend.close()
             self._sample_partial_matches()
 
-            self.metrics.events_shed += self._buffer.events_shed
-            self._buffer.events_shed = 0
             return PipelineResult(
                 events_processed=self.metrics.events_processed - events_before,
                 matches_emitted=self.metrics.matches_emitted - matches_before,
@@ -902,11 +784,9 @@ class StreamingPipeline:
             self._backend.close()
             for sink in self._sinks:
                 sink.close()
-            # Emit the final partial shed/late bursts and unblock any HTTP
-            # thread still waiting on a manual cut the loop will never
-            # service (the run is over; the final checkpoint covered it).
-            if self._shed_emitter is not None:
-                self._shed_emitter.flush()
+            # Emit the final partial late burst and unblock any HTTP thread
+            # still waiting on a manual cut the loop will never service
+            # (the run is over; the final checkpoint covered it).
             if self._late_emitter is not None:
                 self._late_emitter.flush()
             while self._manual_requests:

@@ -30,6 +30,7 @@ from repro.streaming import (
     CheckpointStore,
     JSONLMatchWriter,
     ProcessWorkerBackend,
+    ReorderBuffer,
     ReplaySource,
     StreamingPipeline,
     ThreadWorkerBackend,
@@ -314,7 +315,7 @@ def test_delta_kill_with_nonempty_reorder_buffer(workload, tmp_path):
             checkpoint_every=CHECKPOINT_EVERY,
             checkpoint_mode="delta",
             checkpoint_full_every=FULL_EVERY,
-            max_lateness=slack,
+            ordering=ReorderBuffer(slack),
         )
 
     first = build().run(max_events=173, final_checkpoint=False)
@@ -425,7 +426,7 @@ def test_kill_with_nonempty_reorder_buffer(workload, tmp_path):
             sinks=[JSONLMatchWriter(sink_path)],
             checkpoint_store=store,
             checkpoint_every=CHECKPOINT_EVERY,
-            max_lateness=slack,
+            ordering=ReorderBuffer(slack),
         )
 
     first = build().run(max_events=173, final_checkpoint=False)
@@ -466,7 +467,7 @@ def test_double_kill_with_reorder_buffer(workload, tmp_path):
             sinks=[JSONLMatchWriter(sink_path)],
             checkpoint_store=store,
             checkpoint_every=CHECKPOINT_EVERY,
-            max_lateness=slack,
+            ordering=ReorderBuffer(slack),
         )
 
     build().run(max_events=130, final_checkpoint=False)

@@ -54,6 +54,7 @@ from repro.patterns import seq
 from repro.streaming import (
     CollectorSink,
     ProcessWorkerBackend,
+    ReorderBuffer,
     ReplaySource,
     StreamingPipeline,
     ThreadWorkerBackend,
@@ -280,7 +281,7 @@ def test_disordered_arrival_equals_sorted_reference(
     assert shuffled != events, "the disorder workload must actually be disordered"
     if mode_name in STREAMING_MODES:
         matches = MODES[mode_name](
-            pattern, shuffled, partitioner, max_lateness=DISORDER_SLACK
+            pattern, shuffled, partitioner, ordering=ReorderBuffer(DISORDER_SLACK)
         )
     else:
         matches = MODES[mode_name](

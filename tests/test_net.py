@@ -1,8 +1,8 @@
 """Tests for the network data plane (repro.streaming.net).
 
 The centrepiece is the loopback differential gate: a workload pushed over
-the wire (HTTP and TCP), detected by the pipeline, and delivered through
-an acked network sink must produce a match set byte-identical to the same
+HTTP, detected by the pipeline, and delivered through the acked webhook
+sink must produce a match set byte-identical to the same
 workload served from a file source into a local JSONL sink — including
 through a kill/resume cycle, where re-derived matches are re-sent under
 their original idempotency keys and the receiver's dedup absorbs them.
@@ -33,14 +33,10 @@ from repro.streaming import (
     JSONLFileSource,
     JSONLMatchWriter,
     NetworkEventSource,
-    SocketMatchReceiver,
-    SocketMatchSink,
     StreamingPipeline,
-    TCPEventIngress,
     WebhookMatchSink,
     WebhookReceiver,
     push_events_http,
-    push_events_tcp,
     read_event_records,
     write_events_jsonl,
 )
@@ -100,30 +96,10 @@ class TestNetworkEventSource:
 
     def test_nonblocking_push_rejected_when_full(self):
         source = NetworkEventSource(TYPES, capacity=2)
-        assert source.push_record(_record(0), block=False) == PUSH_ACCEPTED
-        assert source.push_record(_record(1), block=False) == PUSH_ACCEPTED
-        assert source.push_record(_record(2), block=False) == PUSH_REJECTED
-        assert source.metrics.events_rejected == 1
-
-    def test_blocking_push_waits_for_space(self):
-        source = NetworkEventSource(TYPES, capacity=1, poll_interval=0.01)
         assert source.push_record(_record(0)) == PUSH_ACCEPTED
-        done = []
-
-        def push_blocked():
-            done.append(source.push_record(_record(1), block=True))
-
-        thread = threading.Thread(target=push_blocked)
-        thread.start()
-        thread.join(timeout=0.05)
-        assert thread.is_alive(), "push must block while the buffer is full"
-        source.end_of_stream()
-        events = list(source)  # draining frees the slot
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        # The blocked push lands after end_of_stream closed admission.
-        assert done == [PUSH_REJECTED]
-        assert [event.sequence_number for event in events] == [0]
+        assert source.push_record(_record(1)) == PUSH_ACCEPTED
+        assert source.push_record(_record(2)) == PUSH_REJECTED
+        assert source.metrics.events_rejected == 1
 
     def test_skip_drops_buffered_and_future_duplicates(self):
         source = NetworkEventSource(TYPES)
@@ -246,46 +222,6 @@ class TestHTTPEventIngress:
             parse_event_payload(b"")
         with pytest.raises(StreamingError):
             parse_event_payload(b"[1, 2]")
-
-
-class TestTCPEventIngress:
-    def test_push_helper_round_trip_with_acks(self):
-        source = NetworkEventSource(TYPES)
-        with TCPEventIngress(source) as ingress:
-            totals = push_events_tcp(
-                "127.0.0.1",
-                ingress.port,
-                [_record(0), _record(0), _record(1)],
-                end=True,
-            )
-        assert totals[PUSH_ACCEPTED] == 2
-        assert totals[PUSH_DUPLICATE] == 1
-        assert [event.sequence_number for event in source] == [0, 1]
-
-    def test_full_buffer_blocks_the_connection(self):
-        source = NetworkEventSource(TYPES, capacity=2, poll_interval=0.01)
-        totals = {}
-
-        def push_all():
-            totals.update(
-                push_events_tcp(
-                    "127.0.0.1",
-                    ingress.port,
-                    [_record(i) for i in range(6)],
-                    end=True,
-                )
-            )
-
-        with TCPEventIngress(source) as ingress:
-            pusher = threading.Thread(target=push_all)
-            pusher.start()
-            pusher.join(timeout=0.1)
-            assert pusher.is_alive(), "a full buffer must block the TCP pusher"
-            drained = list(source)  # consuming unblocks it
-            pusher.join(timeout=5.0)
-            assert not pusher.is_alive()
-        assert totals[PUSH_ACCEPTED] == 6
-        assert len(drained) == 6
 
 
 # ----------------------------------------------------------------------
@@ -471,30 +407,6 @@ class TestWebhookDelivery:
         assert len(open(out).read().splitlines()) == 1
 
 
-class TestSocketDelivery:
-    def test_reconnects_after_dropped_connection(self, tmp_path):
-        out = str(tmp_path / "delivered.jsonl")
-        matches = _matches(2)
-        receiver = SocketMatchReceiver(out, fail_first=1).start()
-        try:
-            sink = SocketMatchSink(
-                "127.0.0.1", receiver.port, backoff_base=0.001
-            )
-            for match in matches:
-                sink.emit(match)
-            sink.flush()
-            sink.close()
-            assert receiver.core.stats()["received"] == 2
-        finally:
-            receiver.stop()
-        assert sink.metrics.delivery_retries >= 1
-        lines = open(out).read().splitlines()
-        assert [json.loads(line)["pattern"] for line in lines] == [
-            matches[0].pattern_name,
-            matches[1].pattern_name,
-        ]
-
-
 # ----------------------------------------------------------------------
 # Observability wiring
 # ----------------------------------------------------------------------
@@ -584,28 +496,6 @@ class TestLoopbackDifferential:
                     ingress.url, read_event_records(events_path), end=True
                 )
                 StreamingPipeline(_fresh_engine(), source, sinks=[sink]).run()
-        assert totals[PUSH_ACCEPTED] == 400
-        assert _sorted_lines(delivered) == reference
-
-    def test_tcp_push_socket_delivery_matches_file_run(
-        self, wire_workload, tmp_path
-    ):
-        events_path, reference = wire_workload
-        delivered = str(tmp_path / "delivered.jsonl")
-        source = NetworkEventSource(TYPES)
-        receiver = SocketMatchReceiver(delivered).start()
-        try:
-            sink = SocketMatchSink("127.0.0.1", receiver.port)
-            with TCPEventIngress(source) as ingress:
-                totals = push_events_tcp(
-                    "127.0.0.1",
-                    ingress.port,
-                    read_event_records(events_path),
-                    end=True,
-                )
-                StreamingPipeline(_fresh_engine(), source, sinks=[sink]).run()
-        finally:
-            receiver.stop()
         assert totals[PUSH_ACCEPTED] == 400
         assert _sorted_lines(delivered) == reference
 

@@ -41,8 +41,10 @@ from repro.adaptive import InvariantBasedPolicy
 from repro.streaming import (
     CheckpointStore,
     CollectorSink,
+    ReorderBuffer,
     ReplaySource,
     StreamingPipeline,
+    bounded_shuffle,
 )
 
 from tests.conftest import make_camera_stream
@@ -59,7 +61,6 @@ def _fixed_metrics() -> PipelineMetrics:
     m = PipelineMetrics()
     m.events_ingested = 1200
     m.events_processed = 1000
-    m.events_shed = 200
     m.late_events = 7
     m.matches_emitted = 42
     m.checkpoints_written = 3
@@ -156,7 +157,7 @@ class TestPrometheusRendering:
         payload = json.loads(body)
         by_name = {entry["name"]: entry for entry in payload["metrics"]}
         assert by_name["repro_events_ingested_total"]["value"] == 1200.0
-        assert by_name["repro_events_shed_total"]["labels"] == {
+        assert by_name["repro_late_events_total"]["labels"] == {
             "pipeline": "pipeline"
         }
 
@@ -177,13 +178,16 @@ class TestDecisionLog:
     def test_record_and_query_filters(self):
         clock = iter(float(i) for i in range(1, 100))
         log = DecisionLog(clock=lambda: next(clock))
-        log.record("shed", count=5)
+        log.record("late_event_policy", count=5)
         log.record("replan", reason="invariant")
-        log.record("shed", count=2)
-        assert [r.type for r in log.query(type="shed")] == ["shed", "shed"]
+        log.record("late_event_policy", count=2)
+        assert [r.type for r in log.query(type="late_event_policy")] == [
+            "late_event_policy",
+            "late_event_policy",
+        ]
         assert [r.seq for r in log.query(limit=2)] == [2, 3]
         assert [r.seq for r in log.query(since=2.0, until=2.5)] == [2]
-        assert log.counts_by_type() == {"shed": 2, "replan": 1}
+        assert log.counts_by_type() == {"late_event_policy": 2, "replan": 1}
         assert log.last_seq == 3
 
     def test_seq_continues_across_reopen(self, tmp_path):
@@ -203,15 +207,15 @@ class TestDecisionLog:
     def test_reopen_skips_torn_final_line(self, tmp_path):
         path = str(tmp_path / "decisions.jsonl")
         log = DecisionLog(path)
-        log.record("shed", count=1)
-        log.record("shed", count=2)
+        log.record("late_event_policy", count=1)
+        log.record("late_event_policy", count=2)
         log.close()
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"seq": 3, "type": "shed"')  # kill -9 mid-write
+            handle.write('{"seq": 3, "type": "late_event_policy"')  # kill -9 mid-write
         resumed = DecisionLog(path)
         # The torn record never got durable, so its seq is reused.
         assert resumed.last_seq == 2
-        resumed.record("shed", count=3)
+        resumed.record("late_event_policy", count=3)
         resumed.close()
         # The new record starts on its own line (not appended onto the
         # torn garbage), so the persisted trail stays continuous.
@@ -223,7 +227,7 @@ class TestDecisionLog:
         path = str(tmp_path / "decisions.jsonl")
         log = DecisionLog(path, max_bytes=1024)
         for i in range(64):
-            log.record("shed", count=i, padding="x" * 64)
+            log.record("late_event_policy", count=i, padding="x" * 64)
         log.close()
         assert os.path.exists(path + ".1")
         # Post-rotation records are still continuous with the rotated file.
@@ -233,7 +237,7 @@ class TestDecisionLog:
 
     def test_verify_continuity_detects_problems(self):
         def rec(seq):
-            return DecisionRecord(type="shed", time=0.0, seq=seq)
+            return DecisionRecord(type="late_event_policy", time=0.0, seq=seq)
 
         assert verify_continuity([rec(1), rec(2), rec(3)]) == []
         assert "gap" in verify_continuity([rec(1), rec(3)])[0]
@@ -250,14 +254,16 @@ class TestDecisionLog:
 class TestCoalescingEmitter:
     def test_flushes_on_count(self):
         log = DecisionLog()
-        emitter = CoalescingEmitter(log, "shed", flush_every=3, flush_interval=1e9)
+        emitter = CoalescingEmitter(
+            log, "late_event_policy", flush_every=3, flush_interval=1e9
+        )
         for i in range(7):
-            emitter.observe(sample={"event": i}, policy="drop-newest")
-        assert len(log.query(type="shed")) == 2
+            emitter.observe(sample={"event": i}, policy="drop")
+        assert len(log.query(type="late_event_policy")) == 2
         emitter.flush()
-        records = log.query(type="shed")
+        records = log.query(type="late_event_policy")
         assert [r.detail["count"] for r in records] == [3, 3, 1]
-        assert records[0].detail["policy"] == "drop-newest"
+        assert records[0].detail["policy"] == "drop"
         assert records[0].detail["last"] == {"event": 2}
 
     def test_flushes_on_interval(self):
@@ -275,7 +281,7 @@ class TestCoalescingEmitter:
 
     def test_empty_flush_is_a_noop(self):
         log = DecisionLog()
-        assert CoalescingEmitter(log, "shed").flush() is None
+        assert CoalescingEmitter(log, "late_event_policy").flush() is None
         assert len(log.query()) == 0
 
 
@@ -309,24 +315,21 @@ class TestPipelineObservability:
         reasons = store.stats()["reasons"]
         assert reasons.get("shutdown") == 1
 
-    def test_shed_decisions_under_overload(self, camera_pattern, tmp_path):
-        from repro.streaming import DropNewest
-
+    def test_late_event_decisions_account_for_every_late_event(self, camera_pattern):
+        # Disorder beyond the lateness bound: some arrivals must be late.
+        events = bounded_shuffle(make_camera_stream(count=600).to_list(), 4.0, seed=17)
         log = DecisionLog()
-        pipeline = StreamingPipeline(
+        result = StreamingPipeline(
             _fresh_engine(camera_pattern),
-            ReplaySource(make_camera_stream(count=600).to_list()),
+            ReplaySource(events),
             sinks=[CollectorSink()],
-            buffer_capacity=16,
-            overflow_policy=DropNewest(),
+            ordering=ReorderBuffer(0.5),
             decision_log=log,
-        )
-        result = pipeline.run()
-        if result.metrics.events_shed:
-            shed = log.query(type="shed")
-            assert shed, "shed events must produce decision records"
-            assert sum(r.detail["count"] for r in shed) == result.metrics.events_shed
-            assert shed[0].detail["policy"] == "drop-newest"
+        ).run()
+        late = log.query(type="late_event_policy")
+        assert result.metrics.late_events > 0
+        assert sum(r.detail["count"] for r in late) == result.metrics.late_events
+        assert {r.detail["policy"] for r in late} == {"drop"}
 
     def test_manual_checkpoint_requires_running_pipeline(
         self, camera_pattern, tmp_path
@@ -356,7 +359,7 @@ class TestControlPlane:
 
     def test_decisions_endpoint_filters_and_validation(self):
         log = DecisionLog()
-        log.record("shed", count=3)
+        log.record("late_event_policy", count=3)
         log.record("replan", reason="invariant")
         with ControlPlane(decision_log=log) as control:
             status, body = _http_get(f"{control.url}/decisions?type=replan")

@@ -27,6 +27,7 @@ from repro.streaming import (
     BoundedOutOfOrdernessWatermarks,
     CheckpointStore,
     CollectorSink,
+    FILL_CHUNK,
     IterableSource,
     JSONLMatchWriter,
     PayloadWatermarkExtractor,
@@ -282,23 +283,34 @@ class TestPipelineOrdering:
         return sink.matches, result
 
     def test_disordered_stream_equals_sorted_replay(self, camera_pattern):
-        events = make_camera_stream(count=250, seed=8).to_list()
-        reference, _ = self._run(camera_pattern, events)
-        shuffled = bounded_shuffle(events, SLACK, seed=13)
-        disordered, result = self._run(
-            camera_pattern, shuffled, max_lateness=SLACK
-        )
-        assert _records(reference) and _records(disordered) == _records(reference)
-        assert result.metrics.late_events == 0
-        assert result.metrics.watermark_lag.observations == len(events)
-        assert result.metrics.reorder_depth_high_water > 0
+        inputs = [
+            (250, SLACK),
+            # Deep end-of-stream release: the lateness exceeds the stream's
+            # whole time span, so every event is still held at end-of-stream
+            # and released at once — far more than one fill chunk.
+            (3000, 400.0),
+        ]
+        for count, lateness in inputs:
+            events = make_camera_stream(count=count, seed=8).to_list()
+            reference, _ = self._run(camera_pattern, events)
+            shuffled = bounded_shuffle(events, SLACK, seed=13)
+            disordered, result = self._run(
+                camera_pattern, shuffled, ordering=ReorderBuffer(lateness)
+            )
+            assert _records(reference)
+            assert _records(disordered) == _records(reference), count
+            assert result.events_processed == len(events)
+            assert result.metrics.late_events == 0
+            assert result.metrics.watermark_lag.observations == len(events)
+            assert result.metrics.reorder_depth_high_water > 0
+        assert result.metrics.reorder_depth_high_water > FILL_CHUNK
 
     def test_late_events_dropped_and_counted(self, camera_pattern):
         events = make_camera_stream(count=100, seed=9).to_list()
         # Shuffle beyond the tolerance: some events must arrive late.
         shuffled = bounded_shuffle(events, 4.0, seed=17)
         matches, result = self._run(
-            camera_pattern, shuffled, max_lateness=0.5, late_policy="drop"
+            camera_pattern, shuffled, ordering=ReorderBuffer(0.5, late_policy="drop")
         )
         assert result.metrics.late_events > 0
         assert result.events_processed == len(events) - result.metrics.late_events
@@ -308,7 +320,9 @@ class TestPipelineOrdering:
         shuffled = bounded_shuffle(events, 4.0, seed=17)
         with pytest.raises(StreamingError, match="late event"):
             self._run(
-                camera_pattern, shuffled, max_lateness=0.5, late_policy="raise"
+                camera_pattern,
+                shuffled,
+                ordering=ReorderBuffer(0.5, late_policy="raise"),
             )
 
     def test_late_side_output_receives_events(self, camera_pattern):
@@ -318,40 +332,11 @@ class TestPipelineOrdering:
         _, result = self._run(
             camera_pattern,
             shuffled,
-            max_lateness=0.5,
-            late_policy="side-output",
-            late_sink=diverted.append,
+            ordering=ReorderBuffer(
+                0.5, late_policy="side-output", late_sink=diverted.append
+            ),
         )
         assert len(diverted) == result.metrics.late_events > 0
-
-    def test_ordering_and_max_lateness_are_exclusive(self, camera_pattern):
-        with pytest.raises(StreamingError):
-            StreamingPipeline(
-                _sequential_engine(camera_pattern),
-                ReplaySource([]),
-                ordering=ReorderBuffer(1.0),
-                max_lateness=1.0,
-            )
-
-    def test_push_style_submit_flush_drain(self, camera_pattern):
-        events = make_camera_stream(count=120, seed=12).to_list()
-        expected, _ = self._run(camera_pattern, events)
-        pipeline = StreamingPipeline(
-            _sequential_engine(camera_pattern),
-            [],
-            buffer_capacity=512,
-            max_lateness=SLACK,
-        )
-        collected = []
-        try:
-            for event in bounded_shuffle(events, SLACK, seed=29):
-                assert pipeline.submit(event)
-                collected.extend(pipeline.drain())
-            pipeline.flush_ordering()
-            collected.extend(pipeline.drain())
-        finally:
-            pipeline.close()
-        assert _records(collected) == _records(expected)
 
     def test_checkpoint_resume_with_inflight_buffer(self, camera_pattern, tmp_path):
         events = make_camera_stream(count=300, seed=15).to_list()
@@ -367,7 +352,7 @@ class TestPipelineOrdering:
                 sinks=[JSONLMatchWriter(sink_path)],
                 checkpoint_store=store,
                 checkpoint_every=50,
-                max_lateness=SLACK,
+                ordering=ReorderBuffer(SLACK),
             )
 
         first = build().run(max_events=137, final_checkpoint=False)
@@ -394,7 +379,7 @@ class TestPipelineOrdering:
             ReplaySource(shuffled),
             checkpoint_store=store,
             checkpoint_every=40,
-            max_lateness=SLACK,
+            ordering=ReorderBuffer(SLACK),
         ).run(max_events=90, final_checkpoint=False)
         plain = StreamingPipeline(
             _sequential_engine(camera_pattern),

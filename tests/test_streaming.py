@@ -23,15 +23,11 @@ from repro.parallel import (
     match_signature,
 )
 from repro.streaming import (
-    Backpressure,
-    BoundedBuffer,
     CallbackSource,
     Checkpoint,
     CheckpointStore,
     CollectorSink,
     CSVFileSource,
-    DropNewest,
-    DropOldest,
     IterableSource,
     JSONLFileSource,
     JSONLMatchWriter,
@@ -40,7 +36,6 @@ from repro.streaming import (
     RateLimiter,
     ReplaySource,
     StreamingPipeline,
-    overflow_policy_by_name,
     write_events_csv,
     write_events_jsonl,
 )
@@ -431,55 +426,6 @@ class TestSinks:
 
 
 # ----------------------------------------------------------------------
-# Buffering and overflow policies
-# ----------------------------------------------------------------------
-class TestBoundedBuffer:
-    def _event(self, t=0.0):
-        return Event(EventType("A"), t)
-
-    def test_backpressure_refuses_when_full(self):
-        buffer = BoundedBuffer(2, Backpressure())
-        assert buffer.offer(self._event(0))
-        assert buffer.offer(self._event(1))
-        assert not buffer.offer(self._event(2))
-        assert buffer.depth == 2
-        assert buffer.events_shed == 0
-
-    def test_drop_newest_sheds_incoming(self):
-        buffer = BoundedBuffer(2, DropNewest())
-        first, second, third = (self._event(t) for t in (0, 1, 2))
-        assert buffer.offer(first) and buffer.offer(second)
-        assert buffer.offer(third)  # consumed (shed), not buffered
-        assert buffer.snapshot_events() == [first, second]
-        assert buffer.events_shed == 1
-
-    def test_drop_oldest_evicts(self):
-        buffer = BoundedBuffer(2, DropOldest())
-        first, second, third = (self._event(t) for t in (0, 1, 2))
-        buffer.offer(first)
-        buffer.offer(second)
-        assert buffer.offer(third)
-        assert buffer.snapshot_events() == [second, third]
-        assert buffer.events_shed == 1
-
-    def test_high_water_mark(self):
-        buffer = BoundedBuffer(4)
-        for t in range(3):
-            buffer.offer(self._event(t))
-        buffer.pop()
-        assert buffer.high_water == 3
-
-    def test_policy_factory(self):
-        assert isinstance(overflow_policy_by_name("drop-oldest"), DropOldest)
-        with pytest.raises(StreamingError):
-            overflow_policy_by_name("bogus")
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(StreamingError):
-            BoundedBuffer(0)
-
-
-# ----------------------------------------------------------------------
 # Checkpoint store
 # ----------------------------------------------------------------------
 class TestCheckpointStore:
@@ -621,12 +567,7 @@ class TestPipeline:
 
     def test_stop_is_graceful(self):
         events = make_camera_stream(count=300, seed=5).to_list()
-        pipeline = StreamingPipeline(
-            _fresh_engine(_camera_pattern()),
-            events,
-            fill_chunk=16,
-            buffer_capacity=16,
-        )
+        pipeline = StreamingPipeline(_fresh_engine(_camera_pattern()), events)
 
         class StopOnFirstMatch(CollectorSink):
             def emit(self, match):
@@ -659,30 +600,6 @@ class TestPipeline:
         # The fill loop must break as soon as stop() is called instead of
         # pulling a full fill chunk (256) through the source.
         assert pipeline.source.events_emitted <= 8
-
-    def test_submit_and_drain_with_shedding(self):
-        pattern = _camera_pattern()
-        events = make_camera_stream(count=50).to_list()
-        pipeline = StreamingPipeline(
-            _fresh_engine(pattern),
-            [],
-            buffer_capacity=8,
-            overflow_policy=DropNewest(),
-        )
-        accepted = sum(1 for event in events if pipeline.submit(event))
-        assert accepted == len(events)  # drop policy always consumes
-        pipeline.drain()
-        assert pipeline.metrics.events_processed == 8
-        assert pipeline.metrics.events_shed == len(events) - 8
-
-    def test_submit_backpressure_refuses(self):
-        events = make_camera_stream(count=10).to_list()
-        pipeline = StreamingPipeline(
-            _fresh_engine(_camera_pattern()), [], buffer_capacity=4
-        )
-        results = [pipeline.submit(event) for event in events]
-        assert results.count(True) == 4
-        assert results.count(False) == 6
 
     def test_checkpoint_kill_resume_is_exactly_once(self, tmp_path):
         pattern = _camera_pattern()

@@ -366,21 +366,6 @@ class TestPipelineWithWorkers:
         StreamingPipeline(backend, ReplaySource(events), sinks=[sink]).run()
         assert _signatures(sink.matches) == expected
 
-    def test_push_mode_submit_drain(self, backend_name):
-        pattern = _camera_pattern()
-        events = make_camera_stream(count=150, seed=14).to_list()
-        expected = _signatures(_sequential_engine(pattern).run(events).matches)
-        backend = _make_backend(backend_name, _parallel_engine(pattern))
-        pipeline = StreamingPipeline(backend, [], buffer_capacity=512)
-        collected = []
-        try:
-            for event in events:
-                assert pipeline.submit(event)
-            collected = pipeline.drain()
-        finally:
-            pipeline.close()
-        assert _signatures(collected) == expected
-
     def test_checkpoint_kill_resume_with_workers(self, backend_name, tmp_path):
         pattern = _camera_pattern()
         events = make_camera_stream(count=400, seed=11).to_list()
