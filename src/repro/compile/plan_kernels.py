@@ -32,7 +32,7 @@ engine really did recompile rather than deserialize stale kernels.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.compile.columnar import EventBatchColumns
 from repro.compile.index import IndexSpec, find_equality_index_spec
@@ -198,7 +198,7 @@ class CompiledPlanKernels:
             self.local_kernels[variable] = tuple(local_kernels)
 
         self.steps: Optional[List[StepKernels]] = None
-        self.join_kernels: Optional[Dict[int, Tuple[CompiledKernel, ...]]] = None
+        self.join_kernels: Optional[Dict[FrozenSet[str], Tuple[CompiledKernel, ...]]] = None
         if isinstance(plan, OrderBasedPlan):
             self._build_steps(plan)
         elif isinstance(plan, TreeBasedPlan):
@@ -237,19 +237,20 @@ class CompiledPlanKernels:
 
     def _build_joins(self, plan: TreeBasedPlan) -> None:
         conditions = plan.pattern.conditions
-        joins: Dict[int, Tuple[CompiledKernel, ...]] = {}
+        joins: Dict[FrozenSet[str], Tuple[CompiledKernel, ...]] = {}
         for node in plan.internal_nodes_bottom_up():
             left_vars = frozenset(node.left.variables())
             right_vars = frozenset(node.right.variables())
             linking = conditions.conditions_between(left_vars, right_vars)
             # Both orientations: the tree engine keys the kernel lookup by
-            # the node the *new* sub-match arrived at, with that side's
+            # the variables of the node the *new* sub-match arrived at (no
+            # two nodes of a tree cover the same ones), with that side's
             # bindings passed as the left argument.
-            joins[id(node.left)] = tuple(
+            joins[left_vars] = tuple(
                 compile_join_kernel(c, left_vars, right_vars, self._profile_for(c))
                 for c in linking
             )
-            joins[id(node.right)] = tuple(
+            joins[right_vars] = tuple(
                 compile_join_kernel(c, right_vars, left_vars, self._profile_for(c))
                 for c in linking
             )
@@ -318,9 +319,12 @@ class CompiledPlanKernels:
 
         return extend
 
-    def evaluate_join(self, node_id: int, left_bindings, right_bindings, collector, now) -> bool:
-        """The conditions linking a node's sub-match to its sibling's."""
-        kernels = self.join_kernels.get(node_id, ())
+    def evaluate_join(
+        self, side: FrozenSet[str], left_bindings, right_bindings, collector, now
+    ) -> bool:
+        """The conditions linking a sub-match at the node covering ``side``
+        to its sibling's."""
+        kernels = self.join_kernels.get(side, ())
         if collector is None:
             for kernel in kernels:
                 if not kernel.fn(left_bindings, right_bindings):

@@ -12,7 +12,7 @@ expansion, shared with the NFA engine).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.compile import EventBatchColumns
 from repro.engine.base import EvaluationEngine
@@ -29,19 +29,21 @@ from repro.statistics import StatisticsCollector
 
 
 class _NodeStore:
-    """Runtime state attached to one plan-tree node."""
+    """Runtime state attached to one plan-tree node.
 
-    __slots__ = ("node", "parent", "sibling", "matches")
+    Stores link to their parent's and sibling's stores directly, and the
+    compiled join kernels are looked up by the node's variables, so a
+    pickled (checkpointed) engine restores with its tree intact: nothing
+    is keyed by object identity.
+    """
 
-    def __init__(
-        self,
-        node: TreePlanNode,
-        parent: Optional[TreeInternalNode],
-        sibling: Optional[TreePlanNode],
-    ):
+    __slots__ = ("node", "variables", "parent", "sibling", "matches")
+
+    def __init__(self, node: TreePlanNode, parent: Optional["_NodeStore"]):
         self.node = node
+        self.variables = frozenset(node.variables())
         self.parent = parent
-        self.sibling = sibling
+        self.sibling: Optional[_NodeStore] = None
         self.matches: List[PartialMatch] = []
 
 
@@ -60,11 +62,9 @@ class TreeEvaluationEngine(EvaluationEngine):
             raise EngineError("TreeEvaluationEngine requires a TreeBasedPlan")
         super().__init__(plan.pattern, collector, profiler, compile_mode)
         self.plan = plan
-        self._stores: Dict[int, _NodeStore] = {}
-        self._leaf_by_type: Dict[str, List[TreeLeaf]] = {}
-        self._build_stores(plan.root, parent=None, sibling=None)
-        for leaf in plan.leaves():
-            self._leaf_by_type.setdefault(leaf.type_name, []).append(leaf)
+        self._stores: List[_NodeStore] = []
+        self._leaf_stores_by_type: Dict[str, List[_NodeStore]] = {}
+        self._build_stores(plan.root, parent=None)
         window = plan.pattern.window
         self._expiry_interval = (
             window * expiry_interval_fraction if window != float("inf") else float("inf")
@@ -72,22 +72,22 @@ class TreeEvaluationEngine(EvaluationEngine):
         self._last_expiry = float("-inf")
         self._compile_plan()
 
-    def _build_stores(
-        self,
-        node: TreePlanNode,
-        parent: Optional[TreeInternalNode],
-        sibling: Optional[TreePlanNode],
-    ) -> None:
-        self._stores[id(node)] = _NodeStore(node, parent, sibling)
+    def _build_stores(self, node: TreePlanNode, parent: Optional[_NodeStore]) -> _NodeStore:
+        store = _NodeStore(node, parent)
+        self._stores.append(store)
         if isinstance(node, TreeInternalNode):
-            self._build_stores(node.left, parent=node, sibling=node.right)
-            self._build_stores(node.right, parent=node, sibling=node.left)
+            left = self._build_stores(node.left, parent=store)
+            right = self._build_stores(node.right, parent=store)
+            left.sibling, right.sibling = right, left
+        elif isinstance(node, TreeLeaf):
+            self._leaf_stores_by_type.setdefault(node.type_name, []).append(store)
+        return store
 
     # ------------------------------------------------------------------
     # EvaluationEngine interface
     # ------------------------------------------------------------------
     def partial_match_count(self) -> int:
-        return sum(len(store.matches) for store in self._stores.values())
+        return sum(len(store.matches) for store in self._stores)
 
     def state_occupancy(self) -> Dict[str, int]:
         return {
@@ -101,7 +101,7 @@ class TreeEvaluationEngine(EvaluationEngine):
         if window == float("inf"):
             return
         cutoff = now - window
-        for store in self._stores.values():
+        for store in self._stores:
             store.matches = [
                 pm
                 for pm in store.matches
@@ -133,7 +133,8 @@ class TreeEvaluationEngine(EvaluationEngine):
 
         compiled = self._compiled
         matches: List[Match] = []
-        for leaf in self._leaf_by_type.get(event.type_name, ()):
+        for store in self._leaf_stores_by_type.get(event.type_name, ()):
+            leaf = store.node
             if verdicts is not None:
                 held = verdicts[leaf.variable][row]
             elif compiled is not None:
@@ -149,7 +150,7 @@ class TreeEvaluationEngine(EvaluationEngine):
                 continue
             leaf_match = PartialMatch.of(leaf.variable, event)
             self.counters.partial_matches_created += 1
-            matches.extend(self._store_and_propagate(leaf, leaf_match, now))
+            matches.extend(self._store_and_propagate(store, leaf_match, now))
         if self.profiler is not None:
             self.profiler.observe_population(self.partial_match_count())
         return matches
@@ -158,13 +159,12 @@ class TreeEvaluationEngine(EvaluationEngine):
     # Propagation
     # ------------------------------------------------------------------
     def _store_and_propagate(
-        self, node: TreePlanNode, partial: PartialMatch, now: float
+        self, store: _NodeStore, partial: PartialMatch, now: float
     ) -> List[Match]:
-        """Store a new sub-match at ``node`` and join it up the tree."""
-        store = self._stores[id(node)]
+        """Store a new sub-match at ``store``'s node and join it up the tree."""
         emitted: List[Match] = []
-
-        if store.parent is None:
+        parent = store.parent
+        if parent is None:
             # The node is the root: the sub-match covers all positive items.
             match = self._finalize(partial, now)
             if match is not None:
@@ -172,29 +172,28 @@ class TreeEvaluationEngine(EvaluationEngine):
             return emitted
 
         store.matches.append(partial)
-        sibling_store = self._stores[id(store.sibling)]
-        parent_node = store.parent
         profiler = self.profiler
-        node_id = id(node)
-        for sibling_match in sibling_store.matches:
-            joined = self._try_join(partial, sibling_match, now, node_id)
+        side = store.variables
+        for sibling_match in store.sibling.matches:
+            joined = self._try_join(partial, sibling_match, now, side)
             if profiler is not None:
                 profiler.record_edge(
-                    "join[" + ",".join(parent_node.variables()) + "]",
+                    "join[" + ",".join(parent.node.variables()) + "]",
                     joined is not None,
                 )
             if joined is not None:
-                emitted.extend(self._store_and_propagate(parent_node, joined, now))
+                emitted.extend(self._store_and_propagate(parent, joined, now))
         return emitted
 
     def _try_join(
-        self, left: PartialMatch, right: PartialMatch, now: float, node_id: int
+        self, left: PartialMatch, right: PartialMatch, now: float, side: FrozenSet[str]
     ) -> Optional[PartialMatch]:
         """Join two sibling sub-matches if all constraints hold.
 
-        ``left`` is the sub-match that just arrived at the node identified
-        by ``node_id``; in compiled mode that id selects the pre-lowered
-        join kernels oriented with ``left``'s variables on the left side.
+        ``left`` is the sub-match that just arrived at the node covering
+        the variables ``side``; in compiled mode they select the
+        pre-lowered join kernels oriented with ``left``'s variables on the
+        left side.
         """
         self.counters.extension_attempts += 1
         span_min = min(
@@ -214,7 +213,7 @@ class TreeEvaluationEngine(EvaluationEngine):
         compiled = self._compiled
         if compiled is not None:
             if not compiled.evaluate_join(
-                node_id, left.bindings, right.bindings, self.collector, now
+                side, left.bindings, right.bindings, self.collector, now
             ):
                 return None
         elif not evaluate_join_conditions(
@@ -232,7 +231,7 @@ class TreeEvaluationEngine(EvaluationEngine):
         """Number of stored sub-matches per tree node (keyed by its variables)."""
         return {
             store.node.variables(): len(store.matches)
-            for store in self._stores.values()
+            for store in self._stores
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

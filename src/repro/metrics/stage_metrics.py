@@ -33,6 +33,13 @@ class StageTiming:
         if seconds > self.max_seconds:
             self.max_seconds = seconds
 
+    def observe_many(self, count: int, total_seconds: float, max_seconds: float) -> None:
+        """Account ``count`` observations at once, given their sum and maximum."""
+        self.observations += count
+        self.total_seconds += total_seconds
+        if max_seconds > self.max_seconds:
+            self.max_seconds = max_seconds
+
     @property
     def mean_seconds(self) -> float:
         if self.observations == 0:
@@ -203,9 +210,12 @@ class PipelineMetrics:
             return 0.0
         return self.checkpoint_bytes_written / self.checkpoints_written
 
-    def observe_watermark_lag(self, lag: float, reorder_depth: int) -> None:
-        """Record one arrival's event-time lag and the reorder occupancy."""
-        self.watermark_lag.observe(lag)
+    def observe_watermark_lags(
+        self, arrivals: int, lag_total: float, lag_max: float, reorder_depth: int
+    ) -> None:
+        """Record a run of arrivals: the sum and maximum of their event-time
+        lags, and the highest reorder occupancy any of them left behind."""
+        self.watermark_lag.observe_many(arrivals, lag_total, lag_max)
         if reorder_depth > self.reorder_depth_high_water:
             self.reorder_depth_high_water = reorder_depth
 

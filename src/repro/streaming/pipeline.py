@@ -3,23 +3,30 @@
 :class:`StreamingPipeline` wires ``source → engine → sinks`` into a
 long-running, incrementally-fed service:
 
-* :meth:`~StreamingPipeline.run` is the only way in: it pulls the source
-  in chunks of at most :data:`FILL_CHUNK` events, so how far the source
+* :meth:`~StreamingPipeline.run` is the only way in: it alternates one
+  *fill* pass, which pulls at most :data:`FILL_CHUNK` events from the
+  source (through the ordering stage, if any) into a staging queue, with
+  one *drain* pass, which submits the staged events; how far the source
   runs ahead of the engine is bounded by *not pulling* — a push-style
   producer goes through a bounded source instead (e.g.
   :class:`~repro.streaming.net.NetworkEventSource`, whose HTTP ingress
-  answers 429 when full);
+  answers 429 when full).  Per-arrival gauges (watermark lag, reorder
+  depth) are summed during a fill and written once at its end; file
+  sources decode their input a block of lines at a time
+  (:mod:`repro.streaming.sources`);
 * with an event-time ordering stage (a
   :class:`~repro.streaming.ordering.ReorderBuffer`), out-of-order arrivals
   are buffered and released in timestamp order before they reach the
   engine, late events are dropped/side-routed/raised per the buffer's
   policy, and the event-time low watermark is propagated to worker
   backends so their deduplication eviction clock follows event time;
-* the engine is fed event-at-a-time (the paper's detection–adaptation loop
-  is untouched — the pipeline only changes *how events arrive*, never how
-  they are evaluated), so a pipeline over a recorded stream produces
-  exactly the matches of a batch :meth:`~repro.engine.AdaptiveCEPEngine.run`;
-* matches are delivered to every sink as they are emitted;
+* the drain still feeds the engine event-at-a-time (the paper's
+  detection–adaptation loop is untouched — the pipeline only changes *how
+  events arrive*, never how they are evaluated), so a pipeline over a
+  recorded stream produces exactly the matches of a batch
+  :meth:`~repro.engine.AdaptiveCEPEngine.run`;
+* matches are delivered to every sink as they are emitted, before the next
+  event is submitted;
 * with a :class:`~repro.streaming.checkpoint.CheckpointStore`, the engine
   state, source offset and sink positions are snapshotted every
   ``checkpoint_every`` events, and a new pipeline pointed at the same
@@ -584,38 +591,110 @@ class StreamingPipeline:
             self.decision_log.record("checkpoint_cut", **detail)
 
     # ------------------------------------------------------------------
-    # Ingestion
+    # Fill and drain
     # ------------------------------------------------------------------
-    def _ingest(self, event: Event) -> None:
-        """Route one arrival through the (optional) ordering stage."""
-        self._records_ingested_total += 1
-        self.metrics.events_ingested += 1
-        if self._ordering is None:
-            self._staged.append(event)
-            return
-        # Lag behind the event-time high-water mark = this arrival's actual
-        # disorder (0 when in order) — measured before the event itself can
-        # raise the mark.
-        lag = (
-            max(0.0, self._max_event_time - event.timestamp)
-            if self._max_event_time != float("-inf")
-            else 0.0
-        )
-        if event.timestamp > self._max_event_time:
-            self._max_event_time = event.timestamp
-        watermark_before = self._ordering.watermark
-        released = self._ordering.push(event)
-        watermark = self._ordering.watermark
-        self.metrics.observe_watermark_lag(lag, self._ordering.depth)
-        self.metrics.late_events = self._ordering.late_events
-        if released:
-            self._staged.extend(released)
-        if watermark > watermark_before:
-            self._backend.advance_watermark(watermark)
+    def _fill(self, iterator: Iterator[Event], budget: int) -> bool:
+        """Pull up to ``budget`` arrivals through the (optional) ordering
+        stage into the staging queue; returns whether the source ran dry.
 
-    # ------------------------------------------------------------------
-    # The run loop
-    # ------------------------------------------------------------------
+        No event is submitted during a fill, so the arrivals' lag and
+        reorder-depth gauges, the late count and the backend's event-time
+        watermark are written once, when the fill ends: every submit still
+        sees the watermark a per-arrival update would have given it.
+        """
+        staged = self._staged
+        ordering = self._ordering
+        if ordering is not None:
+            push = ordering.push
+            watermark_before = ordering.watermark
+        high = self._max_event_time
+        lag_total = lag_max = 0.0
+        depth_high = 0
+        pulled = 0
+        exhausted = False
+        started = self._clock()
+        for _ in range(budget):
+            # Honour stop() mid-fill: a rate-limited source paces every pull,
+            # so finishing the chunk could stall the shutdown for seconds.
+            if self._stop_requested:
+                break
+            try:
+                event = next(iterator)
+            except StopIteration:
+                exhausted = True
+                break
+            pulled += 1
+            if ordering is None:
+                staged.append(event)
+                continue
+            # Lag behind the event-time high-water mark = this arrival's
+            # actual disorder (0 when in order) — measured before the event
+            # itself can raise the mark.
+            timestamp = event.timestamp
+            if timestamp < high:
+                lag = high - timestamp
+                lag_total += lag
+                if lag > lag_max:
+                    lag_max = lag
+            elif timestamp > high:
+                high = timestamp
+            released = push(event)
+            if released:
+                staged.extend(released)
+            depth = ordering.depth
+            if depth > depth_high:
+                depth_high = depth
+        if ordering is not None:
+            self._max_event_time = high
+            self.metrics.observe_watermark_lags(pulled, lag_total, lag_max, depth_high)
+            self.metrics.late_events = ordering.late_events
+            watermark = ordering.watermark
+            if watermark > watermark_before:
+                self._backend.advance_watermark(watermark)
+        self._records_ingested_total += pulled
+        self.metrics.events_ingested += pulled
+        self.metrics.source.observe(self._clock() - started)
+        self.metrics.observe_queue_depth(len(staged))
+        return exhausted
+
+    def _drain(self, limit: int) -> int:
+        """Submit the first ``limit`` staged events (at most as many as are
+        staged) to the backend, one at a time; returns how many were
+        submitted — fewer when :meth:`stop` interrupts the drain.
+
+        Every event's matches reach the sinks before the next event is
+        submitted, and a checkpoint is cut as soon as the cadence is due.
+        """
+        staged = self._staged
+        submit = self._backend.submit
+        collect = self._backend.collect
+        clock = self._clock
+        every = self._checkpoint_every
+        due = self._events_at_last_checkpoint + every
+        engine_total = engine_max = 0.0
+        fed = 0
+        for _ in range(limit):
+            if self._stop_requested:
+                break
+            event = staged.popleft()
+            started = clock()
+            submit(event)
+            elapsed = clock() - started
+            engine_total += elapsed
+            if elapsed > engine_max:
+                engine_max = elapsed
+            fed += 1
+            self._events_processed_total += 1
+            matches = collect()
+            if matches:
+                self._emit(matches)
+            if every and self._events_processed_total >= due:
+                self._write_checkpoint()
+                due = self._events_at_last_checkpoint + every
+        self.metrics.engine.observe_many(fed, engine_total, engine_max)
+        self.metrics.events_processed += fed
+        return fed
+
     def _emit(self, matches: List[Match]) -> None:
         """Deliver matches to every sink and account for them."""
         if not matches:
@@ -628,20 +707,9 @@ class StreamingPipeline:
         self._matches_emitted_total += len(matches)
         self.metrics.matches_emitted += len(matches)
 
-    def _process_one(self, event: Event) -> None:
-        started = self._clock()
-        self._backend.submit(event)
-        self.metrics.engine.observe(self._clock() - started)
-        self._events_processed_total += 1
-        self.metrics.events_processed += 1
-        self._emit(self._backend.collect())
-        if (
-            self._checkpoint_every
-            and self._events_processed_total - self._events_at_last_checkpoint
-            >= self._checkpoint_every
-        ):
-            self._write_checkpoint()
-
+    # ------------------------------------------------------------------
+    # The run loop
+    # ------------------------------------------------------------------
     def run(
         self,
         max_events: Optional[int] = None,
@@ -714,22 +782,7 @@ class StreamingPipeline:
                         max_events - processed_this_run - len(self._staged),
                     )
                 if budget > 0 and not exhausted:
-                    fill_started = self._clock()
-                    for _ in range(budget):
-                        # Honour stop() mid-fill: a rate-limited source paces
-                        # every pull, so finishing the chunk could stall the
-                        # shutdown for seconds.
-                        if self._stop_requested:
-                            break
-                        try:
-                            event = next(iterator)
-                        except StopIteration:
-                            exhausted = True
-                            break
-                        self._ingest(event)
-                    fill_elapsed = self._clock() - fill_started
-                    self.metrics.source.observe(fill_elapsed)
-                    self.metrics.observe_queue_depth(len(self._staged))
+                    exhausted = self._fill(iterator, budget)
 
                 if not self._staged:
                     if exhausted:
@@ -743,13 +796,10 @@ class StreamingPipeline:
                     continue
 
                 # Drain phase: feed the staged events to the engine.
-                while (
-                    self._staged
-                    and not self._stop_requested
-                    and (max_events is None or processed_this_run < max_events)
-                ):
-                    self._process_one(self._staged.popleft())
-                    processed_this_run += 1
+                limit = len(self._staged)
+                if max_events is not None:
+                    limit = min(limit, max_events - processed_this_run)
+                processed_this_run += self._drain(limit)
 
             # Barrier: with a worker backend, matches for the last submitted
             # events may still be in flight — wait for them and deliver.

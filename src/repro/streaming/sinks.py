@@ -22,10 +22,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import Match
 from repro.errors import CheckpointError, StreamingError
+from repro.events import Event
+
+#: Events whose JSON encoding a :class:`JSONLMatchWriter` keeps for reuse.
+#: Matches of one window share events, so a short memory catches most
+#: repeats; the cache is emptied whenever it fills.
+FRAGMENT_CACHE = 1024
 
 
 class MatchSink:
@@ -93,6 +100,16 @@ class CollectorSink(MatchSink):
         return len(self.matches)
 
 
+def event_entry(event: Event) -> Dict[str, Any]:
+    """The record one bound event is written as inside a match record."""
+    return {
+        "type": event.type_name,
+        "timestamp": event.timestamp,
+        "sequence": event.sequence_number,
+        "payload": event.payload,
+    }
+
+
 def match_record(match: Match) -> Dict[str, Any]:
     """JSON-serialisable representation of one match.
 
@@ -100,15 +117,6 @@ def match_record(match: Match) -> Dict[str, Any]:
     together with the file sources' deterministic sequence numbers this
     makes two runs over the same input byte-comparable.
     """
-
-    def event_entry(event) -> Dict[str, Any]:
-        return {
-            "type": event.type_name,
-            "timestamp": event.timestamp,
-            "sequence": event.sequence_number,
-            "payload": event.payload,
-        }
-
     bindings: Dict[str, Any] = {}
     for variable in sorted(match.bindings):
         value = match.bindings[variable]
@@ -127,6 +135,11 @@ def match_record(match: Match) -> Dict[str, Any]:
 class JSONLMatchWriter(MatchSink):
     """Append matches to a JSON-lines file.
 
+    Each line is ``json.dumps(match_record(match))``, assembled from
+    per-event JSON fragments: a bound event is encoded once and its
+    fragment reused by every later match it appears in, for as long as the
+    :data:`FRAGMENT_CACHE`-entry cache remembers it.
+
     The sink tracks its byte offset after every line; that offset is the
     checkpoint state, and :meth:`restore` truncates the file back to it —
     withdrawing matches that will be re-derived by the resumed pipeline.
@@ -143,6 +156,9 @@ class JSONLMatchWriter(MatchSink):
         # a checkpoint cut after close() must still record the real
         # position, or a later restore would truncate the whole file.
         self._last_offset = 0
+        # id(event) -> (event, fragment); holding the event keeps its id
+        # from passing to another object while the entry lives.
+        self._fragments: Dict[int, Tuple[Event, str]] = {}
 
     def open(self) -> None:
         if self._handle is None:
@@ -155,8 +171,39 @@ class JSONLMatchWriter(MatchSink):
                 f"JSONLMatchWriter({self.path!r}) is not open; call open() "
                 "first (the pipeline does this automatically)"
             )
-        self._handle.write(json.dumps(match_record(match)) + "\n")
+        self._handle.write(self._line(match))
         self.matches_written += 1
+
+    def _fragment(self, event: Event) -> str:
+        """``json.dumps(event_entry(event))``, encoded once per cached event."""
+        entry = self._fragments.get(id(event))
+        if entry is not None:
+            return entry[1]
+        if len(self._fragments) >= FRAGMENT_CACHE:
+            self._fragments.clear()
+        fragment = json.dumps(event_entry(event))
+        self._fragments[id(event)] = (event, fragment)
+        return fragment
+
+    def _line(self, match: Match) -> str:
+        """``json.dumps(match_record(match)) + "\\n"``, from cached fragments."""
+        fragment = self._fragment
+        bindings = match.bindings
+        encoded = []
+        for variable in sorted(bindings):
+            value = bindings[variable]
+            if isinstance(value, list):
+                body = "[" + ", ".join([fragment(event) for event in value]) + "]"
+            else:
+                body = fragment(value)
+            encoded.append(encode_basestring_ascii(variable) + ": " + body)
+        pattern_id = getattr(match, "pattern_id", None) or match.pattern_name
+        return (
+            '{"pattern": ' + encode_basestring_ascii(match.pattern_name)
+            + ', "pattern_id": ' + encode_basestring_ascii(pattern_id)
+            + ', "detection_time": ' + json.dumps(match.detection_time)
+            + ', "bindings": {' + ", ".join(encoded) + "}}\n"
+        )
 
     def flush(self) -> None:
         if self._handle is not None:

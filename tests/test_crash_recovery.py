@@ -23,7 +23,7 @@ from repro.conditions import AndCondition, EqualityCondition
 from repro.engine import AdaptiveCEPEngine
 from repro.engine.state import restore_ordering_state
 from repro.events import EventType
-from repro.optimizer import GreedyOrderPlanner
+from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
 from repro.parallel import BroadcastPartitioner, KeyPartitioner, ParallelCEPEngine
 from repro.patterns import seq
 from repro.streaming import (
@@ -503,5 +503,51 @@ def test_inline_checkpoint_resumes_on_worker_backend(workload, tmp_path):
         pattern, events, sink_path, store, ProcessWorkerBackend, BroadcastPartitioner()
     ).run()
     assert second.resumed_from == 200 - (200 % CHECKPOINT_EVERY)
+    served = sorted(line for line in open(sink_path).read().splitlines() if line)
+    assert served == expected
+
+
+@pytest.mark.parametrize(
+    "checkpoint_mode, kill_at",
+    [("full", offset) for offset in _fuzz_offsets()[:3]]
+    + [("delta", offset) for offset in _fuzz_offsets()[3::3]],
+)
+def test_tree_planner_kill_resume(workload, tmp_path, checkpoint_mode, kill_at):
+    """The tree engine's node stores survive a kill and resume.
+
+    Served through an inline adaptive engine on the ZStream tree planner:
+    the resumed engine is an unpickled one, so every store must be reached
+    through the restored tree, not through pre-kill object identities.
+    """
+    pattern, events, expected = workload
+    sink_path = str(tmp_path / "matches-tree.jsonl")
+    store = CheckpointStore(str(tmp_path / "ckpt-tree"))
+
+    def engine():
+        return AdaptiveCEPEngine(
+            pattern, ZStreamTreePlanner(), InvariantBasedPolicy(), compile_mode="compiled"
+        )
+
+    tree_expected = sorted(
+        json.dumps(match_record(match)) for match in engine().run(events).matches
+    )
+    assert tree_expected == expected
+
+    def build():
+        return StreamingPipeline(
+            engine(),
+            ReplaySource(events),
+            sinks=[JSONLMatchWriter(sink_path)],
+            checkpoint_store=store,
+            checkpoint_every=CHECKPOINT_EVERY,
+            checkpoint_mode=checkpoint_mode,
+            checkpoint_full_every=FULL_EVERY,
+        )
+
+    first = build().run(max_events=kill_at, final_checkpoint=False)
+    assert first.stop_reason == "max-events"
+    second = build().run()
+    assert second.resumed_from == (kill_at // CHECKPOINT_EVERY) * CHECKPOINT_EVERY
+    assert second.total_events_processed == len(events)
     served = sorted(line for line in open(sink_path).read().splitlines() if line)
     assert served == expected

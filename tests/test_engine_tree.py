@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
-from repro.conditions import AndCondition, AttributeThresholdCondition, EqualityCondition
-from repro.engine import LazyNFAEngine, TreeEvaluationEngine
+from repro.adaptive import InvariantBasedPolicy
+from repro.conditions import (
+    AndCondition,
+    AttributeComparisonCondition,
+    AttributeThresholdCondition,
+    EqualityCondition,
+)
+from repro.engine import AdaptiveCEPEngine, LazyNFAEngine, TreeEvaluationEngine
+from repro.engine.state import restore_engine, snapshot_engine
 from repro.errors import EngineError
 from repro.events import Event, EventType
 from repro.patterns import Pattern, PatternItem, PatternOperator, conjunction, seq
 from repro.plans import OrderBasedPlan, TreeBasedPlan
+from repro.optimizer import ZStreamTreePlanner
 from repro.statistics import StatisticsCollector
+from repro.streaming.sinks import match_record
 
 from tests.conftest import brute_force_sequence_matches, make_camera_stream
 
@@ -215,3 +227,74 @@ class TestNegationAndKleene:
         )
         assert len(matches) == 1
         assert len(matches[0]["k"]) == 2
+
+
+class TestRestoreAndContinue:
+    """A checkpointed tree engine resumes exactly where it stopped."""
+
+    TYPES = [EventType(f"S{i}") for i in range(5)]
+
+    def pattern(self):
+        variables = "abcd"
+        conditions = [
+            AttributeThresholdCondition(variable, "load", "<", 0.6) for variable in variables
+        ]
+        conditions += [
+            AttributeComparisonCondition(first, f"level{i}", "<", second, f"level{i}")
+            for i, (first, second) in enumerate(zip(variables, variables[1:]))
+        ]
+        items = [PatternItem(v, t) for v, t in zip(variables, self.TYPES)]
+        return Pattern(
+            PatternOperator.CONJUNCTION, items, condition=AndCondition(conditions), window=1.0
+        )
+
+    def stream(self, count=1500, seed=5):
+        rng = random.Random(seed)
+        events, t = [], 0.0
+        for index in range(count):
+            t += rng.expovariate(20.0)
+            payload = {"load": rng.random()}
+            payload.update({f"level{i}": rng.gauss(50.0, 20.0) for i in range(3)})
+            events.append(Event(rng.choice(self.TYPES), t, payload, sequence_number=index))
+        return events
+
+    def lines(self, engine, events):
+        return [json.dumps(match_record(m)) for event in events for m in engine.process(event)]
+
+    @pytest.mark.parametrize("compile_mode", ["interpreted", "compiled", "indexed"])
+    def test_tree_engine_resumes_byte_identical(self, compile_mode):
+        pattern, events = self.pattern(), self.stream()
+
+        def build():
+            return TreeEvaluationEngine(
+                TreeBasedPlan.left_deep(pattern), compile_mode=compile_mode
+            )
+
+        expected = self.lines(build(), events)
+        assert expected
+        for cut in (1, 400, 777, 1499):
+            engine = build()
+            served = self.lines(engine, events[:cut])
+            served += self.lines(restore_engine(snapshot_engine(engine)), events[cut:])
+            assert served == expected, f"restored at event {cut}"
+
+    def test_adaptive_tree_engine_resumes_byte_identical(self):
+        pattern, events = self.pattern(), self.stream()
+
+        def build():
+            return AdaptiveCEPEngine(
+                pattern,
+                ZStreamTreePlanner(),
+                InvariantBasedPolicy(distance=0.1),
+                monitoring_interval=2.0,
+                compile_mode="compiled",
+            )
+
+        expected = self.lines(build(), events)
+        assert expected
+        engine = build()
+        served = self.lines(engine, events[:750])
+        assert engine.partial_match_count() > 0
+        restored = restore_engine(snapshot_engine(engine))
+        served += self.lines(restored, events[750:])
+        assert served == expected
