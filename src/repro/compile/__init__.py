@@ -4,8 +4,6 @@ Public surface of the ``repro.compile`` subsystem:
 
 * :mod:`~repro.compile.kernels` — lowering of individual conditions to
   specialized closures (local / step / join shapes, safe fallbacks);
-* :mod:`~repro.compile.columnar` — struct-of-arrays batch views swept by
-  the columnar variants of local kernels;
 * :mod:`~repro.compile.index` — equality-predicate hash indexes used to
   prune join-side candidates before any kernel runs;
 * :mod:`~repro.compile.plan_kernels` — the per-plan compiled artifact
@@ -15,7 +13,6 @@ This package sits below :mod:`repro.engine` in the import graph: it may
 import conditions/plans/events but never the engines.
 """
 
-from repro.compile.columnar import EventBatchColumns
 from repro.compile.index import EqualityIndex, IndexSpec, find_equality_index_spec
 from repro.compile.kernels import (
     CompiledKernel,
@@ -39,7 +36,6 @@ __all__ = [
     "CompiledKernel",
     "CompiledPlanKernels",
     "EqualityIndex",
-    "EventBatchColumns",
     "IndexSpec",
     "StepKernels",
     "compile_join_kernel",

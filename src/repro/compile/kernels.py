@@ -12,10 +12,7 @@ call.
 Three kernel shapes match the three places conditions fire:
 
 * **local** — ``fn(event) -> bool`` for single-variable acceptance
-  predicates (NFA buffer admission, tree leaves).  Local kernels also
-  carry a ``rows_fn(columns, rows) -> List[bool]`` columnar variant that
-  sweeps a struct-of-arrays :class:`~repro.compile.columnar.EventBatchColumns`
-  view and returns an accept bitmask for a whole batch.
+  predicates (NFA buffer admission, tree leaves), called once per event.
 * **step** — ``fn(bindings, event) -> bool`` for the conditions that
   become fully bound when an NFA partial match is extended by one event.
 * **join** — ``fn(left_bindings, right_bindings) -> bool`` for the
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import operator
 import time
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, Tuple
 
 from repro.conditions import (
     AttributeComparisonCondition,
@@ -91,7 +88,7 @@ class CompiledKernel:
     interpreted-fallback wrappers (surfaced in benchmarks and tests).
     """
 
-    __slots__ = ("condition", "fn", "rows_fn", "report_pairs", "specialized")
+    __slots__ = ("condition", "fn", "report_pairs", "specialized")
 
     def __init__(
         self,
@@ -99,11 +96,9 @@ class CompiledKernel:
         fn: Callable,
         report_pairs: Tuple[Tuple[str, str], ...],
         specialized: bool,
-        rows_fn: Optional[Callable] = None,
     ):
         self.condition = condition
         self.fn = fn
-        self.rows_fn = rows_fn
         self.report_pairs = report_pairs
         self.specialized = specialized
 
@@ -141,20 +136,8 @@ def _timed2(fn: Callable, profile) -> Callable:
     return timed
 
 
-def _timed_rows(rows_fn: Callable, profile) -> Callable:
-    def timed(columns, rows, _fn=rows_fn, _profile=profile, _clock=time.perf_counter):
-        started = _clock()
-        outcomes = _fn(columns, rows)
-        _profile.seconds += _clock() - started
-        _profile.calls += len(outcomes)
-        _profile.passes += sum(outcomes)
-        return outcomes
-
-    return timed
-
-
 # ----------------------------------------------------------------------
-# Local kernels: fn(event) -> bool  (+ columnar rows_fn)
+# Local kernels: fn(event) -> bool
 # ----------------------------------------------------------------------
 def compile_local_kernel(
     condition: Condition, variable: str, profile=None
@@ -173,30 +156,14 @@ def compile_local_kernel(
             attr = event.get(_attr)
             return attr is not None and _op(attr, _value)
 
-        def rows_fn(columns, rows, _op=op, _attr=attribute, _value=value):
-            column = columns.column(_attr)
-            return [
-                (attr := column[i]) is not None and _op(attr, _value)
-                for i in rows
-            ]
-
     else:
 
         def fn(event, _condition=condition, _variable=variable):
             return bool(_condition.evaluate({_variable: event}))
 
-        def rows_fn(columns, rows, _condition=condition, _variable=variable):
-            events = columns.events
-            return [
-                bool(_condition.evaluate({_variable: events[i]})) for i in rows
-            ]
-
     if profile is not None:
         fn = _timed1(fn, profile)
-        rows_fn = _timed_rows(rows_fn, profile)
-    return CompiledKernel(
-        condition, fn, ((variable, variable),), specialized, rows_fn
-    )
+    return CompiledKernel(condition, fn, ((variable, variable),), specialized)
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +371,3 @@ def specialization_counts(kernels: Iterable[CompiledKernel]) -> Tuple[int, int]:
             fallback += 1
     return compiled, fallback
 
-
-def kernel_list(kernels: Iterable[CompiledKernel]) -> List[CompiledKernel]:
-    """Materialize a kernel iterable (helper for plan builders)."""
-    return list(kernels)

@@ -14,8 +14,8 @@ pre-resolves everything the interpreted hot path recomputes per event:
   one closure per step;
 * **joins** — for a tree plan, the lowered kernels linking each child
   node to its sibling, in both join orientations;
-* **locals** — per-variable acceptance kernels with columnar ``rows_fn``
-  variants for whole-batch sweeps.
+* **locals** — per-variable acceptance kernels, evaluated once per
+  event by :meth:`CompiledPlanKernels.evaluate_local`.
 
 The statistics contract matches the interpreted path exactly: when a
 collector is attached, *every* kernel of a step/join is evaluated even
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.compile.columnar import EventBatchColumns
 from repro.compile.index import IndexSpec, find_equality_index_spec
 from repro.compile.kernels import (
     CompiledKernel,
@@ -176,11 +175,9 @@ class CompiledPlanKernels:
         pattern = plan.pattern
         conditions = pattern.conditions
 
-        self.variable_types: Dict[str, str] = {}
         self.local_kernels: Dict[str, Tuple[CompiledKernel, ...]] = {}
         for item in pattern.positive_items:
             variable = item.variable
-            self.variable_types[variable] = item.event_type.name
             local_kernels = []
             for c in conditions.single_variable_conditions(variable):
                 profile = self._profile_for(c)
@@ -338,46 +335,6 @@ class CompiledPlanKernels:
             if not outcome:
                 satisfied = False
         return satisfied
-
-    def local_verdicts(self, columns: EventBatchColumns, collector) -> Dict[str, List[bool]]:
-        """Whole-batch acceptance verdicts per variable (columnar sweep).
-
-        Returns, per positive variable, a batch-length bitmask: ``True``
-        at row ``i`` iff event ``i`` has the variable's event type and
-        passes all its local kernels.  Condition outcomes are reported in
-        bulk, stamped at the batch's final timestamp (boundedly late,
-        well inside the statistics window).
-        """
-        verdicts: Dict[str, List[bool]] = {}
-        rows_by_type = columns.rows_by_type()
-        length = len(columns)
-        for variable, type_name in self.variable_types.items():
-            mask = [False] * length
-            rows = rows_by_type.get(type_name)
-            if rows:
-                combined = None
-                for kernel in self.local_kernels.get(variable, ()):
-                    outcomes = kernel.rows_fn(columns, rows)
-                    if collector is not None:
-                        collector.observe_condition_bulk(
-                            variable,
-                            variable,
-                            columns.last_timestamp,
-                            len(outcomes),
-                            sum(outcomes),
-                        )
-                    if combined is None:
-                        combined = outcomes
-                    else:
-                        combined = [a and b for a, b in zip(combined, outcomes)]
-                if combined is None:
-                    for row in rows:
-                        mask[row] = True
-                else:
-                    for row, accepted in zip(rows, combined):
-                        mask[row] = accepted
-            verdicts[variable] = mask
-        return verdicts
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         shape = (

@@ -124,17 +124,6 @@ class EvaluationEngine:
         """Consume one event; return matches completed by it."""
         raise NotImplementedError
 
-    def process_batch(self, events: List[Event]) -> List[Match]:
-        """Consume a batch of events; return matches completed by it.
-
-        The base implementation is the per-event loop; engines with a
-        columnar fast path (compiled modes) override it.
-        """
-        matches: List[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
     def _compile_plan(self) -> None:
         """Build compiled kernels for ``self.plan`` (per ``compile_mode``).
 

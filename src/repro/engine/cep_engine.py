@@ -375,36 +375,6 @@ class AdaptiveCEPEngine:
         self._collector.observe_event(event)
         return self._migration.process(event)
 
-    def process_batch(self, events: List[Event]) -> List[Match]:
-        """Process a batch of events with per-event adaptation ordering.
-
-        The batch is split into segments at monitoring boundaries, so the
-        decision function sees exactly the statistics state it would see
-        in event-at-a-time mode; within a segment the engines take their
-        batch fast path (columnar acceptance sweeps in compiled modes).
-        """
-        matches: List[Match] = []
-        segment: List[Event] = []
-        for event in events:
-            now = event.timestamp
-            if self._next_monitor_time is None:
-                self._next_monitor_time = now + self._monitoring_interval
-            elif now >= self._next_monitor_time:
-                if segment:
-                    matches.extend(self._flush_segment(segment))
-                    segment = []
-                self._run_adaptation_step(now)
-                self._next_monitor_time = now + self._monitoring_interval
-            segment.append(event)
-        if segment:
-            matches.extend(self._flush_segment(segment))
-        return matches
-
-    def _flush_segment(self, segment: List[Event]) -> List[Match]:
-        for event in segment:
-            self._collector.observe_event(event)
-        return self._migration.process_batch(segment)
-
     def _run_adaptation_step(self, now: float) -> None:
         """One iteration of the detection–adaptation loop's decision phase."""
         if self._provider is not None:

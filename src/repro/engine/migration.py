@@ -129,24 +129,6 @@ class PlanMigrationManager:
             matches.extend(engine.process(event))
         return matches
 
-    def process_batch(self, events: List[Event]) -> List[Match]:
-        """Feed a batch segment to the active and draining engines.
-
-        Retirement is checked once, at the segment's first timestamp, so a
-        draining engine may see up to one segment of extra events past its
-        retirement time.  That cannot change the output: any non-suppressed
-        match from a draining engine needs at least one pre-switch event,
-        and such events fail the window check at or after retirement time.
-        """
-        if not events:
-            return []
-        if self._draining:
-            self._retire_expired(events[0].timestamp)
-        matches = self._active.process_batch(events)
-        for engine, _retirement in self._draining:
-            matches.extend(engine.process_batch(events))
-        return matches
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"PlanMigrationManager(active={type(self._active).__name__}, "

@@ -413,15 +413,6 @@ class MultiPatternEngine:
                     matches.extend(group.process(event))
         return self._tag(matches)
 
-    def process_batch(self, events: List[Event]) -> List[Match]:
-        """One-pass dispatch of a batch: each event is routed exactly once
-        (the concatenation order of the union output follows event order,
-        matching event-at-a-time processing)."""
-        matches: List[Match] = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
-
     def _tag(self, matches: List[Match]) -> List[Match]:
         for match in matches:
             pattern_id = self._ids_by_name.get(match.pattern_name)

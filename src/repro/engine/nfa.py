@@ -57,15 +57,15 @@ All three modes share the enumeration above and differ in the per-step
 *extender* closure that evaluates the newly bound conditions.
 ``compile_mode="interpreted"`` evaluates them through
 :mod:`repro.engine.semantics`.  ``"compiled"`` uses the plan's
-:class:`~repro.compile.CompiledPlanKernels` (fused step extenders, local
-kernels in :meth:`_accept_into_buffers`, columnar acceptance sweeps in
-:meth:`process_batch`).  ``"indexed"`` adds equality hash indexes over
-both candidate stores — the waiting partial matches and the buffered
-events of each step — so join probes only touch candidates whose equality
-key can match (and, within a bucket, whose timestamp can); candidates
-pruned by key are counted in ``counters.candidates_pruned`` and reported
-to the statistics collector as bulk failed attempts.  All three modes emit
-byte-identical matches.
+:class:`~repro.compile.CompiledPlanKernels` (fused step extenders and
+local kernels in :meth:`_accept_into_buffers`).  ``"indexed"`` adds
+equality hash indexes over both candidate stores — the waiting partial
+matches and the buffered events of each step — so join probes only touch
+candidates whose equality key can match (and, within a bucket, whose
+timestamp can); candidates pruned by key are counted in
+``counters.candidates_pruned`` and reported to the statistics collector as
+bulk failed attempts.  Every mode consumes one event per
+:meth:`process` call, and all three emit byte-identical matches.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.compile import EqualityIndex, EventBatchColumns
+from repro.compile import EqualityIndex
 from repro.engine.base import EvaluationEngine
 from repro.engine.match import Match, PartialMatch
 from repro.engine.semantics import evaluate_new_conditions, local_conditions_hold
@@ -313,33 +313,13 @@ class LazyNFAEngine(EvaluationEngine):
         self._last_expiry = now
 
     def process(self, event: Event) -> List[Match]:
-        return self._process_event(event, None, 0)
-
-    def process_batch(self, events: List[Event]) -> List[Match]:
-        """Batch entry point: columnar acceptance sweep in compiled modes.
-
-        The struct-of-arrays view materialises each attribute referenced
-        by an acceptance predicate once for the whole batch, and the
-        per-variable verdict bitmasks replace the per-event local kernel
-        calls inside :meth:`_accept_into_buffers`.
-        """
-        if self._compiled is None or not events:
-            return super().process_batch(events)
-        columns = EventBatchColumns(events)
-        verdicts = self._compiled.local_verdicts(columns, self.collector)
-        matches: List[Match] = []
-        for row, event in enumerate(columns.events):
-            matches.extend(self._process_event(event, verdicts, row))
-        return matches
-
-    def _process_event(self, event: Event, verdicts, row: int) -> List[Match]:
         now = event.timestamp
         self.counters.events_processed += 1
         if now - self._last_expiry >= self._expiry_interval:
             self.expire(now)
         self._buffer_special_items(event)
 
-        accepted_variables = self._accept_into_buffers(event, verdicts, row)
+        accepted_variables = self._accept_into_buffers(event)
         if not accepted_variables:
             return []
 
@@ -363,19 +343,16 @@ class LazyNFAEngine(EvaluationEngine):
     # ------------------------------------------------------------------
     # Matching steps
     # ------------------------------------------------------------------
-    def _accept_into_buffers(self, event: Event, verdicts, row: int) -> List[str]:
+    def _accept_into_buffers(self, event: Event) -> List[str]:
         """Buffer the event under every positive variable it can serve.
 
-        ``verdicts`` carries precomputed columnar acceptance bitmasks when
-        the batch path is active; otherwise compiled local kernels (or the
-        interpreted conditions) run per event.
+        Compiled local kernels (or the interpreted conditions) decide
+        acceptance per event.
         """
         accepted: List[str] = []
         compiled = self._compiled
         for variable in self._type_to_variables.get(event.type_name, ()):
-            if verdicts is not None:
-                held = verdicts[variable][row]
-            elif compiled is not None:
+            if compiled is not None:
                 held = compiled.evaluate_local(variable, event, self.collector)
             else:
                 held = local_conditions_hold(

@@ -12,11 +12,9 @@ Every conforming engine agrees on the return shapes:
 
 ``process(event)``
     evaluates one event immediately and returns the (possibly empty)
-    ``list[Match]`` it completes — never ``None``.
-``process_batch(events)``
-    evaluates a batch in stream order and returns the concatenated
-    ``list[Match]``, exactly the matches event-at-a-time processing
-    would have produced.
+    ``list[Match]`` it completes — never ``None``.  It is the only way
+    events reach an engine: the pipeline, the inline and worker hosts of
+    a shard replica and ``run`` all call it once per event.
 ``run(stream)``
     consumes a whole stream and returns a
     :class:`~repro.engine.RunResult` (matches + run metrics + plan
@@ -58,9 +56,6 @@ class CEPEngine(Protocol):
     """
 
     def process(self, event: Event) -> List[Match]:
-        ...
-
-    def process_batch(self, events: List[Event]) -> List[Match]:
         ...
 
     def run(self, stream: Iterable[Event]) -> RunResult:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.compile import EventBatchColumns
 from repro.engine.base import EvaluationEngine
 from repro.engine.match import Match, PartialMatch
 from repro.engine.semantics import (
@@ -111,20 +110,6 @@ class TreeEvaluationEngine(EvaluationEngine):
         self._last_expiry = now
 
     def process(self, event: Event) -> List[Match]:
-        return self._process_event(event, None, 0)
-
-    def process_batch(self, events: List[Event]) -> List[Match]:
-        """Batch entry point: columnar leaf-admission sweep in compiled modes."""
-        if self._compiled is None or not events:
-            return super().process_batch(events)
-        columns = EventBatchColumns(events)
-        verdicts = self._compiled.local_verdicts(columns, self.collector)
-        matches: List[Match] = []
-        for row, event in enumerate(columns.events):
-            matches.extend(self._process_event(event, verdicts, row))
-        return matches
-
-    def _process_event(self, event: Event, verdicts, row: int) -> List[Match]:
         now = event.timestamp
         self.counters.events_processed += 1
         if now - self._last_expiry >= self._expiry_interval:
@@ -135,9 +120,7 @@ class TreeEvaluationEngine(EvaluationEngine):
         matches: List[Match] = []
         for store in self._leaf_stores_by_type.get(event.type_name, ()):
             leaf = store.node
-            if verdicts is not None:
-                held = verdicts[leaf.variable][row]
-            elif compiled is not None:
+            if compiled is not None:
                 held = compiled.evaluate_local(leaf.variable, event, self.collector)
             else:
                 held = local_conditions_hold(

@@ -12,7 +12,7 @@ and run the engine as a continuously-ingesting service::
 
     python -m repro.experiments.cli serve --dataset stocks --rate 5000 \
         --sink matches.jsonl --checkpoint-dir ckpt --checkpoint-every 10000
-    python -m repro.experiments.cli serve --backend process --workers 4 \
+    python -m repro.experiments.cli serve --backend process --shards 4 \
         --partition-by entity_id --dataset stocks
     python -m repro.experiments.cli serve --control-port 8080 \
         --decision-log decisions.jsonl --checkpoint-dir ckpt
@@ -92,7 +92,8 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=1,
-        help="number of parallel engine replicas (1 = plain sequential engine)",
+        help="number of parallel engine replicas (1 = plain sequential engine; "
+        "with serve --backend process, one worker process per replica)",
     )
     parser.add_argument(
         "--partition-by",
@@ -123,7 +124,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         shards=args.shards,
         partition_by=args.partition_by,
         backend=getattr(args, "backend", "inline"),
-        workers=getattr(args, "workers", 0) or 0,
         introspect=getattr(args, "introspect", False),
         compile_mode=getattr(args, "compile_mode", "interpreted"),
     )
@@ -133,16 +133,10 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
     """Streaming execution-backend options (serve)."""
     parser.add_argument(
         "--backend",
-        choices=("inline", "thread", "process"),
+        choices=("inline", "process"),
         default="inline",
-        help="where detection runs: in the pipeline thread (inline), or on "
-        "per-shard worker threads/processes fed by bounded queues",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard workers for --backend thread/process (0 = use --shards)",
+        help="where detection runs: in the pipeline thread (inline), or in "
+        "one worker process per --shards replica fed by bounded queues",
     )
 
 
@@ -355,7 +349,7 @@ def _run_table1(args: argparse.Namespace) -> int:
 def _serve_pattern(args: argparse.Namespace, config: ExperimentConfig, workload):
     """The pattern (or shared PatternSet, with --patterns > 1) the service detects."""
     size = int(args.size)
-    if config.engine_replicas > 1 and args.partition_by:
+    if config.shards > 1 and args.partition_by:
         return workload.keyed_sequence_pattern(size, key=args.partition_by)
     patterns = int(getattr(args, "patterns", 1) or 1)
     if patterns > 1:
@@ -373,7 +367,7 @@ def _serve_source(args: argparse.Namespace, config: ExperimentConfig, dataset, w
     """
     rate = args.rate if args.rate > 0 else None
     if args.source == "synthetic":
-        if config.engine_replicas > 1 and args.partition_by:
+        if config.shards > 1 and args.partition_by:
             stream = workload.keyed_stream(
                 args.duration,
                 entities=args.entities,

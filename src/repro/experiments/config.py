@@ -71,7 +71,6 @@ class ExperimentConfig:
     shards: int = 1
     partition_by: Optional[str] = None
     backend: str = "inline"
-    workers: int = 0
     introspect: bool = False
     compile_mode: str = "interpreted"
 
@@ -86,32 +85,15 @@ class ExperimentConfig:
             raise ExperimentError("monitoring_interval must be positive")
         if self.shards < 1:
             raise ExperimentError("shards must be a positive integer")
-        if self.backend not in ("inline", "thread", "process"):
+        if self.backend not in ("inline", "process"):
             raise ExperimentError(
-                f"unknown backend {self.backend!r}; expected 'inline', "
-                "'thread' or 'process'"
+                f"unknown backend {self.backend!r}; expected 'inline' or 'process'"
             )
-        if self.workers < 0:
-            raise ExperimentError("workers must be non-negative (0 = use shards)")
         if self.compile_mode not in COMPILE_MODES:
             raise ExperimentError(
                 f"unknown compile_mode {self.compile_mode!r}; expected one of "
                 f"{COMPILE_MODES}"
             )
-
-    @property
-    def effective_workers(self) -> int:
-        """Shard-worker count for streaming backends (``workers`` or ``shards``)."""
-        return self.workers if self.workers > 0 else self.shards
-
-    @property
-    def engine_replicas(self) -> int:
-        """Engine replicas the streaming engine will actually run.
-
-        Worker backends host ``effective_workers`` replicas; the inline
-        backend shards in-process by ``shards`` alone.
-        """
-        return self.effective_workers if self.backend != "inline" else self.shards
 
     def dataset_kwargs(self) -> dict:
         kwargs: dict = {"duration_hint": self.duration}

@@ -25,7 +25,7 @@ from repro.parallel import (
     ParallelCEPEngine,
 )
 from repro.patterns import CompositePattern, Pattern
-from repro.streaming import backend_by_name
+from repro.streaming import ProcessWorkerBackend
 from repro.workloads import WorkloadGenerator
 
 PatternLike = Union[Pattern, CompositePattern]
@@ -92,9 +92,10 @@ def build_streaming_engine(
     The one place the CLI and the experiment drivers build an engine, so
     every engine setting of ``config`` (replicas, partitioning, compile
     mode, introspection) reaches whichever engine the config selects.
-    With ``backend != "inline"`` the result is a thread/process worker
-    backend hosting ``config.effective_workers`` engine replicas; otherwise
-    a bare engine, sharded in-process when the config asks for it.
+    With ``backend="process"`` the result is a
+    :class:`~repro.streaming.ProcessWorkerBackend` hosting
+    ``config.shards`` engine replicas, one per worker process; otherwise a
+    bare engine, sharded in-process when the config asks for it.
     """
     planner = build_planner(config.algorithm)
     policy = build_policy(spec)
@@ -108,13 +109,13 @@ def build_streaming_engine(
             pattern,
             planner,
             policy,
-            shards=config.engine_replicas,
+            shards=config.shards,
             partitioner=build_partitioner(config.partition_by),
             **settings,
         )
         if config.backend == "inline":
             return engine
-        return backend_by_name(config.backend, engine)
+        return ProcessWorkerBackend(engine)
     if not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
         return MultiPatternEngine(
             pattern,

@@ -172,22 +172,14 @@ class ParallelCEPEngine:
         pattern window — suppresses repeats before they reach the caller.
 
         Runs the shards in the calling thread (the streaming pipeline's
-        single-writer loop); the worker backends host the same replicas
-        one per thread or process.
+        single-writer loop); :class:`~repro.streaming.ProcessWorkerBackend`
+        hosts the same replicas one per process, each fed by the same
+        per-event ``process`` call.
         """
         matches = self._sharded.process_event(event, self._partitioner)
         if not matches:
             return []
         return self._streaming_dedup.filter(matches, now=event.timestamp)
-
-    def process_batch(self, events: "list[Event]") -> "list[Match]":
-        """Events are routed in stream order through :meth:`process`, so
-        the concatenated output matches event-at-a-time processing exactly
-        (the unified :class:`~repro.engine.CEPEngine` surface)."""
-        matches: "list[Match]" = []
-        for event in events:
-            matches.extend(self.process(event))
-        return matches
 
     # ------------------------------------------------------------------
     # State snapshot / restore (checkpointing support)

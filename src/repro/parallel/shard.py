@@ -9,15 +9,18 @@ pattern/planner/policy specification and routes each arriving event to
 its shards through a partitioner.
 
 The per-shard algorithm is exactly the paper's ACEP loop — sharding only
-decides *which* events each replica sees, never *how* they are evaluated,
-so a single shard fed the whole stream behaves bit-for-bit like the
-unsharded engine.
+decides *which* events each replica sees, never *how* they are evaluated.
+Every host feeds a replica through the same per-event ``process`` call, so
+a replica adapts identically whether it runs inline or in a worker process
+(``tests/test_workers.py`` checks plan histories, adaptation statistics
+and work counters shard by shard), and a single shard fed the whole stream
+behaves like the unsharded engine.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from repro.adaptive import ReoptimizationPolicy
 from repro.engine import AdaptiveCEPEngine, Match, MultiPatternEngine
@@ -36,26 +39,14 @@ class Shard:
     """One engine replica and its place in the sharded engine.
 
     The sharded engine evaluates routed events on :attr:`engine` directly;
-    a worker backend hosts the replica in its own thread or process and
-    hands it partitioned batches through :meth:`feed`.
+    :class:`~repro.streaming.ProcessWorkerBackend` hosts the replica in its
+    own process and calls the same ``engine.process`` once per event of
+    each partitioned hand-off batch.
     """
 
     def __init__(self, shard_id: int, engine: EngineLike):
         self.shard_id = shard_id
         self.engine = engine
-
-    def feed(self, events: Sequence[Event]) -> List[Match]:
-        """Process one batch incrementally; return the matches found now.
-
-        The replica keeps its open partial matches and adaptation state
-        between calls — the shape a long-lived worker process needs.
-        Events must arrive in non-decreasing timestamp order across calls
-        (the same contract the engines place on a stream); a pipeline
-        ingesting out-of-order arrivals restores that order upstream with
-        the event-time reordering stage (:mod:`repro.streaming.ordering`)
-        before events are partitioned into the shard queues.
-        """
-        return self.engine.process_batch(list(events))
 
     def __repr__(self) -> str:
         return f"<Shard id={self.shard_id}>"

@@ -170,10 +170,9 @@ class StatisticsCollector:
     ) -> None:
         """Record many evaluations of one condition pair in a single update.
 
-        Used by the compiled/columnar hot path: a kernel that adjudicated a
-        whole batch (or an index probe that pruned a whole bucket of
-        candidate pairings) reports aggregate counts instead of paying one
-        estimator update per pairing.
+        Used by the indexed hot path: an index probe that pruned a whole
+        bucket of candidate pairings reports aggregate counts instead of
+        paying one estimator update per pairing.
         """
         estimator = self._selectivity_estimators.get(pair_key(a, b))
         if estimator is None:

@@ -254,9 +254,8 @@ class SlidingSelectivityEstimator:
     ) -> None:
         """Record a batch of evaluations sharing one timestamp in O(1).
 
-        The bucketed counters already accumulate arbitrary amounts, so a
-        columnar kernel or an index probe that adjudicated ``attempts``
-        pairings at once (``successes`` of which held) reports them in a
+        The bucketed counters already accumulate arbitrary amounts, so an
+        index probe that adjudicated ``attempts`` pairings at once (``successes`` of which held) reports them in a
         single update instead of one call per pairing.
         """
         if attempts < successes:

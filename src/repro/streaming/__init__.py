@@ -49,9 +49,9 @@ The building blocks:
   enter the service, with per-stage latency/queue metrics and graceful
   shutdown;
 * **execution backends** (:mod:`~repro.streaming.workers`) — where the
-  detection runs: inline in the pipeline thread, or on per-shard worker
-  threads/processes fed by bounded queues for true multi-core serving
-  (``--backend process --workers N`` on the CLI).
+  detection runs: inline in the pipeline thread, or one worker process
+  per shard replica fed by bounded queues for true multi-core serving
+  (``--backend process --shards N`` on the CLI).
 
 The CLI front-end is ``python -m repro.experiments.cli serve``.
 """
@@ -110,13 +110,9 @@ from repro.streaming.sources import (
     write_events_jsonl,
 )
 from repro.streaming.workers import (
-    DEFAULT_FEED_BATCH,
-    DEFAULT_QUEUE_CAPACITY,
     ExecutionBackend,
     InlineBackend,
     ProcessWorkerBackend,
-    ThreadWorkerBackend,
-    backend_by_name,
 )
 
 __all__ = [
@@ -173,9 +169,5 @@ __all__ = [
     # execution backends (multi-core streaming)
     "ExecutionBackend",
     "InlineBackend",
-    "ThreadWorkerBackend",
     "ProcessWorkerBackend",
-    "backend_by_name",
-    "DEFAULT_FEED_BATCH",
-    "DEFAULT_QUEUE_CAPACITY",
 ]

@@ -37,11 +37,12 @@ long-running, incrementally-fed service:
   finishes the in-flight event, writes a final checkpoint and flushes the
   sinks.
 
-Where the detection work happens is pluggable: passing an
-:class:`~repro.streaming.workers.ExecutionBackend` instead of a bare
-engine routes events to per-shard worker threads or processes (see
+Where the detection work happens is pluggable: passing a
+:class:`~repro.streaming.workers.ProcessWorkerBackend` instead of a bare
+engine routes events to one worker process per shard replica (see
 :mod:`repro.streaming.workers`); a bare engine is wrapped in the
-single-threaded :class:`~repro.streaming.workers.InlineBackend`.
+single-threaded :class:`~repro.streaming.workers.InlineBackend`.  Either
+way each replica is fed by the same per-event ``process`` call.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class StreamingPipeline:
 
     @property
     def backend(self) -> ExecutionBackend:
-        """Where detection runs: inline, thread workers or process workers."""
+        """Where detection runs: inline or in worker processes."""
         return self._backend
 
     @property

@@ -1,24 +1,25 @@
-"""Multi-core execution backends for the streaming pipeline.
+"""Execution backends for the streaming pipeline.
 
 The :class:`~repro.streaming.StreamingPipeline` run loop is a single
 writer: it pulls events from the source and hands them to an *execution
 backend*.  The backend decides where the detection work actually happens:
 
-* :class:`InlineBackend` — evaluate in the pipeline thread (the original
-  behaviour; fully deterministic, zero hand-off cost).
-* :class:`ThreadWorkerBackend` — one worker **thread** per shard, fed by
-  bounded queues.  Threads share the GIL, so this backend does not speed
-  up pure-Python detection; it exists as the fallback for engines whose
-  user-supplied conditions are not picklable (closures/lambdas), and to
-  overlap engine work with blocking sources.
-* :class:`ProcessWorkerBackend` — one worker **process** per shard for
-  real CPU parallelism.  Engine replicas are shipped to the workers as
+* :class:`InlineBackend` — evaluate in the pipeline thread (fully
+  deterministic, zero hand-off cost).  It hosts any engine, including
+  ones whose user-supplied conditions are not picklable
+  (closures/lambdas).
+* :class:`ProcessWorkerBackend` — one worker **process** per shard replica
+  of a :class:`~repro.parallel.ParallelCEPEngine`, for real CPU
+  parallelism.  Replicas are shipped to the workers as
   :func:`~repro.engine.state.snapshot_engine` blobs; events flow in
-  partitioned batches over bounded ``multiprocessing`` queues.
+  partitioned hand-off batches of :data:`FEED_BATCH` over bounded
+  ``multiprocessing`` queues, and each worker folds ``engine.process``
+  over its batch one event at a time — the same call the inline
+  :class:`~repro.parallel.ParallelCEPEngine` makes — so a worker replica
+  adapts exactly like the inline replica it copies.
 
-All three expose the same contract, so every mode produces the *same
-match set* for the same input (the property ``tests/test_equivalence.py``
-enforces):
+Both expose the same contract, so both produce the *same match set* for
+the same input (the property ``tests/test_equivalence.py`` enforces):
 
 * ``submit(event)`` routes one event through the partitioner into the
   shard queues (blocking when a queue is full — natural backpressure);
@@ -53,6 +54,7 @@ arrival-order feed clock (which disorder would otherwise let run ahead).
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
 import threading
 import time
@@ -77,15 +79,17 @@ from repro.metrics import PipelineMetrics
 from repro.parallel import (
     UNBOUNDED_DEDUP_WINDOW,
     ParallelCEPEngine,
-    Shard,
     StreamingMatchDeduplicator,
 )
 
 #: Events per hand-off batch (amortises queue/pickle overhead per event).
-DEFAULT_FEED_BATCH = 32
+FEED_BATCH = 32
 
 #: Batches each shard input queue may hold before ``submit`` blocks.
-DEFAULT_QUEUE_CAPACITY = 8
+QUEUE_CAPACITY = 8
+
+#: Seconds a barrier, snapshot or shutdown waits for every worker.
+BARRIER_TIMEOUT_S = 120.0
 
 
 class ExecutionBackend:
@@ -224,9 +228,9 @@ class InlineBackend(ExecutionBackend):
     def restore(self, blob: bytes) -> None:
         if is_shard_snapshot(blob):
             raise CheckpointError(
-                "this checkpoint was written by a multi-worker backend; "
-                "resume it with a thread/process worker backend (e.g. "
-                "--backend process) or clear the checkpoint store"
+                "this checkpoint was written by a worker backend; resume it "
+                "with ProcessWorkerBackend (--backend process) or clear the "
+                "checkpoint store"
             )
         self._engine = restore_engine(blob)
 
@@ -235,7 +239,7 @@ class InlineBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# The shared worker protocol
+# The worker protocol
 # ----------------------------------------------------------------------
 # Input-queue messages  (pipeline → worker):
 #   ("events", (event, ...))      process a partitioned batch
@@ -245,24 +249,27 @@ class InlineBackend(ExecutionBackend):
 #                                 also prime the worker's delta tracker, or
 #                                 ("delta", since_epoch, epoch) for a framed
 #                                 incremental snapshot (changed state only)
-#   ("stop", ship_state)          reply ("stopped", ...) and exit
+#   ("stop",)                     reply ("stopped", ...) and exit
 # Output-queue messages (worker → merger):
 #   ("matches", shard_id, last_ts, (match, ...), n_events, seconds)
 #   ("mark", shard_id, token)
 #   ("snapshot", shard_id, token, blob)
-#   ("stopped", shard_id, final_blob_or_None)
+#   ("stopped", shard_id, final_blob)
 #   ("error", shard_id, traceback_text)
 def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
     """Host one shard replica: consume batches, ship match deltas back.
 
-    Each ``events`` message is one :meth:`~repro.parallel.Shard.feed` call:
-    the replica processes the batch incrementally and keeps its partial
-    matches and adaptation state for the next one.  For incremental
+    Each ``events`` message is folded through ``engine.process`` one event
+    at a time, exactly as the inline sharded engine feeds its replicas;
+    the replica keeps its partial matches and adaptation state for the
+    next batch.  Events arrive in non-decreasing timestamp order (a
+    pipeline over a disordered source restores the order upstream with
+    its :mod:`~repro.streaming.ordering` stage).  For incremental
     checkpoints the worker owns its shard's
     :class:`~repro.streaming.delta.DeltaTracker`, so only the changed
     state crosses the output queue at a delta barrier.
     """
-    shard = Shard(shard_id, engine)
+    process = engine.process
     tracker: Optional[DeltaTracker] = None
     try:
         while True:
@@ -271,7 +278,9 @@ def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
             if kind == "events":
                 events = message[1]
                 started = time.perf_counter()
-                matches = shard.feed(events)
+                matches = []
+                for event in events:
+                    matches.extend(process(event))
                 elapsed = time.perf_counter() - started
                 last_ts = events[-1].timestamp if events else None
                 out_queue.put(
@@ -282,24 +291,23 @@ def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
             elif kind == "snapshot":
                 token, mode = message[1], message[2]
                 if mode is None:
-                    blob = snapshot_engine(shard.engine)
+                    blob = snapshot_engine(engine)
                 elif mode[0] == "base":
-                    blob = snapshot_engine(shard.engine)
+                    blob = snapshot_engine(engine)
                     if tracker is None:
-                        tracker = DeltaTracker(shard.engine)
+                        tracker = DeltaTracker(engine)
                     tracker.prime(mode[1])
                 elif mode[0] == "delta":
                     if tracker is None:
                         # Never primed (e.g. a restarted worker): the frame
                         # degrades to a self-contained base for this shard.
-                        tracker = DeltaTracker(shard.engine)
+                        tracker = DeltaTracker(engine)
                     blob = tracker.encode_frame(mode[1], mode[2])
                 else:  # pragma: no cover - protocol misuse
                     raise StreamingError(f"unknown snapshot mode {mode!r}")
                 out_queue.put(("snapshot", shard_id, token, blob))
             elif kind == "stop":
-                final_blob = snapshot_engine(shard.engine) if message[1] else None
-                out_queue.put(("stopped", shard_id, final_blob))
+                out_queue.put(("stopped", shard_id, snapshot_engine(engine)))
                 return
             else:  # pragma: no cover - protocol misuse
                 raise StreamingError(f"unknown worker message kind {kind!r}")
@@ -317,25 +325,17 @@ def _process_worker_main(shard_id: int, engine_blob: bytes, in_queue, out_queue)
     _worker_loop(shard_id, engine, in_queue, out_queue)
 
 
-class _WorkerBackendBase(ExecutionBackend):
-    """Queue plumbing shared by the thread and process worker backends.
+class ProcessWorkerBackend(ExecutionBackend):
+    """One worker process per shard replica (true multi-core detection).
 
-    Subclasses provide the queue factory and the worker spawner; everything
-    else — batching, routing, the merger thread, barriers, snapshots — is
-    identical, which is what keeps the two modes behaviourally equivalent.
+    The coordinator side — hand-off batching, routing, the merger thread,
+    barriers and snapshots — runs in the pipeline's process; each worker
+    runs :func:`_worker_loop` over its own copy of one replica.
     """
 
-    #: Whether workers own private copies of the engines (processes) and
-    #: must ship state back on snapshot/stop.
-    _workers_own_state = False
+    name = "process"
 
-    def __init__(
-        self,
-        engine: ParallelCEPEngine,
-        feed_batch: int = DEFAULT_FEED_BATCH,
-        queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        barrier_timeout: float = 120.0,
-    ):
+    def __init__(self, engine: ParallelCEPEngine):
         if not isinstance(engine, ParallelCEPEngine):
             raise StreamingError(
                 f"{type(self).__name__} hosts one engine replica per shard "
@@ -343,19 +343,11 @@ class _WorkerBackendBase(ExecutionBackend):
                 f"{type(engine).__name__}; wrap a sequential engine in a "
                 "1-shard ParallelCEPEngine or use the inline backend"
             )
-        if feed_batch < 1:
-            raise StreamingError(f"feed_batch must be positive, got {feed_batch!r}")
-        if queue_capacity < 1:
-            raise StreamingError(
-                f"queue_capacity must be positive, got {queue_capacity!r}"
-            )
+        self._context = multiprocessing.get_context()
         self._template = engine
         self._engines = [shard.engine for shard in engine.sharded_engine.shards]
         self._partitioner = engine.partitioner
         self._num_shards = engine.num_shards
-        self._feed_batch = int(feed_batch)
-        self._queue_capacity = int(queue_capacity)
-        self._barrier_timeout = float(barrier_timeout)
         window = engine.pattern.window
         self._dedup = StreamingMatchDeduplicator(
             window=window if window != float("inf") else UNBOUNDED_DEDUP_WINDOW
@@ -401,9 +393,8 @@ class _WorkerBackendBase(ExecutionBackend):
     def engine(self):
         """The template :class:`ParallelCEPEngine`.
 
-        For the thread backend its shard replicas are the live worker
-        engines; for the process backend they are refreshed from the
-        workers on every snapshot and on :meth:`close`.
+        Its shard replicas are refreshed from the workers on every
+        snapshot and on :meth:`close`.
         """
         return self._template
 
@@ -434,10 +425,9 @@ class _WorkerBackendBase(ExecutionBackend):
     def engine_introspection(self) -> dict:
         """Per-shard introspection frames merged into one cross-shard view.
 
-        The thread backend's shard replicas are the live worker engines;
-        the process backend's replicas are refreshed here through the same
-        snapshot barrier a checkpoint uses (workers ship their state back
-        and the coordinator adopts it), so the profile frames describe the
+        The replicas are refreshed here through the same snapshot barrier
+        a checkpoint uses (workers ship their state back and the
+        coordinator adopts it), so the profile frames describe the
         workers' current truth, not a stale template.
         """
         from repro.obs.introspect import (
@@ -445,27 +435,35 @@ class _WorkerBackendBase(ExecutionBackend):
             merge_introspection_frames,
         )
 
-        if self._started and self._workers_own_state:
+        if self._started:
             self._full_snapshot(None)
         return merge_introspection_frames(
             [engine_introspection_frame(engine) for engine in self._engines]
         )
 
     # ------------------------------------------------------------------
-    # Subclass hooks
+    # Worker processes
     # ------------------------------------------------------------------
-    def _make_queue(self, capacity: int):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _spawn_worker(self, shard_id: int, engine, in_queue, out_queue):
-        raise NotImplementedError  # pragma: no cover - abstract
+        try:
+            blob = snapshot_engine(engine)
+        except CheckpointError as exc:
+            raise StreamingError(
+                f"shard {shard_id} engine cannot be shipped to a worker "
+                f"process ({exc}); run engines with unpicklable conditions "
+                "on the inline backend (--backend inline)"
+            ) from exc
+        worker = self._context.Process(
+            target=_process_worker_main,
+            args=(shard_id, blob, in_queue, out_queue),
+            name=f"shard-{shard_id}-worker",
+            daemon=True,
+        )
+        worker.start()
+        return worker
 
     def _worker_alive(self, shard_id: int) -> bool:
-        worker = self._workers[shard_id]
-        return worker is not None and worker.is_alive()
-
-    def _terminate_worker(self, shard_id: int) -> None:
-        """Forcefully stop a straggler (only possible for processes)."""
+        return self._workers[shard_id].is_alive()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -486,9 +484,9 @@ class _WorkerBackendBase(ExecutionBackend):
             self._fed_clock = float("-inf")
         self._pending = [[] for _ in range(self._num_shards)]
         self._in_queues = [
-            self._make_queue(self._queue_capacity) for _ in range(self._num_shards)
+            self._context.Queue(maxsize=QUEUE_CAPACITY) for _ in range(self._num_shards)
         ]
-        self._out_queue = self._make_queue(0)  # unbounded: merger always drains
+        self._out_queue = self._context.Queue()  # unbounded: merger always drains
         self._workers = [
             self._spawn_worker(
                 shard_id, self._engines[shard_id], self._in_queues[shard_id], self._out_queue
@@ -504,12 +502,12 @@ class _WorkerBackendBase(ExecutionBackend):
     def close(self) -> None:
         if not self._started:
             return
-        deadline = time.monotonic() + self._barrier_timeout
+        deadline = time.monotonic() + BARRIER_TIMEOUT_S
         try:
             for shard_id in range(self._num_shards):
                 try:
                     self._flush_pending(shard_id)
-                    self._put(shard_id, ("stop", self._workers_own_state), deadline)
+                    self._put(shard_id, ("stop",), deadline)
                 except StreamingError:
                     continue  # dead worker: nothing to stop
             with self._cond:
@@ -523,11 +521,11 @@ class _WorkerBackendBase(ExecutionBackend):
             self._merger_stop.set()
             if self._merger is not None:
                 self._merger.join(timeout=5.0)
-            for shard_id, worker in enumerate(self._workers):
-                if hasattr(worker, "join"):
-                    worker.join(timeout=2.0)
-                if self._worker_alive(shard_id):
-                    self._terminate_worker(shard_id)
+            for worker in self._workers:
+                worker.join(timeout=2.0)
+                if worker.is_alive():  # pragma: no cover - stragglers
+                    worker.terminate()
+                    worker.join(timeout=1.0)
             self._workers = []
             self._in_queues = []
             self._out_queue = None
@@ -614,8 +612,7 @@ class _WorkerBackendBase(ExecutionBackend):
                     self._snapshot_blobs.setdefault(token, {})[shard_id] = blob
                 elif kind == "stopped":
                     _, shard_id, final_blob = message
-                    if final_blob is not None:
-                        self._adopt_engine(shard_id, restore_engine(final_blob))
+                    self._adopt_engine(shard_id, restore_engine(final_blob))
                     self._stopped_workers.add(shard_id)
                 elif kind == "error":
                     _, shard_id, text = message
@@ -696,7 +693,7 @@ class _WorkerBackendBase(ExecutionBackend):
         for shard_id in self._partitioner.route(event, self._num_shards):
             pending = self._pending[shard_id]
             pending.append(event)
-            if len(pending) >= self._feed_batch:
+            if len(pending) >= FEED_BATCH:
                 self._flush_pending(shard_id)
 
     def collect(self) -> List[Match]:
@@ -715,14 +712,14 @@ class _WorkerBackendBase(ExecutionBackend):
             self._flush_pending(shard_id)
         for shard_id in range(self._num_shards):
             self._put(shard_id, ("mark", token))
-        deadline = time.monotonic() + self._barrier_timeout
+        deadline = time.monotonic() + BARRIER_TIMEOUT_S
         with self._cond:
             while len(self._mark_acks.get(token, ())) < self._num_shards:
                 self._raise_if_failed_locked()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise StreamingError(
-                        f"barrier timed out after {self._barrier_timeout:g}s "
+                        f"barrier timed out after {BARRIER_TIMEOUT_S:g}s "
                         f"({len(self._mark_acks.get(token, ()))}/"
                         f"{self._num_shards} workers reached it)"
                     )
@@ -741,14 +738,14 @@ class _WorkerBackendBase(ExecutionBackend):
         token = self._barrier()
         for shard_id in range(self._num_shards):
             self._put(shard_id, ("snapshot", token, mode))
-        deadline = time.monotonic() + self._barrier_timeout
+        deadline = time.monotonic() + BARRIER_TIMEOUT_S
         with self._cond:
             while len(self._snapshot_blobs.get(token, {})) < self._num_shards:
                 self._raise_if_failed_locked()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise StreamingError(
-                        f"snapshot timed out after {self._barrier_timeout:g}s"
+                        f"snapshot timed out after {BARRIER_TIMEOUT_S:g}s"
                     )
                 self._cond.wait(min(remaining, 0.25))
             by_shard = self._snapshot_blobs.pop(token)
@@ -775,11 +772,10 @@ class _WorkerBackendBase(ExecutionBackend):
             blobs = [snapshot_engine(engine) for engine in self._engines]
         else:
             blobs = self._request_shard_blobs(mode)
-            if self._workers_own_state:
-                # Keep the local replicas coherent with the workers' truth.
-                with self._lock:
-                    for shard_id, blob in enumerate(blobs):
-                        self._adopt_engine(shard_id, restore_engine(blob))
+            # Keep the local replicas coherent with the workers' truth.
+            with self._lock:
+                for shard_id, blob in enumerate(blobs):
+                    self._adopt_engine(shard_id, restore_engine(blob))
         with self._lock:
             meta = self._coordinator_meta()
         return snapshot_shard_states(blobs, meta)
@@ -891,97 +887,6 @@ class _WorkerBackendBase(ExecutionBackend):
     def __repr__(self) -> str:
         return (
             f"<{type(self).__name__} shards={self._num_shards} "
-            f"feed_batch={self._feed_batch} started={self._started}>"
+            f"started={self._started}>"
         )
 
-
-class ThreadWorkerBackend(_WorkerBackendBase):
-    """Per-shard worker threads (GIL-bound; the unpicklable-engine fallback)."""
-
-    name = "thread"
-    _workers_own_state = False
-
-    def _make_queue(self, capacity: int):
-        import queue as queue_module
-
-        return queue_module.Queue(maxsize=capacity)
-
-    def _spawn_worker(self, shard_id: int, engine, in_queue, out_queue):
-        worker = threading.Thread(
-            target=_worker_loop,
-            args=(shard_id, engine, in_queue, out_queue),
-            name=f"shard-{shard_id}-worker",
-            daemon=True,
-        )
-        worker.start()
-        return worker
-
-
-class ProcessWorkerBackend(_WorkerBackendBase):
-    """Per-shard worker processes (true multi-core detection)."""
-
-    name = "process"
-    _workers_own_state = True
-
-    def __init__(self, engine: ParallelCEPEngine, **kwargs):
-        super().__init__(engine, **kwargs)
-        import multiprocessing
-
-        self._context = multiprocessing.get_context()
-
-    def _make_queue(self, capacity: int):
-        return self._context.Queue(maxsize=capacity) if capacity else self._context.Queue()
-
-    def _spawn_worker(self, shard_id: int, engine, in_queue, out_queue):
-        try:
-            blob = snapshot_engine(engine)
-        except CheckpointError as exc:
-            raise StreamingError(
-                f"shard {shard_id} engine cannot be shipped to a worker "
-                f"process ({exc}); use the thread backend for unpicklable "
-                "conditions"
-            ) from exc
-        worker = self._context.Process(
-            target=_process_worker_main,
-            args=(shard_id, blob, in_queue, out_queue),
-            name=f"shard-{shard_id}-worker",
-            daemon=True,
-        )
-        worker.start()
-        return worker
-
-    def _terminate_worker(self, shard_id: int) -> None:
-        worker = self._workers[shard_id]
-        if worker is not None and worker.is_alive():  # pragma: no cover - stragglers
-            worker.terminate()
-            worker.join(timeout=1.0)
-
-
-#: CLI names → backend classes (``inline`` is handled by the pipeline itself).
-WORKER_BACKENDS = {
-    ThreadWorkerBackend.name: ThreadWorkerBackend,
-    ProcessWorkerBackend.name: ProcessWorkerBackend,
-}
-
-
-def backend_by_name(
-    name: str,
-    engine,
-    feed_batch: int = DEFAULT_FEED_BATCH,
-    queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-) -> ExecutionBackend:
-    """Factory used by the ``serve`` CLI.
-
-    ``inline`` wraps any engine; ``thread``/``process`` require a
-    :class:`~repro.parallel.ParallelCEPEngine` (one replica per worker).
-    """
-    if name == InlineBackend.name:
-        return InlineBackend(engine)
-    try:
-        backend_cls = WORKER_BACKENDS[name]
-    except KeyError:
-        raise StreamingError(
-            f"unknown backend {name!r}; expected one of "
-            f"{sorted([InlineBackend.name, *WORKER_BACKENDS])}"
-        ) from None
-    return backend_cls(engine, feed_batch=feed_batch, queue_capacity=queue_capacity)

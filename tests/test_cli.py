@@ -35,6 +35,9 @@ RETIRED_OVERFLOW, RETIRED_BUFFER_CAPACITY, RETIRED_TCP_PORT, RETIRED_SOCKET_SINK
 )
 RETIRED_PUSH_TCP, RETIRED_RECEIVE_MODE = ("--" + stem for stem in ("tcp", "mode"))
 
+#: The second replica-count knob, retired when ``--shards`` became the one.
+RETIRED_WORKERS = "--" + "workers"
+
 
 def cli_parsers(parser_factory=build_parser) -> dict:
     """Sub-command name -> the argparse parser ``parser_factory()`` gives it."""
@@ -62,6 +65,8 @@ _CLI_INVOCATION = re.compile(
     r"repro\.(experiments\.cli|streaming\.net)(?:\s|\\)+([A-Za-z][\w-]*)"
 )
 _CLI_OPTION = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+#: The value quoted right after an option: ``--opt value`` or ``--opt=value``.
+_CLI_VALUE = re.compile(r"(?:=|[ \t]+)([^\s=]+)")
 #: Where a quoted command line stops being the CLI's: a pipe, a second
 #: command, a comment, or a continuation line that does not carry on with
 #: options (backslash-joined lines are folded into one before this applies).
@@ -76,7 +81,9 @@ def unknown_cli_invocations(text: str, parsers: dict) -> list:
     :func:`module_parsers`).  A sub-command the module lacks is reported by
     name; for a live one, every ``--option`` on its command line
     (backslash- or YAML-folded continuation lines included) that its
-    parser does not accept is reported as ``"<sub-command> --option"``.
+    parser does not accept is reported as ``"<sub-command> --option"``,
+    and a value quoted for an option with ``choices`` that are not among
+    them as ``"<sub-command> --option value"``.
     """
     text = re.sub(r"\\\s*\n", " ", text)
     unknown = []
@@ -87,11 +94,15 @@ def unknown_cli_invocations(text: str, parsers: dict) -> list:
             continue
         accepted = parsers[module][name]._option_string_actions
         command_line = _CLI_COMMAND_END.split(text[invocation.end():], maxsplit=1)[0]
-        unknown.extend(
-            f"{name} {option}"
-            for option in _CLI_OPTION.findall(command_line)
-            if option not in accepted
-        )
+        for found in _CLI_OPTION.finditer(command_line):
+            option = found.group()
+            if option not in accepted:
+                unknown.append(f"{name} {option}")
+                continue
+            choices = accepted[option].choices
+            value = _CLI_VALUE.match(command_line, found.end())
+            if choices and value and value.group(1) not in map(str, choices):
+                unknown.append(f"{name} {option} {value.group(1)}")
     return unknown
 
 
@@ -152,6 +163,7 @@ class TestParser:
             [RETIRED_BUFFER_CAPACITY, "16"],
             [RETIRED_TCP_PORT, "9001"],
             [RETIRED_SOCKET_SINK, "127.0.0.1:9100"],
+            [RETIRED_WORKERS, "2"],
         ],
     )
     def test_retired_options_exit_2_everywhere(self, name, retired, capsys):
@@ -365,4 +377,21 @@ class TestDocsAndCIDrift:
             f"receive {RETIRED_RECEIVE_MODE}",
             f"push {RETIRED_PUSH_TCP}",
             "listen",
+        ]
+
+    def test_checker_reports_retired_choice_values(self):
+        # A backend and a checkpoint mode the parser no longer offers, in
+        # both value spellings; the live options and values around them
+        # (including a valid --backend) are not reported.
+        text = (
+            "PYTHONPATH=src python -m repro.experiments.cli serve \\\n"
+            "    --dataset stocks --backend thread --shards 2 \\\n"
+            "    --checkpoint-mode=bogus --compile-mode indexed | tee serve.log\n"
+            "run: >\n"
+            "  PYTHONPATH=src python -m repro.experiments.cli serve\n"
+            "  --backend process --checkpoint-mode delta --late-policy drop\n"
+        )
+        assert unknown_cli_invocations(text, module_parsers()) == [
+            "serve --backend thread",
+            "serve --checkpoint-mode bogus",
         ]

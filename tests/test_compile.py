@@ -4,8 +4,7 @@ Four layers of coverage:
 
 1. **Kernel equivalence** — every compiled kernel shape (local / step /
    join, specialized and fallback) is fuzzed against the interpreted
-   ``Condition.evaluate`` it was lowered from; the columnar ``rows_fn``
-   variants must agree with their per-event kernels row for row.
+   ``Condition.evaluate`` it was lowered from.
 2. **Equality-index semantics** — probe results partition the indexed
    items, ``None``/unhashable keys degrade safely, pruned counts add up.
 3. **Condition identity** — ``cache_key`` equality tracks semantic
@@ -30,7 +29,6 @@ from repro.compile import (
     COMPILE_MODES,
     CompiledPlanKernels,
     EqualityIndex,
-    EventBatchColumns,
     compile_join_kernel,
     compile_local_kernel,
     compile_step_kernel,
@@ -93,16 +91,6 @@ def test_local_kernel_matches_interpreted_threshold():
     rng = random.Random(5)
     for event in _random_events(rng):
         assert kernel.fn(event) == condition.evaluate({"a": event})
-
-
-def test_local_kernel_rows_fn_matches_per_event_kernel():
-    condition = AttributeThresholdCondition("a", "speed", ">=", 50.0)
-    kernel = compile_local_kernel(condition, "a", None)
-    events = _random_events(random.Random(6), count=64)
-    columns = EventBatchColumns(events)
-    rows = list(range(len(events)))
-    assert kernel.rows_fn is not None
-    assert kernel.rows_fn(columns, rows) == [kernel.fn(e) for e in events]
 
 
 def test_local_kernel_falls_back_on_opaque_predicate():
@@ -381,36 +369,21 @@ def test_compiled_kill_resume_serves_reference_matches(
 
 
 # ----------------------------------------------------------------------
-# Batch/columnar path and pruning counters
+# Mode agreement and pruning counters
 # ----------------------------------------------------------------------
-def test_process_batch_modes_agree_and_indexed_prunes():
+def test_modes_agree_and_indexed_prunes():
     events = make_camera_stream(count=300, seed=17).to_list()
     reference = None
     for mode in COMPILE_MODES:
         engine = _engine(mode)
-        matches = []
-        for start in range(0, len(events), 64):
-            matches.extend(engine.process_batch(events[start : start + 64]))
-        records = sorted(json.dumps(match_record(m)) for m in matches)
+        records = sorted(json.dumps(match_record(m)) for m in engine.run(events).matches)
         if reference is None:
             reference = records
             assert reference
         else:
-            assert records == reference, f"{mode} diverged in batch mode"
+            assert records == reference, f"{mode} diverged from interpreted"
         pruned = engine.migration_manager.total_counters().candidates_pruned
         if mode == "indexed":
             assert pruned > 0, "equality index never pruned a candidate"
         else:
             assert pruned == 0
-
-
-def test_event_batch_columns_lazy_views():
-    events = [_event(t=float(i), speed=float(i)) for i in range(4)]
-    events.append(Event(B, 4.0, {"speed": 9.0}))
-    columns = EventBatchColumns(events)
-    assert len(columns) == 5
-    assert columns.column("speed") == [0.0, 1.0, 2.0, 3.0, 9.0]
-    assert columns.column("speed") is columns.column("speed")  # cached
-    assert columns.column("missing") == [None] * 5
-    assert columns.rows_by_type() == {"A": [0, 1, 2, 3], "B": [4]}
-    assert columns.last_timestamp == 4.0

@@ -3,8 +3,8 @@
 The pipeline's contract is exactly-once match delivery across a hard kill:
 a killed service resumes from its last checkpoint, re-processes only the
 post-checkpoint suffix, and the sink rollback withdraws matches the resume
-will re-derive.  This suite fuzzes that contract for the multi-core worker
-backends by killing the pipeline at ≥10 seeded, randomized event offsets
+will re-derive.  This suite fuzzes that contract for the process worker
+backend by killing the pipeline at seeded, randomized event offsets
 (`final_checkpoint=False` simulates the kill: the in-memory state is
 discarded without a final snapshot, exactly as SIGKILL would) and checking
 that the served match file always ends up byte-identical to an
@@ -33,9 +33,9 @@ from repro.streaming import (
     ReorderBuffer,
     ReplaySource,
     StreamingPipeline,
-    ThreadWorkerBackend,
     bounded_shuffle,
 )
+from repro.streaming import workers
 from repro.streaming.sinks import match_record
 from tests.conftest import make_camera_stream
 
@@ -77,12 +77,18 @@ def workload():
 FULL_EVERY = 3
 
 
+@pytest.fixture(autouse=True)
+def small_hand_offs(monkeypatch):
+    """Several worker hand-offs per checkpoint interval, so kills and
+    barriers land with batches both queued and in flight."""
+    monkeypatch.setattr(workers, "FEED_BATCH", 8)
+
+
 def _build_pipeline(
     pattern,
     events,
     sink_path,
     store,
-    backend_cls,
     partitioner,
     checkpoint_mode="full",
 ):
@@ -93,9 +99,8 @@ def _build_pipeline(
         shards=2,
         partitioner=partitioner,
     )
-    backend = backend_cls(engine, feed_batch=8)
     return StreamingPipeline(
-        backend,
+        ProcessWorkerBackend(engine),
         ReplaySource(events),
         sinks=[JSONLMatchWriter(sink_path)],
         checkpoint_store=store,
@@ -112,7 +117,6 @@ def _kill_resume_verify(
     tmp_path,
     label,
     kill_at,
-    backend_cls,
     partitioner,
     checkpoint_mode="full",
 ):
@@ -125,7 +129,6 @@ def _kill_resume_verify(
             events,
             sink_path,
             store,
-            backend_cls,
             partitioner,
             checkpoint_mode=checkpoint_mode,
         )
@@ -158,26 +161,10 @@ def _fuzz_offsets():
     return sorted(rng.sample(range(CHECKPOINT_EVERY + 1, EVENT_COUNT - 5), KILL_POINTS))
 
 
-@pytest.mark.parametrize("kill_at", _fuzz_offsets())
-def test_thread_worker_kill_resume_fuzz(workload, tmp_path, kill_at):
-    pattern, events, expected = workload
-    _kill_resume_verify(
-        pattern,
-        events,
-        expected,
-        tmp_path,
-        f"thread-{kill_at}",
-        kill_at,
-        ThreadWorkerBackend,
-        BroadcastPartitioner(),
-    )
-
-
 @pytest.mark.parametrize(
     "kill_at", _fuzz_offsets()[:: max(1, KILL_POINTS // 3)][:3]
 )
 def test_process_worker_kill_resume_fuzz(workload, tmp_path, kill_at):
-    """The process backend re-runs a subset (worker start-up is expensive)."""
     pattern, events, expected = workload
     _kill_resume_verify(
         pattern,
@@ -186,7 +173,6 @@ def test_process_worker_kill_resume_fuzz(workload, tmp_path, kill_at):
         tmp_path,
         f"process-{kill_at}",
         kill_at,
-        ProcessWorkerBackend,
         BroadcastPartitioner(),
     )
 
@@ -208,7 +194,6 @@ def test_delta_checkpoint_kill_resume_fuzz(workload, tmp_path, kill_at):
         tmp_path,
         f"delta-{kill_at}",
         kill_at,
-        ThreadWorkerBackend,
         BroadcastPartitioner(),
         checkpoint_mode="delta",
     )
@@ -226,8 +211,7 @@ def test_delta_kill_lands_between_base_and_deltas(workload, tmp_path):
             events,
             sink_path,
             store,
-            ThreadWorkerBackend,
-            BroadcastPartitioner(),
+                BroadcastPartitioner(),
             checkpoint_mode="delta",
         )
 
@@ -260,7 +244,6 @@ def test_delta_process_worker_kill_resume(workload, tmp_path):
         tmp_path,
         "delta-process",
         EVENT_COUNT // 2 + 7,
-        ProcessWorkerBackend,
         BroadcastPartitioner(),
         checkpoint_mode="delta",
     )
@@ -278,8 +261,7 @@ def test_delta_double_kill_resume(workload, tmp_path):
             events,
             sink_path,
             store,
-            ThreadWorkerBackend,
-            BroadcastPartitioner(),
+                BroadcastPartitioner(),
             checkpoint_mode="delta",
         )
 
@@ -308,7 +290,7 @@ def test_delta_kill_with_nonempty_reorder_buffer(workload, tmp_path):
             partitioner=BroadcastPartitioner(),
         )
         return StreamingPipeline(
-            ThreadWorkerBackend(engine, feed_batch=8),
+            ProcessWorkerBackend(engine),
             ReplaySource(shuffled),
             sinks=[JSONLMatchWriter(sink_path)],
             checkpoint_store=store,
@@ -342,8 +324,7 @@ def test_full_mode_resumes_delta_mode_store(workload, tmp_path):
             events,
             sink_path,
             store,
-            ThreadWorkerBackend,
-            BroadcastPartitioner(),
+                BroadcastPartitioner(),
             checkpoint_mode=mode,
         )
 
@@ -366,7 +347,6 @@ def test_key_partitioned_kill_resume(workload, tmp_path):
         tmp_path,
         "keyed",
         EVENT_COUNT // 2,
-        ThreadWorkerBackend,
         KeyPartitioner("person_id"),
     )
 
@@ -383,8 +363,7 @@ def test_double_kill_resume(workload, tmp_path):
             events,
             sink_path,
             store,
-            ThreadWorkerBackend,
-            BroadcastPartitioner(),
+                BroadcastPartitioner(),
         )
 
     build().run(max_events=130, final_checkpoint=False)
@@ -421,7 +400,7 @@ def test_kill_with_nonempty_reorder_buffer(workload, tmp_path):
             partitioner=BroadcastPartitioner(),
         )
         return StreamingPipeline(
-            ThreadWorkerBackend(engine, feed_batch=8),
+            ProcessWorkerBackend(engine),
             ReplaySource(shuffled),
             sinks=[JSONLMatchWriter(sink_path)],
             checkpoint_store=store,
@@ -500,7 +479,7 @@ def test_inline_checkpoint_resumes_on_worker_backend(workload, tmp_path):
     ).run(max_events=200, final_checkpoint=False)
 
     second = _build_pipeline(
-        pattern, events, sink_path, store, ProcessWorkerBackend, BroadcastPartitioner()
+        pattern, events, sink_path, store, BroadcastPartitioner()
     ).run()
     assert second.resumed_from == 200 - (200 % CHECKPOINT_EVERY)
     served = sorted(line for line in open(sink_path).read().splitlines() if line)

@@ -9,16 +9,16 @@ workload is pushed through every execution mode the library offers:
 2. sharded ``ParallelCEPEngine.run`` (the same fold of ``process()``),
 3. streaming pipeline, inline backend, sequential engine,
 4. streaming pipeline, inline backend, sharded engine (``process()``),
-5. streaming pipeline, thread worker backend,
-6. streaming pipeline, process worker backend,
+5. streaming pipeline, process worker backend (each worker folds its
+   replica's ``process()`` over its hand-off batches),
 
-— six modes over five code paths (2 and 4 both fold the sharded
-``process()``, directly and through the pipeline) — and the *byte-identical* sorted JSON records of the match sets are
-compared.  Sorting removes the one legitimate difference (emission order
+— five modes over four code paths (2 and 4 both fold the sharded
+``process()``, directly and through the pipeline) — and the
+*byte-identical* sorted JSON records of the match sets are compared.  Sorting removes the one legitimate difference (emission order
 across shards); everything else — bindings, timestamps, sequence numbers,
 detection times — must agree exactly.
 
-The compile-mode differential re-runs all six execution modes with
+The compile-mode differential re-runs all five execution modes with
 ``compile_mode="compiled"`` and ``"indexed"`` (see :mod:`repro.compile`):
 lowering conditions into specialized kernels and pruning join candidates
 through equality indexes must leave every byte of the match set alone.
@@ -57,7 +57,6 @@ from repro.streaming import (
     ReorderBuffer,
     ReplaySource,
     StreamingPipeline,
-    ThreadWorkerBackend,
     bounded_shuffle,
     reorder_events,
 )
@@ -136,25 +135,12 @@ def run_pipeline_inline_sharded(
     return sink.matches
 
 
-def run_pipeline_thread_workers(
-    pattern, events, partitioner, compile_mode="interpreted", **pipeline_kwargs
-):
-    sink = CollectorSink()
-    backend = ThreadWorkerBackend(
-        _parallel(pattern, partitioner, compile_mode=compile_mode), feed_batch=16
-    )
-    StreamingPipeline(
-        backend, ReplaySource(events), sinks=[sink], **pipeline_kwargs
-    ).run()
-    return sink.matches
-
-
 def run_pipeline_process_workers(
     pattern, events, partitioner, compile_mode="interpreted", **pipeline_kwargs
 ):
     sink = CollectorSink()
     backend = ProcessWorkerBackend(
-        _parallel(pattern, partitioner, compile_mode=compile_mode), feed_batch=16
+        _parallel(pattern, partitioner, compile_mode=compile_mode)
     )
     StreamingPipeline(
         backend, ReplaySource(events), sinks=[sink], **pipeline_kwargs
@@ -166,7 +152,6 @@ MODES = {
     "sharded-run": run_sharded,
     "pipeline-inline": run_pipeline_inline,
     "pipeline-inline-sharded": run_pipeline_inline_sharded,
-    "pipeline-thread-workers": run_pipeline_thread_workers,
     "pipeline-process-workers": run_pipeline_process_workers,
 }
 
@@ -242,7 +227,7 @@ def test_mode_equals_sequential_reference(references, workload_name, mode_name):
 def test_compile_mode_equals_interpreted_reference(
     references, workload_name, mode_name, compile_mode
 ):
-    """3 compile modes x 6 execution modes, one byte-identical match set.
+    """3 compile modes x 5 execution modes, one byte-identical match set.
 
     The interpreted reference is the module fixture; this parametrization
     re-runs every execution mode with plan-compiled kernels (and, in

@@ -74,7 +74,7 @@ def _isolated_records(patterns, events, compile_mode="interpreted"):
             compile_mode=compile_mode,
         )
         records[pattern.name] = sorted(
-            json.dumps(match_record(m)) for m in engine.process_batch(events)
+            json.dumps(match_record(m)) for m in engine.run(events).matches
         )
     return records
 
@@ -195,7 +195,7 @@ class TestProvenance:
         engine = MultiPatternEngine(
             registry, GreedyOrderPlanner(), InvariantBasedPolicy
         )
-        matches = engine.process_batch(events)
+        matches = engine.run(events).matches
         assert matches, "workload family produced no matches to tag"
         assert {m.pattern_id for m in matches} <= set(ids)
         for match in matches:
@@ -279,7 +279,7 @@ class TestSharedVsIsolated:
         patterns, events = _family(count=4)
         expected = _isolated_records(patterns, events, compile_mode)
         engine = _shared_engine(patterns, compile_mode)
-        actual = _per_pattern_records(patterns, engine.process_batch(events))
+        actual = _per_pattern_records(patterns, engine.run(events).matches)
         assert actual == expected
         assert sum(len(r) for r in expected.values()) > 0
         assert engine.prefix_hits_total() > 0, "prefix sharing never engaged"
@@ -289,10 +289,10 @@ class TestSharedVsIsolated:
         expected = _isolated_records(patterns, events)
         engine = _shared_engine(patterns)
         half = len(events) // 2
-        matches = engine.process_batch(events[:half])
+        matches = engine.run(events[:half]).matches
         blob = engine.snapshot_state()
         resumed = MultiPatternEngine.restore_state(blob)
-        matches.extend(resumed.process_batch(events[half:]))
+        matches.extend(resumed.run(events[half:]).matches)
         assert _per_pattern_records(patterns, matches) == expected
 
     def test_compiled_mode_reuses_kernels_across_patterns(self):
@@ -301,7 +301,7 @@ class TestSharedVsIsolated:
         patterns, events = _family(count=4)
         before = kernels_reused_total()
         engine = _shared_engine(patterns, "compiled")
-        engine.process_batch(events[:200])
+        engine.run(events[:200])
         assert kernels_reused_total() > before
 
 
@@ -309,7 +309,8 @@ class TestRoutingHygiene:
     def test_memberless_groups_leave_the_event_path(self):
         patterns, events = _family(count=3)
         engine = _shared_engine(patterns)
-        engine.process_batch(events[:400])
+        for event in events[:400]:
+            engine.process(event)
         groups = engine.share_manager.groups()
         assert any(group.member_count > 0 for group in groups)
         # Forcibly retire every member: the next routing rebuild must stop
@@ -320,7 +321,8 @@ class TestRoutingHygiene:
             group._members.clear()
             group._pending.clear()
         engine._reset_routing()
-        engine.process_batch(events[400:600])
+        for event in events[400:600]:
+            engine.process(event)
         routed = [
             group
             for groups_for_type in engine._group_routes.values()

@@ -225,8 +225,6 @@ def test_every_mode_matches_the_scan_and_reject_reference(seed):
 
     indexed = LazyNFAEngine(plan, compile_mode="indexed")
     assert match_records(run_engine(indexed, events)) == reference
-    batched = LazyNFAEngine(plan, compile_mode="indexed")
-    assert match_records(batched.process_batch(events)) == reference
 
 
 class TestDeadPartialElimination:

@@ -1,6 +1,9 @@
-"""Tests for the multi-core streaming execution backends (repro.streaming.workers)."""
+"""Tests for the streaming execution backends (repro.streaming.workers)."""
 
 from __future__ import annotations
+
+import queue
+import random
 
 import pytest
 
@@ -13,13 +16,12 @@ from repro.engine.state import (
     snapshot_shard_states,
 )
 from repro.errors import CheckpointError, StreamingError
-from repro.events import EventType
-from repro.optimizer import GreedyOrderPlanner
+from repro.events import Event, EventType
+from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
 from repro.parallel import (
     BroadcastPartitioner,
     KeyPartitioner,
     ParallelCEPEngine,
-    Shard,
     build_replica,
     match_signature,
 )
@@ -30,13 +32,20 @@ from repro.streaming import (
     ProcessWorkerBackend,
     ReplaySource,
     StreamingPipeline,
-    ThreadWorkerBackend,
-    backend_by_name,
+    workers,
 )
+from repro.streaming.workers import _worker_loop
 from tests.conftest import make_camera_stream
 
-from repro.conditions import AndCondition, EqualityCondition
-from repro.patterns import seq
+from repro.conditions import (
+    AndCondition,
+    AttributeComparisonCondition,
+    AttributeThresholdCondition,
+    ConditionSet,
+    EqualityCondition,
+    PredicateCondition,
+)
+from repro.patterns import Pattern, PatternItem, PatternOperator, seq
 
 
 def _camera_pattern():
@@ -69,7 +78,7 @@ def _signatures(matches):
 
 
 # ----------------------------------------------------------------------
-# Shard lifecycle: init / feed
+# Shard lifecycle: a replica fed hand-off batches by the worker loop
 # ----------------------------------------------------------------------
 class TestShardFeedLifecycle:
     def test_feed_matches_run_to_completion(self):
@@ -78,16 +87,23 @@ class TestShardFeedLifecycle:
         expected = _signatures(_sequential_engine(pattern).run(events).matches)
         assert expected
 
-        shard = Shard(
-            0,
-            build_replica(
-                pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), None, None, 1.0
-            ),
+        replica = build_replica(
+            pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), None, None, 1.0
         )
-        collected = []
-        for start in range(0, len(events), 16):
-            collected.extend(shard.feed(events[start : start + 16]))
+        in_queue, out_queue = queue.Queue(), queue.Queue()
+        starts = range(0, len(events), 16)
+        for start in starts:
+            in_queue.put(("events", tuple(events[start : start + 16])))
+        in_queue.put(("stop",))
+        _worker_loop(0, replica, in_queue, out_queue)  # returns on "stop"
+
+        replies = []
+        while not out_queue.empty():
+            replies.append(out_queue.get())
+        assert [reply[0] for reply in replies] == ["matches"] * len(starts) + ["stopped"]
+        collected = [match for reply in replies[:-1] for match in reply[3]]
         assert _signatures(collected) == expected
+        assert sum(reply[4] for reply in replies[:-1]) == len(events)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +164,7 @@ class TestInlineBackend:
         engine = _sequential_engine(_camera_pattern())
         backend = InlineBackend(engine)
         shard_blob = snapshot_shard_states([snapshot_engine(engine)])
-        with pytest.raises(CheckpointError, match="multi-worker"):
+        with pytest.raises(CheckpointError, match="worker backend"):
             backend.restore(shard_blob)
 
     def test_pipeline_wraps_bare_engine(self):
@@ -157,32 +173,25 @@ class TestInlineBackend:
 
 
 # ----------------------------------------------------------------------
-# Worker backends (threads and processes)
+# Worker backends
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["thread", "process"])
-def backend_name(request):
+@pytest.fixture(params=[ProcessWorkerBackend], ids=lambda cls: cls.name)
+def backend_cls(request):
     return request.param
 
 
-def _make_backend(name, engine, **kwargs):
-    cls = {"thread": ThreadWorkerBackend, "process": ProcessWorkerBackend}[name]
-    return cls(engine, **kwargs)
-
-
 class TestWorkerBackends:
-    def test_requires_parallel_engine(self, backend_name):
+    def test_requires_parallel_engine(self, backend_cls):
         with pytest.raises(StreamingError, match="ParallelCEPEngine"):
-            _make_backend(backend_name, _sequential_engine(_camera_pattern()))
+            backend_cls(_sequential_engine(_camera_pattern()))
 
-    def test_matches_equal_sequential(self, backend_name):
+    def test_matches_equal_sequential(self, backend_cls):
         pattern = _camera_pattern()
         events = make_camera_stream(count=250, seed=5).to_list()
         expected = _signatures(_sequential_engine(pattern).run(events).matches)
         assert expected
 
-        backend = _make_backend(
-            backend_name, _parallel_engine(pattern), feed_batch=16
-        )
+        backend = backend_cls(_parallel_engine(pattern))
         collected = []
         try:
             for event in events:
@@ -193,28 +202,27 @@ class TestWorkerBackends:
             backend.close()
         assert _signatures(collected) == expected
 
-    def test_flush_is_a_barrier(self, backend_name):
+    def test_flush_is_a_barrier(self, backend_cls, monkeypatch):
+        monkeypatch.setattr(workers, "FEED_BATCH", 1000)
         pattern = _camera_pattern()
         events = make_camera_stream(count=100, seed=6).to_list()
-        backend = _make_backend(
-            backend_name, _parallel_engine(pattern), feed_batch=1000
-        )
+        backend = backend_cls(_parallel_engine(pattern))
         try:
             for event in events:
-                backend.submit(event)  # feed_batch never reached: all pending
+                backend.submit(event)  # FEED_BATCH never reached: all pending
             matches = backend.flush()
             expected = _signatures(_sequential_engine(pattern).run(events).matches)
             assert _signatures(matches) == expected
         finally:
             backend.close()
 
-    def test_snapshot_restore_round_trip(self, backend_name):
+    def test_snapshot_restore_round_trip(self, backend_cls):
         pattern = _camera_pattern()
         events = make_camera_stream(count=300, seed=7).to_list()
         expected = _signatures(_sequential_engine(pattern).run(events).matches)
         split = 150
 
-        first = _make_backend(backend_name, _parallel_engine(pattern), feed_batch=8)
+        first = backend_cls(_parallel_engine(pattern))
         collected = []
         try:
             for event in events[:split]:
@@ -225,7 +233,7 @@ class TestWorkerBackends:
             first.close()
         assert is_shard_snapshot(blob)
 
-        second = _make_backend(backend_name, _parallel_engine(pattern), feed_batch=8)
+        second = backend_cls(_parallel_engine(pattern))
         try:
             second.restore(blob)
             for event in events[split:]:
@@ -235,15 +243,15 @@ class TestWorkerBackends:
             second.close()
         assert _signatures(collected) == expected
 
-    def test_restore_rejects_wrong_shard_count(self, backend_name):
+    def test_restore_rejects_wrong_shard_count(self, backend_cls):
         pattern = _camera_pattern()
-        donor = _make_backend(backend_name, _parallel_engine(pattern, shards=3))
+        donor = backend_cls(_parallel_engine(pattern, shards=3))
         blob = donor.snapshot()  # never started: local replica snapshot
-        backend = _make_backend(backend_name, _parallel_engine(pattern, shards=2))
+        backend = backend_cls(_parallel_engine(pattern, shards=2))
         with pytest.raises(CheckpointError, match="worker count"):
             backend.restore(blob)
 
-    def test_restore_adopts_inline_parallel_checkpoint(self, backend_name):
+    def test_restore_adopts_inline_parallel_checkpoint(self, backend_cls):
         """An inline ParallelCEPEngine checkpoint resumes on a worker backend."""
         pattern = _camera_pattern()
         events = make_camera_stream(count=300, seed=8).to_list()
@@ -256,7 +264,7 @@ class TestWorkerBackends:
             collected.extend(inline_engine.process(event))
         blob = snapshot_engine(inline_engine)
 
-        backend = _make_backend(backend_name, _parallel_engine(pattern))
+        backend = backend_cls(_parallel_engine(pattern))
         try:
             backend.restore(blob)
             for event in events[split:]:
@@ -266,11 +274,11 @@ class TestWorkerBackends:
             backend.close()
         assert _signatures(collected) == expected
 
-    def test_close_is_idempotent_and_restartable(self, backend_name):
+    def test_close_is_idempotent_and_restartable(self, backend_cls):
         pattern = _camera_pattern()
         events = make_camera_stream(count=200, seed=9).to_list()
         expected = _signatures(_sequential_engine(pattern).run(events).matches)
-        backend = _make_backend(backend_name, _parallel_engine(pattern))
+        backend = backend_cls(_parallel_engine(pattern))
         collected = []
         for event in events[:100]:
             backend.submit(event)
@@ -284,25 +292,27 @@ class TestWorkerBackends:
         backend.close()
         assert _signatures(collected) == expected
 
-    def test_plan_history_is_shard_prefixed(self, backend_name):
-        backend = _make_backend(backend_name, _parallel_engine(_camera_pattern()))
+    def test_plan_history_is_shard_prefixed(self, backend_cls):
+        backend = backend_cls(_parallel_engine(_camera_pattern()))
         history = backend.plan_history()
         assert history
         assert all(entry.startswith("shard ") for entry in history)
 
 
+def _explode(first, second):
+    raise RuntimeError("engine exploded")
+
+
 class TestWorkerFailure:
     def test_worker_error_propagates(self):
-        pattern = _camera_pattern()
-        backend = ThreadWorkerBackend(_parallel_engine(pattern), feed_batch=1)
-
-        class _Crashing:
-            def process(self, event):
-                raise RuntimeError("engine exploded")
-
-        backend._engines[0] = _Crashing()
+        """A replica that raises inside its worker process fails the backend."""
+        a, b, c = EventType("A"), EventType("B"), EventType("C")
+        pattern = seq(
+            [a, b, c], condition=PredicateCondition(["a", "b"], _explode), window=10.0
+        )
+        backend = ProcessWorkerBackend(_parallel_engine(pattern))
         try:
-            with pytest.raises(StreamingError, match="worker failed"):
+            with pytest.raises(StreamingError, match="(?s)worker failed.*engine exploded"):
                 for event in make_camera_stream(count=50, seed=1).to_list():
                     backend.submit(event)
                 backend.flush()
@@ -314,7 +324,7 @@ class TestWorkerFailure:
 # Pipeline integration
 # ----------------------------------------------------------------------
 class TestPipelineWithWorkers:
-    def test_worker_pipeline_matches_inline(self, backend_name):
+    def test_worker_pipeline_matches_inline(self, backend_cls):
         pattern = _camera_pattern()
         events = make_camera_stream(count=250, seed=10).to_list()
 
@@ -326,9 +336,7 @@ class TestPipelineWithWorkers:
         assert expected
 
         worker_sink = CollectorSink()
-        backend = _make_backend(
-            backend_name, _parallel_engine(pattern), feed_batch=16
-        )
+        backend = backend_cls(_parallel_engine(pattern))
         result = StreamingPipeline(
             backend, ReplaySource(events), sinks=[worker_sink]
         ).run()
@@ -336,12 +344,10 @@ class TestPipelineWithWorkers:
         assert result.events_processed == len(events)
         assert result.matches_emitted == len(expected)
 
-    def test_worker_lane_metrics_populated(self, backend_name):
+    def test_worker_lane_metrics_populated(self, backend_cls):
         pattern = _camera_pattern()
         events = make_camera_stream(count=120, seed=12).to_list()
-        backend = _make_backend(
-            backend_name, _parallel_engine(pattern), feed_batch=8
-        )
+        backend = backend_cls(_parallel_engine(pattern))
         pipeline = StreamingPipeline(backend, ReplaySource(events))
         result = pipeline.run()
         lanes = result.metrics.workers
@@ -353,20 +359,19 @@ class TestPipelineWithWorkers:
         assert row["workers"] == 2.0
         assert "worker_batch_ms_mean" in row
 
-    def test_keyed_worker_pipeline(self, backend_name):
+    def test_keyed_worker_pipeline(self, backend_cls, monkeypatch):
+        monkeypatch.setattr(workers, "FEED_BATCH", 4)
         pattern = _camera_pattern()
         events = make_camera_stream(count=250, seed=13).to_list()
         expected = _signatures(_sequential_engine(pattern).run(events).matches)
         sink = CollectorSink()
-        backend = _make_backend(
-            backend_name,
-            _parallel_engine(pattern, partitioner=KeyPartitioner("person_id")),
-            feed_batch=4,
+        backend = backend_cls(
+            _parallel_engine(pattern, partitioner=KeyPartitioner("person_id"))
         )
         StreamingPipeline(backend, ReplaySource(events), sinks=[sink]).run()
         assert _signatures(sink.matches) == expected
 
-    def test_checkpoint_kill_resume_with_workers(self, backend_name, tmp_path):
+    def test_checkpoint_kill_resume_with_workers(self, backend_cls, tmp_path):
         pattern = _camera_pattern()
         events = make_camera_stream(count=400, seed=11).to_list()
         expected = _signatures(_sequential_engine(pattern).run(events).matches)
@@ -378,9 +383,7 @@ class TestPipelineWithWorkers:
         from repro.streaming import JSONLMatchWriter
 
         def build():
-            backend = _make_backend(
-                backend_name, _parallel_engine(pattern), feed_batch=8
-            )
+            backend = backend_cls(_parallel_engine(pattern))
             return StreamingPipeline(
                 backend,
                 ReplaySource(events),
@@ -409,17 +412,99 @@ class TestPipelineWithWorkers:
 
 
 # ----------------------------------------------------------------------
-# Factory and store clock
+# Adaptation: a worker replica is the inline replica in another process
 # ----------------------------------------------------------------------
-class TestFactoryAndClock:
-    def test_backend_by_name(self):
-        engine = _parallel_engine(_camera_pattern())
-        assert backend_by_name("inline", engine).name == "inline"
-        assert backend_by_name("thread", engine).name == "thread"
-        assert backend_by_name("process", engine).name == "process"
-        with pytest.raises(StreamingError, match="unknown backend"):
-            backend_by_name("gpu", engine)
+_DRIFT_TYPES = [EventType(f"S{index}") for index in range(5)]
+_DRIFT_VARIABLES = ("a", "b", "c", "d")
 
+
+def _drifting_and4():
+    """AND-4 with a single-variable threshold per item and a chain of
+    pairwise comparisons (the shape of the benchmark's tree workload)."""
+    conditions = ConditionSet()
+    for variable in _DRIFT_VARIABLES:
+        conditions.add(AttributeThresholdCondition(variable, "load", "<", 0.5))
+    for index, (first, second) in enumerate(zip(_DRIFT_VARIABLES, _DRIFT_VARIABLES[1:])):
+        attribute = f"level{index}"
+        conditions.add(
+            AttributeComparisonCondition(first, attribute, "<", second, attribute)
+        )
+    items = [PatternItem(v, t) for v, t in zip(_DRIFT_VARIABLES, _DRIFT_TYPES)]
+    return Pattern(
+        PatternOperator.CONJUNCTION, items, condition=conditions, window=1.0,
+        name="drift-and4",
+    )
+
+
+def _drifting_stream(count, seed):
+    """Poisson arrivals whose four pattern-type rates rotate halfway."""
+    rng = random.Random(seed)
+    before = [0.5, 1.5, 4.5, 13.5]
+    after = before[2:] + before[:2]
+    events, timestamp = [], 0.0
+    for position in range(count):
+        rates = (before if position < count // 2 else after) + [2.0]
+        total = sum(rates)
+        timestamp += rng.expovariate(total)
+        pick = rng.random() * total
+        index = 0
+        while pick > rates[index]:
+            pick -= rates[index]
+            index += 1
+        payload = {f"level{level}": rng.gauss(50.0, 20.0) for level in range(3)}
+        payload["load"] = rng.random()
+        events.append(Event(_DRIFT_TYPES[index], timestamp, payload))
+    return events
+
+
+def _adaptation_counts(engine):
+    statistics = engine.controller.statistics
+    metrics = engine.work_metrics()
+    return {
+        "plan_history": engine.plan_history,
+        "decisions_evaluated": statistics.decisions_evaluated,
+        "reoptimizations_requested": statistics.reoptimizations_requested,
+        "plans_generated": statistics.plans_generated,
+        "plans_replaced": statistics.plans_replaced,
+        "reoptimizations": metrics.reoptimizations,
+        "partial_matches_created": metrics.partial_matches_created,
+        "extension_attempts": metrics.extension_attempts,
+    }
+
+
+class TestWorkerAdaptation:
+    def test_worker_replicas_adapt_exactly_like_inline_replicas(self):
+        """Every shard installs the same plans and does the same work
+        whether its replica runs inline or in a worker process."""
+        events = _drifting_stream(6000, seed=14)
+
+        def engine():
+            return ParallelCEPEngine(
+                _drifting_and4(),
+                ZStreamTreePlanner(),
+                InvariantBasedPolicy(0.1),
+                shards=2,
+                partitioner=BroadcastPartitioner(),
+                compile_mode="compiled",
+            )
+
+        inline = engine()
+        StreamingPipeline(inline, ReplaySource(events)).run()
+        hosted = engine()
+        StreamingPipeline(ProcessWorkerBackend(hosted), ReplaySource(events)).run()
+
+        for inline_shard, hosted_shard in zip(
+            inline.sharded_engine.shards, hosted.sharded_engine.shards
+        ):
+            expected = _adaptation_counts(inline_shard.engine)
+            assert expected["plans_replaced"] > 0, "the drift must force re-plans"
+            assert _adaptation_counts(hosted_shard.engine) == expected
+
+
+# ----------------------------------------------------------------------
+# Store clock
+# ----------------------------------------------------------------------
+class TestCheckpointStoreClock:
     def test_checkpoint_store_uses_injected_clock(self, tmp_path):
         from repro.streaming import Checkpoint
 
