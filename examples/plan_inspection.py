@@ -9,15 +9,11 @@ engine — useful for understanding the paper's method without any streaming:
 3. build the invariant list (basic and K-invariant variants) and show which
    statistic changes do and do not trigger reoptimization;
 4. show the davg heuristic's distance estimate for the plan;
-5. run the pattern with ``introspect=True`` and print what the engine
-   *measured*: live operator stats (condition timings, edge accept/reject
-   counts, partial-match populations) and the cost-model drift table;
-6. re-run the same stream with ``compile_mode="compiled"`` and show how
-   the hotspot report changes: the per-condition timings now measure the
-   specialized kernels :mod:`repro.compile` lowered the condition tree
-   into at plan-build time, not the interpreted ``evaluate`` walk — so a
-   condition that stays hot in compiled mode is genuinely expensive, not
-   just paying tree-walk overhead.
+5. run the pattern on a default engine and print what it *measured*,
+   straight from ``engine.introspection()``: the installed plan, the work
+   counters, the live partial matches per NFA state, and the cost-model
+   drift table — the plan's predicted selectivities (from the snapshot it
+   was planned from) against what the statistics collector observed.
 
 Run with::
 
@@ -39,7 +35,6 @@ from repro import (
     build_invariant_set,
 )
 from repro.adaptive import InvariantBasedPolicy
-from repro.compile import specialization_counts
 from repro.engine import AdaptiveCEPEngine
 from repro.events import Event
 
@@ -94,50 +89,31 @@ def show_introspection(pattern, snapshot) -> None:
         InvariantBasedPolicy(distance=0.1),
         initial_snapshot=snapshot,
         monitoring_interval=5.0,
-        introspect=True,
     )
     result = engine.run(make_stream())
     frame = engine.introspection()
     print(f"ran {result.metrics.events_processed} events, {result.match_count} matches")
-    print(f"active plan: {frame['plan']}")
+    print(f"active plan: {frame['plan']} (after {frame['reoptimizations']} re-plans)")
     print()
 
-    print("conditions ranked by measured wall time:")
-    for data in sorted(
-        frame["profile"]["conditions"].values(),
-        key=lambda d: d["seconds"],
-        reverse=True,
-    ):
-        print(
-            f"  {data['label']:<28} calls={data['calls']:>6,}"
-            f"  pass_rate={data['pass_rate']:>6.1%}"
-            f"  total={data['seconds'] * 1e3:7.3f} ms"
-        )
-    print()
-
-    print("per-operator accept/reject counts:")
-    for label, data in sorted(frame["profile"]["edges"].items()):
-        attempts = data["accepted"] + data["rejected"]
-        print(
-            f"  {label:<12} attempts={attempts:>6,}"
-            f"  accepted={data['accepted']:>6,}"
-            f"  accept_rate={data['accept_rate']:>6.1%}"
-        )
+    print("work counters:")
+    for name, value in frame["counters"].items():
+        print(f"  {name:<32} {value:>8,}")
     print()
 
     pm = frame["partial_matches"]
-    print(
-        f"partial matches: live={pm['live']}, high_water={pm['high_water']}, "
-        f"per_state={pm['per_state']}"
-    )
+    print(f"partial matches: live={pm['live']}, per_state={pm['per_state']}")
     print()
 
     drift = frame["drift"]
     print(
-        "cost-model drift (planned with the paper's statistics, "
-        "measured from the stream):"
+        "cost-model drift (the installed plan's predictions vs the "
+        "statistics measured from the stream):"
     )
-    print(f"  predicted plan cost: {drift['predicted_cost']:,.1f}")
+    print(
+        f"  predicted plan cost: {drift['predicted_cost']:,.1f} "
+        f"(planned by {drift['generator']} at t={drift['installed_at']:g})"
+    )
     for row in drift["pairs"]:
         print(
             f"  sel({row['pair']}): predicted={row['predicted']:.3f}"
@@ -145,51 +121,6 @@ def show_introspection(pattern, snapshot) -> None:
             f"  ratio={row['ratio']:.2f}  drift={row['drift']:.2f}"
         )
     print(f"  worst drift ratio: {drift['max_drift']:.2f}")
-
-
-def show_compiled_hotspots(pattern, snapshot) -> None:
-    """The same replay, compiled: kernel specialization + hotspot shift.
-
-    With ``compile_mode="compiled"`` the profiler's timings wrap the
-    specialized closures instead of the interpreted condition tree, so the
-    hotspot table now answers "which *kernel* is expensive" — a condition
-    that drops far down the ranking was merely paying interpreter
-    overhead, one that stays on top does real comparison work.
-    """
-    engine = AdaptiveCEPEngine(
-        pattern,
-        GreedyOrderPlanner(),
-        InvariantBasedPolicy(distance=0.1),
-        initial_snapshot=snapshot,
-        monitoring_interval=5.0,
-        introspect=True,
-        compile_mode="compiled",
-    )
-    result = engine.run(make_stream())
-    frame = engine.introspection()
-    print(f"ran {result.metrics.events_processed} events, {result.match_count} matches")
-
-    compiled = engine.migration_manager.active_engine._compiled
-    kernels = [k for ks in compiled.local_kernels.values() for k in ks]
-    for step in compiled.steps or ():
-        kernels.extend(step.kernels)
-    specialized, fallback = specialization_counts(kernels)
-    print(
-        f"plan lowered into {len(kernels)} kernels: {specialized} specialized, "
-        f"{fallback} interpreted-fallback (opaque predicates keep exact semantics)"
-    )
-
-    print("compiled-kernel hotspots (timings wrap the kernels, not the tree walk):")
-    for data in sorted(
-        frame["profile"]["conditions"].values(),
-        key=lambda d: d["seconds"],
-        reverse=True,
-    ):
-        print(
-            f"  {data['label']:<28} calls={data['calls']:>6,}"
-            f"  pass_rate={data['pass_rate']:>6.1%}"
-            f"  total={data['seconds'] * 1e3:7.3f} ms"
-        )
 
 
 def main() -> None:
@@ -238,12 +169,8 @@ def main() -> None:
             print(f"      new plan would be {regenerated.plan.describe()}")
     print()
 
-    print("--- live run with introspect=True: measured vs predicted ---")
+    print("--- live run: measured vs predicted ---")
     show_introspection(pattern, snapshot)
-    print()
-
-    print("--- the same run with compile_mode='compiled' ---")
-    show_compiled_hotspots(pattern, snapshot)
 
 
 if __name__ == "__main__":

@@ -135,8 +135,6 @@ from repro.patterns import (
 from repro.statistics import (
     StatisticsSnapshot,
     StatisticsCollector,
-    GroundTruthStatisticsProvider,
-    StaticStatisticsProvider,
 )
 from repro.plans import OrderBasedPlan, TreeBasedPlan
 from repro.optimizer import (
@@ -242,8 +240,6 @@ __all__ = [
     # statistics
     "StatisticsSnapshot",
     "StatisticsCollector",
-    "GroundTruthStatisticsProvider",
-    "StaticStatisticsProvider",
     # plans
     "OrderBasedPlan",
     "TreeBasedPlan",

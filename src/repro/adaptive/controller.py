@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.adaptive.policies import InvariantBasedPolicy, PolicyDecision, ReoptimizationPolicy
 from repro.errors import AdaptationError
+from repro.obs.introspect import drift_rows
 from repro.optimizer.base import PlanGenerator
 from repro.optimizer.recorder import PlanGenerationResult
 from repro.patterns import Pattern
@@ -34,9 +35,11 @@ class AdaptationRecord:
     ``trigger_distance`` and ``drift`` carry the quantitative context of a
     replacement — how far past the invariant boundary the statistics moved
     (:attr:`InvariantBasedPolicy.current_distance`) and the worst-drifting
-    predicted-vs-observed selectivity pairs of the plan being retired (from
-    the attached :class:`~repro.obs.introspect.DriftMonitor`).  Both are
-    ``None`` when their source is not configured.
+    predicted-vs-observed selectivity pairs of the plan being retired
+    (:func:`~repro.obs.introspect.drift_rows`).  ``trigger_distance`` is
+    ``None`` for policies without one; ``drift`` is computed only while a
+    decision sink is attached, so the records a checkpoint pickles stay
+    as small as they are without one.
     """
 
     time: float
@@ -105,11 +108,6 @@ class AdaptationController:
         #: pickled state (controllers travel inside engine snapshots and
         #: to worker processes) and re-attached by the pipeline.
         self.decision_sink = None
-        #: Optional :class:`~repro.obs.introspect.DriftMonitor` whose
-        #: predicted-vs-observed drift table is attached to replacement
-        #: records (set by :class:`~repro.engine.AdaptiveCEPEngine` when
-        #: introspection is enabled).  Plain data — travels in snapshots.
-        self.drift_monitor = None
         if initial_snapshot is not None:
             self._install_initial_plan(initial_snapshot)
 
@@ -122,12 +120,10 @@ class AdaptationController:
         self.__dict__.update(state)
         # Snapshots from builds that predate the sink lack the key.
         self.__dict__.setdefault("decision_sink", None)
-        self.__dict__.setdefault("drift_monitor", None)
 
     def _notify_replacement(self, record: AdaptationRecord) -> None:
-        sink = getattr(self, "decision_sink", None)
-        if sink is not None:
-            sink(record)
+        if self.decision_sink is not None:
+            self.decision_sink(record)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -224,8 +220,9 @@ class AdaptationController:
         # and the drift table must compare against the *old* plan's
         # predictions — after installation both describe the new plan.
         trigger_distance = getattr(self._policy, "current_distance", None)
-        monitor = getattr(self, "drift_monitor", None)
-        drift = monitor.top_drifts(snapshot) if monitor is not None else None
+        drift = None
+        if self.decision_sink is not None:
+            drift = drift_rows(self._current_result, self._pattern, snapshot)[:3]
 
         if isinstance(self._policy, InvariantBasedPolicy):
             self._policy.observe_adaptation(current_cost, new_cost)

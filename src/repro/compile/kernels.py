@@ -27,17 +27,11 @@ mode never changes what is detected, only how fast.
 Kernels are **not** picklable (they close over bound methods and
 operator functions); the :class:`~repro.compile.plan_kernels.CompiledPlanKernels`
 holder drops them on pickling and recompiles from the plan on restore.
-
-When a profile is attached (engine built with ``introspect=True``) the
-kernel itself is timed — the profile rows aggregate compiled-kernel time
-under the same ``cache_key`` the interpreted ``ProfiledCondition``
-wrappers use, so hotspot reports stay comparable across modes.
 """
 
 from __future__ import annotations
 
 import operator
-import time
 from typing import Callable, FrozenSet, Iterable, Tuple
 
 from repro.conditions import (
@@ -108,40 +102,9 @@ class CompiledKernel:
 
 
 # ----------------------------------------------------------------------
-# Profiling wrappers (applied only when a profile object is attached)
-# ----------------------------------------------------------------------
-def _timed1(fn: Callable, profile) -> Callable:
-    def timed(a, _fn=fn, _profile=profile, _clock=time.perf_counter):
-        started = _clock()
-        outcome = _fn(a)
-        _profile.seconds += _clock() - started
-        _profile.calls += 1
-        if outcome:
-            _profile.passes += 1
-        return outcome
-
-    return timed
-
-
-def _timed2(fn: Callable, profile) -> Callable:
-    def timed(a, b, _fn=fn, _profile=profile, _clock=time.perf_counter):
-        started = _clock()
-        outcome = _fn(a, b)
-        _profile.seconds += _clock() - started
-        _profile.calls += 1
-        if outcome:
-            _profile.passes += 1
-        return outcome
-
-    return timed
-
-
-# ----------------------------------------------------------------------
 # Local kernels: fn(event) -> bool
 # ----------------------------------------------------------------------
-def compile_local_kernel(
-    condition: Condition, variable: str, profile=None
-) -> CompiledKernel:
+def compile_local_kernel(condition: Condition, variable: str) -> CompiledKernel:
     """Lower a single-variable condition for buffer/leaf admission."""
     specialized = (
         isinstance(condition, AttributeThresholdCondition)
@@ -161,17 +124,13 @@ def compile_local_kernel(
         def fn(event, _condition=condition, _variable=variable):
             return bool(_condition.evaluate({_variable: event}))
 
-    if profile is not None:
-        fn = _timed1(fn, profile)
     return CompiledKernel(condition, fn, ((variable, variable),), specialized)
 
 
 # ----------------------------------------------------------------------
 # Step kernels: fn(bindings, event) -> bool  (NFA extension edges)
 # ----------------------------------------------------------------------
-def compile_step_kernel(
-    condition: Condition, new_variable: str, profile=None
-) -> CompiledKernel:
+def compile_step_kernel(condition: Condition, new_variable: str) -> CompiledKernel:
     """Lower a condition that becomes fully bound at one NFA plan step.
 
     ``bindings`` holds single events during matching (Kleene bindings
@@ -264,8 +223,6 @@ def compile_step_kernel(
             trial[_new] = event
             return bool(_condition.evaluate(trial))
 
-    if profile is not None:
-        fn = _timed2(fn, profile)
     return CompiledKernel(condition, fn, pairs, specialized)
 
 
@@ -302,7 +259,6 @@ def compile_join_kernel(
     condition: Condition,
     left_variables: FrozenSet[str],
     right_variables: FrozenSet[str],
-    profile=None,
 ) -> CompiledKernel:
     """Lower a condition linking two sibling sub-matches of a tree node."""
     pairs = report_pairs_for(condition.variables)
@@ -355,8 +311,6 @@ def compile_join_kernel(
             combined.update(right_bindings)
             return bool(_condition.evaluate(combined))
 
-    if profile is not None:
-        fn = _timed2(fn, profile)
     return CompiledKernel(condition, fn, pairs, specialized)
 
 

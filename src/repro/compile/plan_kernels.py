@@ -24,8 +24,8 @@ sorted variable pairs :func:`repro.engine.semantics._report_condition`
 uses, so selectivity estimates — and therefore planner decisions — are
 mode-independent.  Without a collector, evaluation short-circuits.
 
-Pickling drops the (unpicklable) closures and keeps only the plan, the
-profiler and the mode; ``__setstate__`` recompiles.  The module-level
+Pickling drops the (unpicklable) closures and keeps only the plan and
+the mode; ``__setstate__`` recompiles.  The module-level
 :func:`plans_compiled_total` counter exists so tests can prove a restored
 engine really did recompile rather than deserialize stale kernels.
 """
@@ -72,8 +72,7 @@ def plans_compiled_total() -> int:
 #: in multi-pattern serving, where many registered patterns repeat the
 #: same predicates — compile once and are shared across plans and
 #: engines.  Opaque conditions carry per-instance cache keys, so only
-#: provably identical predicates ever share.  Profiled kernels are never
-#: cached (the profile wrapper is per-condition-instance).
+#: provably identical predicates ever share.
 _KERNEL_CACHE: Dict[Tuple, CompiledKernel] = {}
 _KERNEL_CACHE_CAP = 4096
 _KERNELS_REUSED = 0
@@ -84,10 +83,8 @@ def kernels_reused_total() -> int:
     return _KERNELS_REUSED
 
 
-def _cached_kernel(shape: str, condition, variable: str, profile, build):
+def _cached_kernel(shape: str, condition, variable: str, build):
     global _KERNELS_REUSED
-    if profile is not None:
-        return build()
     try:
         key = (shape, variable, repr(condition.cache_key()))
     except Exception:
@@ -141,9 +138,8 @@ class StepKernels:
 class CompiledPlanKernels:
     """Compiled kernels for one evaluation plan (NFA order or tree)."""
 
-    def __init__(self, plan, profiler=None, indexed: bool = False):
+    def __init__(self, plan, indexed: bool = False):
         self.plan = plan
-        self.profiler = profiler
         self.indexed = indexed
         self._build()
 
@@ -152,22 +148,16 @@ class CompiledPlanKernels:
     # only the recipe travels and the kernels are rebuilt on arrival.
     # ------------------------------------------------------------------
     def __getstate__(self):
-        return {"plan": self.plan, "profiler": self.profiler, "indexed": self.indexed}
+        return {"plan": self.plan, "indexed": self.indexed}
 
     def __setstate__(self, state):
         self.plan = state["plan"]
-        self.profiler = state["profiler"]
         self.indexed = state["indexed"]
         self._build()
 
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def _profile_for(self, condition):
-        if self.profiler is None:
-            return None
-        return self.profiler.profile_for(condition)
-
     def _build(self) -> None:
         global _PLANS_COMPILED
         _PLANS_COMPILED += 1
@@ -178,21 +168,15 @@ class CompiledPlanKernels:
         self.local_kernels: Dict[str, Tuple[CompiledKernel, ...]] = {}
         for item in pattern.positive_items:
             variable = item.variable
-            local_kernels = []
-            for c in conditions.single_variable_conditions(variable):
-                profile = self._profile_for(c)
-                local_kernels.append(
-                    _cached_kernel(
-                        "local",
-                        c,
-                        variable,
-                        profile,
-                        lambda c=c, v=variable, p=profile: compile_local_kernel(
-                            c, v, p
-                        ),
-                    )
+            self.local_kernels[variable] = tuple(
+                _cached_kernel(
+                    "local",
+                    c,
+                    variable,
+                    lambda c=c, v=variable: compile_local_kernel(c, v),
                 )
-            self.local_kernels[variable] = tuple(local_kernels)
+                for c in conditions.single_variable_conditions(variable)
+            )
 
         self.steps: Optional[List[StepKernels]] = None
         self.join_kernels: Optional[Dict[FrozenSet[str], Tuple[CompiledKernel, ...]]] = None
@@ -212,24 +196,19 @@ class CompiledPlanKernels:
             variable = relations.variable
             bound = relations.bound
             newly = conditions.newly_applicable(bound, variable)
-            step_kernels = []
-            for c in newly:
-                profile = self._profile_for(c)
-                step_kernels.append(
-                    _cached_kernel(
-                        "step",
-                        c,
-                        variable,
-                        profile,
-                        lambda c=c, v=variable, p=profile: compile_step_kernel(
-                            c, v, p
-                        ),
-                    )
+            step_kernels = tuple(
+                _cached_kernel(
+                    "step",
+                    c,
+                    variable,
+                    lambda c=c, v=variable: compile_step_kernel(c, v),
                 )
+                for c in newly
+            )
             index_spec = None
             if self.indexed and position > 0:
                 index_spec = find_equality_index_spec(newly, variable, bound)
-            steps.append(StepKernels(relations, tuple(step_kernels), index_spec))
+            steps.append(StepKernels(relations, step_kernels, index_spec))
         self.steps = steps
 
     def _build_joins(self, plan: TreeBasedPlan) -> None:
@@ -244,12 +223,10 @@ class CompiledPlanKernels:
             # two nodes of a tree cover the same ones), with that side's
             # bindings passed as the left argument.
             joins[left_vars] = tuple(
-                compile_join_kernel(c, left_vars, right_vars, self._profile_for(c))
-                for c in linking
+                compile_join_kernel(c, left_vars, right_vars) for c in linking
             )
             joins[right_vars] = tuple(
-                compile_join_kernel(c, right_vars, left_vars, self._profile_for(c))
-                for c in linking
+                compile_join_kernel(c, right_vars, left_vars) for c in linking
             )
         self.join_kernels = joins
 

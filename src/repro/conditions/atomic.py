@@ -230,8 +230,8 @@ class PredicateCondition(Condition):
         self._name = name or getattr(predicate, "__name__", "predicate")
         # Assigned eagerly (not lazily like the base class) so the token is
         # minted before any copy of this condition is pickled to a process
-        # worker — every replica then profiles under the same key, while
-        # two *different* lambdas with identical reprs keep distinct keys.
+        # worker — every replica then keys it identically, while two
+        # *different* lambdas with identical reprs keep distinct keys.
         self.cache_key()
 
     @property

@@ -24,7 +24,7 @@ from repro.errors import PatternError
 
 #: Process-wide counter backing the identity tokens of opaque conditions.
 #: Deterministic (construction order) so two identical runs assign the same
-#: keys, which keeps profile frames comparable across runs.
+#: keys, which keeps kernel-cache and shared-prefix keys stable across runs.
 _OPAQUE_TOKENS = itertools.count()
 
 
@@ -41,17 +41,18 @@ class Condition:
         raise NotImplementedError
 
     def cache_key(self) -> str:
-        """Stable identity key for profiling and kernel-compilation caches.
+        """Stable identity key for the kernel-compilation cache, duplicate
+        conjunct elimination and shared-prefix signatures.
 
         Unlike ``repr``, two *distinct* conditions never share a key unless
         they are structurally equal comparisons: atomic attribute
         comparisons return a structural key (so equal predicates share
-        compiled kernels and profile rows), while opaque conditions — user
-        lambdas and unknown subclasses — get a unique per-instance token,
-        so two different lambdas with identical reprs no longer merge their
-        profile counts.  The token is a plain instance attribute and
-        therefore survives pickling: every copy of a condition shipped to a
-        process worker reports under the same key.
+        compiled kernels), while opaque conditions — user lambdas and
+        unknown subclasses — get a unique per-instance token, so two
+        different lambdas with identical reprs never share a kernel or a
+        prefix.  The token is a plain instance attribute and therefore
+        survives pickling: every copy of a condition shipped to a process
+        worker keeps the same key.
         """
         token = getattr(self, "_cache_token", None)
         if token is None:

@@ -19,11 +19,7 @@ from repro.conditions import Condition
 from repro.errors import DatasetError
 from repro.events import Event, EventType, InMemoryEventStream
 from repro.patterns import Pattern
-from repro.statistics import (
-    GroundTruthStatisticsProvider,
-    StatisticsSnapshot,
-    TimeVaryingValue,
-)
+from repro.statistics import StatisticsSnapshot, TimeVaryingValue
 
 
 class DatasetSimulator:
@@ -122,14 +118,6 @@ class DatasetSimulator:
             pair: selectivity for pair in pattern.conditions.variable_pairs()
         }
         return StatisticsSnapshot(rates, selectivities, timestamp=at_time)
-
-    def ground_truth_provider(
-        self,
-        pattern: Optional[Pattern] = None,
-        selectivity_models: Optional[Dict[tuple, TimeVaryingValue]] = None,
-    ) -> GroundTruthStatisticsProvider:
-        """A provider exposing the true generating rates (and optional selectivities)."""
-        return GroundTruthStatisticsProvider(self._rate_models, selectivity_models)
 
     # ------------------------------------------------------------------
     # Stream generation

@@ -73,14 +73,6 @@ class EvaluationEngine:
         When set (on a *draining* engine), matches whose events all arrived
         at or after this time are suppressed — they are the new engine's
         responsibility.
-    profiler:
-        Optional :class:`~repro.obs.introspect.EngineProfiler`.  When set,
-        the engine's working condition set is an instrumented copy built
-        once here (plan-build time) and the hot-path hooks record edge
-        outcomes and population samples.  When ``None`` the working set
-        *is* ``pattern.conditions`` — the disabled path evaluates the
-        original objects with no wrapper and no profiling branch inside
-        condition evaluation.
     compile_mode:
         ``"interpreted"`` (default) evaluates conditions through their
         ``evaluate`` method; ``"compiled"`` lowers the plan's conditions
@@ -94,19 +86,12 @@ class EvaluationEngine:
         self,
         pattern: Pattern,
         collector: Optional[StatisticsCollector] = None,
-        profiler=None,
         compile_mode: str = "interpreted",
     ):
         self.pattern = pattern
         self.collector = collector
-        self.profiler = profiler
         self.compile_mode = validate_compile_mode(compile_mode)
         self._compiled: Optional[CompiledPlanKernels] = None
-        if profiler is None:
-            self._conditions = pattern.conditions
-        else:
-            self._conditions = profiler.instrument_conditions(pattern.conditions)
-            profiler.plans_instrumented += 1
         self.counters = EngineCounters()
         self.suppress_all_new_after: Optional[float] = None
         self._negated_buffers: Dict[str, List[Event]] = {
@@ -136,9 +121,7 @@ class EvaluationEngine:
             self._compiled = None
             return
         self._compiled = CompiledPlanKernels(
-            self.plan,
-            profiler=self.profiler,
-            indexed=self.compile_mode == "indexed",
+            self.plan, indexed=self.compile_mode == "indexed"
         )
 
     def partial_match_count(self) -> int:

@@ -6,9 +6,9 @@ architecture (Figure 2 in the paper):
 * the runtime evaluation mechanism (lazy NFA or tree engine, chosen
   automatically from the plan type);
 * the statistics estimation component (an online
-  :class:`~repro.statistics.StatisticsCollector` fed from the stream, or an
-  externally supplied :class:`~repro.statistics.StatisticsProvider` such as
-  the dataset simulators' ground-truth models);
+  :class:`~repro.statistics.StatisticsCollector` fed from the stream — the
+  one source of the statistics every decision and every drift reading
+  uses);
 * the optimizer — the reoptimizing decision function ``D`` (a
   :class:`~repro.adaptive.ReoptimizationPolicy`) and the plan generator
   ``A`` (a :class:`~repro.optimizer.PlanGenerator`), orchestrated by an
@@ -18,7 +18,9 @@ architecture (Figure 2 in the paper):
 The engine exposes two entry points: :meth:`process` for event-at-a-time
 use (examples, interactive use) and :meth:`run` which consumes an entire
 stream and returns a :class:`RunResult` with the matches and the
-performance metrics the experiments report.
+performance metrics the experiments report.  :meth:`introspection` reads
+the engine's internals on demand, cost-model drift included, without a
+second build of anything.
 """
 
 from __future__ import annotations
@@ -37,32 +39,24 @@ from repro.engine.tree import TreeEvaluationEngine
 from repro.errors import EngineError
 from repro.events import Event, EventStream
 from repro.metrics import RunMetrics
+from repro.obs.introspect import drift_rows
 from repro.optimizer import PlanGenerator
 from repro.patterns import Pattern
 from repro.plans import OrderBasedPlan, TreeBasedPlan
 from repro.plans.base import EvaluationPlan
-from repro.statistics import (
-    StatisticsCollector,
-    StatisticsProvider,
-    StatisticsSnapshot,
-)
+from repro.statistics import StatisticsCollector, StatisticsSnapshot
 
 
 def engine_for_plan(
     plan: EvaluationPlan,
     collector: Optional[StatisticsCollector] = None,
-    profiler=None,
     compile_mode: str = "interpreted",
 ) -> EvaluationEngine:
     """Instantiate the runtime engine matching a plan's family."""
     if isinstance(plan, OrderBasedPlan):
-        return LazyNFAEngine(
-            plan, collector, profiler=profiler, compile_mode=compile_mode
-        )
+        return LazyNFAEngine(plan, collector, compile_mode=compile_mode)
     if isinstance(plan, TreeBasedPlan):
-        return TreeEvaluationEngine(
-            plan, collector, profiler=profiler, compile_mode=compile_mode
-        )
+        return TreeEvaluationEngine(plan, collector, compile_mode=compile_mode)
     raise EngineError(f"no runtime engine available for plan type {type(plan).__name__}")
 
 
@@ -112,10 +106,6 @@ class AdaptiveCEPEngine:
         The plan-generation algorithm ``A``.
     policy:
         The reoptimizing decision function ``D``.
-    statistics_provider:
-        Optional external statistics source (e.g. a dataset simulator's
-        ground-truth provider).  When omitted the engine maintains its own
-        sliding-window estimates from the stream it processes.
     initial_snapshot:
         Statistics used to build the initial plan.  When omitted, a uniform
         snapshot (all rates equal) is used, which yields the pattern-order
@@ -125,13 +115,6 @@ class AdaptiveCEPEngine:
     statistics_window:
         Sliding-window length of the internal collector (defaults to four
         pattern windows).
-    introspect:
-        Opt into engine introspection (:mod:`repro.obs.introspect`): a
-        shared :class:`~repro.obs.introspect.EngineProfiler` instruments
-        every evaluation engine this facade builds, and a
-        :class:`~repro.obs.introspect.DriftMonitor` tracks the installed
-        plan's predicted cost/selectivities against observed statistics.
-        Off by default — disabled engines are built exactly as before.
     compile_mode:
         Execution mode for every evaluation engine this facade builds
         (including post-adaptation replacements, which recompile for
@@ -145,7 +128,7 @@ class AdaptiveCEPEngine:
         shared per-event-type estimators, so N patterns over one stream
         count every arrival exactly once.
     engine_factory:
-        Callable ``(plan, collector, profiler, compile_mode) -> engine``
+        Callable ``(plan, collector, compile_mode) -> engine``
         replacing :func:`engine_for_plan` for every evaluation engine this
         facade builds (initial and post-adaptation).  The multi-pattern
         evaluator uses it to route plans with shareable prefixes into
@@ -157,11 +140,9 @@ class AdaptiveCEPEngine:
         pattern: Pattern,
         planner: PlanGenerator,
         policy: ReoptimizationPolicy,
-        statistics_provider: Optional[StatisticsProvider] = None,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
         monitoring_interval: float = 1.0,
         statistics_window: Optional[float] = None,
-        introspect: bool = False,
         compile_mode: str = "interpreted",
         statistics_collector: Optional[StatisticsCollector] = None,
         engine_factory=None,
@@ -171,7 +152,6 @@ class AdaptiveCEPEngine:
         self.pattern = pattern
         self.planner = planner
         self.policy = policy
-        self._provider = statistics_provider
         self._monitoring_interval = float(monitoring_interval)
         self.compile_mode = validate_compile_mode(compile_mode)
         self._engine_factory = engine_factory
@@ -185,24 +165,11 @@ class AdaptiveCEPEngine:
             )
         self._collector.register_pattern(pattern)
 
-        self._profiler = None
-        self._drift = None
-        if introspect:
-            # Imported lazily: repro.obs must stay optional for the core
-            # engine layer, and repro.obs.introspect imports conditions.
-            from repro.obs.introspect import DriftMonitor, EngineProfiler
-
-            self._profiler = EngineProfiler()
-            self._drift = DriftMonitor()
-
         if initial_snapshot is None:
             initial_snapshot = self._uniform_snapshot()
         self.controller = AdaptationController(
             pattern, planner, policy, initial_snapshot
         )
-        self.controller.drift_monitor = self._drift
-        if self._drift is not None:
-            self._drift.record_plan(self.controller.current_result, pattern)
         initial_engine = self._build_engine(self.controller.current_plan)
         self._migration = PlanMigrationManager(initial_engine, window=window)
         self._next_monitor_time: Optional[float] = None
@@ -210,12 +177,7 @@ class AdaptiveCEPEngine:
 
     def _build_engine(self, plan: EvaluationPlan) -> EvaluationEngine:
         factory = self._engine_factory or engine_for_plan
-        return factory(
-            plan,
-            self._collector,
-            profiler=self._profiler,
-            compile_mode=self.compile_mode,
-        )
+        return factory(plan, self._collector, compile_mode=self.compile_mode)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -248,48 +210,33 @@ class AdaptiveCEPEngine:
         """All live evaluation engines (active first, then draining)."""
         return self._migration.engines()
 
-    @property
-    def profiler(self):
-        """The shared :class:`EngineProfiler`, or ``None`` when disabled."""
-        return self._profiler
-
-    @property
-    def drift_monitor(self):
-        """The :class:`DriftMonitor`, or ``None`` when disabled."""
-        return self._drift
-
     def introspection(self) -> dict:
-        """One frame of engine internals (plan, populations, profile, drift).
+        """One frame of engine internals: plan, counters, populations, drift.
 
-        Always available; the ``profile`` and ``drift`` sections are
-        present only when the engine was built with ``introspect=True``.
+        Derived on demand: the ``drift`` section compares the installed
+        plan's predictions (the snapshot it was planned from, held by
+        ``controller.current_result``) with the collector's current
+        estimates; see :func:`~repro.obs.introspect.drift_rows`.
         """
-        active = self._migration.active_engine
-        frame: dict = {
+        result = self.controller.current_result
+        pairs = drift_rows(result, self.pattern, self._collector.snapshot())
+        return {
             "pattern": self.pattern.name,
-            "plan": self.controller.current_plan.describe(),
+            "plan": result.plan.describe(),
             "reoptimizations": self.reoptimization_count(),
             "counters": vars(self._migration.total_counters()).copy(),
             "partial_matches": {
                 "live": self._migration.partial_match_count(),
-                "per_state": active.state_occupancy(),
-                "high_water": (
-                    self._profiler.partial_matches_high_water
-                    if self._profiler is not None
-                    else 0
-                ),
+                "per_state": self._migration.active_engine.state_occupancy(),
+            },
+            "drift": {
+                "generator": result.generator_name,
+                "installed_at": result.snapshot.timestamp,
+                "predicted_cost": float(result.plan.cost(result.snapshot)),
+                "max_drift": pairs[0]["drift"] if pairs else 1.0,
+                "pairs": pairs,
             },
         }
-        if self._profiler is not None:
-            frame["profile"] = self._profiler.frame()
-        if self._drift is not None:
-            observed = (
-                self._collector.snapshot()
-                if self._drift.observed_snapshot is None
-                else None
-            )
-            frame["drift"] = self._drift.summary(observed)
-        return frame
 
     def _uniform_snapshot(self) -> StatisticsSnapshot:
         rates = {item.event_type.name: 1.0 for item in self.pattern.items}
@@ -377,19 +324,11 @@ class AdaptiveCEPEngine:
 
     def _run_adaptation_step(self, now: float) -> None:
         """One iteration of the detection–adaptation loop's decision phase."""
-        if self._provider is not None:
-            snapshot = self._provider.snapshot(now)
-        else:
-            snapshot = self._collector.snapshot(now)
-        if self._drift is not None:
-            self._drift.observe(snapshot)
-        new_plan = self.controller.update(snapshot)
+        new_plan = self.controller.update(self._collector.snapshot(now))
         if new_plan is not None:
             new_engine = self._build_engine(new_plan)
             self._migration.switch_to(new_engine, switch_time=now)
             self._plan_history.append(new_plan.describe())
-            if self._drift is not None:
-                self._drift.record_plan(self.controller.current_result, self.pattern)
         elif self._engine_factory is not None:
             # The policy keeps the plan, but a sharing-aware factory (the
             # multi-pattern prefix-share manager) may have accumulated rate

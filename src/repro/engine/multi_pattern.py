@@ -51,7 +51,7 @@ from repro.multi.sharing import (
 )
 from repro.optimizer import PlanGenerator
 from repro.patterns import Pattern
-from repro.statistics import StatisticsProvider, StatisticsSnapshot
+from repro.statistics import StatisticsSnapshot
 
 PolicyFactory = Callable[[], ReoptimizationPolicy]
 
@@ -70,8 +70,7 @@ class MultiPatternEngine:
     policy_factory:
         Callable producing a fresh decision policy per pattern (policies
         are stateful: each pattern needs its own).
-    statistics_provider / initial_snapshot / monitoring_interval / introspect /
-    compile_mode:
+    initial_snapshot / monitoring_interval / compile_mode:
         Forwarded to every per-pattern engine.
     statistics_window:
         Sliding window of the shared statistics hub (defaults to five of
@@ -87,10 +86,8 @@ class MultiPatternEngine:
         patterns,
         planner: PlanGenerator,
         policy_factory: PolicyFactory,
-        statistics_provider: Optional[StatisticsProvider] = None,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
         monitoring_interval: float = 1.0,
-        introspect: bool = False,
         compile_mode: str = "interpreted",
         statistics_window: Optional[float] = None,
         enable_sharing: bool = True,
@@ -123,10 +120,8 @@ class MultiPatternEngine:
                 pattern=subpattern,
                 planner=planner,
                 policy=policy_factory(),
-                statistics_provider=statistics_provider,
                 initial_snapshot=_restrict_snapshot(initial_snapshot, subpattern),
                 monitoring_interval=monitoring_interval,
-                introspect=introspect,
                 compile_mode=compile_mode,
                 statistics_collector=collector,
                 engine_factory=self._manager if self._sharing_enabled else None,
@@ -196,13 +191,7 @@ class MultiPatternEngine:
         return {
             "pattern": self.pattern.name,
             "reoptimizations": self.reoptimization_count(),
-            "partial_matches": {
-                "live": self.partial_match_count(),
-                "high_water": max(
-                    (frame["partial_matches"]["high_water"] for frame in frames.values()),
-                    default=0,
-                ),
-            },
+            "partial_matches": {"live": self.partial_match_count()},
             "sharing": {
                 "enabled": self._sharing_enabled,
                 "groups": self._manager.sharing_report(),

@@ -183,12 +183,11 @@ class LazyNFAEngine(EvaluationEngine):
         plan: OrderBasedPlan,
         collector: Optional[StatisticsCollector] = None,
         expiry_interval_fraction: float = 0.25,
-        profiler=None,
         compile_mode: str = "interpreted",
     ):
         if not isinstance(plan, OrderBasedPlan):
             raise EngineError("LazyNFAEngine requires an OrderBasedPlan")
-        super().__init__(plan.pattern, collector, profiler, compile_mode)
+        super().__init__(plan.pattern, collector, compile_mode)
         self.plan = plan
         self._order = plan.order
         self._depth = len(self._order)
@@ -232,8 +231,6 @@ class LazyNFAEngine(EvaluationEngine):
             else:
                 extend = compiled.step_extender(position, self.collector)
                 index_spec = compiled.steps[position].index_spec
-            if self.profiler is not None:
-                extend = _profiled(extend, self.profiler, f"extend[{variable}]")
             step = _Step(
                 relations, extend, self._buffers[variable], self._waiting[variable], index_spec
             )
@@ -252,12 +249,11 @@ class LazyNFAEngine(EvaluationEngine):
         self._step_of: Dict[str, _Step] = {s.relations.variable: s for s in steps}
 
     def _interpreted_extender(self, variable: str) -> Callable:
-        pattern, collector, conditions = self.pattern, self.collector, self._conditions
+        pattern, collector = self.pattern, self.collector
 
         def extend(partial: PartialMatch, event: Event, now: float):
             if evaluate_new_conditions(
-                pattern, partial.bindings, variable, event, collector, now,
-                conditions=conditions,
+                pattern, partial.bindings, variable, event, collector, now
             ):
                 return partial.extended(variable, event)
             return None
@@ -330,9 +326,6 @@ class LazyNFAEngine(EvaluationEngine):
 
         completed = self._extend_from_buffers(new_matches, now)
 
-        if self.profiler is not None:
-            self.profiler.observe_population(self.partial_match_count())
-
         matches: List[Match] = []
         for partial in completed:
             match = self._finalize(partial, now)
@@ -356,11 +349,8 @@ class LazyNFAEngine(EvaluationEngine):
                 held = compiled.evaluate_local(variable, event, self.collector)
             else:
                 held = local_conditions_hold(
-                    self.pattern, variable, event, self.collector,
-                    conditions=self._conditions,
+                    self.pattern, variable, event, self.collector
                 )
-            if self.profiler is not None:
-                self.profiler.record_edge(f"buffer[{variable}]", held)
             if held:
                 step = self._step_of[variable]
                 events = step.buffer
@@ -526,14 +516,3 @@ def _index_waiting_partial(index: EqualityIndex, spec, partial: PartialMatch) ->
         index.add_unkeyed(partial)
     else:
         index.add(bound.get(spec.bound_attribute), partial)
-
-
-def _profiled(extend: Callable, profiler, label: str) -> Callable:
-    """Record each extension outcome on the profiler's operator edge."""
-
-    def profiled(partial, event, now):
-        candidate = extend(partial, event, now)
-        profiler.record_edge(label, candidate is not None)
-        return candidate
-
-    return profiled

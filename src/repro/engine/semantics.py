@@ -99,25 +99,18 @@ def evaluate_new_conditions(
     event: Event,
     collector: Optional[StatisticsCollector] = None,
     now: Optional[float] = None,
-    conditions=None,
 ) -> bool:
     """Evaluate the conditions that become fully bound by adding ``event``.
 
     Per-pair outcomes are reported to the statistics collector so that the
     selectivity estimates reflect the engine's real predicate hit rates.
     Returns ``True`` iff every newly applicable condition holds.
-
-    ``conditions`` substitutes an alternative :class:`ConditionSet` for
-    ``pattern.conditions`` — engines pass their (possibly instrumented)
-    working set here.
     """
-    if conditions is None:
-        conditions = pattern.conditions
     trial: Dict[str, object] = dict(bindings)
     trial[variable] = event
     timestamp = event.timestamp if now is None else now
     satisfied = True
-    for condition in conditions.newly_applicable(bindings.keys(), variable):
+    for condition in pattern.conditions.newly_applicable(bindings.keys(), variable):
         outcome = condition.evaluate(trial)
         if collector is not None:
             _report_condition(collector, condition.variables, timestamp, outcome)
@@ -135,15 +128,12 @@ def evaluate_join_conditions(
     right_bindings: Mapping[str, object],
     collector: Optional[StatisticsCollector] = None,
     now: float = 0.0,
-    conditions=None,
 ) -> bool:
     """Evaluate the conditions coupling two disjoint sub-matches (tree joins)."""
-    if conditions is None:
-        conditions = pattern.conditions
     combined: Dict[str, object] = dict(left_bindings)
     combined.update(right_bindings)
     satisfied = True
-    for condition in conditions.conditions_between(
+    for condition in pattern.conditions.conditions_between(
         left_bindings.keys(), right_bindings.keys()
     ):
         outcome = condition.evaluate(combined)
@@ -159,13 +149,10 @@ def local_conditions_hold(
     variable: str,
     event: Event,
     collector: Optional[StatisticsCollector] = None,
-    conditions=None,
 ) -> bool:
     """Evaluate the single-variable conditions of ``variable`` on ``event``."""
-    if conditions is None:
-        conditions = pattern.conditions
     satisfied = True
-    for condition in conditions.single_variable_conditions(variable):
+    for condition in pattern.conditions.single_variable_conditions(variable):
         outcome = condition.evaluate({variable: event})
         if collector is not None:
             collector.observe_condition(variable, variable, event.timestamp, outcome)

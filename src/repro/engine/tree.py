@@ -54,12 +54,11 @@ class TreeEvaluationEngine(EvaluationEngine):
         plan: TreeBasedPlan,
         collector: Optional[StatisticsCollector] = None,
         expiry_interval_fraction: float = 0.25,
-        profiler=None,
         compile_mode: str = "interpreted",
     ):
         if not isinstance(plan, TreeBasedPlan):
             raise EngineError("TreeEvaluationEngine requires a TreeBasedPlan")
-        super().__init__(plan.pattern, collector, profiler, compile_mode)
+        super().__init__(plan.pattern, collector, compile_mode)
         self.plan = plan
         self._stores: List[_NodeStore] = []
         self._leaf_stores_by_type: Dict[str, List[_NodeStore]] = {}
@@ -124,18 +123,13 @@ class TreeEvaluationEngine(EvaluationEngine):
                 held = compiled.evaluate_local(leaf.variable, event, self.collector)
             else:
                 held = local_conditions_hold(
-                    self.pattern, leaf.variable, event, self.collector,
-                    conditions=self._conditions,
+                    self.pattern, leaf.variable, event, self.collector
                 )
-            if self.profiler is not None:
-                self.profiler.record_edge(f"leaf[{leaf.variable}]", held)
             if not held:
                 continue
             leaf_match = PartialMatch.of(leaf.variable, event)
             self.counters.partial_matches_created += 1
             matches.extend(self._store_and_propagate(store, leaf_match, now))
-        if self.profiler is not None:
-            self.profiler.observe_population(self.partial_match_count())
         return matches
 
     # ------------------------------------------------------------------
@@ -155,15 +149,9 @@ class TreeEvaluationEngine(EvaluationEngine):
             return emitted
 
         store.matches.append(partial)
-        profiler = self.profiler
         side = store.variables
         for sibling_match in store.sibling.matches:
             joined = self._try_join(partial, sibling_match, now, side)
-            if profiler is not None:
-                profiler.record_edge(
-                    "join[" + ",".join(parent.node.variables()) + "]",
-                    joined is not None,
-                )
             if joined is not None:
                 emitted.extend(self._store_and_propagate(parent, joined, now))
         return emitted
@@ -200,8 +188,7 @@ class TreeEvaluationEngine(EvaluationEngine):
             ):
                 return None
         elif not evaluate_join_conditions(
-            self.pattern, left.bindings, right.bindings, self.collector, now,
-            conditions=self._conditions,
+            self.pattern, left.bindings, right.bindings, self.collector, now
         ):
             return None
         self.counters.partial_matches_created += 1

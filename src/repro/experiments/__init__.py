@@ -16,8 +16,6 @@ Each module corresponds to one experiment of Section 5 / Appendix A:
   and computational overhead of the four adaptation methods).
 * :mod:`repro.experiments.ablations` — K-invariant and invariant-selection
   strategy ablations (Sections 3.3 and 3.5).
-* :mod:`repro.experiments.profile_report` — the operator-level profiling
-  report behind the ``profile`` sub-command.
 * :mod:`repro.experiments.cli` — the command line over all of the above,
   plus ``serve`` (the engine as a long-running streaming service).
 

@@ -21,10 +21,6 @@ and run the engine as a continuously-ingesting service::
     python -m repro.experiments.cli serve --compile-mode indexed --rate 5000 \
         --shuffle-slack 2 --max-lateness 2 --late-policy drop
 
-and look inside the engine (operator profiling, cost-model drift)::
-
-    python -m repro.experiments.cli profile --dataset stocks --top 10
-
 The experiment sub-commands print the same plain-text tables the
 ``benchmarks/`` suite reports and optionally write them as CSV.  None of
 them is a performance benchmark: throughput, latency, memory and the
@@ -45,12 +41,6 @@ from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.experiments.distance_estimation import distance_estimation_table
 from repro.experiments.distance_sweep import DEFAULT_DISTANCES, distance_sweep, find_optimal_distance
 from repro.experiments.method_comparison import DEFAULT_METHODS, RECOMMENDED_DISTANCE, compare_methods
-from repro.experiments.profile_report import (
-    drift_rows,
-    hotspot_rows,
-    operator_rows,
-    profile_run,
-)
 from repro.experiments.reporting import format_table, pivot, rows_to_csv
 from repro.experiments.runner import (
     build_dataset,
@@ -124,7 +114,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         shards=args.shards,
         partition_by=args.partition_by,
         backend=getattr(args, "backend", "inline"),
-        introspect=getattr(args, "introspect", False),
         compile_mode=getattr(args, "compile_mode", "interpreted"),
     )
 
@@ -195,21 +184,15 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="start the HTTP control plane on this port: /health, /ready, "
-        "/metrics (Prometheus; ?format=json), /decisions and "
-        "POST /checkpoint (0 = an ephemeral port, printed at startup)",
+        "/metrics (Prometheus; ?format=json), /decisions, /engine (plan, "
+        "populations, cost-model drift) and POST /checkpoint (0 = an "
+        "ephemeral port, printed at startup)",
     )
     parser.add_argument(
         "--control-host",
         type=str,
         default="127.0.0.1",
         help="bind address for --control-port",
-    )
-    parser.add_argument(
-        "--introspect",
-        action="store_true",
-        help="build the engine with introspection on: per-condition timing, "
-        "operator accept/reject counts and cost-model drift gauges, served "
-        "live through /engine and /metrics (small per-evaluation overhead)",
     )
     parser.add_argument(
         "--decision-log",
@@ -567,50 +550,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profile(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    frame, result = profile_run(config, size=int(args.size))
-    print(
-        f"profiled {result.events_processed} events, "
-        f"{result.matches_emitted} matches, plan: {frame.get('plan')}"
-    )
-    hotspots = hotspot_rows(frame, top=args.top)
-    print(
-        format_table(
-            hotspots,
-            ["condition", "calls", "pass_rate", "ms_total", "us_per_call", "share"],
-            title=f"top {len(hotspots)} conditions by cumulative wall time",
-        )
-    )
-    print(
-        format_table(
-            operator_rows(frame),
-            ["operator", "attempts", "accepted", "rejected", "accept_rate"],
-            title="operator accept/reject counts (NFA edges / tree nodes)",
-        )
-    )
-    matches = frame.get("partial_matches") or {}
-    print(
-        f"partial matches: live={matches.get('live', 0)}, "
-        f"high_water={matches.get('high_water', 0)}, "
-        f"per_state={matches.get('per_state', {})}"
-    )
-    drift = frame.get("drift") or {}
-    print(
-        format_table(
-            drift_rows(frame),
-            ["pair", "predicted", "observed", "ratio", "drift"],
-            title=(
-                f"cost-model drift (predicted cost "
-                f"{drift.get('predicted_cost', 0.0):,.1f}, "
-                f"max drift {drift.get('max_drift', 1.0):.3f})"
-            ),
-        )
-    )
-    _maybe_write_csv(hotspots, args.csv)
-    return 0
-
-
 def _run_ablation_k(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     rows = k_invariant_ablation(config, k_values=(1, 2, 4, 0))
@@ -737,21 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_options(serve)
     _add_observability_options(serve)
     serve.set_defaults(handler=_run_serve)
-
-    profile = subparsers.add_parser(
-        "profile", help="operator-level engine profiling report"
-    )
-    _add_common_options(profile)
-    profile.add_argument(
-        "--size", type=int, default=3, help="pattern size for the profiled pattern"
-    )
-    profile.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="conditions shown in the hotspot table (ranked by wall time)",
-    )
-    profile.set_defaults(handler=_run_profile)
 
     ablation_k = subparsers.add_parser("ablation-k", help="K-invariant ablation")
     _add_common_options(ablation_k)

@@ -71,7 +71,6 @@ class ExperimentConfig:
     shards: int = 1
     partition_by: Optional[str] = None
     backend: str = "inline"
-    introspect: bool = False
     compile_mode: str = "interpreted"
 
     def __post_init__(self) -> None:

@@ -91,7 +91,7 @@ def build_streaming_engine(
 
     The one place the CLI and the experiment drivers build an engine, so
     every engine setting of ``config`` (replicas, partitioning, compile
-    mode, introspection) reaches whichever engine the config selects.
+    mode) reaches whichever engine the config selects.
     With ``backend="process"`` the result is a
     :class:`~repro.streaming.ProcessWorkerBackend` hosting
     ``config.shards`` engine replicas, one per worker process; otherwise a
@@ -101,7 +101,6 @@ def build_streaming_engine(
     policy = build_policy(spec)
     settings = dict(
         monitoring_interval=config.monitoring_interval,
-        introspect=config.introspect,
         compile_mode=config.compile_mode,
     )
     if config.backend != "inline" or config.shards > 1:

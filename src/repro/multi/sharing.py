@@ -110,10 +110,9 @@ class SuffixNFAEngine(LazyNFAEngine):
         prefix_variables: Sequence[str] = (),
         prefix_types: Sequence[str] = (),
         join_time: float = float("-inf"),
-        profiler=None,
         compile_mode: str = "interpreted",
     ):
-        super().__init__(plan, collector, profiler=profiler, compile_mode=compile_mode)
+        super().__init__(plan, collector, compile_mode=compile_mode)
         self.group_signature = group_signature
         self.prefix_variables = tuple(prefix_variables)
         self.prefix_types = frozenset(prefix_types)
@@ -308,7 +307,7 @@ class PrefixShareManager:
     """Scores, creates and tracks shared prefixes; doubles as the engine
     factory installed into every per-pattern adaptive engine.
 
-    A manager call — ``manager(plan, collector, profiler=..., compile_mode=...)``
+    A manager call — ``manager(plan, collector, compile_mode=...)``
     — picks the deepest declared prefix that (a) at least two registered
     patterns share structurally, (b) uses event types disjoint from the
     suffix steps, and (c) the cost model scores as a positive saving
@@ -388,7 +387,6 @@ class PrefixShareManager:
         self,
         plan,
         collector: Optional[StatisticsCollector] = None,
-        profiler=None,
         compile_mode: str = "interpreted",
     ):
         choice = self._choose(plan, collector)
@@ -396,9 +394,7 @@ class PrefixShareManager:
         if choice is None:
             from repro.engine.cep_engine import engine_for_plan
 
-            return engine_for_plan(
-                plan, collector, profiler=profiler, compile_mode=compile_mode
-            )
+            return engine_for_plan(plan, collector, compile_mode=compile_mode)
         signature, length, plan = choice
         group = self._groups.get(signature)
         if group is None:
@@ -410,7 +406,6 @@ class PrefixShareManager:
             prefix_variables=group.prefix_variables,
             prefix_types=group.prefix_types,
             join_time=self._hub.last_time,
-            profiler=profiler,
             compile_mode=compile_mode,
         )
         share_prefix_statistics(collector, group)

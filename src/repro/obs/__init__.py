@@ -18,12 +18,11 @@ waiting for the end-of-run report:
   ``http.server`` thread serving ``/health``, ``/ready``, ``/metrics``,
   ``/decisions``, ``/engine`` and ``POST /checkpoint`` on the running
   pipeline;
-* **engine introspection** (:mod:`~repro.obs.introspect`) — opt-in,
-  zero-overhead-when-off operator-level instrumentation: per-condition
-  evaluation counters and wall time, per-NFA-edge / per-tree-node
-  accept/reject counts, partial-match population gauges, and a
-  cost-model drift monitor comparing the installed plan's predicted
-  selectivities against what the stream actually delivers.
+* **engine introspection** (:mod:`~repro.obs.introspect`) — derived on
+  demand from what the engine already holds: the installed plan, work
+  counters, live partial matches per operator state, and the cost-model
+  drift table comparing the installed plan's predicted selectivities
+  against what the statistics collector observes.
 
 CLI wiring: ``serve --control-port 8080 --decision-log decisions.jsonl``.
 This package must stay free of :mod:`repro.streaming` imports — the
@@ -40,14 +39,9 @@ from repro.obs.decisions import (
     verify_continuity,
 )
 from repro.obs.introspect import (
-    ConditionProfile,
-    DriftMonitor,
-    EdgeProfile,
-    EngineProfiler,
-    ProfiledCondition,
+    drift_rows,
     engine_introspection_frame,
     merge_introspection_frames,
-    merge_profile_frames,
 )
 from repro.obs.registry import (
     MetricsRegistry,
@@ -74,14 +68,9 @@ __all__ = [
     "engine_introspection_samples",
     "network_samples",
     # engine introspection
-    "EngineProfiler",
-    "ProfiledCondition",
-    "ConditionProfile",
-    "EdgeProfile",
-    "DriftMonitor",
+    "drift_rows",
     "engine_introspection_frame",
     "merge_introspection_frames",
-    "merge_profile_frames",
     # control plane
     "ControlPlane",
     "CHECKPOINT_WAIT_SECONDS",

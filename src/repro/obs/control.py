@@ -20,12 +20,10 @@ a load balancer, an orchestrator, and an operator each need:
     The decision log's in-memory tail; filter with ``?type=``,
     ``?limit=``, ``?since=``, ``?until=``.
 ``GET /engine``
-    Engine introspection: the current plan, operator-level profile
-    (condition timings, edge accept/reject counts, partial-match
-    populations) and the cost-model drift table (see
+    Engine introspection: the current plan, work counters, live partial
+    matches per operator state and the cost-model drift table (see
     :mod:`repro.obs.introspect`).  Sections appear as the pipeline's
-    engine provides them; profiling data requires an engine built with
-    ``introspect=True``.
+    engine provides them.
 ``GET /network``
     Data-plane counters of a networked pipeline: events accepted /
     rejected (429) / duplicate / invalid at the HTTP ingress, matches

@@ -1,462 +1,82 @@
-"""Engine introspection: operator-level profiling and cost-model drift.
+"""Engine introspection: plan, populations and cost-model drift.
 
-PR 6 made the *service* observable; this module opens up the *engine*.
-Two instruments, both opt-in and both zero-cost when disabled:
+Every number here is derived on demand from state the engine already
+holds — nothing is counted twice and no engine is built differently to
+answer.
 
-**Condition/operator profiling** (:class:`EngineProfiler`).  When an
-evaluation engine is built with a profiler attached, every atomic conjunct
-of the pattern's WHERE clause is replaced — at plan-build time, never on
-the hot path — by a :class:`ProfiledCondition` wrapper that counts
-evaluations, passes and cumulative wall time.  The engines additionally
-report per-NFA-edge / per-tree-node accept/reject counts and sample the
-live partial-match population (the very quantity the paper's cost model
-minimises), so the profile names exactly the conditions worth compiling
-and the operators holding the state.  With no profiler attached the
-engines evaluate the original, unwrapped conditions: the disabled hot
-path is the same object graph as before, not a branch around a wrapper.
-
-**Cost-model drift monitoring** (:class:`DriftMonitor`).  At plan-install
-time the monitor freezes the installed plan's *predicted* cost and the
-per-pair *predicted* selectivities out of the planner's
-:class:`~repro.optimizer.recorder.PlanGenerationResult` creation snapshot.
-As the stream runs it compares them against the *observed* selectivities
-the :class:`~repro.statistics.StatisticsCollector` accumulates from
-``observe_condition`` feedback.  The per-pair ratio ``observed /
+**Cost-model drift** (:func:`drift_rows`).  The planner's
+:class:`~repro.optimizer.recorder.PlanGenerationResult` carries the
+installed plan together with the statistics snapshot it was planned from,
+so ``plan.cost(snapshot)`` is the plan's *predicted* cost and
+``snapshot.selectivity(pair)`` its *predicted* selectivities.  Compared
+with an *observed* snapshot of the
+:class:`~repro.statistics.StatisticsCollector` (which sees every
+condition outcome the engines evaluate), the per-pair ratio ``observed /
 predicted`` is the drift signal: a ratio far from 1 means the statistics
-that justified the current plan no longer describe the stream — the
-quantitative "why" behind the invariant-based re-plan trigger, exported
-as gauges and attached to every ``replan`` decision record.
+that justified the plan no longer describe the stream — the quantitative
+"why" behind an invariant-based re-plan.  The adaptation controller
+attaches the outgoing plan's worst rows to every ``replan`` record it
+hands a decision sink, and
+:meth:`~repro.engine.AdaptiveCEPEngine.introspection` reports the
+installed plan's full table.
 
-Per-shard profile frames (parallel/worker execution) are plain dicts
-(:meth:`EngineProfiler.frame`) merged by :func:`merge_profile_frames` /
-:func:`merge_introspection_frames`; for worker processes the frames
-travel inside the engine snapshots the existing barrier already ships.
+**Frames** are plain dicts (:func:`engine_introspection_frame`): plan,
+work counters, live partial matches per operator state and the drift
+section.  Per-shard frames (parallel/worker execution) fold with
+:func:`merge_introspection_frames`; worker replicas are refreshed through
+the snapshot barrier checkpoints already use.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
-from repro.conditions.base import Condition
-from repro.conditions.container import ConditionSet
 from repro.statistics import StatisticsSnapshot
 from repro.statistics.collector import pairs_for_pattern
 from repro.statistics.snapshot import pair_key
 
 __all__ = [
-    "condition_key",
-    "condition_label",
-    "ConditionProfile",
-    "ProfiledCondition",
-    "EdgeProfile",
-    "EngineProfiler",
-    "DriftMonitor",
-    "merge_profile_frames",
-    "merge_introspection_frames",
+    "drift_rows",
     "engine_introspection_frame",
+    "merge_introspection_frames",
 ]
 
 
-def condition_label(condition: Condition) -> str:
-    """Stable human-readable identity of one atomic conjunct."""
-    if isinstance(condition, ProfiledCondition):
-        return condition.profile.label
-    return repr(condition)
+def drift_rows(result, pattern, observed: StatisticsSnapshot) -> List[Dict[str, Any]]:
+    """Per-pair cost-model drift of the plan in ``result``, worst first.
 
-
-def condition_key(condition: Condition) -> str:
-    """Stable *unique* identity of one atomic conjunct (profile dict key).
-
-    Delegates to :meth:`~repro.conditions.Condition.cache_key`, so two
-    distinct conditions whose reprs collide (e.g. two different lambdas
-    named ``predicate``) keep separate profiles, while the compiled-kernel
-    cache and the profiler agree on what "the same condition" means.
+    ``result`` is the planner's
+    :class:`~repro.optimizer.recorder.PlanGenerationResult`; its snapshot
+    holds the predicted selectivity of every pair the pattern's statistics
+    track.  Each row compares one with ``observed``: ``ratio`` is
+    ``observed / predicted`` (infinite when a pair predicted never to pass
+    does, 1 when both are zero) and ``drift`` its symmetric size
+    ``max(ratio, 1 / ratio)`` — 1 means on model.
     """
-    if isinstance(condition, ProfiledCondition):
-        return condition.inner.cache_key()
-    return condition.cache_key()
-
-
-class ConditionProfile:
-    """Evaluation counters for one atomic condition (picklable)."""
-
-    __slots__ = ("label", "variables", "calls", "passes", "seconds")
-
-    def __init__(self, label: str, variables: Sequence[str] = ()):
-        self.label = label
-        self.variables = tuple(sorted(variables))
-        self.calls = 0
-        self.passes = 0
-        self.seconds = 0.0
-
-    @property
-    def pass_rate(self) -> float:
-        """Observed fraction of evaluations that held (a selectivity proxy)."""
-        if self.calls == 0:
-            return 1.0
-        return self.passes / self.calls
-
-    def merge_from(self, other: "ConditionProfile") -> None:
-        self.calls += other.calls
-        self.passes += other.passes
-        self.seconds += other.seconds
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "variables": list(self.variables),
-            "calls": self.calls,
-            "passes": self.passes,
-            "pass_rate": self.pass_rate,
-            "seconds": self.seconds,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"ConditionProfile({self.label!r}, calls={self.calls}, "
-            f"passes={self.passes}, seconds={self.seconds:.6f})"
-        )
-
-
-class ProfiledCondition(Condition):
-    """A condition wrapper that times and counts every evaluation.
-
-    Installed by :meth:`EngineProfiler.instrument_conditions` when an
-    engine is built — the hot path evaluates the wrapper *instead of*
-    branching on an "is profiling on?" flag, so a disabled engine never
-    pays for the feature.  The wrapper is transparent to the planner and
-    the statistics layer: it reports the inner condition's variables, and
-    :meth:`flatten` keeps it atomic so :class:`ConditionSet` indexes it
-    under the same variable key as the condition it wraps.
-    """
-
-    __slots__ = ("inner", "profile")
-
-    def __init__(self, inner: Condition, profile: ConditionProfile):
-        self.inner = inner
-        self.profile = profile
-
-    @property
-    def variables(self):
-        return self.inner.variables
-
-    def evaluate(self, binding: Mapping[str, object]) -> bool:
-        profile = self.profile
-        started = time.perf_counter()
-        outcome = self.inner.evaluate(binding)
-        profile.seconds += time.perf_counter() - started
-        profile.calls += 1
-        if outcome:
-            profile.passes += 1
-        return outcome
-
-    def is_fully_bound(self, binding: Mapping[str, object]) -> bool:
-        return self.inner.is_fully_bound(binding)
-
-    def cache_key(self) -> str:
-        return self.inner.cache_key()
-
-    def flatten(self) -> Sequence[Condition]:
-        return (self,)
-
-    def __repr__(self) -> str:
-        return f"profiled({self.inner!r})"
-
-
-class EdgeProfile:
-    """Accept/reject counters for one NFA edge or tree node (picklable)."""
-
-    __slots__ = ("accepted", "rejected")
-
-    def __init__(self):
-        self.accepted = 0
-        self.rejected = 0
-
-    @property
-    def attempts(self) -> int:
-        return self.accepted + self.rejected
-
-    @property
-    def accept_rate(self) -> float:
-        attempts = self.attempts
-        if attempts == 0:
-            return 1.0
-        return self.accepted / attempts
-
-    def merge_from(self, other: "EdgeProfile") -> None:
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "accept_rate": self.accept_rate,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"EdgeProfile(accepted={self.accepted}, rejected={self.rejected})"
-
-
-class EngineProfiler:
-    """Cumulative operator-level instrumentation for one pattern's engines.
-
-    One profiler is shared across every evaluation engine an adaptive
-    engine builds (the initial plan and each re-plan), so the counters
-    survive plan replacement and describe the pattern's whole lifetime.
-    Condition profiles are keyed by the conjunct's ``cache_key()`` —
-    stable across plan generations because reoptimization reorders the
-    *plan*, never rewrites the WHERE clause, and unique even when two
-    different conditions share a ``repr`` (the display label).  Compiled
-    kernels (:mod:`repro.compile`) update the *same* profile objects, so
-    a profile row aggregates interpreted and compiled evaluations alike.
-
-    All state is plain ints/floats/dicts: profilers travel inside engine
-    snapshots to worker processes and back without special handling.
-    """
-
-    def __init__(self):
-        self.conditions: Dict[str, ConditionProfile] = {}
-        self.edges: Dict[str, EdgeProfile] = {}
-        self.partial_matches_high_water = 0
-        self.plans_instrumented = 0
-
-    # ------------------------------------------------------------------
-    # Installation (plan-build time)
-    # ------------------------------------------------------------------
-    def profile_for(self, condition: Condition) -> ConditionProfile:
-        key = condition_key(condition)
-        profile = self.conditions.get(key)
-        if profile is None:
-            profile = self.conditions[key] = ConditionProfile(
-                condition_label(condition), condition.variables
-            )
-        return profile
-
-    def instrument_conditions(self, conditions: ConditionSet) -> ConditionSet:
-        """A parallel :class:`ConditionSet` with every conjunct wrapped.
-
-        The original set (and the pattern holding it) is left untouched —
-        other engines, the planner and the invariant builder keep seeing
-        the raw conditions.
-        """
-        return ConditionSet.from_conditions(
-            ProfiledCondition(conjunct, self.profile_for(conjunct))
-            for conjunct in conditions.conjuncts
-        )
-
-    # ------------------------------------------------------------------
-    # Hot-path hooks (engines call these only when a profiler is attached)
-    # ------------------------------------------------------------------
-    def record_edge(self, label: str, accepted: bool) -> None:
-        edge = self.edges.get(label)
-        if edge is None:
-            edge = self.edges[label] = EdgeProfile()
-        if accepted:
-            edge.accepted += 1
+    predicted = result.snapshot
+    rows: List[Dict[str, Any]] = []
+    for a, b in sorted({pair_key(*pair) for pair in pairs_for_pattern(pattern)}):
+        expected = predicted.selectivity(a, b)
+        seen = observed.selectivity(a, b)
+        if expected > 0.0:
+            ratio = seen / expected
         else:
-            edge.rejected += 1
-
-    def observe_population(self, live: int) -> None:
-        if live > self.partial_matches_high_water:
-            self.partial_matches_high_water = live
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def top_conditions(self, k: int = 10) -> List[ConditionProfile]:
-        """The ``k`` most expensive conditions by cumulative wall time."""
-        ranked = sorted(
-            self.conditions.values(), key=lambda p: p.seconds, reverse=True
+            ratio = float("inf") if seen > 0.0 else 1.0
+        rows.append(
+            {
+                "pair": f"{a}~{b}",
+                "predicted": expected,
+                "observed": seen,
+                "ratio": ratio,
+                "drift": max(ratio, 1.0 / ratio) if ratio > 0.0 else float("inf"),
+            }
         )
-        return ranked[: max(0, int(k))]
-
-    def total_condition_seconds(self) -> float:
-        return sum(profile.seconds for profile in self.conditions.values())
-
-    def frame(self) -> Dict[str, Any]:
-        """A plain-dict snapshot (the per-shard merge unit)."""
-        return {
-            "conditions": {
-                label: profile.as_dict()
-                for label, profile in self.conditions.items()
-            },
-            "edges": {label: edge.as_dict() for label, edge in self.edges.items()},
-            "partial_matches_high_water": self.partial_matches_high_water,
-            "plans_instrumented": self.plans_instrumented,
-        }
-
-
-def merge_profile_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold per-shard :meth:`EngineProfiler.frame` dicts into one.
-
-    Counters and times sum across shards; the partial-match high water is
-    the maximum any one shard reached (each shard holds its own state).
-    """
-    conditions: Dict[str, Dict[str, Any]] = {}
-    edges: Dict[str, Dict[str, Any]] = {}
-    high_water = 0
-    plans = 0
-    for frame in frames:
-        if not frame:
-            continue
-        for label, data in frame.get("conditions", {}).items():
-            merged = conditions.get(label)
-            if merged is None:
-                conditions[label] = dict(data)
-            else:
-                merged["calls"] += data["calls"]
-                merged["passes"] += data["passes"]
-                merged["seconds"] += data["seconds"]
-        for label, data in frame.get("edges", {}).items():
-            merged = edges.get(label)
-            if merged is None:
-                edges[label] = dict(data)
-            else:
-                merged["accepted"] += data["accepted"]
-                merged["rejected"] += data["rejected"]
-        high_water = max(high_water, frame.get("partial_matches_high_water", 0))
-        plans = max(plans, frame.get("plans_instrumented", 0))
-    for data in conditions.values():
-        data["pass_rate"] = (data["passes"] / data["calls"]) if data["calls"] else 1.0
-    for data in edges.values():
-        attempts = data["accepted"] + data["rejected"]
-        data["accept_rate"] = (data["accepted"] / attempts) if attempts else 1.0
-    return {
-        "conditions": conditions,
-        "edges": edges,
-        "partial_matches_high_water": high_water,
-        "plans_instrumented": plans,
-    }
-
-
-class DriftMonitor:
-    """Tracks how far observed statistics drift from a plan's predictions.
-
-    ``record_plan`` freezes the predictions at plan-install time;
-    ``observe`` adopts each fresh statistics snapshot the adaptation loop
-    already produces (no extra estimation work).  ``drift_ratios`` then
-    reports ``observed / predicted`` per monitored selectivity pair — the
-    plan was chosen *because* of those predictions, so a ratio far from 1
-    quantifies how stale the plan's justification is.
-    """
-
-    def __init__(self):
-        self.predicted_cost: Optional[float] = None
-        self.predicted_selectivities: Dict[tuple, float] = {}
-        self.plan_description: Optional[str] = None
-        self.generator_name: Optional[str] = None
-        self.installed_at: Optional[float] = None
-        self.plans_recorded = 0
-        self._observed: Optional[StatisticsSnapshot] = None
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def record_plan(self, result, pattern) -> None:
-        """Freeze the predictions of a newly installed plan.
-
-        ``result`` is the planner's
-        :class:`~repro.optimizer.recorder.PlanGenerationResult`; its
-        ``snapshot`` is the statistics the plan was generated from, which
-        makes ``plan.cost(snapshot)`` the *predicted* cost and
-        ``snapshot.selectivity(pair)`` the *predicted* selectivities.
-        """
-        if result is None:
-            return
-        snapshot = result.snapshot
-        self.predicted_cost = float(result.plan.cost(snapshot))
-        self.predicted_selectivities = {
-            pair_key(*pair): snapshot.selectivity(*pair)
-            for pair in pairs_for_pattern(pattern)
-        }
-        self.plan_description = result.plan.describe()
-        self.generator_name = result.generator_name
-        self.installed_at = snapshot.timestamp
-        self.plans_recorded += 1
-
-    def observe(self, snapshot: StatisticsSnapshot) -> None:
-        """Adopt the latest observed statistics (called per monitoring period)."""
-        self._observed = snapshot
-
-    @property
-    def observed_snapshot(self) -> Optional[StatisticsSnapshot]:
-        return self._observed
-
-    # ------------------------------------------------------------------
-    # Drift computation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ratio(predicted: float, observed: float) -> float:
-        if predicted <= 0.0:
-            return float("inf") if observed > 0.0 else 1.0
-        return observed / predicted
-
-    @staticmethod
-    def drift_magnitude(ratio: float) -> float:
-        """Symmetric drift size: ``max(ratio, 1/ratio)`` (1 = no drift)."""
-        if ratio <= 0.0:
-            return float("inf")
-        return max(ratio, 1.0 / ratio)
-
-    def drift_ratios(
-        self, snapshot: Optional[StatisticsSnapshot] = None
-    ) -> List[Dict[str, Any]]:
-        """Per-pair drift rows, worst drift first.
-
-        ``snapshot`` overrides the last observed snapshot (the controller
-        passes the decision-time snapshot so a ``replan`` record carries
-        exactly the drift that motivated it).
-        """
-        observed = snapshot if snapshot is not None else self._observed
-        if observed is None or not self.predicted_selectivities:
-            return []
-        rows: List[Dict[str, Any]] = []
-        for pair, predicted in sorted(self.predicted_selectivities.items()):
-            observed_value = observed.selectivity(*pair)
-            ratio = self._ratio(predicted, observed_value)
-            rows.append(
-                {
-                    "pair": f"{pair[0]}~{pair[1]}",
-                    "predicted": predicted,
-                    "observed": observed_value,
-                    "ratio": ratio,
-                    "drift": self.drift_magnitude(ratio),
-                }
-            )
-        rows.sort(key=lambda row: row["drift"], reverse=True)
-        return rows
-
-    def max_drift(self, snapshot: Optional[StatisticsSnapshot] = None) -> float:
-        """The worst per-pair drift magnitude (1.0 = everything on model)."""
-        rows = self.drift_ratios(snapshot)
-        if not rows:
-            return 1.0
-        return rows[0]["drift"]
-
-    def top_drifts(
-        self, snapshot: Optional[StatisticsSnapshot] = None, k: int = 3
-    ) -> List[Dict[str, Any]]:
-        return self.drift_ratios(snapshot)[: max(0, int(k))]
-
-    def summary(
-        self, snapshot: Optional[StatisticsSnapshot] = None
-    ) -> Dict[str, Any]:
-        """The drift table the ``/engine`` endpoint and reports render."""
-        return {
-            "plan": self.plan_description,
-            "generator": self.generator_name,
-            "installed_at": self.installed_at,
-            "plans_recorded": self.plans_recorded,
-            "predicted_cost": self.predicted_cost,
-            "max_drift": self.max_drift(snapshot),
-            "pairs": self.drift_ratios(snapshot),
-        }
+    rows.sort(key=lambda row: row["drift"], reverse=True)
+    return rows
 
 
 # ----------------------------------------------------------------------
-# Whole-engine frames (the /engine endpoint and the profile CLI)
+# Whole-engine frames (the /engine endpoint)
 # ----------------------------------------------------------------------
 def engine_introspection_frame(engine) -> Dict[str, Any]:
     """Duck-typed introspection of any engine shape the pipeline hosts.
@@ -495,11 +115,10 @@ def _merge_numeric(target: Dict[str, Any], source: Mapping[str, Any]) -> None:
 def merge_introspection_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-shard introspection frames into one cross-shard view.
 
-    Counters, per-state occupancies and profiles sum; high waters take the
-    per-shard maximum; per-pair drift keeps the worst-drifting shard's row
-    (replicas share predictions but observe their own slice of the
-    stream, so the worst case is the actionable one).  ``shards`` records
-    how many frames were folded.
+    Counters and per-state occupancies sum; per-pair drift keeps the
+    worst-drifting shard's row (replicas share predictions but observe
+    their own slice of the stream, so the worst case is the actionable
+    one).  ``shards`` records how many frames were folded.
     """
     frames = [frame for frame in frames if frame]
     if not frames:
@@ -511,42 +130,32 @@ def merge_introspection_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, An
     merged: Dict[str, Any] = {key: frames[0].get(key) for key in ("pattern", "plan")}
     merged["shards"] = len(frames)
     counters: Dict[str, Any] = {}
-    partial = {"live": 0, "high_water": 0}
+    partial: Dict[str, Any] = {"live": 0}
     per_state: Dict[str, int] = {}
-    profile_frames: List[Dict[str, Any]] = []
-    drift_rows: Dict[str, Dict[str, Any]] = {}
+    drift_rows_by_pair: Dict[str, Dict[str, Any]] = {}
     drift_meta: Dict[str, Any] = {}
     for frame in frames:
         _merge_numeric(counters, frame.get("counters", {}))
         matches = frame.get("partial_matches", {})
         partial["live"] += matches.get("live", 0)
-        partial["high_water"] = max(
-            partial["high_water"], matches.get("high_water", 0)
-        )
         for state, occupancy in matches.get("per_state", {}).items():
             per_state[state] = per_state.get(state, 0) + occupancy
-        if frame.get("profile"):
-            profile_frames.append(frame["profile"])
         drift = frame.get("drift")
         if drift:
-            for key in ("plan", "generator", "predicted_cost", "plans_recorded"):
+            for key in ("generator", "installed_at", "predicted_cost"):
                 drift_meta.setdefault(key, drift.get(key))
             for row in drift.get("pairs", []):
-                existing = drift_rows.get(row["pair"])
+                existing = drift_rows_by_pair.get(row["pair"])
                 if existing is None or row["drift"] > existing["drift"]:
-                    drift_rows[row["pair"]] = row
+                    drift_rows_by_pair[row["pair"]] = row
     if counters:
         merged["counters"] = counters
     if per_state:
         partial["per_state"] = per_state
     merged["partial_matches"] = partial
-    if profile_frames:
-        merged["profile"] = merge_profile_frames(profile_frames)
-    if drift_rows:
-        rows = sorted(drift_rows.values(), key=lambda row: row["drift"], reverse=True)
-        merged["drift"] = {
-            **drift_meta,
-            "max_drift": rows[0]["drift"] if rows else 1.0,
-            "pairs": rows,
-        }
+    if drift_rows_by_pair:
+        rows = sorted(
+            drift_rows_by_pair.values(), key=lambda row: row["drift"], reverse=True
+        )
+        merged["drift"] = {**drift_meta, "max_drift": rows[0]["drift"], "pairs": rows}
     return merged

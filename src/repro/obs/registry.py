@@ -112,9 +112,9 @@ def engine_introspection_samples(
 
     ``frame`` is what :meth:`StreamingPipeline.engine_introspection` /
     :meth:`AdaptiveCEPEngine.introspection` returns; missing sections
-    (introspection disabled, bare engines) simply yield fewer series.
-    Non-finite drift values (no prediction yet) are skipped — Prometheus
-    has no useful rendering for them.
+    (bare engines) simply yield fewer series.  Non-finite drift values
+    (a pair predicted never to pass) are skipped — Prometheus has no
+    useful rendering for them.
     """
     base = {"pipeline": instance}
     samples: List[Sample] = []
@@ -127,27 +127,6 @@ def engine_introspection_samples(
                 dict(base),
                 "Live partial matches across the engine's operator states.",
                 "gauge",
-            )
-        )
-    profile = frame.get("profile") or {}
-    for label, data in sorted((profile.get("conditions") or {}).items()):
-        labels = {**base, "condition": label}
-        samples.append(
-            Sample(
-                f"{NAMESPACE}_condition_evaluations_total",
-                float(data["calls"]),
-                dict(labels),
-                "Evaluations of one profiled pattern condition.",
-                "counter",
-            )
-        )
-        samples.append(
-            Sample(
-                f"{NAMESPACE}_condition_seconds_total",
-                float(data["seconds"]),
-                dict(labels),
-                "Cumulative wall time spent evaluating one condition.",
-                "counter",
             )
         )
     drift = frame.get("drift") or {}
@@ -329,9 +308,8 @@ class MetricsRegistry:
 
         ``introspection`` is polled at scrape time — pass
         ``pipeline.engine_introspection`` or ``engine.introspection``.
-        Emits the cost-model drift gauges, the live/high-water
-        partial-match population and per-condition profiling counters (see
-        :func:`engine_introspection_samples`).
+        Emits the cost-model drift gauges and the live partial-match
+        population (see :func:`engine_introspection_samples`).
         """
         self.register_sampler(
             f"engine:{name}",

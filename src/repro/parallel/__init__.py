@@ -56,7 +56,7 @@ from repro.parallel.partitioner import (
 from repro.parallel.shard import Shard, ShardedEngine, build_replica
 from repro.multi.registry import PatternSet
 from repro.patterns import CompositePattern, Pattern
-from repro.statistics import StatisticsProvider, StatisticsSnapshot
+from repro.statistics import StatisticsSnapshot
 
 PatternLike = Union[Pattern, CompositePattern, PatternSet]
 
@@ -74,8 +74,7 @@ class ParallelCEPEngine:
     partitioner:
         Event-routing strategy; defaults to the always-correct
         :class:`BroadcastPartitioner`.
-    statistics_provider / initial_snapshot / monitoring_interval / introspect /
-    compile_mode:
+    initial_snapshot / monitoring_interval / compile_mode:
         Forwarded to every shard's engine replica.
     validate_partitioning:
         When true (default), the partitioner's safety check runs against
@@ -89,11 +88,9 @@ class ParallelCEPEngine:
         policy: ReoptimizationPolicy,
         shards: int = 1,
         partitioner: Optional[Partitioner] = None,
-        statistics_provider: Optional[StatisticsProvider] = None,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
         monitoring_interval: float = 1.0,
         validate_partitioning: bool = True,
-        introspect: bool = False,
         compile_mode: str = "interpreted",
     ):
         self.pattern = pattern
@@ -105,10 +102,8 @@ class ParallelCEPEngine:
             planner,
             policy,
             num_shards=shards,
-            statistics_provider=statistics_provider,
             initial_snapshot=initial_snapshot,
             monitoring_interval=monitoring_interval,
-            introspect=introspect,
             compile_mode=compile_mode,
         )
         self._streaming_dedup = StreamingMatchDeduplicator(

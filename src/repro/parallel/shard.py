@@ -29,7 +29,7 @@ from repro.events import Event
 from repro.optimizer import PlanGenerator
 from repro.parallel.partitioner import Partitioner
 from repro.patterns import CompositePattern, Pattern
-from repro.statistics import StatisticsProvider, StatisticsSnapshot
+from repro.statistics import StatisticsSnapshot
 
 PatternLike = Union[Pattern, CompositePattern]
 EngineLike = Union[AdaptiveCEPEngine, MultiPatternEngine]
@@ -66,10 +66,8 @@ class ShardedEngine:
         planner: PlanGenerator,
         policy: ReoptimizationPolicy,
         num_shards: int,
-        statistics_provider: Optional[StatisticsProvider] = None,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
         monitoring_interval: float = 1.0,
-        introspect: bool = False,
         compile_mode: str = "interpreted",
     ):
         if num_shards < 1:
@@ -85,10 +83,8 @@ class ShardedEngine:
                     pattern,
                     planner,
                     policy,
-                    statistics_provider,
                     initial_snapshot,
                     monitoring_interval,
-                    introspect=introspect,
                     compile_mode=compile_mode,
                 ),
             )
@@ -127,10 +123,8 @@ def build_replica(
     pattern: PatternLike,
     planner: PlanGenerator,
     policy: ReoptimizationPolicy,
-    statistics_provider: Optional[StatisticsProvider],
     initial_snapshot: Optional[StatisticsSnapshot],
     monitoring_interval: float,
-    introspect: bool = False,
     compile_mode: str = "interpreted",
 ) -> EngineLike:
     """One fresh engine with private planner/policy copies."""
@@ -142,19 +136,15 @@ def build_replica(
             pattern,
             replica_planner,
             policy_factory=lambda: copy.deepcopy(replica_policy),
-            statistics_provider=statistics_provider,
             initial_snapshot=initial_snapshot,
             monitoring_interval=monitoring_interval,
-            introspect=introspect,
             compile_mode=compile_mode,
         )
     return AdaptiveCEPEngine(
         pattern,
         replica_planner,
         replica_policy,
-        statistics_provider=statistics_provider,
         initial_snapshot=initial_snapshot,
         monitoring_interval=monitoring_interval,
-        introspect=introspect,
         compile_mode=compile_mode,
     )

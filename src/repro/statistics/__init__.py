@@ -3,9 +3,8 @@
 This package maintains the quantities the adaptation layer monitors: event
 arrival rates and inter-event predicate selectivities.  Estimates are
 maintained over sliding windows (following the histogram-based techniques
-the paper cites) by :class:`StatisticsCollector`; experiments can instead
-use a :class:`GroundTruthStatisticsProvider` backed by a dataset simulator's
-known generating process.
+the paper cites) by :class:`StatisticsCollector`.  The time-varying value
+models drive the dataset simulators' generating processes.
 """
 
 from repro.statistics.snapshot import StatisticsSnapshot, pair_key
@@ -15,12 +14,6 @@ from repro.statistics.sliding_window import (
     SlidingSelectivityEstimator,
 )
 from repro.statistics.collector import StatisticsCollector
-from repro.statistics.provider import (
-    StatisticsProvider,
-    GroundTruthStatisticsProvider,
-    NoisyStatisticsProvider,
-    StaticStatisticsProvider,
-)
 from repro.statistics.timevarying import (
     TimeVaryingValue,
     ConstantValue,
@@ -37,10 +30,6 @@ __all__ = [
     "SlidingWindowRateEstimator",
     "SlidingSelectivityEstimator",
     "StatisticsCollector",
-    "StatisticsProvider",
-    "GroundTruthStatisticsProvider",
-    "NoisyStatisticsProvider",
-    "StaticStatisticsProvider",
     "TimeVaryingValue",
     "ConstantValue",
     "StepValue",

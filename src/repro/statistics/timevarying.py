@@ -145,8 +145,8 @@ class RandomWalkValue(TimeVaryingValue):
 
     The walk is sampled once at construction time on a fixed time grid so
     that ``value_at`` is a deterministic function of ``t`` — repeated calls
-    (e.g. from the ground-truth statistics provider and the event generator)
-    always agree.
+    (e.g. from the event generator and a dataset's initial snapshot) always
+    agree.
     """
 
     def __init__(

@@ -281,7 +281,7 @@ class StreamingPipeline:
         return self._matches_emitted_total
 
     def engine_introspection(self) -> dict:
-        """One frame of engine internals (plan, operator stats, drift).
+        """One frame of engine internals (plan, populations, drift).
 
         Delegates to the execution backend, which merges per-shard frames
         for worker backends; see :mod:`repro.obs.introspect` and the

@@ -427,8 +427,8 @@ class ProcessWorkerBackend(ExecutionBackend):
 
         The replicas are refreshed here through the same snapshot barrier
         a checkpoint uses (workers ship their state back and the
-        coordinator adopts it), so the profile frames describe the
-        workers' current truth, not a stale template.
+        coordinator adopts it), so the frames — drift included — describe
+        the workers' current truth, not a stale template.
         """
         from repro.obs.introspect import (
             engine_introspection_frame,

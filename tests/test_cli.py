@@ -16,9 +16,10 @@ from repro.streaming.net import build_parser as build_net_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-#: The bench drivers retired in favour of ``bench/run.py`` — spelled by stem
-#: so that a repository-wide grep for the old names stays empty.
-RETIRED_SUBCOMMANDS = ("parallel",) + tuple(
+#: The bench drivers retired in favour of ``bench/run.py``, and the
+#: operator-profiling report retired with the opt-in profiler — spelled by
+#: stem so that a repository-wide grep for the old names stays empty.
+RETIRED_SUBCOMMANDS = ("parallel", "pro" + "file") + tuple(
     f"{stem}-bench" for stem in ("stream", "checkpoint", "compile", "multi")
 )
 
@@ -37,6 +38,10 @@ RETIRED_PUSH_TCP, RETIRED_RECEIVE_MODE = ("--" + stem for stem in ("tcp", "mode"
 
 #: The second replica-count knob, retired when ``--shards`` became the one.
 RETIRED_WORKERS = "--" + "workers"
+
+#: The opt-in profiler's switch, retired when cost-model drift became
+#: always on.
+RETIRED_INTROSPECT = "--" + "introspect"
 
 
 def cli_parsers(parser_factory=build_parser) -> dict:
@@ -115,7 +120,6 @@ class TestParser:
             "ablation-k",
             "ablation-strategy",
             "serve",
-            "profile",
         }
 
     @pytest.mark.parametrize("name", RETIRED_SUBCOMMANDS)
@@ -164,6 +168,7 @@ class TestParser:
             [RETIRED_TCP_PORT, "9001"],
             [RETIRED_SOCKET_SINK, "127.0.0.1:9100"],
             [RETIRED_WORKERS, "2"],
+            [RETIRED_INTROSPECT],
         ],
     )
     def test_retired_options_exit_2_everywhere(self, name, retired, capsys):
@@ -280,13 +285,6 @@ class TestExecution:
         assert main(serve_args) == 0
         assert "resumed from event 600" in capsys.readouterr().out
 
-    def test_profile_runs(self, capsys):
-        exit_code = main(["profile", "--dataset", "stocks", *self.COMMON, "--top", "3"])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "conditions by cumulative wall time" in output
-        assert "cost-model drift" in output
-
     def test_compare_honours_compile_mode(self, monkeypatch, tmp_path):
         built = []
 
@@ -394,4 +392,19 @@ class TestDocsAndCIDrift:
         assert unknown_cli_invocations(text, module_parsers()) == [
             "serve --backend thread",
             "serve --checkpoint-mode bogus",
+        ]
+
+    def test_checker_reports_the_retired_profiler_surface(self):
+        # The README's engine-profiling examples as they stood: the report
+        # sub-command and the serve switch that built the profiled engine.
+        report = RETIRED_SUBCOMMANDS[1]
+        text = (
+            f"PYTHONPATH=src python -m repro.experiments.cli {report} "
+            "--dataset stocks --top 10\n"
+            "PYTHONPATH=src python -m repro.experiments.cli serve --dataset stocks \\\n"
+            f"  --control-port 8080 {RETIRED_INTROSPECT}\n"
+        )
+        assert unknown_cli_invocations(text, module_parsers()) == [
+            report,
+            f"serve {RETIRED_INTROSPECT}",
         ]

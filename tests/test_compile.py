@@ -86,7 +86,7 @@ def _random_events(rng, count=200):
 # ----------------------------------------------------------------------
 def test_local_kernel_matches_interpreted_threshold():
     condition = AttributeThresholdCondition("a", "speed", "<", 60.0)
-    kernel = compile_local_kernel(condition, "a", None)
+    kernel = compile_local_kernel(condition, "a")
     assert kernel.specialized
     rng = random.Random(5)
     for event in _random_events(rng):
@@ -95,7 +95,7 @@ def test_local_kernel_matches_interpreted_threshold():
 
 def test_local_kernel_falls_back_on_opaque_predicate():
     condition = PredicateCondition(["a"], lambda a: a.get("speed", 0) > 10)
-    kernel = compile_local_kernel(condition, "a", None)
+    kernel = compile_local_kernel(condition, "a")
     assert not kernel.specialized
     event = _event(speed=25.0)
     assert kernel.fn(event) == condition.evaluate({"a": event})
@@ -103,7 +103,7 @@ def test_local_kernel_falls_back_on_opaque_predicate():
 
 def test_step_kernel_matches_interpreted_comparison():
     condition = AttributeComparisonCondition("a", "speed", "<", "b", "speed")
-    kernel = compile_step_kernel(condition, "b", None)
+    kernel = compile_step_kernel(condition, "b")
     assert kernel.specialized
     rng = random.Random(7)
     events = _random_events(rng)
@@ -115,7 +115,7 @@ def test_step_kernel_matches_interpreted_comparison():
 
 def test_step_kernel_threshold_on_new_variable():
     condition = AttributeThresholdCondition("b", "speed", ">", 30.0)
-    kernel = compile_step_kernel(condition, "b", None)
+    kernel = compile_step_kernel(condition, "b")
     rng = random.Random(8)
     for event in _random_events(rng):
         assert kernel.fn({}, event) == condition.evaluate({"b": event})
@@ -124,8 +124,8 @@ def test_step_kernel_threshold_on_new_variable():
 def test_join_kernel_matches_interpreted_both_orientations():
     condition = EqualityCondition("a", "c", "person_id")
     left_vars, right_vars = frozenset({"a", "b"}), frozenset({"c"})
-    forward = compile_join_kernel(condition, left_vars, right_vars, None)
-    backward = compile_join_kernel(condition, right_vars, left_vars, None)
+    forward = compile_join_kernel(condition, left_vars, right_vars)
+    backward = compile_join_kernel(condition, right_vars, left_vars)
     rng = random.Random(9)
     events = _random_events(rng)
     for ea, ec in zip(events, reversed(events)):

@@ -1,194 +1,198 @@
-"""Tests for engine introspection: operator-level profiling and the
-cost-model drift monitor.
+"""Tests for engine introspection and cost-model drift.
 
-The contract under test has three legs:
+Drift is derived on demand from what every engine already holds — the
+installed plan's ``PlanGenerationResult`` (the plan and the snapshot it
+was planned from), the pattern, and an observed snapshot of the
+statistics collector — so it is on for every engine, with no flag:
 
-* **equivalence** — an engine built with ``introspect=True`` detects
-  exactly the same matches as a plain one (the wrapper only observes),
-  and an engine built without a profiler evaluates the *original*
-  condition objects (zero overhead when off, not a cheap branch);
-* **profiling** — condition counters/timings, operator accept/reject
-  edges and partial-match population gauges populate and merge across
-  shards;
-* **drift** — a seeded ground-truth selectivity shift produces a drift
-  signal before the re-plan, the ``replan`` decision record carries the
-  old/new predicted cost, the trigger distance and the motivating drift
-  rows, and the ``/engine`` endpoint and metrics registry export it all.
+* **rows** — :func:`drift_rows` compares predicted with observed
+  selectivities per pair, worst first;
+* **provenance** — on a stream whose rates and selectivities really
+  shift, a ``replan`` record handed to a decision sink carries the drift
+  rows of the *outgoing* plan (and a controller without a sink computes
+  none, so the state checkpoints pickle does not grow);
+* **export** — ``/engine`` and the metrics registry serve the drift
+  section of a default-built engine, and per-shard frames merge keeping
+  the worst row per pair.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.adaptive import InvariantBasedPolicy
-from repro.conditions import AttributeThresholdCondition, EqualityCondition
+from repro.datasets.generic import ConfigurableDatasetSimulator
 from repro.engine import AdaptiveCEPEngine
-from repro.events import Event, EventType
+from repro.events import EventType
 from repro.obs import ControlPlane, DecisionLog, MetricsRegistry
-from repro.obs.introspect import (
-    ConditionProfile,
-    DriftMonitor,
-    EngineProfiler,
-    ProfiledCondition,
-    merge_introspection_frames,
-    merge_profile_frames,
-)
-from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
+from repro.obs.introspect import drift_rows, merge_introspection_frames
+from repro.optimizer import GreedyOrderPlanner
 from repro.statistics import StatisticsSnapshot
-from repro.statistics.provider import GroundTruthStatisticsProvider
 from repro.statistics.timevarying import ConstantValue, StepValue
 from repro.streaming import CheckpointStore, CollectorSink, ReplaySource, StreamingPipeline
 
-from tests.conftest import make_camera_stream
+#: Stream time of the regime shift in :func:`_shifting_stream`.
+SHIFT = 40.0
 
 
-def _engine(pattern, planner=None, introspect=False, **kwargs):
+def _shifting_stream(duration: float = 80.0, seed: int = 3):
+    """Camera events whose rates and selectivities really shift at ``SHIFT``.
+
+    The C rate climbs past B's (breaking the greedy plan's ordering
+    invariant, so the shift triggers a re-plan) and the person-id space
+    shrinks from 20 ids to 4, so the equality selectivities the collector
+    observes rise about fivefold.
+    """
+
+    def payload(type_name, timestamp, rng):
+        persons = 20 if timestamp < SHIFT else 4
+        return {"person_id": int(rng.integers(0, persons))}
+
+    dataset = ConfigurableDatasetSimulator(
+        [EventType("A"), EventType("B"), EventType("C")],
+        {
+            "A": ConstantValue(10.0),
+            "B": ConstantValue(3.0),
+            "C": StepValue(1.0, [(SHIFT, 8.0)]),
+        },
+        payload_generator=payload,
+        seed=seed,
+    )
+    return dataset.generate(duration).to_list()
+
+
+class RecordingPlanner(GreedyOrderPlanner):
+    """The greedy planner, keeping every result it generates."""
+
+    def __init__(self):
+        super().__init__()
+        self.results = []
+
+    def generate(self, pattern, snapshot):
+        result = super().generate(pattern, snapshot)
+        self.results.append(result)
+        return result
+
+
+def _engine(pattern, planner=None):
     return AdaptiveCEPEngine(
         pattern,
         planner or GreedyOrderPlanner(),
         InvariantBasedPolicy(distance=0.1),
         monitoring_interval=2.0,
-        introspect=introspect,
-        **kwargs,
     )
 
 
-class TestProfiledCondition:
-    def test_counts_calls_passes_and_time(self):
-        inner = AttributeThresholdCondition("a", "x", ">", 5.0)
-        profile = ConditionProfile(repr(inner), inner.variables)
-        wrapped = ProfiledCondition(inner, profile)
-        a = EventType("A")
-        assert wrapped.evaluate({"a": Event(a, 0.0, {"x": 9.0})})
-        assert not wrapped.evaluate({"a": Event(a, 1.0, {"x": 1.0})})
-        assert (profile.calls, profile.passes) == (2, 1)
-        assert profile.seconds >= 0.0
-        assert profile.pass_rate == 0.5
+def _outgoing_results(engine, planner):
+    """The result each recorded replacement retired, in replacement order.
 
-    def test_transparent_to_planner_and_indexing(self):
-        inner = EqualityCondition("a", "b", "person_id")
-        wrapped = ProfiledCondition(inner, ConditionProfile(repr(inner), inner.variables))
-        assert wrapped.variables == inner.variables
-        # flatten() keeps the wrapper atomic so ConditionSet re-indexes it
-        # under the same variable key as the condition it wraps.
-        assert wrapped.flatten() == (wrapped,)
-        assert repr(inner) in repr(wrapped)
-
-    def test_profiler_shares_profiles_across_plan_generations(self, camera_pattern):
-        profiler = EngineProfiler()
-        first = profiler.instrument_conditions(camera_pattern.conditions)
-        second = profiler.instrument_conditions(camera_pattern.conditions)
-        firsts = {c.profile.label: c.profile for c in first.conjuncts}
-        for conjunct in second.conjuncts:
-            assert conjunct.profile is firsts[conjunct.profile.label]
+    One ``generate`` runs per decision, so the result a replacement
+    installed is the one planned from its decision-time snapshot.
+    """
+    replacements = engine.controller.statistics.replacements
+    installed = [planner.results[0]] + [
+        next(r for r in planner.results if r.snapshot.timestamp == record.time)
+        for record in replacements
+    ]
+    return list(zip(replacements, installed))
 
 
-class TestEngineEquivalence:
-    @pytest.mark.parametrize("planner_cls", [GreedyOrderPlanner, ZStreamTreePlanner])
-    def test_instrumented_matches_equal_plain(self, camera_pattern, planner_cls):
-        events = make_camera_stream(count=400).to_list()
-        plain = _engine(camera_pattern, planner_cls()).run(events)
-        profiled_engine = _engine(camera_pattern, planner_cls(), introspect=True)
-        profiled = profiled_engine.run(events)
-        assert profiled.match_count == plain.match_count
-        profiler = profiled_engine.profiler
-        assert profiler.conditions, "condition profiles must populate"
-        assert all(p.calls > 0 for p in profiler.conditions.values())
-        assert profiler.partial_matches_high_water > 0
+def _assert_measured_against(rows, result):
+    predicted = result.snapshot
+    for row in rows:
+        a, b = row["pair"].split("~")
+        assert row["predicted"] == predicted.selectivity(a, b), row
 
-    def test_nfa_and_tree_report_their_operator_edges(self, camera_pattern):
-        events = make_camera_stream(count=300).to_list()
-        nfa = _engine(camera_pattern, GreedyOrderPlanner(), introspect=True)
-        nfa.run(events)
-        assert any(label.startswith("extend[") for label in nfa.profiler.edges)
-        assert any(label.startswith("buffer[") for label in nfa.profiler.edges)
-        tree = _engine(camera_pattern, ZStreamTreePlanner(), introspect=True)
-        tree.run(events)
-        assert any(label.startswith("leaf[") for label in tree.profiler.edges)
-        assert any(label.startswith("join[") for label in tree.profiler.edges)
 
-    def test_disabled_engine_evaluates_original_conditions(self, camera_pattern):
+class TestDrift:
+    def test_ratio_and_magnitude(self, camera_pattern):
+        result = GreedyOrderPlanner().generate(
+            camera_pattern,
+            StatisticsSnapshot(
+                {"A": 100.0, "B": 15.0, "C": 10.0}, {("a", "b"): 0.2, ("b", "c"): 0.0}
+            ),
+        )
+        rows = drift_rows(
+            result,
+            camera_pattern,
+            StatisticsSnapshot({}, {("a", "b"): 0.05, ("b", "c"): 0.5}),
+        )
+        by_pair = {row["pair"]: row for row in rows}
+        assert by_pair["a~b"]["ratio"] == pytest.approx(0.25)
+        assert by_pair["a~b"]["drift"] == pytest.approx(4.0)
+        # A pair predicted never to pass that does: infinite drift, first.
+        assert rows[0]["pair"] == "b~c"
+        assert by_pair["b~c"]["ratio"] == float("inf")
+        assert by_pair["b~c"]["drift"] == float("inf")
+        on_model = drift_rows(
+            result, camera_pattern, StatisticsSnapshot({}, {("b", "c"): 0.0})
+        )
+        assert {row["pair"]: row["ratio"] for row in on_model}["b~c"] == 1.0
+
+    def test_no_drift_against_the_planning_snapshot(self, camera_pattern, camera_snapshot):
+        result = GreedyOrderPlanner().generate(camera_pattern, camera_snapshot)
+        rows = drift_rows(result, camera_pattern, camera_snapshot)
+        assert [row["pair"] for row in rows] == ["a~b", "b~c"]
+        assert all(row["ratio"] == 1.0 and row["drift"] == 1.0 for row in rows)
+
+    def test_seeded_shift_produces_drift_signal_before_replan(self, camera_pattern):
+        """A shifted snapshot drifts from the unchanged plan's predictions."""
+        planned = StatisticsSnapshot(
+            {"A": 100.0, "B": 15.0, "C": 10.0}, {("a", "b"): 0.3, ("b", "c"): 0.2}
+        )
+        result = GreedyOrderPlanner().generate(camera_pattern, planned)
+        shifted = StatisticsSnapshot(
+            {"A": 100.0, "B": 15.0, "C": 200.0},
+            {("a", "b"): 0.05, ("b", "c"): 0.9},
+            timestamp=40.0,
+        )
+        rows = drift_rows(result, camera_pattern, shifted)
+        by_pair = {row["pair"]: row for row in rows}
+        assert by_pair["b~c"]["ratio"] == pytest.approx(0.9 / 0.2)
+        assert by_pair["a~b"]["ratio"] == pytest.approx(0.05 / 0.3)
+        # Worst drift first: a~b moved by 6x, b~c by 4.5x.
+        assert rows[0]["pair"] == "a~b"
+        assert rows[0]["drift"] == pytest.approx(6.0)
+
+    def test_replan_record_carries_costs_distance_and_drift(self, camera_pattern):
+        """The shift drives a re-plan whose record, handed to a decision
+        sink, carries the old/new predicted cost, the trigger distance and
+        the drift rows of the plan being retired."""
+        planner = RecordingPlanner()
+        engine = _engine(camera_pattern, planner)
+        handed = []
+        engine.controller.decision_sink = handed.append
+        engine.run(_shifting_stream())
+        assert engine.reoptimization_count() >= 2
+        assert handed == engine.controller.statistics.replacements
+        for record, outgoing in _outgoing_results(engine, planner):
+            assert record.drift
+            _assert_measured_against(record.drift, outgoing)
+        record = handed[-1]
+        assert record.time > SHIFT, "the last re-plan must be the shift's"
+        assert record.previous_cost > record.new_cost > 0
+        assert record.trigger_distance is not None
+        assert record.drift[0]["drift"] > 1.5
+
+    def test_records_carry_no_drift_without_a_sink(self, camera_pattern):
         engine = _engine(camera_pattern)
-        assert engine.profiler is None and engine.drift_monitor is None
-        # Zero overhead when off: the active engine holds the pattern's own
-        # ConditionSet (identity, no wrappers), not a parallel copy.
-        assert engine.migration_manager.active_engine._conditions is (
-            camera_pattern.conditions
-        )
-
-    def test_introspection_state_survives_pickling(self, camera_pattern):
-        engine = _engine(camera_pattern, introspect=True)
-        engine.run(make_camera_stream(count=200).to_list())
-        restored = AdaptiveCEPEngine.restore_state(engine.snapshot_state())
-        assert restored.profiler.conditions.keys() == engine.profiler.conditions.keys()
-        calls = lambda profiler: sum(p.calls for p in profiler.conditions.values())
-        assert calls(restored.profiler) == calls(engine.profiler)
-        assert restored.drift_monitor.predicted_cost == pytest.approx(
-            engine.drift_monitor.predicted_cost
-        )
-
-    def test_sharded_engine_forwards_introspect_to_replicas(self, camera_pattern):
-        from repro.parallel import ParallelCEPEngine
-
-        engine = ParallelCEPEngine(
-            camera_pattern,
-            GreedyOrderPlanner(),
-            InvariantBasedPolicy(distance=0.1),
-            shards=2,
-            introspect=True,
-        )
-        replicas = [shard.engine for shard in engine.sharded_engine.shards]
-        assert all(replica.profiler is not None for replica in replicas)
-        assert all(replica.drift_monitor is not None for replica in replicas)
-        # Each replica profiles independently (no shared mutable state
-        # across shard boundaries — replicas must stay picklable).
-        assert replicas[0].profiler is not replicas[1].profiler
-        plain = ParallelCEPEngine(
-            camera_pattern,
-            GreedyOrderPlanner(),
-            InvariantBasedPolicy(distance=0.1),
-            shards=2,
-        )
-        for shard in plain.sharded_engine.shards:
-            assert shard.engine.profiler is None
-
-    def test_top_conditions_ranked_by_time(self):
-        profiler = EngineProfiler()
-        for label, seconds in (("cheap", 0.1), ("hot", 5.0), ("warm", 1.0)):
-            profile = profiler.conditions[label] = ConditionProfile(label)
-            profile.seconds = seconds
-        assert [p.label for p in profiler.top_conditions(2)] == ["hot", "warm"]
-        assert profiler.total_condition_seconds() == pytest.approx(6.1)
+        engine.run(_shifting_stream())
+        replacements = engine.controller.statistics.replacements
+        assert replacements
+        assert all(record.drift is None for record in replacements)
 
 
 class TestFrameMerging:
-    def _frame(self, calls, accepted, high_water):
-        profiler = EngineProfiler()
-        profile = profiler.conditions["c"] = ConditionProfile("c")
-        profile.calls, profile.passes, profile.seconds = calls, calls // 2, 0.5
-        for _ in range(accepted):
-            profiler.record_edge("extend[a]", True)
-        profiler.observe_population(high_water)
-        return profiler.frame()
-
-    def test_profile_frames_sum_counters_and_max_high_water(self):
-        merged = merge_profile_frames([self._frame(10, 3, 5), self._frame(6, 2, 9)])
-        assert merged["conditions"]["c"]["calls"] == 16
-        assert merged["conditions"]["c"]["pass_rate"] == pytest.approx(8 / 16)
-        assert merged["edges"]["extend[a]"]["accepted"] == 5
-        assert merged["partial_matches_high_water"] == 9
-
     def test_introspection_frames_keep_worst_drift_row_per_pair(self):
         def frame(live, ratio):
             return {
                 "pattern": "p",
                 "counters": {"events_processed": 10},
-                "partial_matches": {"live": live, "high_water": live},
+                "partial_matches": {"live": live},
                 "drift": {
                     "predicted_cost": 3.0,
                     "pairs": [
@@ -202,103 +206,20 @@ class TestFrameMerging:
         assert merged["shards"] == 2
         assert merged["counters"]["events_processed"] == 20
         assert merged["partial_matches"]["live"] == 11
-        assert merged["partial_matches"]["high_water"] == 7
         assert merged["drift"]["pairs"][0]["ratio"] == 3.0
         assert merged["drift"]["max_drift"] == 3.0
-
-
-def _shifting_provider(shift_time=30.0):
-    """Ground truth with one regime shift at ``shift_time``.
-
-    The selectivity steps produce the drift signal; the C-rate step breaks
-    the greedy plan's first ordering invariant (``rate(C) <= rate(B)``), so
-    the same shift that drifts the cost model also triggers the re-plan.
-    """
-    return GroundTruthStatisticsProvider(
-        rate_models={
-            "A": ConstantValue(100.0),
-            "B": ConstantValue(15.0),
-            "C": StepValue(10.0, [(shift_time, 200.0)]),
-        },
-        selectivity_models={
-            ("a", "b"): StepValue(0.3, [(shift_time, 0.05)]),
-            ("b", "c"): StepValue(0.2, [(shift_time, 0.9)]),
-        },
-    )
-
-
-class TestDriftMonitor:
-    def test_ratio_and_magnitude(self):
-        assert DriftMonitor._ratio(0.2, 0.9) == pytest.approx(4.5)
-        assert DriftMonitor._ratio(0.0, 0.5) == float("inf")
-        assert DriftMonitor._ratio(0.0, 0.0) == 1.0
-        assert DriftMonitor.drift_magnitude(4.0) == 4.0
-        assert DriftMonitor.drift_magnitude(0.25) == 4.0
-        assert DriftMonitor.drift_magnitude(0.0) == float("inf")
-
-    def test_empty_monitor_reports_no_drift(self):
-        monitor = DriftMonitor()
-        assert monitor.max_drift() == 1.0
-        assert monitor.drift_ratios() == []
-        assert monitor.summary()["plans_recorded"] == 0
-
-    def test_seeded_shift_produces_drift_signal_before_replan(self, camera_pattern):
-        """The ground-truth shift shows up in the monitor as soon as a
-        post-shift snapshot is observed — before any plan replacement."""
-        provider = _shifting_provider(shift_time=30.0)
-        monitor = DriftMonitor()
-        result = GreedyOrderPlanner().generate(camera_pattern, provider.snapshot(0.0))
-        monitor.record_plan(result, camera_pattern)
-        assert monitor.predicted_cost == pytest.approx(result.plan.cost(result.snapshot))
-
-        monitor.observe(provider.snapshot(10.0))  # pre-shift: on model
-        assert monitor.max_drift() == pytest.approx(1.0)
-
-        monitor.observe(provider.snapshot(40.0))  # post-shift, same plan
-        rows = monitor.drift_ratios()
-        by_pair = {row["pair"]: row for row in rows}
-        assert by_pair["b~c"]["ratio"] == pytest.approx(0.9 / 0.2)
-        assert by_pair["a~b"]["ratio"] == pytest.approx(0.05 / 0.3)
-        # Worst drift first: a~b moved by 6x, b~c by 4.5x.
-        assert rows[0]["pair"] == "a~b"
-        assert monitor.max_drift() == pytest.approx(6.0)
-
-    def test_replan_record_carries_costs_distance_and_drift(self, camera_pattern):
-        """End-to-end: the shift drives an actual re-plan whose record
-        carries the old/new predicted cost, the trigger distance, and the
-        drift rows that motivated it (measured against the *old* plan)."""
-        engine = _engine(
-            camera_pattern,
-            introspect=True,
-            statistics_provider=_shifting_provider(shift_time=30.0),
-            initial_snapshot=_shifting_provider().snapshot(0.0),
-        )
-        engine.run(make_camera_stream(count=600).to_list())
-        assert engine.reoptimization_count() >= 1
-        record = engine.controller.statistics.replacements[-1]
-        assert record.previous_cost > 0 and record.new_cost > 0
-        assert record.new_cost < record.previous_cost
-        assert record.trigger_distance is not None
-        assert record.drift, "replan record must carry the motivating drift rows"
-        worst = record.drift[0]
-        assert worst["drift"] > 1.5
-        assert worst["pair"] in ("a~b", "b~c")
-        # After the replacement the monitor describes the *new* plan.
-        assert engine.drift_monitor.plans_recorded >= 2
-        assert engine.drift_monitor.plan_description == record.plan_description
+        assert merged["drift"]["predicted_cost"] == 3.0
 
 
 class TestPipelineIntrospection:
-    def _run_pipeline(self, pattern, tmp_path, introspect=True):
+    def _run_pipeline(self, pattern, tmp_path, planner=None):
+        """A default-built engine (no flag) serving the shifting stream with
+        a decision log and checkpoints."""
         log = DecisionLog()
+        engine = _engine(pattern, planner)
         pipeline = StreamingPipeline(
-            _engine(
-                pattern,
-                introspect=introspect,
-                statistics_provider=_shifting_provider(shift_time=30.0),
-                initial_snapshot=_shifting_provider().snapshot(0.0),
-            ),
-            ReplaySource(make_camera_stream(count=600).to_list()),
+            engine,
+            ReplaySource(_shifting_stream()),
             sinks=[CollectorSink()],
             checkpoint_store=CheckpointStore(str(tmp_path / "ckpt")),
             checkpoint_every=150,
@@ -306,6 +227,37 @@ class TestPipelineIntrospection:
         )
         result = pipeline.run()
         return pipeline, result, log
+
+    def test_drift_is_on_by_default(self, camera_pattern, tmp_path):
+        planner = RecordingPlanner()
+        pipeline, _, log = self._run_pipeline(camera_pattern, tmp_path, planner)
+
+        # The replan records carry drift rows measured against the plan
+        # each one retired.
+        replans = log.query(type="replan")
+        outgoing = _outgoing_results(pipeline.engine, planner)
+        assert replans and len(replans) == len(outgoing)
+        for decision, (_, retired) in zip(replans, outgoing):
+            assert decision.detail["drift"]
+            _assert_measured_against(decision.detail["drift"], retired)
+
+        frame = pipeline.engine_introspection()
+        assert frame["drift"]["pairs"]
+        assert frame["drift"]["predicted_cost"] > 0
+
+        registry = MetricsRegistry(clock=lambda: 0.0)
+        registry.register_engine_introspection(pipeline.engine_introspection)
+        body, _ = registry.render()
+        assert "repro_plan_predicted_cost" in body
+        assert "repro_cost_model_drift_ratio" in body
+        with ControlPlane(pipeline=pipeline, registry=registry) as control:
+            with urllib.request.urlopen(f"{control.url}/engine", timeout=5) as response:
+                payload = json.loads(response.read().decode("utf-8"))
+            with urllib.request.urlopen(f"{control.url}/metrics", timeout=5) as response:
+                scrape = response.read().decode("utf-8")
+        assert payload["plan"] == frame["plan"]
+        assert payload["drift"]["pairs"]
+        assert "repro_plan_predicted_cost" in scrape
 
     def test_partial_match_high_water_sampled_and_reported(
         self, camera_pattern, tmp_path
@@ -331,26 +283,21 @@ class TestPipelineIntrospection:
     def test_engine_endpoint_and_metrics_export(self, camera_pattern, tmp_path):
         pipeline, _, _ = self._run_pipeline(camera_pattern, tmp_path)
         frame = pipeline.engine_introspection()
-        assert frame["plan"] and frame["profile"]["conditions"]
-        assert frame["partial_matches"]["high_water"] > 0
-        assert frame["drift"]["plans_recorded"] >= 1
+        assert frame["plan"] and frame["counters"]["events_processed"] > 0
+        assert "high_water" not in frame["partial_matches"]
 
         registry = MetricsRegistry(clock=lambda: 0.0)
         registry.register_engine_introspection(pipeline.engine_introspection)
         body, _ = registry.render()
         assert "repro_partial_matches_live" in body
-        assert "repro_condition_evaluations_total" in body
-        assert "repro_condition_seconds_total" in body
-        assert "repro_plan_predicted_cost" in body
-        assert "repro_cost_model_drift_ratio" in body
+        assert "repro_cost_model_drift_max" in body
 
         with ControlPlane(pipeline=pipeline) as control:
             with urllib.request.urlopen(f"{control.url}/engine", timeout=5) as response:
                 assert response.status == 200
                 payload = json.loads(response.read().decode("utf-8"))
-        assert payload["plan"] == frame["plan"]
-        assert payload["profile"]["conditions"]
-        assert payload["drift"]["pairs"]
+        assert payload["partial_matches"]["live"] == frame["partial_matches"]["live"]
+        assert payload["drift"]["max_drift"] == frame["drift"]["max_drift"]
 
     def test_engine_endpoint_degrades_without_introspection_surface(self):
         with ControlPlane(pipeline=object()) as control:

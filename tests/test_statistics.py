@@ -14,14 +14,11 @@ from repro.patterns import seq
 from repro.statistics import (
     BucketedSlidingCounter,
     ConstantValue,
-    GroundTruthStatisticsProvider,
     LinearDriftValue,
-    NoisyStatisticsProvider,
     OscillatingValue,
     RandomWalkValue,
     SlidingSelectivityEstimator,
     SlidingWindowRateEstimator,
-    StaticStatisticsProvider,
     StatisticsCollector,
     StatisticsSnapshot,
     StepValue,
@@ -374,48 +371,3 @@ class TestStatisticsCollector:
         assert snapshot.rate("A") > snapshot.rate("C") > 0
         assert snapshot.selectivity("a", "b") == pytest.approx(0.25, abs=0.05)
 
-
-class TestProviders:
-    def test_static_provider(self):
-        provider = StaticStatisticsProvider(StatisticsSnapshot({"A": 2.0}))
-        snapshot = provider.snapshot(now=42.0)
-        assert snapshot.rate("A") == 2.0
-        assert snapshot.timestamp == 42.0
-
-    def test_ground_truth_provider(self):
-        provider = GroundTruthStatisticsProvider(
-            {"A": StepValue(1.0, [(10.0, 9.0)])},
-            {("a", "b"): ConstantValue(0.3)},
-        )
-        assert provider.snapshot(0.0).rate("A") == 1.0
-        assert provider.snapshot(11.0).rate("A") == 9.0
-        assert provider.snapshot(0.0).selectivity("a", "b") == 0.3
-
-    def test_ground_truth_requires_rate_models(self):
-        with pytest.raises(StatisticsError):
-            GroundTruthStatisticsProvider({})
-
-    def test_ground_truth_clamps_selectivity(self):
-        provider = GroundTruthStatisticsProvider(
-            {"A": ConstantValue(1.0)}, {("a", "b"): ConstantValue(1.7)}
-        )
-        assert provider.snapshot(0.0).selectivity("a", "b") == 1.0
-
-    def test_noisy_provider_perturbs_but_stays_valid(self):
-        inner = StaticStatisticsProvider(
-            StatisticsSnapshot({"A": 10.0}, {("a", "b"): 0.5})
-        )
-        provider = NoisyStatisticsProvider(inner, noise=0.2, seed=1)
-        snapshot = provider.snapshot(5.0)
-        assert snapshot.rate("A") >= 0.0
-        assert 0.0 <= snapshot.selectivity("a", "b") <= 1.0
-
-    def test_noisy_provider_zero_noise_is_identity(self):
-        inner = StaticStatisticsProvider(StatisticsSnapshot({"A": 10.0}))
-        provider = NoisyStatisticsProvider(inner, noise=0.0)
-        assert provider.snapshot(1.0).rate("A") == 10.0
-
-    def test_noisy_provider_deterministic_per_time(self):
-        inner = StaticStatisticsProvider(StatisticsSnapshot({"A": 10.0}))
-        provider = NoisyStatisticsProvider(inner, noise=0.3, seed=5)
-        assert provider.snapshot(3.0).rate("A") == provider.snapshot(3.0).rate("A")

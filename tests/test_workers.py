@@ -88,7 +88,7 @@ class TestShardFeedLifecycle:
         assert expected
 
         replica = build_replica(
-            pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), None, None, 1.0
+            pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), None, 1.0
         )
         in_queue, out_queue = queue.Queue(), queue.Queue()
         starts = range(0, len(events), 16)
