@@ -24,13 +24,10 @@ from repro.engine.cep_engine import AdaptiveCEPEngine, RunResult, engine_for_pla
 from repro.engine.multi_pattern import MultiPatternEngine
 from repro.engine.protocol import CEPEngine
 from repro.engine.state import (
-    is_multi_snapshot,
     is_shard_snapshot,
     restore_engine,
-    restore_multi_state,
     restore_shard_states,
     snapshot_engine,
-    snapshot_multi_state,
     snapshot_shard_states,
 )
 
@@ -52,7 +49,4 @@ __all__ = [
     "snapshot_shard_states",
     "restore_shard_states",
     "is_shard_snapshot",
-    "snapshot_multi_state",
-    "restore_multi_state",
-    "is_multi_snapshot",
 ]

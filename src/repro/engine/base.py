@@ -160,13 +160,6 @@ class EvaluationEngine:
             roots.append(plan)
         return roots
 
-    def snapshot_delta(self, since_epoch=None, epoch=None) -> bytes:
-        """Framed incremental snapshot of the state changed since
-        ``since_epoch``; see :func:`repro.streaming.delta.engine_snapshot_delta`."""
-        from repro.streaming.delta import engine_snapshot_delta
-
-        return engine_snapshot_delta(self, since_epoch, epoch)
-
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------

@@ -248,32 +248,12 @@ class AdaptiveCEPEngine:
     def __getstate__(self):
         # An injected engine factory (the multi-pattern share manager) is
         # a view onto shared state owned elsewhere — never serialize it
-        # through a per-pattern frame.  MultiPatternEngine re-installs it
-        # after restore; a standalone restore degrades gracefully to the
-        # default factory.
+        # through this engine.  MultiPatternEngine re-installs it after
+        # restore; a standalone restore degrades gracefully to the default
+        # factory.
         state = dict(self.__dict__)
         state["_engine_factory"] = None
         return state
-
-    def snapshot_state(self) -> bytes:
-        """Serialize the full engine state (partial matches, statistics,
-        adaptation state) so processing can later resume exactly where it
-        stopped.  See :func:`repro.engine.state.snapshot_engine`."""
-        from repro.engine.state import snapshot_engine
-
-        return snapshot_engine(self)
-
-    @classmethod
-    def restore_state(cls, blob: bytes) -> "AdaptiveCEPEngine":
-        """Rebuild an engine from a :meth:`snapshot_state` blob."""
-        from repro.engine.state import restore_engine
-
-        engine = restore_engine(blob)
-        if not isinstance(engine, cls):
-            raise EngineError(
-                f"snapshot holds a {type(engine).__name__}, not a {cls.__name__}"
-            )
-        return engine
 
     def _delta_keyed_state(self):
         """Change-tracked collections (incremental-snapshot hook).
@@ -298,14 +278,6 @@ class AdaptiveCEPEngine:
         The policy and controller are *not* listed: their decision state
         mutates between epochs."""
         return [self.pattern, self.planner, *self._migration._delta_frozen_state()]
-
-    def snapshot_delta(self, since_epoch=None, epoch=None) -> bytes:
-        """Framed incremental snapshot of the state changed since the
-        ``since_epoch`` snapshot (partial-match/emission/statistics deltas
-        only); see :func:`repro.streaming.delta.engine_snapshot_delta`."""
-        from repro.streaming.delta import engine_snapshot_delta
-
-        return engine_snapshot_delta(self, since_epoch, epoch)
 
     # ------------------------------------------------------------------
     # Event-at-a-time API

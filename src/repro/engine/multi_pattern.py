@@ -32,7 +32,6 @@ disjunction experiments) or a non-empty list of patterns; a bare
 
 from __future__ import annotations
 
-import pickle
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.adaptive import ReoptimizationPolicy
@@ -204,78 +203,11 @@ class MultiPatternEngine:
     # ------------------------------------------------------------------
     # State snapshot / restore (checkpointing support)
     # ------------------------------------------------------------------
-    def multi_state_frames(self) -> Tuple[bytes, Dict[str, bytes]]:
-        """Shared meta state plus one independently restorable frame per
-        pattern — the layout :func:`repro.engine.state.snapshot_multi_state`
-        frames into a single snapshot blob."""
-        from repro.engine.state import snapshot_engine
-
-        meta = {
-            "pattern": self.pattern,
-            "pattern_set": self.pattern_set,
-            "manager": self._manager,
-            "hub": self._hub,
-            "compile_mode": self.compile_mode,
-            "sharing": self._sharing_enabled,
-            "ids": list(self._adaptives),
-        }
-        meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-        frames = {
-            pattern_id: snapshot_engine(engine)
-            for pattern_id, engine in self._adaptives.items()
-        }
-        return meta_blob, frames
-
-    def snapshot_state(self) -> bytes:
-        """Serialize per-pattern state frames inside one snapshot; see
-        :func:`repro.engine.state.snapshot_multi_state`."""
-        from repro.engine.state import snapshot_multi_state
-
-        meta_blob, frames = self.multi_state_frames()
-        return snapshot_multi_state(meta_blob, frames)
-
-    @classmethod
-    def restore_state(cls, blob: bytes) -> "MultiPatternEngine":
-        """Rebuild a multi-pattern engine from a :meth:`snapshot_state` blob
-        (or a legacy whole-graph :func:`snapshot_engine` frame)."""
-        from repro.engine.state import is_multi_snapshot, restore_multi_state
-
-        if is_multi_snapshot(blob):
-            meta_blob, frames = restore_multi_state(blob)
-            meta = pickle.loads(meta_blob)
-            engine = cls.__new__(cls)
-            engine.pattern = meta["pattern"]
-            engine.pattern_set = meta["pattern_set"]
-            engine._manager = meta["manager"]
-            engine._hub = meta["hub"]
-            engine.compile_mode = meta["compile_mode"]
-            engine._sharing_enabled = meta["sharing"]
-            engine._adaptives = {}
-            engine._ids_by_name = {
-                pattern.name: pattern_id
-                for pattern_id, pattern in engine.pattern_set.items()
-            }
-            from repro.engine.state import restore_engine
-
-            for pattern_id in meta["ids"]:
-                engine._adaptives[pattern_id] = restore_engine(frames[pattern_id])
-            engine._reset_routing()
-            engine._rewire_sharing()
-            return engine
-
-        from repro.engine.state import restore_engine
-
-        restored = restore_engine(blob)
-        if not isinstance(restored, cls):
-            raise EngineError(
-                f"snapshot holds a {type(restored).__name__}, not a {cls.__name__}"
-            )
-        return restored
-
     def __setstate__(self, state):
-        # Whole-graph pickling (worker replicas, delta skeletons) drops the
-        # group membership lists and each sub-engine's factory reference;
-        # re-establish the sharing topology from the restored graph.
+        # Pickling (checkpoints, worker replicas, delta skeletons) drops
+        # the group membership lists and each sub-engine's factory
+        # reference; re-establish the sharing topology from the restored
+        # graph.
         self.__dict__.update(state)
         self._reset_routing()
         self._rewire_sharing()
@@ -328,13 +260,6 @@ class MultiPatternEngine:
         for engine in self._adaptives.values():
             roots.extend(engine._delta_frozen_state())
         return roots
-
-    def snapshot_delta(self, since_epoch=None, epoch=None) -> bytes:
-        """Framed incremental snapshot since ``since_epoch``; see
-        :func:`repro.streaming.delta.engine_snapshot_delta`."""
-        from repro.streaming.delta import engine_snapshot_delta
-
-        return engine_snapshot_delta(self, since_epoch, epoch)
 
     # ------------------------------------------------------------------
     # Routing

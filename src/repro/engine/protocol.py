@@ -23,17 +23,18 @@ Every conforming engine agrees on the return shapes:
 ``work_metrics()``
     the engine's work counters so far as a
     :class:`~repro.metrics.RunMetrics` (what ``run`` reports).
-``snapshot_state()`` / ``restore_state(blob)``
-    serialize to / rebuild from an opaque ``bytes`` blob with a
-    self-describing header, so
-    :func:`~repro.engine.state.restore_engine` can route any blob to
-    the facade that wrote it.
 ``partial_match_count()``
     number of live partial matches across all internal engines.
 ``plan_history``
     descriptions of every plan installed so far, in adoption order.
 ``introspection()``
     a JSON-serializable dict of engine internals for observability.
+
+State is not part of the protocol: every facade is captured whole by
+:func:`~repro.engine.state.snapshot_engine` and rebuilt by
+:func:`~repro.engine.state.restore_engine`, and incremental checkpoints
+are diffed by a :class:`~repro.streaming.delta.DeltaTracker` that the
+hosting backend owns.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class CEPEngine(Protocol):
         ...
 
     def work_metrics(self) -> RunMetrics:
-        ...
-
-    def snapshot_state(self) -> bytes:
         ...
 
     def partial_match_count(self) -> int:

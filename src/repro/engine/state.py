@@ -17,7 +17,7 @@ conditions must be module-level classes or functions, not closures.
 
 Every blob is framed as ``magic + one version byte [+ CRC32] + pickled
 payload`` so that a checkpoint written by an incompatible library version
-fails loudly instead of unpickling garbage state.  Five frame kinds share
+fails loudly instead of unpickling garbage state.  Four frame kinds share
 that one layout (:func:`_frame` / :func:`_unframe`); a kind's version is
 bumped whenever its payload layout changes incompatibly.
 """
@@ -39,11 +39,6 @@ SNAPSHOT_VERSION = 1
 #: :func:`snapshot_shard_states`.
 SHARD_SNAPSHOT_MAGIC = b"repro-shard-states"
 SHARD_SNAPSHOT_VERSION = 1
-
-#: One engine blob per registered pattern plus the shared meta state —
-#: :func:`snapshot_multi_state`.
-MULTI_SNAPSHOT_MAGIC = b"repro-multi-state"
-MULTI_SNAPSHOT_VERSION = 1
 
 #: The reorder buffer plus staged events — :func:`snapshot_ordering_state`.
 ORDERING_SNAPSHOT_MAGIC = b"repro-ordering-state"
@@ -104,7 +99,7 @@ def _has_magic(blob: bytes, magic: bytes) -> bool:
 
 
 def _pair(kind: str, payload: Any, first: type, second: type) -> Tuple[Any, Any]:
-    """The ``(first, second)`` payload of the multi-pattern and shard frames."""
+    """The ``(first, second)`` payload of the shard frame."""
     if not (
         isinstance(payload, tuple)
         and len(payload) == 2
@@ -127,16 +122,11 @@ def snapshot_engine(engine: object) -> bytes:
     """Serialize a runtime engine (and all of its mutable state) to bytes.
 
     Works for any of the engine facades — sequential, multi-pattern or the
-    parallel sharded engine — because the whole object graph is captured.
-    Engines exposing ``multi_state_frames()`` (the multi-pattern engine)
-    are framed as per-pattern snapshots instead — see
-    :func:`snapshot_multi_state` — so individual pattern states stay
-    independently restorable.
+    parallel sharded engine — because the whole object graph is captured;
+    a multi-pattern engine's ``__setstate__`` re-wires its shared-prefix
+    groups and statistics hub on restore.
     """
     _require_engine(engine, "cannot snapshot")
-    frames_hook = getattr(engine, "multi_state_frames", None)
-    if callable(frames_hook):
-        return snapshot_multi_state(*frames_hook())
     body = _dumps(
         engine,
         "engine state is not picklable (user-supplied conditions must be "
@@ -147,52 +137,9 @@ def snapshot_engine(engine: object) -> bytes:
 
 def restore_engine(blob: bytes) -> object:
     """Rebuild an engine from a :func:`snapshot_engine` blob."""
-    if is_multi_snapshot(blob):
-        # Multi-pattern frames restore through the multi-pattern engine,
-        # which re-wires the shared-prefix groups and statistics hub.
-        from repro.engine.multi_pattern import MultiPatternEngine
-
-        return MultiPatternEngine.restore_state(bytes(blob))
     engine = _unframe("engine", SNAPSHOT_MAGIC, SNAPSHOT_VERSION, blob)
     _require_engine(engine, "snapshot decoded to")
     return engine
-
-
-def is_multi_snapshot(blob: bytes) -> bool:
-    """Whether ``blob`` is a :func:`snapshot_multi_state` frame."""
-    return _has_magic(blob, MULTI_SNAPSHOT_MAGIC)
-
-
-def snapshot_multi_state(meta_blob: bytes, frames: Dict[str, bytes]) -> bytes:
-    """Frame per-pattern engine blobs plus shared meta state into one blob.
-
-    ``frames`` maps each registered pattern's id to a
-    :func:`snapshot_engine` frame of its adaptive engine, so a single
-    pattern's state stays individually restorable with
-    :func:`restore_engine`.  ``meta_blob`` is the multi-pattern engine's
-    opaque shared state (pattern registry, shared-prefix groups with their
-    prefix engines, the statistics hub).
-    """
-    if not isinstance(meta_blob, (bytes, bytearray)):
-        raise CheckpointError(
-            f"multi snapshot meta must be bytes, got {type(meta_blob).__name__}"
-        )
-    frames = {key: bytes(frame) for key, frame in frames.items()}
-    for key, frame in frames.items():
-        if not frame.startswith(SNAPSHOT_MAGIC):
-            raise CheckpointError(
-                f"pattern frame {key!r} is not a snapshot_engine() frame"
-            )
-    body = _dumps((bytes(meta_blob), frames), "multi snapshot is not picklable")
-    return _frame(MULTI_SNAPSHOT_MAGIC, MULTI_SNAPSHOT_VERSION, body)
-
-
-def restore_multi_state(blob: bytes) -> Tuple[bytes, Dict[str, bytes]]:
-    """Unframe a :func:`snapshot_multi_state` blob → ``(meta_blob, frames)``."""
-    payload = _unframe(
-        "multi-pattern", MULTI_SNAPSHOT_MAGIC, MULTI_SNAPSHOT_VERSION, blob
-    )
-    return _pair("multi-pattern", payload, bytes, dict)
 
 
 def is_shard_snapshot(blob: bytes) -> bool:
@@ -217,7 +164,7 @@ def snapshot_shard_states(
     if not blobs:
         raise CheckpointError("a shard snapshot needs at least one shard blob")
     for index, blob in enumerate(blobs):
-        if not blob.startswith((SNAPSHOT_MAGIC, MULTI_SNAPSHOT_MAGIC)):
+        if not blob.startswith(SNAPSHOT_MAGIC):
             raise CheckpointError(
                 f"shard {index} blob is not a snapshot_engine() frame"
             )

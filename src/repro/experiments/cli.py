@@ -50,7 +50,6 @@ from repro.experiments.runner import (
 from repro.metrics import NetworkMetrics
 from repro.obs import ControlPlane, DecisionLog, MetricsRegistry
 from repro.streaming import (
-    DEFAULT_CHECKPOINT_FULL_EVERY,
     CheckpointStore,
     CSVFileSource,
     HTTPEventIngress,
@@ -136,16 +135,8 @@ def _add_checkpoint_mode_options(parser: argparse.ArgumentParser) -> None:
         choices=("full", "delta"),
         default="full",
         help="'full' pickles the whole engine state at every checkpoint; "
-        "'delta' writes a full base every --checkpoint-full-every "
-        "checkpoints and append-only incremental deltas (changed state "
-        "only) in between",
-    )
-    parser.add_argument(
-        "--checkpoint-full-every",
-        type=int,
-        default=DEFAULT_CHECKPOINT_FULL_EVERY,
-        help="with --checkpoint-mode delta: deltas between two full base "
-        "snapshots (the chain length restore has to replay)",
+        "'delta' writes a full base every few checkpoints and append-only "
+        "incremental deltas (changed state only) in between",
     )
 
 
@@ -199,7 +190,7 @@ def _add_observability_options(parser: argparse.ArgumentParser) -> None:
         type=str,
         default=None,
         help="append a JSONL audit trail of runtime decisions (late events, "
-        "checkpoint cuts, compactions, re-plans, delivery retries) to this "
+        "checkpoint cuts, re-plans, delivery retries) to this "
         "file; an existing file is continued, not truncated",
     )
 
@@ -428,7 +419,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         checkpoint_store=store,
         checkpoint_every=args.checkpoint_every if store else 0,
         checkpoint_mode=args.checkpoint_mode,
-        checkpoint_full_every=args.checkpoint_full_every,
         ordering=(
             None
             if args.max_lateness is None

@@ -10,7 +10,7 @@ waiting for the end-of-run report:
   JSON, sampled at scrape time with zero cost on the per-event hot path;
 * **the decision log** (:mod:`~repro.obs.decisions`) — a typed,
   append-only JSONL audit trail of every runtime action
-  (``late_event_policy``, ``checkpoint_cut``, ``compaction``, ``replan``,
+  (``late_event_policy``, ``checkpoint_cut``, ``replan``,
   ``delivery_retry``, ``dead_letter``)
   with a bounded in-memory tail, on-disk rotation, restart-continuous
   sequence numbers, and a query API;

@@ -1,9 +1,8 @@
 """The decision log: a queryable audit trail of runtime actions.
 
 Every consequential action a running pipeline takes — dropping or
-side-routing late arrivals, cutting a checkpoint, compacting a delta
-chain, replacing an evaluation plan, retrying or dead-lettering a match
-delivery — is otherwise observable only through aggregate counters.  The
+side-routing late arrivals, cutting a checkpoint, replacing an
+evaluation plan, retrying or dead-lettering a match delivery — is otherwise observable only through aggregate counters.  The
 decision log turns each of those actions into a **typed, timestamped
 record** (the ProvSQL idea applied to runtime decisions instead of query
 results): an operator can ask *which* events arrived late and when,
@@ -46,7 +45,6 @@ from repro.errors import StreamingError
 DECISION_TYPES = (
     "late_event_policy",
     "checkpoint_cut",
-    "compaction",
     "replan",
     "delivery_retry",
     "dead_letter",

@@ -38,7 +38,6 @@ from typing import Iterable, Optional, Union
 from repro.adaptive import ReoptimizationPolicy
 from repro.engine import Match, RunResult
 from repro.engine.cep_engine import fold_run
-from repro.errors import ParallelExecutionError
 from repro.events import Event, EventStream
 from repro.metrics import RunMetrics, aggregate_metrics
 from repro.optimizer import PlanGenerator
@@ -177,27 +176,8 @@ class ParallelCEPEngine:
         return self._streaming_dedup.filter(matches, now=event.timestamp)
 
     # ------------------------------------------------------------------
-    # State snapshot / restore (checkpointing support)
+    # Incremental-snapshot hooks (see repro.streaming.delta)
     # ------------------------------------------------------------------
-    def snapshot_state(self) -> bytes:
-        """Serialize every shard replica plus the partitioner/deduplication
-        state; see :func:`repro.engine.state.snapshot_engine`."""
-        from repro.engine.state import snapshot_engine
-
-        return snapshot_engine(self)
-
-    @classmethod
-    def restore_state(cls, blob: bytes) -> "ParallelCEPEngine":
-        """Rebuild a sharded engine from a :meth:`snapshot_state` blob."""
-        from repro.engine.state import restore_engine
-
-        engine = restore_engine(blob)
-        if not isinstance(engine, cls):
-            raise ParallelExecutionError(
-                f"snapshot holds a {type(engine).__name__}, not a {cls.__name__}"
-            )
-        return engine
-
     def _delta_keyed_state(self):
         """Change-tracked collections of every shard replica plus the
         streaming deduplicator (incremental-snapshot hook)."""
@@ -219,13 +199,6 @@ class ParallelCEPEngine:
         for shard in self._sharded.shards:
             roots.extend(shard.engine._delta_frozen_state())
         return roots
-
-    def snapshot_delta(self, since_epoch=None, epoch=None) -> bytes:
-        """Framed incremental snapshot of every shard's state changed since
-        ``since_epoch``; see :func:`repro.streaming.delta.engine_snapshot_delta`."""
-        from repro.streaming.delta import engine_snapshot_delta
-
-        return engine_snapshot_delta(self, since_epoch, epoch)
 
     # ------------------------------------------------------------------
     # Whole-stream API

@@ -35,10 +35,12 @@ The building blocks:
   with no lost and no duplicated matches;
 * **incremental (delta) checkpoints** (:mod:`~repro.streaming.delta`) —
   ``checkpoint_mode="delta"`` writes a full base every
-  ``checkpoint_full_every`` checkpoints and CRC-framed append-only deltas
-  of only the changed state between (``--checkpoint-mode delta`` on the
-  CLI); restore replays base + deltas, and worker backends ship per-shard
-  deltas through the snapshot barrier;
+  :data:`~repro.streaming.pipeline.CHECKPOINT_FULL_EVERY` checkpoints and
+  CRC-framed append-only deltas of only the changed state between
+  (``--checkpoint-mode delta`` on the CLI); the execution backend owns the
+  :class:`~repro.streaming.delta.DeltaTracker` that diffs its engine,
+  restore replays base + deltas, and worker backends ship per-shard deltas
+  through the snapshot barrier;
 * **the network data plane** (:mod:`~repro.streaming.net`) — HTTP event
   ingestion into a bounded source the pipeline pulls (a full source
   answers 429) and acked webhook match delivery (idempotency keys, retry
@@ -57,12 +59,7 @@ The CLI front-end is ``python -m repro.experiments.cli serve``.
 """
 
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore, DeltaCheckpoint
-from repro.streaming.delta import (
-    DeltaTracker,
-    engine_snapshot_delta,
-    materialize_engine_blob,
-    prime_engine_tracker,
-)
+from repro.streaming.delta import DeltaTracker, materialize_engine_blob
 from repro.streaming.net import (
     AckedDeliverySink,
     HTTPEventIngress,
@@ -84,7 +81,6 @@ from repro.streaming.ordering import (
 )
 from repro.streaming.pipeline import (
     CHECKPOINT_MODES,
-    DEFAULT_CHECKPOINT_FULL_EVERY,
     FILL_CHUNK,
     PipelineResult,
     StreamingPipeline,
@@ -160,12 +156,9 @@ __all__ = [
     "CheckpointStore",
     "DeltaCheckpoint",
     "CHECKPOINT_MODES",
-    "DEFAULT_CHECKPOINT_FULL_EVERY",
     # incremental (delta) snapshots
     "DeltaTracker",
-    "engine_snapshot_delta",
     "materialize_engine_blob",
-    "prime_engine_tracker",
     # execution backends (multi-core streaming)
     "ExecutionBackend",
     "InlineBackend",

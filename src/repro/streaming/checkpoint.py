@@ -17,18 +17,19 @@ difference must travel inside the checkpoint for kill/resume to stay
 exactly-once.  Both fields default to their pre-ordering values, so
 checkpoints written by older pipelines keep loading.
 
-The store is an **epoch log**.  In full mode every save is a
-self-contained ``checkpoint-NNNNNNNNN.pkl`` (the original behaviour — and
-pre-existing directories restore unchanged).  In delta mode the pipeline
-writes a full *base* checkpoint every K deltas and append-only
+The store is an **epoch log** of two file kinds.  In full mode every save
+is a self-contained ``checkpoint-NNNNNNNNN.pkl`` (the original behaviour —
+and pre-existing directories restore unchanged).  In delta mode the
+pipeline writes a full *base* checkpoint every K deltas and append-only
 ``delta-NNNNNNNNN.pkl`` records between them, each holding a CRC-framed
 :mod:`repro.streaming.delta` frame of only the state changed since the
-previous epoch.  ``latest()`` replays ``base + deltas`` back into a plain
-checkpoint (falling back chain-by-chain, and within a chain to the
-longest intact prefix, when files are torn or corrupt), ``compact()``
-folds the newest chain into a fresh base, and pruning retires whole
-chains oldest-first.  An atomic ``manifest.json`` records chain
-membership; a missing or torn manifest degrades to a directory scan.
+previous epoch.  The files are the chain: indices grow monotonically, so
+each delta belongs to the nearest preceding base, and the ``base_index`` /
+epoch lineage every delta carries is checked at replay.  ``latest()``
+replays ``base + deltas`` back into a plain checkpoint (falling back
+chain-by-chain, and within a chain to the longest intact,
+lineage-consistent prefix, when files are torn, corrupt or stray), and
+pruning retires whole chains oldest-first.
 
 All files are written atomically (temp file + ``os.replace``); temp files
 orphaned by a death mid-write are swept when the store is opened.
@@ -36,7 +37,6 @@ orphaned by a death mid-write are swept when the store is opened.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import re
@@ -50,9 +50,11 @@ from repro.streaming.delta import materialize_engine_blob
 
 _CHECKPOINT_PATTERN = re.compile(r"^checkpoint-(\d{9})\.pkl$")
 _DELTA_PATTERN = re.compile(r"^delta-(\d{9})\.pkl$")
-_TEMP_PREFIXES = (".checkpoint-", ".delta-", ".manifest-")
+_TEMP_PREFIXES = (".checkpoint-", ".delta-")
 
-MANIFEST_NAME = "manifest.json"
+#: How many most-recent checkpoint *chains* a store retains (in full mode a
+#: chain is a single checkpoint; in delta mode a base plus its deltas).
+KEEP_CHAINS = 2
 
 
 @dataclass
@@ -75,8 +77,7 @@ class Checkpoint:
     #: Delta epoch this full snapshot anchors (``None`` outside delta mode).
     delta_epoch: Optional[int] = None
     #: Why this checkpoint was cut: ``"periodic"`` (cadence), ``"manual"``
-    #: (control-plane ``POST /checkpoint``), ``"shutdown"`` (final cut) or
-    #: ``"compaction"`` (chain folded by :meth:`CheckpointStore.compact`).
+    #: (control-plane ``POST /checkpoint``) or ``"shutdown"`` (final cut).
     reason: str = "periodic"
 
     def describe(self) -> str:
@@ -127,35 +128,21 @@ class DeltaCheckpoint:
 class CheckpointStore:
     """Directory-backed checkpoint persistence.
 
+    Retains the :data:`KEEP_CHAINS` most recent chains.
+
     Parameters
     ----------
     directory:
         Where checkpoint files live; created on first save.  Temp files
         orphaned by a crash mid-write are swept when the store is opened.
-    keep:
-        How many most-recent checkpoint *chains* to retain (in full mode a
-        chain is a single checkpoint, so this matches the original
-        keep-N-files behaviour; in delta mode a chain is a base plus its
-        deltas).
     clock:
         Wall-clock source stamped into ``created_at`` (injectable for
         deterministic tests, like the sources' and pipeline's clocks).
     """
 
-    def __init__(
-        self,
-        directory: str,
-        keep: int = 2,
-        clock: Callable[[], float] = time.time,
-    ):
-        if keep < 1:
-            raise CheckpointError(f"keep must be positive, got {keep!r}")
+    def __init__(self, directory: str, clock: Callable[[], float] = time.time):
         self.directory = directory
-        self.keep = int(keep)
         self._clock = clock
-        #: Optional maintenance observer ``(type, **detail) -> None``:
-        #: the decision-log hook for store-side actions (``compaction``).
-        self.observer: Optional[Callable[..., None]] = None
         self._sweep_temp_files()
 
     # ------------------------------------------------------------------
@@ -165,7 +152,7 @@ class CheckpointStore:
         """Remove temp files orphaned by a death mid-write; returns count.
 
         Runs on store open: an interrupted atomic write leaves its
-        ``.checkpoint-*.tmp`` (or delta/manifest) file behind, and nothing
+        ``.checkpoint-*.tmp`` (or ``.delta-*.tmp``) file behind, and nothing
         else will ever reclaim it — a high-cadence service would slowly
         fill the checkpoint directory with garbage.
         """
@@ -215,111 +202,36 @@ class CheckpointStore:
         indices = self._indices()
         return indices[-1] if indices else None
 
-    # ------------------------------------------------------------------
-    # The chain manifest
-    # ------------------------------------------------------------------
-    def _manifest_path(self) -> str:
-        return os.path.join(self.directory, MANIFEST_NAME)
-
-    def _load_manifest(self) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._manifest_path(), "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (FileNotFoundError, OSError, ValueError):
-            return None
-        if not isinstance(manifest, dict) or not isinstance(
-            manifest.get("chains"), list
-        ):
-            return None
-        return manifest
-
-    def _write_manifest(self, chains: List[Dict[str, Any]]) -> None:
-        payload = json.dumps({"version": 1, "chains": chains}, indent=0)
-        self._write_atomic(
-            self._manifest_path(),
-            ".manifest-",
-            lambda handle: handle.write(payload.encode("utf-8")),
-        )
-
     def _chains(self) -> List[Dict[str, Any]]:
-        """Chain membership: manifest truth, reconciled with the directory.
+        """Chain membership, derived from the files alone.
 
-        Files the manifest does not know (a crash can land between a file
-        write and its manifest update) are folded in positionally — a
-        stray delta joins the nearest preceding base's chain, where lineage
-        validation at restore time has the final say.  Chains are ordered
-        by their newest member, so the chain holding the most recent
-        progress is last even when an older chain kept growing past a
-        compaction base.
+        Indices are allocated monotonically, so each delta joins the
+        nearest preceding base; a delta that does not belong there (a
+        stray from another lineage) is cut off by the ``base_index`` /
+        epoch check in :meth:`_chain_records`.  Deltas older than every
+        base belong to no chain.
         """
-        bases = self._indices()
-        deltas = self._delta_indices()
-        base_set, delta_set = set(bases), set(deltas)
-        chains: List[Dict[str, Any]] = []
-        known: set = set()
-        manifest = self._load_manifest()
-        if manifest is not None:
-            for chain in manifest["chains"]:
-                base = chain.get("base")
-                if not isinstance(base, int) or base not in base_set:
-                    continue
-                members = [
-                    index
-                    for index in chain.get("deltas", [])
-                    if isinstance(index, int) and index in delta_set
-                ]
-                reasons = chain.get("reasons")
-                live = {base, *members}
-                kept_reasons = (
-                    {
-                        key: value
-                        for key, value in reasons.items()
-                        if isinstance(key, str)
-                        and key.isdigit()
-                        and int(key) in live
-                    }
-                    if isinstance(reasons, dict)
-                    else {}
-                )
-                chains.append(
-                    {
-                        "base": base,
-                        "deltas": sorted(members),
-                        "reasons": kept_reasons,
-                    }
-                )
-                known.add(base)
-                known.update(members)
-        for base in bases:
-            if base not in known:
-                chains.append({"base": base, "deltas": [], "reasons": {}})
-                known.add(base)
-        chains.sort(key=lambda chain: chain["base"])
-        for index in deltas:
-            if index in known:
-                continue
-            owner = None
-            for chain in chains:
-                if chain["base"] < index:
-                    owner = chain
-            if owner is not None:
-                owner["deltas"] = sorted(set(owner["deltas"]) | {index})
-                known.add(index)
-        chains.sort(key=lambda chain: max([chain["base"], *chain["deltas"]]))
+        chains: List[Dict[str, Any]] = [
+            {"base": base, "deltas": []} for base in self._indices()
+        ]
+        for index in self._delta_indices():
+            owners = [chain for chain in chains if chain["base"] < index]
+            if owners:
+                owners[-1]["deltas"].append(index)
         return chains
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def _write_atomic(self, path: str, prefix: str, write: Callable[[Any], Any]) -> None:
-        """Temp file + fsync + ``os.replace``; ``write`` fills the handle."""
+    def _write_pickle(self, path: str, prefix: str, payload: Any) -> None:
+        """Temp file + fsync + ``os.replace``: a reader sees all or nothing."""
         os.makedirs(self.directory, exist_ok=True)
         descriptor, temp_path = tempfile.mkstemp(
             dir=self.directory, prefix=prefix, suffix=".tmp"
         )
         try:
             with os.fdopen(descriptor, "wb") as handle:
-                write(handle)
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temp_path, path)
@@ -330,53 +242,22 @@ class CheckpointStore:
                 pass
             raise CheckpointError(f"failed to write {path!r}: {exc}") from exc
 
-    def _write_pickle(self, path: str, prefix: str, payload: Any) -> None:
-        self._write_atomic(
-            path,
-            prefix,
-            lambda handle: pickle.dump(
-                payload, handle, protocol=pickle.HIGHEST_PROTOCOL
-            ),
-        )
-
     def save(self, checkpoint: Checkpoint) -> str:
         """Atomically persist a full (base) checkpoint; returns the path.
 
-        Starts a new chain in the manifest; older chains beyond ``keep``
-        are pruned (base and deltas together).
+        Starts a new chain; older chains beyond :data:`KEEP_CHAINS` are
+        pruned (base and deltas together).
         """
-        os.makedirs(self.directory, exist_ok=True)
-        chains = self._chains()
         checkpoint.index = self._next_index()
         checkpoint.created_at = self._clock()
         path = self._path(checkpoint.index)
         self._write_pickle(path, ".checkpoint-", checkpoint)
-        chains.append(
-            {
-                "base": checkpoint.index,
-                "deltas": [],
-                "reasons": {
-                    str(checkpoint.index): getattr(
-                        checkpoint, "reason", "periodic"
-                    )
-                },
-            }
-        )
-        try:
-            self._write_manifest(chains)
-        except CheckpointError:
-            pass  # scan fallback keeps the store usable
         self._prune()
         return path
 
     def save_delta(self, record: DeltaCheckpoint) -> str:
         """Append one delta record to its base's chain; returns the path."""
-        chains = self._chains()
-        target = None
-        for chain in chains:
-            if chain["base"] == record.base_index:
-                target = chain
-        if target is None:
+        if record.base_index not in self._indices():
             raise CheckpointError(
                 f"cannot append a delta to base #{record.base_index}: no such "
                 "base checkpoint in the store (was it pruned?)"
@@ -385,14 +266,6 @@ class CheckpointStore:
         record.created_at = self._clock()
         path = self._delta_path(record.index)
         self._write_pickle(path, ".delta-", record)
-        target["deltas"] = sorted(set(target["deltas"]) | {record.index})
-        target.setdefault("reasons", {})[str(record.index)] = getattr(
-            record, "reason", "periodic"
-        )
-        try:
-            self._write_manifest(chains)
-        except CheckpointError:
-            pass
         return path
 
     def load(self, index: int) -> Checkpoint:
@@ -442,7 +315,7 @@ class CheckpointStore:
             except CheckpointError:
                 break  # torn tail: replay what is intact
             if record.base_index != chain["base"]:
-                break  # stray delta from another lineage (scan fallback)
+                break  # stray delta from another lineage
             if previous_epoch is not None and record.since_epoch != previous_epoch:
                 break  # epoch gap: a delta in between was lost
             records.append(record)
@@ -501,62 +374,21 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def compact(self) -> Optional[str]:
-        """Fold the newest chain into a fresh full base; returns its path.
-
-        A long-running delta-mode service can call this to bound restore
-        replay length without waiting for the next scheduled base.  No-op
-        (returns ``None``) when the newest state is already a bare base.
-        """
-        chains = self._chains()
-        if not chains:
-            return None
-        newest = chains[-1]
-        if not newest["deltas"]:
-            return None
-        checkpoint = self.latest()
-        if checkpoint is None:
-            return None
-        checkpoint.delta_epoch = None  # a compacted base anchors no live tracker
-        checkpoint.reason = "compaction"
-        path = self.save(checkpoint)
-        if self.observer is not None:
-            self.observer(
-                "compaction",
-                base=newest["base"],
-                deltas_folded=len(newest["deltas"]),
-                events_processed=checkpoint.events_processed,
-                path=path,
-            )
-        return path
-
     def clear(self) -> int:
-        """Delete every checkpoint, delta and the manifest; returns count."""
+        """Delete every checkpoint and delta; returns the count."""
         removed = 0
-        for index in self._indices():
+        for path in [self._path(index) for index in self._indices()] + [
+            self._delta_path(index) for index in self._delta_indices()
+        ]:
             try:
-                os.unlink(self._path(index))
+                os.unlink(path)
                 removed += 1
             except OSError:
                 pass
-        for index in self._delta_indices():
-            try:
-                os.unlink(self._delta_path(index))
-                removed += 1
-            except OSError:
-                pass
-        try:
-            os.unlink(self._manifest_path())
-        except OSError:
-            pass
         return removed
 
     def _prune(self) -> None:
-        chains = self._chains()
-        retired = chains[: -self.keep]
-        if not retired:
-            return
-        for chain in retired:
+        for chain in self._chains()[:-KEEP_CHAINS]:
             for index in chain["deltas"]:
                 try:
                     os.unlink(self._delta_path(index))
@@ -566,27 +398,26 @@ class CheckpointStore:
                 os.unlink(self._path(chain["base"]))
             except OSError:
                 pass
-        try:
-            self._write_manifest(chains[-self.keep :])
-        except CheckpointError:
-            pass
 
     def stats(self) -> Dict[str, Any]:
         indices = self._indices()
         deltas = self._delta_indices()
-        chains = self._chains()
         reasons: Dict[str, int] = {}
-        for chain in chains:
-            for reason in (chain.get("reasons") or {}).values():
+        for load, retained in ((self.load, indices), (self.load_delta, deltas)):
+            for index in retained:
+                try:
+                    reason = getattr(load(index), "reason", "periodic")
+                except CheckpointError:
+                    continue  # torn or pruned under us: it has no reason to count
                 reasons[reason] = reasons.get(reason, 0) + 1
         return {
             "directory": self.directory,
             "checkpoints": len(indices),
             "deltas": len(deltas),
-            "chains": len(chains),
+            "chains": len(self._chains()),
             "latest_index": max(indices + deltas) if indices or deltas else None,
             "reasons": reasons,
         }
 
     def __repr__(self) -> str:
-        return f"<CheckpointStore {self.directory!r} keep={self.keep}>"
+        return f"<CheckpointStore {self.directory!r}>"

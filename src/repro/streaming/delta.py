@@ -27,6 +27,11 @@ taken at the object level:
   previous epoch: the delta ships only added/removed set elements and
   inserted/updated/deleted map entries.
 
+The remembered copies live in a :class:`DeltaTracker`, and the tracker
+belongs to whatever hosts the tracked object — the execution backend
+creates one when it cuts a base and drops it when it restores — so the
+engines themselves carry no delta API and no tracking state.
+
 Replaying a chain — the base snapshot's collections plus every delta in
 epoch order, injected into the newest delta's skeleton — rebuilds the
 exact engine state of the newest epoch (a property the Hypothesis suite
@@ -40,7 +45,6 @@ from __future__ import annotations
 
 import io
 import pickle
-import weakref
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -90,7 +94,15 @@ def delta_keyed_slots(target: object) -> List[Tuple[str, object, str]]:
             f"{type(target).__name__} does not support incremental snapshots "
             "(no _delta_keyed_state() change-tracking hook)"
         )
-    slots = list(hook())
+    # A collection reachable under several names (a multi-pattern engine's
+    # per-pattern collectors all read the one shared statistics hub) is
+    # tracked once, under the first name that reaches it.
+    slots: List[Tuple[str, object, str]] = []
+    seen: set = set()
+    for name, holder, attr in hook():
+        if (id(holder), attr) not in seen:
+            seen.add((id(holder), attr))
+            slots.append((name, holder, attr))
     names = [name for name, _holder, _attr in slots]
     if len(set(names)) != len(names):
         raise CheckpointError(
@@ -329,8 +341,9 @@ class DeltaTracker:
     snapshots: :meth:`prime` remembers the keyed-collection contents at a
     base epoch, and every :meth:`encode_payload` call ships the diff since
     the previous epoch and advances the remembered state.  Trackers live
-    *outside* the tracked object (worker-side for shard replicas,
-    coordinator-side for the dedup filter), so full snapshots of the
+    *outside* the tracked object, owned by whatever hosts it — the inline
+    backend for its engine, the worker process for its shard replica, the
+    process coordinator for the dedup filter — so full snapshots of the
     object never carry tracking state.
     """
 
@@ -343,13 +356,9 @@ class DeltaTracker:
         # identity tokens stay valid) and their id → token map.
         self._cold_objects: List[object] = []
         self._cold_ids: Dict[int, Tuple[str, int]] = {}
-        #: Degradation gauges for observability: how the last encode came
-        #: out (``"delta"``/``"base"``) and how often a requested delta
-        #: degraded to a self-contained base because continuity could not
-        #: be proven — a climbing counter on a long-running service means
-        #: the chain is silently paying full-snapshot costs.
+        #: How the last encode came out: ``"delta"``, or ``"base"`` when
+        #: continuity could not be proven (the host's degradation gauge).
         self.last_kind: Optional[str] = None
-        self.degraded_encodes = 0
 
     def prime(self, epoch: int) -> None:
         """Remember the current collection contents as epoch ``epoch``."""
@@ -378,8 +387,6 @@ class DeltaTracker:
             and self.epoch == since_epoch
         )
         self.last_kind = "delta" if continuous else "base"
-        if since_epoch is not None and not continuous:
-            self.degraded_encodes += 1
         skeleton, collections = extract_keyed_state(
             self._target, self._cold_ids if continuous else None
         )
@@ -404,7 +411,7 @@ class DeltaTracker:
     def encode_frame(
         self, since_epoch: Optional[int], epoch: int, stream: str = "engine"
     ) -> bytes:
-        """A framed single-stream delta (the engine-level public API)."""
+        """A framed single-stream delta of the tracked object."""
         payload = self.encode_payload(since_epoch, epoch)
         return snapshot_delta_state(
             {
@@ -414,66 +421,6 @@ class DeltaTracker:
                 "since_epoch": since_epoch,
             }
         )
-
-
-# ----------------------------------------------------------------------
-# Engine-level API (snapshot_delta on the engine facades)
-# ----------------------------------------------------------------------
-# Trackers are keyed by live object identity; a weak registry keeps the
-# engine's own pickled state free of tracking baggage and lets trackers
-# die with their engines.
-_TRACKERS: "weakref.WeakKeyDictionary[object, DeltaTracker]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def shared_tracker(target: object) -> DeltaTracker:
-    """The (created-on-first-use) tracker accompanying a live object."""
-    tracker = _TRACKERS.get(target)
-    if tracker is None:
-        tracker = _TRACKERS[target] = DeltaTracker(target)
-    return tracker
-
-
-def tracker_degradation(target: object) -> Dict[str, Any]:
-    """Degradation gauges of a live object's tracker (for decision records).
-
-    Read-only: does **not** create a tracker — an object that was never
-    delta-encoded reports ``{"last_kind": None, "degraded_encodes": 0}``.
-    """
-    try:
-        tracker = _TRACKERS.get(target)
-    except TypeError:  # unhashable / non-weakrefable target
-        tracker = None
-    if tracker is None:
-        return {"last_kind": None, "degraded_encodes": 0}
-    return {
-        "last_kind": tracker.last_kind,
-        "degraded_encodes": tracker.degraded_encodes,
-    }
-
-
-def engine_snapshot_delta(
-    engine: object, since_epoch: Optional[int] = None, epoch: Optional[int] = None
-) -> bytes:
-    """Framed incremental snapshot of ``engine`` since ``since_epoch``.
-
-    The implementation behind the engines' ``snapshot_delta()`` method.
-    Without a prior base (``since_epoch=None`` or an epoch the tracker
-    never saw) the frame is a self-contained base.
-    """
-    if epoch is None:
-        epoch = 0 if since_epoch is None else int(since_epoch) + 1
-    return shared_tracker(engine).encode_frame(since_epoch, epoch)
-
-
-def prime_engine_tracker(engine: object, epoch: int) -> None:
-    """Mark the engine's *current* full state as delta epoch ``epoch``.
-
-    Called right after a full (base) snapshot so the next
-    ``snapshot_delta(epoch)`` ships only what changed since that base.
-    """
-    shared_tracker(engine).prime(epoch)
 
 
 # ----------------------------------------------------------------------

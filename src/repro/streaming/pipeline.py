@@ -61,7 +61,6 @@ from repro.events import Event, EventStream
 from repro.metrics import PipelineMetrics
 from repro.obs.decisions import CoalescingEmitter, DecisionLog
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore, DeltaCheckpoint
-from repro.streaming.delta import tracker_degradation
 from repro.streaming.ordering import ReorderBuffer
 from repro.streaming.sinks import MatchSink
 from repro.streaming.sources import EventSource, IterableSource
@@ -71,8 +70,9 @@ from repro.streaming.workers import ExecutionBackend, InlineBackend
 #: and how far the source runs ahead of the engine).
 FILL_CHUNK = 256
 
-#: Deltas between two full base snapshots in ``checkpoint_mode="delta"``.
-DEFAULT_CHECKPOINT_FULL_EVERY = 8
+#: Deltas between two full base snapshots in ``checkpoint_mode="delta"``
+#: (the chain length a restore has to replay).
+CHECKPOINT_FULL_EVERY = 8
 
 #: Valid ``checkpoint_mode`` values.
 CHECKPOINT_MODES = ("full", "delta")
@@ -131,9 +131,9 @@ class StreamingPipeline:
         Enable fault tolerance: snapshot the pipeline every
         ``checkpoint_every`` processed events into the store.  ``run`` then
         resumes from the latest checkpoint unless told otherwise.
-    checkpoint_mode / checkpoint_full_every:
+    checkpoint_mode:
         ``"full"`` (default) pickles the whole engine state at every
-        checkpoint.  ``"delta"`` writes ``checkpoint_full_every``
+        checkpoint.  ``"delta"`` writes :data:`CHECKPOINT_FULL_EVERY`
         append-only incremental deltas between consecutive full base
         snapshots — each delta only the state changed since the previous
         epoch (see :mod:`repro.streaming.delta`) — which keeps
@@ -157,7 +157,6 @@ class StreamingPipeline:
         checkpoint_store: Optional[CheckpointStore] = None,
         checkpoint_every: int = 0,
         checkpoint_mode: str = "full",
-        checkpoint_full_every: int = DEFAULT_CHECKPOINT_FULL_EVERY,
         clock: Callable[[], float] = time.perf_counter,
         ordering: Optional[ReorderBuffer] = None,
         decision_log: Optional[DecisionLog] = None,
@@ -178,11 +177,6 @@ class StreamingPipeline:
                 f"checkpoint_mode must be one of {CHECKPOINT_MODES}, "
                 f"got {checkpoint_mode!r}"
             )
-        if checkpoint_full_every < 1:
-            raise StreamingError(
-                f"checkpoint_full_every must be positive, "
-                f"got {checkpoint_full_every!r}"
-            )
         self._source = (
             source if isinstance(source, EventSource) else IterableSource(source)
         )
@@ -190,7 +184,6 @@ class StreamingPipeline:
         self._store = checkpoint_store
         self._checkpoint_every = int(checkpoint_every)
         self._checkpoint_mode = checkpoint_mode
-        self._full_every = int(checkpoint_full_every)
         # Delta-chain bookkeeping: the epoch the next delta diffs against,
         # the store index of the current chain's base, and how many deltas
         # the chain holds so far.  ``None`` forces the next checkpoint to
@@ -409,8 +402,6 @@ class StreamingPipeline:
             self._ordering.on_late = self._on_late
         for controller in self._iter_controllers():
             controller.decision_sink = self._on_replan
-        if self._store is not None:
-            self._store.observer = self._record_decision
         for sink in self._sinks:
             if hasattr(sink, "on_decision"):
                 sink.on_decision = self._record_decision
@@ -530,7 +521,7 @@ class StreamingPipeline:
             self._checkpoint_mode == "delta"
             and self._delta_epoch is not None
             and self._base_index is not None
-            and self._chain_deltas < self._full_every
+            and self._chain_deltas < CHECKPOINT_FULL_EVERY
         )
         if use_delta:
             epoch = self._epoch_seq + 1
@@ -586,9 +577,12 @@ class StreamingPipeline:
                 matches_emitted=self._matches_emitted_total,
             )
             if self._checkpoint_mode == "delta":
-                # Whether the tracker actually delivered a delta or silently
+                # Whether this cut's frame really was a delta or silently
                 # degraded to a self-contained base frame.
-                detail.update(tracker_degradation(self._backend.engine))
+                detail.update(
+                    last_kind=self._backend.last_kind,
+                    degraded_encodes=self._backend.degraded_encodes,
+                )
             self.decision_log.record("checkpoint_cut", **detail)
 
     # ------------------------------------------------------------------

@@ -139,13 +139,28 @@ class ExecutionBackend:
         """A consistent state blob (implies a barrier for worker backends)."""
         raise NotImplementedError
 
+    #: Delta-degradation gauges for ``checkpoint_cut`` decision records:
+    #: the kind of engine frame the last cut wrote — ``"delta"``, ``"base"``
+    #: when a requested delta degraded to a self-contained frame because
+    #: continuity could not be proven, ``None`` after a full cut — and how
+    #: many delta cuts have degraded so far (a cut counts once, however many
+    #: of its streams degraded).  A climbing count on a long-running service
+    #: means the chain is silently paying full-snapshot costs.
+    last_kind: Optional[str] = None
+    degraded_encodes: int = 0
+
+    def _note_cut(self, kind: Optional[str]) -> None:
+        self.last_kind = kind
+        if kind == "base":
+            self.degraded_encodes += 1
+
     def snapshot_base(self, epoch: int) -> bytes:
         """A full snapshot that also anchors delta epoch ``epoch``.
 
-        Like :meth:`snapshot`, but every delta tracker (worker-side for
-        shard replicas, coordinator-side for the dedup filter) remembers
-        this state as the base the next :meth:`snapshot_delta` diffs
-        against.
+        Like :meth:`snapshot`, but every delta tracker the backend owns
+        (its engine's, or worker-side for shard replicas and
+        coordinator-side for the dedup filter) remembers this state as the
+        base the next :meth:`snapshot_delta` diffs against.
         """
         raise StreamingError(
             f"{type(self).__name__} does not support incremental checkpoints"
@@ -195,6 +210,9 @@ class InlineBackend(ExecutionBackend):
             )
         self._engine = engine
         self._ready: List[Match] = []
+        # Change tracking for incremental checkpoints: created when a base
+        # is cut, dropped when a restore replaces the engine.
+        self._tracker: Optional[DeltaTracker] = None
 
     @property
     def engine(self):
@@ -214,16 +232,19 @@ class InlineBackend(ExecutionBackend):
         return snapshot_engine(self._engine)
 
     def snapshot_base(self, epoch: int) -> bytes:
-        from repro.streaming.delta import prime_engine_tracker
-
         blob = snapshot_engine(self._engine)
-        prime_engine_tracker(self._engine, epoch)
+        self._tracker = DeltaTracker(self._engine)
+        self._tracker.prime(epoch)
+        self._note_cut(None)
         return blob
 
     def snapshot_delta(self, since_epoch: int, epoch: int) -> bytes:
-        from repro.streaming.delta import engine_snapshot_delta
-
-        return engine_snapshot_delta(self._engine, since_epoch, epoch)
+        if self._tracker is None:
+            # Never primed: the frame degrades to a self-contained base.
+            self._tracker = DeltaTracker(self._engine)
+        frame = self._tracker.encode_frame(since_epoch, epoch)
+        self._note_cut(self._tracker.last_kind)
+        return frame
 
     def restore(self, blob: bytes) -> None:
         if is_shard_snapshot(blob):
@@ -233,6 +254,7 @@ class InlineBackend(ExecutionBackend):
                 "checkpoint store"
             )
         self._engine = restore_engine(blob)
+        self._tracker = None
 
     def plan_history(self) -> List[str]:
         return list(getattr(self._engine, "plan_history", []))
@@ -381,10 +403,9 @@ class ProcessWorkerBackend(ExecutionBackend):
         self._pending: List[List[Event]] = [[] for _ in range(self._num_shards)]
         self._next_token = 0
         # Coordinator-side change tracking for the dedup filter (the shard
-        # replicas are tracked worker-side); rebuilt when restore() swaps
-        # the filter object.
+        # replicas are tracked worker-side): created when a base is cut,
+        # dropped when restore() swaps the filter object.
         self._delta_tracker: Optional[DeltaTracker] = None
-        self._delta_tracker_target = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -792,10 +813,9 @@ class ProcessWorkerBackend(ExecutionBackend):
         """
         blob = self._full_snapshot(("base", int(epoch)))
         with self._lock:
-            if self._delta_tracker is None or self._delta_tracker_target is not self._dedup:
-                self._delta_tracker = DeltaTracker(self._dedup)
-                self._delta_tracker_target = self._dedup
+            self._delta_tracker = DeltaTracker(self._dedup)
             self._delta_tracker.prime(epoch)
+        self._note_cut(None)
         return blob
 
     def snapshot_delta(self, since_epoch: int, epoch: int) -> bytes:
@@ -819,14 +839,16 @@ class ProcessWorkerBackend(ExecutionBackend):
             payload = restore_delta_state(frame)
             streams[f"shard:{shard_id}"] = payload["streams"]["engine"]
         with self._lock:
-            if self._delta_tracker is None or self._delta_tracker_target is not self._dedup:
+            if self._delta_tracker is None:
+                # Never primed: the frame degrades to a self-contained base.
                 self._delta_tracker = DeltaTracker(self._dedup)
-                self._delta_tracker_target = self._dedup
             streams["dedup"] = self._delta_tracker.encode_payload(since_epoch, epoch)
             meta_blob = pickle.dumps(
                 self._coordinator_meta(include_dedup=False),
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
+        degraded = any(stream["kind"] == "base" for stream in streams.values())
+        self._note_cut("base" if degraded else "delta")
         return snapshot_delta_state(
             {
                 "streams": streams,
@@ -842,6 +864,7 @@ class ProcessWorkerBackend(ExecutionBackend):
                 "restore() must run before the worker backend is started "
                 "(a resuming pipeline restores first, then starts workers)"
             )
+        self._delta_tracker = None
         if is_shard_snapshot(blob):
             shard_blobs, meta = restore_shard_states(blob)
             if len(shard_blobs) != self._num_shards:

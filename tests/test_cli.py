@@ -43,6 +43,10 @@ RETIRED_WORKERS = "--" + "workers"
 #: always on.
 RETIRED_INTROSPECT = "--" + "introspect"
 
+#: The delta-chain length knob, retired when it became the pipeline's
+#: ``CHECKPOINT_FULL_EVERY`` constant.
+RETIRED_FULL_EVERY = "--" + "checkpoint-full-every"
+
 
 def cli_parsers(parser_factory=build_parser) -> dict:
     """Sub-command name -> the argparse parser ``parser_factory()`` gives it."""
@@ -169,6 +173,7 @@ class TestParser:
             [RETIRED_SOCKET_SINK, "127.0.0.1:9100"],
             [RETIRED_WORKERS, "2"],
             [RETIRED_INTROSPECT],
+            [RETIRED_FULL_EVERY, "2"],
         ],
     )
     def test_retired_options_exit_2_everywhere(self, name, retired, capsys):
@@ -407,4 +412,19 @@ class TestDocsAndCIDrift:
         assert unknown_cli_invocations(text, module_parsers()) == [
             report,
             f"serve {RETIRED_INTROSPECT}",
+        ]
+
+    def test_checker_reports_the_retired_chain_length_option(self):
+        # The delta-checkpoint examples of ci.yml and the README as they
+        # stood: the live options around the retired one are not reported.
+        text = (
+            "run: >\n"
+            "  PYTHONPATH=src python -m repro.experiments.cli serve --dataset stocks\n"
+            "  --checkpoint-dir ckpt --checkpoint-every 300\n"
+            f"  --checkpoint-mode delta {RETIRED_FULL_EVERY} 4\n"
+            "PYTHONPATH=src python -m repro.experiments.cli serve --dataset stocks \\\n"
+            "    --checkpoint-mode delta --checkpoint-every 300 | tee serve.log\n"
+        )
+        assert unknown_cli_invocations(text, module_parsers()) == [
+            f"serve {RETIRED_FULL_EVERY}",
         ]

@@ -45,7 +45,7 @@ from repro.conditions import (
     EqualityCondition,
     PredicateCondition,
 )
-from repro.engine import AdaptiveCEPEngine
+from repro.engine import AdaptiveCEPEngine, restore_engine, snapshot_engine
 from repro.errors import EngineError
 from repro.events import Event, EventType
 from repro.optimizer import GreedyOrderPlanner
@@ -295,7 +295,7 @@ def test_restored_engine_recompiles_and_detects_identically():
     live = [json.dumps(match_record(m)) for m in engine.run(events).matches]
     assert sorted(live) == sorted(reference) and reference
     before = plans_compiled_total()
-    restored = AdaptiveCEPEngine.restore_state(engine.snapshot_state())
+    restored = restore_engine(snapshot_engine(engine))
     assert plans_compiled_total() > before  # snapshot shipped no closures
     assert restored.compile_mode == "indexed"
 
@@ -344,7 +344,6 @@ def test_compiled_kill_resume_serves_reference_matches(
             checkpoint_store=store,
             checkpoint_every=CHECKPOINT_EVERY,
             checkpoint_mode=checkpoint_mode,
-            checkpoint_full_every=3,
         )
 
     kill_at = CHECKPOINT_EVERY * 2 + CHECKPOINT_EVERY // 2  # mid-interval

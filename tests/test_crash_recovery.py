@@ -35,7 +35,7 @@ from repro.streaming import (
     StreamingPipeline,
     bounded_shuffle,
 )
-from repro.streaming import workers
+from repro.streaming import pipeline, workers
 from repro.streaming.sinks import match_record
 from tests.conftest import make_camera_stream
 
@@ -80,8 +80,10 @@ FULL_EVERY = 3
 @pytest.fixture(autouse=True)
 def small_hand_offs(monkeypatch):
     """Several worker hand-offs per checkpoint interval, so kills and
-    barriers land with batches both queued and in flight."""
+    barriers land with batches both queued and in flight; short delta
+    chains."""
     monkeypatch.setattr(workers, "FEED_BATCH", 8)
+    monkeypatch.setattr(pipeline, "CHECKPOINT_FULL_EVERY", FULL_EVERY)
 
 
 def _build_pipeline(
@@ -106,7 +108,6 @@ def _build_pipeline(
         checkpoint_store=store,
         checkpoint_every=CHECKPOINT_EVERY,
         checkpoint_mode=checkpoint_mode,
-        checkpoint_full_every=FULL_EVERY,
     )
 
 
@@ -181,7 +182,7 @@ def test_process_worker_kill_resume_fuzz(workload, tmp_path, kill_at):
 def test_delta_checkpoint_kill_resume_fuzz(workload, tmp_path, kill_at):
     """Incremental checkpoints keep the exactly-once contract under kills.
 
-    ``checkpoint_every=40`` with ``checkpoint_full_every=3`` makes every
+    ``checkpoint_every=40`` with ``CHECKPOINT_FULL_EVERY=3`` makes every
     fourth checkpoint a base, so these randomized kill points land at
     every chain position — on a fresh base, mid-chain between a base and
     its deltas, and on the last delta before a rebase.
@@ -296,7 +297,6 @@ def test_delta_kill_with_nonempty_reorder_buffer(workload, tmp_path):
             checkpoint_store=store,
             checkpoint_every=CHECKPOINT_EVERY,
             checkpoint_mode="delta",
-            checkpoint_full_every=FULL_EVERY,
             ordering=ReorderBuffer(slack),
         )
 
@@ -520,7 +520,6 @@ def test_tree_planner_kill_resume(workload, tmp_path, checkpoint_mode, kill_at):
             checkpoint_store=store,
             checkpoint_every=CHECKPOINT_EVERY,
             checkpoint_mode=checkpoint_mode,
-            checkpoint_full_every=FULL_EVERY,
         )
 
     first = build().run(max_events=kill_at, final_checkpoint=False)

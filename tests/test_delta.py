@@ -5,8 +5,9 @@ replaying ``base + deltas`` rebuilds exactly the engine state of the
 newest epoch — same tracked collections, same forward behaviour — while
 writing measurably fewer bytes than a full snapshot at the same cadence.
 Torn files must fail loudly (CRC) and degrade to the longest intact
-prefix, orphaned temp files must be swept on store open, and directories
-written by the pre-delta store format must keep restoring.
+prefix, chains are read off the files alone (a stray delta is cut off by
+its lineage), orphaned temp files must be swept on store open, and
+directories written by the pre-delta store format must keep restoring.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.streaming import (
     DeltaCheckpoint,
     DeltaTracker,
     materialize_engine_blob,
-    prime_engine_tracker,
 )
 from repro.streaming.delta import extract_keyed_state
 from tests.conftest import make_camera_stream
@@ -83,7 +83,7 @@ class TestDeltaFraming:
 
 
 # ----------------------------------------------------------------------
-# Engine-level snapshot_delta chains
+# Engine delta chains (a host-owned DeltaTracker)
 # ----------------------------------------------------------------------
 class TestEngineDeltaChains:
     def test_chain_replay_equals_full_snapshot_state(self, camera_pattern):
@@ -92,14 +92,15 @@ class TestEngineDeltaChains:
         for event in events[:300]:
             engine.process(event)
         base = snapshot_engine(engine)
-        prime_engine_tracker(engine, 0)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
         frames = []
         for epoch, (lo, hi) in enumerate(
             ((300, 450), (450, 600), (600, 750)), start=1
         ):
             for event in events[lo:hi]:
                 engine.process(event)
-            frames.append(engine.snapshot_delta(epoch - 1, epoch=epoch))
+            frames.append(tracker.encode_frame(epoch - 1, epoch))
             restored = restore_engine(materialize_engine_blob(base, frames))
             assert _normalized_collections(restored) == _normalized_collections(
                 engine
@@ -111,10 +112,11 @@ class TestEngineDeltaChains:
         for event in events[:400]:
             engine.process(event)
         base = snapshot_engine(engine)
-        prime_engine_tracker(engine, 0)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
         for event in events[400:600]:
             engine.process(event)
-        frame = engine.snapshot_delta(0, epoch=1)
+        frame = tracker.encode_frame(0, 1)
         restored = restore_engine(materialize_engine_blob(base, [frame]))
         suffix = events[600:900]
         original_matches = [m for e in suffix for m in engine.process(e)]
@@ -128,7 +130,7 @@ class TestEngineDeltaChains:
         engine = _build_engine(camera_pattern)
         for event in make_camera_stream(count=200, seed=3):
             engine.process(event)
-        frame = engine.snapshot_delta()  # never primed -> base kind
+        frame = DeltaTracker(engine).encode_frame(None, 0)  # never primed
         payload = restore_delta_state(frame)
         assert payload["streams"]["engine"]["kind"] == "base"
 
@@ -137,10 +139,11 @@ class TestEngineDeltaChains:
         events = make_camera_stream(count=1200, seed=5).to_list()
         for event in events[:600]:
             engine.process(event)
-        prime_engine_tracker(engine, 0)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
         for event in events[600:800]:
             engine.process(event)
-        frame = engine.snapshot_delta(0, epoch=1)
+        frame = tracker.encode_frame(0, 1)
         full = snapshot_engine(engine)
         assert len(frame) < len(full), (
             f"delta frame ({len(frame)}B) is not smaller than the full "
@@ -159,10 +162,11 @@ class TestEngineDeltaChains:
         for event in events[:200]:
             engine.process(event)
         base = snapshot_engine(engine)
-        prime_engine_tracker(engine, 0)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
         for event in events[200:400]:
             engine.process(event)
-        frame = engine.snapshot_delta(0, epoch=1)
+        frame = tracker.encode_frame(0, 1)
         restored = restore_engine(materialize_engine_blob(base, [frame]))
         assert _normalized_collections(restored) == _normalized_collections(engine)
 
@@ -210,13 +214,14 @@ def test_chain_replay_property(seed, prefix, step, epochs):
     for event in events[:prefix]:
         engine.process(event)
     base = snapshot_engine(engine)
-    prime_engine_tracker(engine, 0)
+    tracker = DeltaTracker(engine)
+    tracker.prime(0)
     frames = []
     for epoch in range(1, epochs + 1):
         lo = prefix + step * (epoch - 1)
         for event in events[lo : lo + step]:
             engine.process(event)
-        frames.append(engine.snapshot_delta(epoch - 1, epoch=epoch))
+        frames.append(tracker.encode_frame(epoch - 1, epoch))
         restored = restore_engine(materialize_engine_blob(base, frames))
         assert _normalized_collections(restored) == _normalized_collections(engine)
 
@@ -247,20 +252,21 @@ def _delta_record(frame, base_index, epoch, events_processed):
 class TestEpochLogStore:
     def _chain(self, tmp_path, camera_pattern, deltas=2):
         """A store holding base + ``deltas`` chained records; returns both."""
-        store = CheckpointStore(str(tmp_path / "ckpt"), keep=2)
+        store = CheckpointStore(str(tmp_path / "ckpt"))
         engine = _build_engine(camera_pattern)
         events = make_camera_stream(count=800, seed=23).to_list()
         for event in events[:200]:
             engine.process(event)
         base = _checkpoint(engine, 200, delta_epoch=0)
         store.save(base)
-        prime_engine_tracker(engine, 0)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
         step = 150
         for epoch in range(1, deltas + 1):
             lo = 200 + step * (epoch - 1)
             for event in events[lo : lo + step]:
                 engine.process(event)
-            frame = engine.snapshot_delta(epoch - 1, epoch=epoch)
+            frame = tracker.encode_frame(epoch - 1, epoch)
             store.save_delta(
                 _delta_record(frame, base.index, epoch, lo + step)
             )
@@ -283,35 +289,60 @@ class TestEpochLogStore:
         checkpoint = store.latest()
         assert checkpoint.events_processed == 350  # base + first delta only
 
-    def test_missing_manifest_falls_back_to_scan(self, tmp_path, camera_pattern):
-        store, engine = self._chain(tmp_path, camera_pattern)
-        os.unlink(os.path.join(store.directory, "manifest.json"))
-        checkpoint = store.latest()
-        assert checkpoint.events_processed == 500
+    def test_chains_are_derived_from_the_files(self, tmp_path, camera_pattern):
+        # A killed run leaves base + 2 deltas; the resume starts its own
+        # chain with a fresh base and appends 2 more deltas.  The files
+        # alone say which deltas belong to which base.
+        store, _killed = self._chain(tmp_path, camera_pattern)
+        resumed = store.latest()
+        assert resumed.events_processed == 500
+        engine = restore_engine(resumed.engine_blob)
+        base = _checkpoint(engine, 500, delta_epoch=3)
+        store.save(base)
+        tracker = DeltaTracker(engine)
+        tracker.prime(3)
+        events = make_camera_stream(count=800, seed=23).to_list()
+        for epoch, (lo, hi) in enumerate(((500, 600), (600, 700)), start=4):
+            for event in events[lo:hi]:
+                engine.process(event)
+            store.save_delta(
+                _delta_record(tracker.encode_frame(epoch - 1, epoch), base.index, epoch, hi)
+            )
+
+        assert sorted(os.listdir(store.directory)) == [
+            "checkpoint-000000000.pkl",
+            "checkpoint-000000003.pkl",
+            "delta-000000001.pkl",
+            "delta-000000002.pkl",
+            "delta-000000004.pkl",
+            "delta-000000005.pkl",
+        ]
+        assert store.stats()["chains"] == 2
+        checkpoint = CheckpointStore(store.directory).latest()
+        assert (checkpoint.index, checkpoint.events_processed) == (5, 700)
         restored = restore_engine(checkpoint.engine_blob)
         assert _normalized_collections(restored) == _normalized_collections(engine)
+
+    def test_stray_delta_from_an_older_base_is_cut_off(self, tmp_path, camera_pattern):
+        store, engine = self._chain(tmp_path, camera_pattern, deltas=1)
+        newer = _checkpoint(engine, 400, delta_epoch=0)
+        store.save(newer)
+        # Written after the newer base but naming the older one: by position
+        # it lands in the newer base's chain, where its lineage is wrong.
+        stray = DeltaTracker(engine).encode_frame(None, 2)
+        store.save_delta(_delta_record(stray, base_index=0, epoch=2, events_processed=450))
+        assert store._delta_indices()[-1] > newer.index
+        checkpoint = store.latest()
+        assert (checkpoint.index, checkpoint.events_processed) == (newer.index, 400)
 
     def test_save_delta_without_base_fails(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "empty"))
         with pytest.raises(CheckpointError, match="no such base"):
             store.save_delta(_delta_record(b"frame", base_index=0, epoch=1, events_processed=10))
 
-    def test_compact_folds_chain_into_new_base(self, tmp_path, camera_pattern):
-        store, engine = self._chain(tmp_path, camera_pattern)
-        assert store.stats()["deltas"] == 2
-        path = store.compact()
-        assert path is not None
-        checkpoint = store.latest()
-        assert checkpoint.events_processed == 500
-        assert checkpoint.index == int(os.path.basename(path)[11:-4])
-        restored = restore_engine(checkpoint.engine_blob)
-        assert _normalized_collections(restored) == _normalized_collections(engine)
-        # Compacting an already-bare newest chain is a no-op.
-        assert store.compact() is None
-
     def test_prune_retires_whole_chains(self, tmp_path, camera_pattern):
         store, engine = self._chain(tmp_path, camera_pattern)
-        # Two more bases push the delta chain out of the keep=2 horizon.
+        # Two more bases push the delta chain out of the KEEP_CHAINS=2 horizon.
         store.save(_checkpoint(engine, 600))
         store.save(_checkpoint(engine, 700))
         assert store.stats()["deltas"] == 0
@@ -341,11 +372,7 @@ class TestEpochLogStore:
     def test_open_sweeps_orphaned_temp_files(self, tmp_path, camera_pattern):
         directory = tmp_path / "swept"
         directory.mkdir()
-        orphans = [
-            ".checkpoint-deadbeef.tmp",
-            ".delta-cafebabe.tmp",
-            ".manifest-12345678.tmp",
-        ]
+        orphans = [".checkpoint-deadbeef.tmp", ".delta-cafebabe.tmp"]
         for name in orphans:
             (directory / name).write_bytes(b"torn write")
         keeper = directory / "checkpoint-000000000.pkl"

@@ -16,7 +16,12 @@ import warnings
 import pytest
 
 from repro.adaptive import InvariantBasedPolicy
-from repro.engine import AdaptiveCEPEngine, MultiPatternEngine
+from repro.engine import (
+    AdaptiveCEPEngine,
+    MultiPatternEngine,
+    restore_engine,
+    snapshot_engine,
+)
 from repro.engine.protocol import CEPEngine
 from repro.errors import EngineError, PatternError
 from repro.events import EventType
@@ -35,6 +40,7 @@ from repro.patterns import CompositePattern, PatternItem, Pattern, seq
 from repro.patterns.operators import PatternOperator
 from repro.plans import OrderBasedPlan
 from repro.statistics import StatisticsSnapshot
+from repro.streaming import DeltaTracker, materialize_engine_blob
 from repro.streaming.sinks import match_record
 
 A, B, C, D = EventType("A"), EventType("B"), EventType("C"), EventType("D")
@@ -290,10 +296,37 @@ class TestSharedVsIsolated:
         engine = _shared_engine(patterns)
         half = len(events) // 2
         matches = engine.run(events[:half]).matches
-        blob = engine.snapshot_state()
-        resumed = MultiPatternEngine.restore_state(blob)
+        resumed = restore_engine(snapshot_engine(engine))
+        assert isinstance(resumed, MultiPatternEngine)
         matches.extend(resumed.run(events[half:]).matches)
         assert _per_pattern_records(patterns, matches) == expected
+
+    def test_delta_chain_resume_preserves_match_sets(self):
+        patterns, events = _family(count=4)
+        expected = _isolated_records(patterns, events)
+        engine = _shared_engine(patterns)
+        # Cut early: on this stream the shared prefixes keep earning hits
+        # only through its first half.
+        step = len(events) // 12
+        matches = []
+        for event in events[:step]:
+            matches.extend(engine.process(event))
+        base = snapshot_engine(engine)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
+        frames = []
+        for epoch in (1, 2):
+            for event in events[epoch * step : (epoch + 1) * step]:
+                matches.extend(engine.process(event))
+            frames.append(tracker.encode_frame(epoch - 1, epoch))
+        assert tracker.last_kind == "delta"
+        resumed = restore_engine(materialize_engine_blob(base, frames))
+        hits = resumed.prefix_hits_total()
+        assert hits == engine.prefix_hits_total() > 0
+        for event in events[3 * step :]:
+            matches.extend(resumed.process(event))
+        assert _per_pattern_records(patterns, matches) == expected
+        assert resumed.prefix_hits_total() > hits, "sharing stopped after the restore"
 
     def test_compiled_mode_reuses_kernels_across_patterns(self):
         from repro.compile import kernels_reused_total

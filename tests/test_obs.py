@@ -38,14 +38,18 @@ from repro.obs import (
 from repro.obs.registry import Sample
 from repro.optimizer import GreedyOrderPlanner
 from repro.adaptive import InvariantBasedPolicy
+from repro.parallel import BroadcastPartitioner, ParallelCEPEngine
 from repro.streaming import (
     CheckpointStore,
     CollectorSink,
+    InlineBackend,
+    ProcessWorkerBackend,
     ReorderBuffer,
     ReplaySource,
     StreamingPipeline,
     bounded_shuffle,
 )
+from repro.streaming import pipeline as pipeline_module
 
 from tests.conftest import make_camera_stream
 
@@ -468,7 +472,7 @@ class TestControlPlane:
 
 
 class TestCheckpointReasons:
-    def test_manifest_reasons_survive_reopen(self, camera_pattern, tmp_path):
+    def test_reasons_survive_reopen(self, camera_pattern, tmp_path):
         store = CheckpointStore(str(tmp_path / "ckpt"))
         pipeline = StreamingPipeline(
             _fresh_engine(camera_pattern),
@@ -478,15 +482,57 @@ class TestCheckpointReasons:
             checkpoint_every=300,
         )
         pipeline.run()
+        # The store keeps no index of its own: the reasons are read back
+        # from the retained records (the 600 and 900 periodic cuts were
+        # pruned; 900 and the 950 shutdown cut remain).
         reopened = CheckpointStore(str(tmp_path / "ckpt"))
-        reasons = reopened.stats()["reasons"]
-        assert reasons.get("shutdown") == 1
-        assert sum(reasons.values()) >= 1
-        # The restored checkpoint carries its reason.
-        restored = reopened.latest()
-        assert getattr(restored, "reason", None) in (
-            "periodic",
-            "manual",
-            "shutdown",
-            "compaction",
+        assert reopened.stats()["reasons"] == {"periodic": 1, "shutdown": 1}
+        assert reopened.latest().reason == "shutdown"
+
+
+class TestDeltaDegradationGauges:
+    """``checkpoint_cut`` records report the frame each cut wrote."""
+
+    def _backend(self, kind, camera_pattern):
+        if kind == "inline":
+            return InlineBackend(_fresh_engine(camera_pattern))
+        return ProcessWorkerBackend(
+            ParallelCEPEngine(
+                camera_pattern,
+                GreedyOrderPlanner(),
+                InvariantBasedPolicy(),
+                shards=2,
+                partitioner=BroadcastPartitioner(),
+            )
         )
+
+    @pytest.mark.parametrize("kind", ["inline", "process"])
+    def test_cuts_report_their_own_frame(self, kind, camera_pattern, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "CHECKPOINT_FULL_EVERY", 2)
+        backend = self._backend(kind, camera_pattern)
+        log = DecisionLog()
+        StreamingPipeline(
+            backend,
+            ReplaySource(make_camera_stream(count=600).to_list()),
+            checkpoint_store=CheckpointStore(str(tmp_path / "ckpt")),
+            checkpoint_every=100,
+            checkpoint_mode="delta",
+            decision_log=log,
+        ).run()
+        cuts = [
+            (cut.detail["kind"], cut.detail["last_kind"], cut.detail["degraded_encodes"])
+            for cut in log.query(type="checkpoint_cut")
+        ]
+        assert cuts == [("full", None, 0), ("delta", "delta", 0), ("delta", "delta", 0)] * 2
+
+        # A delta forced against an epoch the trackers never saw degrades
+        # to a self-contained base, and counts once.
+        backend.start()
+        try:
+            backend.snapshot_base(10)
+            backend.snapshot_delta(7, 11)
+            assert (backend.last_kind, backend.degraded_encodes) == ("base", 1)
+            backend.snapshot_delta(11, 12)
+            assert (backend.last_kind, backend.degraded_encodes) == ("delta", 1)
+        finally:
+            backend.close()

@@ -1,4 +1,4 @@
-"""The on-disk frame format shared by the five snapshot kinds.
+"""The on-disk frame format shared by the four snapshot kinds.
 
 ``repro.engine.state`` frames every blob as ``magic + version byte
 [+ CRC32] + pickled payload``.  Checkpoints outlive library versions, so
@@ -16,17 +16,14 @@ import pytest
 
 from repro.engine.state import (
     is_delta_snapshot,
-    is_multi_snapshot,
     is_ordering_snapshot,
     is_shard_snapshot,
     restore_delta_state,
     restore_engine,
-    restore_multi_state,
     restore_ordering_state,
     restore_shard_states,
     snapshot_delta_state,
     snapshot_engine,
-    snapshot_multi_state,
     snapshot_ordering_state,
     snapshot_shard_states,
 )
@@ -60,14 +57,6 @@ FRAMES = {
         restore_engine,
         ToyEngine("e"),
         None,
-    ),
-    "multi": (
-        b"repro-multi-state\x01",
-        False,
-        snapshot_multi_state(bytearray(b"meta"), {"p": ENGINE_FRAME}),
-        restore_multi_state,
-        (b"meta", {"p": ENGINE_FRAME}),
-        is_multi_snapshot,
     ),
     "shard": (
         b"repro-shard-states\x01",
@@ -124,3 +113,22 @@ def test_frame_layout_and_rejections(kind):
     # unpickler (the STOP opcode is gone) where there is not.
     with pytest.raises(CheckpointError, match="CRC" if has_crc else "corrupt"):
         restore(frame[:-1] + bytes([frame[-1] ^ 0xFF]))
+
+
+def test_multi_pattern_engine_is_one_engine_frame():
+    """A multi-pattern engine is pickled whole, like every other facade."""
+    from repro.adaptive import InvariantBasedPolicy
+    from repro.engine import MultiPatternEngine
+    from repro.events import EventType
+    from repro.optimizer import GreedyOrderPlanner
+    from repro.patterns import seq
+
+    a, b, c, d = (EventType(name) for name in "ABCD")
+    engine = MultiPatternEngine(
+        [seq([a, b], window=5.0, name="p1"), seq([c, d], window=5.0, name="p2")],
+        GreedyOrderPlanner(),
+        InvariantBasedPolicy,
+    )
+    frame = snapshot_engine(engine)
+    assert frame.startswith(b"repro-engine-state\x01")
+    assert isinstance(restore_engine(frame), MultiPatternEngine)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.engine import AdaptiveCEPEngine, restore_engine, snapshot_engine
 from repro.errors import (
     CheckpointError,
-    ParallelExecutionError,
     StreamingError,
 )
 from repro.events import Event, EventType
@@ -449,7 +449,7 @@ class TestCheckpointStore:
         assert isinstance(restore_engine(latest.engine_blob), AdaptiveCEPEngine)
 
     def test_prunes_to_keep(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "ckpt"), keep=2)
+        store = CheckpointStore(str(tmp_path / "ckpt"))
         for events in (1, 2, 3, 4):
             store.save(self._checkpoint(events))
         assert store.stats()["checkpoints"] == 2
@@ -500,7 +500,7 @@ class TestEngineSnapshot:
         half = len(events) // 2
         for event in events[:half]:
             collected.extend(engine.process(event))
-        resumed = AdaptiveCEPEngine.restore_state(engine.snapshot_state())
+        resumed = restore_engine(snapshot_engine(engine))
         for event in events[half:]:
             collected.extend(resumed.process(event))
         assert _signatures(collected) == expected
@@ -510,10 +510,10 @@ class TestEngineSnapshot:
             restore_engine(b"not a snapshot")
 
     def test_restore_rejects_wrong_type(self):
-        engine = _fresh_engine(_camera_pattern())
-        blob = engine.snapshot_state()
-        with pytest.raises(ParallelExecutionError):
-            ParallelCEPEngine.restore_state(blob)
+        # A well-formed frame whose payload is not an engine.
+        blob = b"repro-engine-state\x01" + pickle.dumps({"tag": "not an engine"})
+        with pytest.raises(CheckpointError, match="not an engine"):
+            restore_engine(blob)
 
     def test_snapshot_requires_an_engine(self):
         with pytest.raises(CheckpointError):
