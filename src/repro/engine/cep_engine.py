@@ -111,7 +111,9 @@ class AdaptiveCEPEngine:
         snapshot (all rates equal) is used, which yields the pattern-order
         plan — the same cold-start behaviour as the paper's systems.
     monitoring_interval:
-        Stream-time between consecutive evaluations of ``D``.
+        Stream-time between consecutive evaluations of ``D`` (by
+        :meth:`process`; a :class:`~repro.engine.MultiPatternEngine`
+        calls :meth:`adapt` from its own tick instead).
     statistics_window:
         Sliding-window length of the internal collector (defaults to four
         pattern windows).
@@ -125,7 +127,7 @@ class AdaptiveCEPEngine:
     statistics_collector:
         Externally owned collector to use instead of building one.  The
         multi-pattern evaluator passes per-pattern collectors that read
-        shared per-event-type estimators, so N patterns over one stream
+        their rates from one shared hub, so N patterns over one stream
         count every arrival exactly once.
     engine_factory:
         Callable ``(plan, collector, compile_mode) -> engine``
@@ -288,13 +290,18 @@ class AdaptiveCEPEngine:
         if self._next_monitor_time is None:
             self._next_monitor_time = now + self._monitoring_interval
         elif now >= self._next_monitor_time:
-            self._run_adaptation_step(now)
+            self.adapt(now)
             self._next_monitor_time = now + self._monitoring_interval
+        return self.evaluate(event)
 
+    def evaluate(self, event: Event) -> List[Match]:
+        """Process one event without the monitoring tick: count it and feed
+        it to the live evaluation engines.  The multi-pattern engine, which
+        owns one tick for all its patterns, calls this and :meth:`adapt`."""
         self._collector.observe_event(event)
         return self._migration.process(event)
 
-    def _run_adaptation_step(self, now: float) -> None:
+    def adapt(self, now: float) -> None:
         """One iteration of the detection–adaptation loop's decision phase."""
         new_plan = self.controller.update(self._collector.snapshot(now))
         if new_plan is not None:

@@ -8,13 +8,17 @@ plain ``list`` of patterns) in **one pass**:
 * each event is routed through a per-event-type dispatch table to only
   the patterns that can consume it;
 * one :class:`~repro.multi.SharedStatisticsHub` counts every arrival
-  exactly once, and every pattern's collector reads the shared
-  per-event-type estimators;
+  exactly once, and every pattern's collector reads its rates from the
+  hub;
 * plans that open with a structurally common prefix are routed by the
   :class:`~repro.multi.PrefixShareManager` into a
   :class:`~repro.multi.SharedPrefixGroup`: the prefix is materialised
   once and its completed bindings are fanned out to each pattern's
   :class:`~repro.multi.SuffixNFAEngine`;
+* one monitoring tick serves every pattern: when the interval has
+  elapsed, every pattern's controller decides (and re-plans) on the same
+  event, from a snapshot whose rates the hub computed once for that
+  tick;
 * the adaptive controller still re-plans each pattern independently —
   every re-planned engine is routed through the share manager again, and
   plan-migration draining keeps per-pattern match sets byte-identical to
@@ -69,8 +73,12 @@ class MultiPatternEngine:
     policy_factory:
         Callable producing a fresh decision policy per pattern (policies
         are stateful: each pattern needs its own).
-    initial_snapshot / monitoring_interval / compile_mode:
+    initial_snapshot / compile_mode:
         Forwarded to every per-pattern engine.
+    monitoring_interval:
+        Stream time between two monitoring ticks.  The engine owns the
+        tick: the first event at least this long after the previous tick
+        (or after the first event) runs every pattern's decision step.
     statistics_window:
         Sliding window of the shared statistics hub (defaults to five of
         the longest pattern window, matching the per-pattern default).
@@ -100,8 +108,12 @@ class MultiPatternEngine:
             )
         self.pattern = patterns if hasattr(patterns, "subpatterns") else pattern_set
         self.pattern_set = pattern_set
+        if monitoring_interval <= 0:
+            raise EngineError("monitoring_interval must be positive")
         self.compile_mode = compile_mode
         self._sharing_enabled = bool(enable_sharing)
+        self._monitoring_interval = float(monitoring_interval)
+        self._next_tick: Optional[float] = None
 
         window = pattern_set.window if pattern_set.window != float("inf") else 100.0
         self._hub = SharedStatisticsHub(window=statistics_window or 5.0 * window)
@@ -120,7 +132,6 @@ class MultiPatternEngine:
                 planner=planner,
                 policy=policy_factory(),
                 initial_snapshot=_restrict_snapshot(initial_snapshot, subpattern),
-                monitoring_interval=monitoring_interval,
                 compile_mode=compile_mode,
                 statistics_collector=collector,
                 engine_factory=self._manager if self._sharing_enabled else None,
@@ -213,18 +224,13 @@ class MultiPatternEngine:
         self._rewire_sharing()
 
     def _rewire_sharing(self) -> None:
-        """Re-attach suffix engines to their groups and collectors to the
-        canonical hub after a restore.  Idempotent."""
+        """Re-attach each pattern's engine factory and suffix engines to
+        the share manager and its groups after a restore.  Idempotent."""
         manager = self._manager
-        hub = self._hub
-        for group in manager.groups():
-            group.collector.attach_hub(hub)
-        for pattern_id, adaptive in self._adaptives.items():
+        for adaptive in self._adaptives.values():
             pattern = adaptive.pattern
             adaptive._engine_factory = manager if self._sharing_enabled else None
             collector = adaptive.collector
-            if isinstance(collector, SharedStatisticsCollector):
-                collector.attach_hub(hub)
             manager.attach(pattern.name, adaptive)
             for engine in adaptive.evaluation_engines():
                 if isinstance(engine, SuffixNFAEngine):
@@ -235,9 +241,12 @@ class MultiPatternEngine:
         manager.version += 1
 
     def _delta_keyed_state(self):
-        """Change-tracked collections of every sub-engine plus the shared
-        prefix groups (delta snapshots)."""
-        slots = []
+        """Change-tracked collections of the statistics hub, every
+        sub-engine and the shared prefix groups (delta snapshots)."""
+        slots = [
+            (f"hub.{name}", holder, attr)
+            for name, holder, attr in self._hub._delta_keyed_state()
+        ]
         for pattern_id, engine in self._adaptives.items():
             slots.extend(
                 (f"sub[{pattern_id}].{name}", holder, attr)
@@ -303,28 +312,30 @@ class MultiPatternEngine:
     # Processing
     # ------------------------------------------------------------------
     def process(self, event: Event) -> List[Match]:
+        """Count the event once, run the monitoring tick if it is due, then
+        hand the event to the groups and patterns that consume its type.
+
+        The tick runs after the hub has counted the event — so a suffix
+        engine built by a re-plan joins its group at this event's
+        timestamp — and before dispatch, so the plan switches it makes
+        take effect on this event, as in a single-pattern engine.
+        """
+        self._hub.observe(event)
+        now = event.timestamp
+        if self._next_tick is None:
+            self._next_tick = now + self._monitoring_interval
+        elif now >= self._next_tick:
+            for adaptive in self._adaptives.values():
+                adaptive.adapt(now)
+            self._next_tick = now + self._monitoring_interval
         if self._routing_version != self._manager.version:
             self._rebuild_routing()
-        self._hub.observe(event)
         type_name = event.type_name
         matches: List[Match] = []
-        processed_groups = self._group_routes.get(type_name, ())
-        for group in processed_groups:
+        for group in self._group_routes.get(type_name, ()):
             matches.extend(group.process(event))
         for _pattern_id, adaptive in self._routes.get(type_name, ()):
-            matches.extend(adaptive.process(event))
-        if self._routing_version != self._manager.version:
-            # A re-plan during this event changed the sharing topology
-            # (new engine, new group membership).  Rebuild the dispatch
-            # and hand this event's prefix completions to members that
-            # joined mid-event — their join gate admits exactly the
-            # completions their draining predecessor must suppress.
-            self._rebuild_routing()
-            for group in self._group_routes.get(type_name, ()):
-                if any(g is group for g in processed_groups):
-                    matches.extend(group.deliver_pending(event))
-                else:
-                    matches.extend(group.process(event))
+            matches.extend(adaptive.evaluate(event))
         return self._tag(matches)
 
     def _tag(self, matches: List[Match]) -> List[Match]:

@@ -5,17 +5,20 @@ In an N-isolated-pipelines deployment every pattern's
 itself, so one stream is measured N times.  The
 :class:`SharedStatisticsHub` owns exactly one sliding-window rate
 estimator per event type; the multi-pattern engine feeds each event into
-the hub once, and every pattern's :class:`SharedStatisticsCollector`
-reads the shared estimators.  The per-pattern collectors keep their own
-selectivity estimators (conditions are pattern-local), except for pairs
-evaluated on their behalf by a shared prefix group, which are re-pointed
-at the group's estimators via
-:meth:`~repro.statistics.StatisticsCollector.share_selectivity`.
+the hub once.  A pattern's :class:`SharedStatisticsCollector` holds no
+rate estimator of its own: its snapshots read the hub's rates, which the
+hub computes once per reference time (so at a monitoring tick each
+type's rate is computed once, however many patterns decide on it).  The
+per-pattern collectors keep their own selectivity estimators (conditions
+are pattern-local), except for pairs evaluated on their behalf by a
+shared prefix group, which are re-pointed at the group's estimators via
+:meth:`~repro.statistics.StatisticsCollector.share_selectivity` — the
+only estimators two collectors hold in common.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StatisticsError
 from repro.events import Event, EventType
@@ -39,6 +42,9 @@ class SharedStatisticsHub:
         self.num_buckets = num_buckets
         self._rates: Dict[str, SlidingWindowRateEstimator] = {}
         self._last_time: float = float("-inf")
+        #: ``(reference, rates)`` of the last :meth:`rates` call; an
+        #: arrival or a new estimator invalidates it.
+        self._rate_cache: Optional[Tuple[float, Dict[str, float]]] = None
 
     @property
     def last_time(self) -> float:
@@ -56,6 +62,7 @@ class SharedStatisticsHub:
             estimator = self._rates[type_name] = SlidingWindowRateEstimator(
                 self.window, self.num_buckets
             )
+            self._rate_cache = None
         return estimator
 
     def register(self, pattern: Pattern) -> None:
@@ -69,18 +76,41 @@ class SharedStatisticsHub:
         estimator = self._rates.get(event.type_name)
         if estimator is not None:
             estimator.observe(event.timestamp)
+            self._rate_cache = None
         if event.timestamp > self._last_time:
             self._last_time = event.timestamp
+
+    def rates(self, reference: float) -> Dict[str, float]:
+        """Every type's rate at ``reference``, computed once until the next
+        arrival.  Callers must not mutate the returned mapping."""
+        cached = self._rate_cache
+        if cached is None or cached[0] != reference:
+            cached = self._rate_cache = (
+                reference,
+                {
+                    name: estimator.rate(reference)
+                    for name, estimator in self._rates.items()
+                },
+            )
+        return cached[1]
+
+    def _delta_keyed_state(self):
+        """The rate estimators' bucket runs (incremental-snapshot hook)."""
+        return [
+            (f"rate[{name}]", estimator._counter, "_buckets")
+            for name, estimator in self._rates.items()
+        ]
 
 
 class SharedStatisticsCollector(StatisticsCollector):
     """A per-pattern collector whose arrival rates come from the hub.
 
-    ``register_event_type`` installs the hub's shared estimator instead of
-    a private one, and ``observe_event`` only advances the local clock —
-    the hub has already counted the arrival.  Selectivity estimation is
-    unchanged (pattern-local), so the resulting snapshots are exactly what
-    an isolated collector would produce, at 1/N the counting work.
+    ``register_event_type`` records which of the hub's types the pattern
+    uses; a snapshot reads their rates from the hub, and ``observe_event``
+    only advances the local clock — the hub has already counted the
+    arrival.  Selectivity estimation is unchanged (pattern-local), so the
+    resulting snapshots are exactly what an isolated collector would
+    produce, at 1/N the counting work.
     """
 
     def __init__(self, hub: SharedStatisticsHub, prior_selectivity: float = 0.5):
@@ -90,26 +120,24 @@ class SharedStatisticsCollector(StatisticsCollector):
             prior_selectivity=prior_selectivity,
         )
         self._hub = hub
+        self._rate_types: List[str] = []
 
     @property
     def hub(self) -> SharedStatisticsHub:
         return self._hub
 
-    def attach_hub(self, hub: SharedStatisticsHub) -> None:
-        """Re-point every rate estimate at (a restored) hub's estimators.
-
-        Per-pattern checkpoint frames pickle independent copies of the
-        shared estimators; restore re-establishes the sharing by calling
-        this with the canonical hub.  Idempotent.
-        """
-        self._hub = hub
-        for name in list(self._rate_estimators):
-            self._rate_estimators[name] = hub.rate_estimator(name)
+    @property
+    def tracked_types(self) -> Tuple[str, ...]:
+        return tuple(self._rate_types)
 
     def register_event_type(self, event_type: EventType) -> None:
-        self._rate_estimators[event_type.name] = self._hub.rate_estimator(
-            event_type.name
-        )
+        self._hub.rate_estimator(event_type.name)
+        if event_type.name not in self._rate_types:
+            self._rate_types.append(event_type.name)
+
+    def _rates_at(self, reference: float) -> Dict[str, float]:
+        rates = self._hub.rates(reference)
+        return {name: rates[name] for name in self._rate_types}
 
     def observe_event(self, event: Event) -> None:
         # The hub counted this arrival once for all patterns.

@@ -271,7 +271,11 @@ class SharedPrefixGroup:
         then promote them.  Their ``join_time`` equals this event's
         timestamp, so only completions made entirely of events at this
         exact timestamp pass the gate — but those are precisely the ones
-        the draining predecessor is forbidden to emit."""
+        the draining predecessor is forbidden to emit.
+
+        The multi-pattern engine no longer calls this: its monitoring tick
+        runs before dispatch, so members join before the event reaches
+        their group.  ``bench/tracing.py`` still wraps it by name."""
         matches: List[Match] = []
         if self._last_event is event and self._last_completions:
             for record in self._pending:
@@ -329,6 +333,10 @@ class PrefixShareManager:
         self._signature_counts: Dict[Signature, int] = {}
         self._groups: Dict[Signature, SharedPrefixGroup] = {}
         self._adaptives: Dict[str, object] = {}
+        #: Per pattern name: the prefixes passing the structural gates,
+        #: deepest first (see :meth:`_candidates`).  Derived from the
+        #: registered signatures, so :meth:`register` clears it.
+        self._structural: Dict[str, List[Tuple[Signature, int]]] = {}
         self._group_seq = 0
         self.last_scores: Dict[Signature, float] = {}
         #: Bumped on every engine build and membership change; the
@@ -341,6 +349,7 @@ class PrefixShareManager:
         # them (``MultiPatternEngine._rewire_sharing``).
         state = dict(self.__dict__)
         state["_adaptives"] = {}
+        state["_structural"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -353,15 +362,34 @@ class PrefixShareManager:
             self._signature_counts[signature] = (
                 self._signature_counts.get(signature, 0) + 1
             )
+        self._structural.clear()
 
-    def unregister(self, pattern: Pattern) -> None:
-        for length in shareable_lengths(pattern):
-            signature = prefix_signature(pattern, length)
-            count = self._signature_counts.get(signature, 0) - 1
-            if count > 0:
-                self._signature_counts[signature] = count
-            else:
-                self._signature_counts.pop(signature, None)
+    def _candidates(self, pattern: Pattern) -> List[Tuple[Signature, int]]:
+        """``(signature, length)`` of every prefix of ``pattern`` that at
+        least two registered patterns share structurally and whose event
+        types are disjoint from the suffix's, deepest first.
+
+        These gates depend on the pattern and the registrations only, so
+        they are worked out once per pattern; what :meth:`_choose` adds on
+        top needs statistics.
+        """
+        candidates = self._structural.get(pattern.name)
+        if candidates is None:
+            candidates = []
+            for length in shareable_lengths(pattern):
+                signature = prefix_signature(pattern, length)
+                if self._signature_counts.get(signature, 0) < 2:
+                    continue
+                prefix_types = {
+                    item.event_type.name for item in pattern.positive_items[:length]
+                }
+                suffix_types = {
+                    item.event_type.name for item in pattern.positive_items[length:]
+                }
+                if not prefix_types & suffix_types:
+                    candidates.append((signature, length))
+            self._structural[pattern.name] = candidates
+        return candidates
 
     def attach(self, pattern_name: str, adaptive) -> None:
         """Associate a pattern's adaptive engine for liveness checks."""
@@ -426,19 +454,14 @@ class PrefixShareManager:
         if not isinstance(plan, OrderBasedPlan):
             return None
         pattern = plan.pattern
-        snapshot = collector.snapshot() if collector is not None else None
-        for length in shareable_lengths(pattern):
-            signature = prefix_signature(pattern, length)
-            if self._signature_counts.get(signature, 0) < 2:
-                continue
+        candidates = self._candidates(pattern)
+        if not candidates:
+            return None
+        snapshot = self._snapshot(collector)
+        for signature, length in candidates:
             items = pattern.positive_items[:length]
             prefix_variables = {item.variable for item in items}
             prefix_types = {item.event_type.name for item in items}
-            suffix_types = {
-                item.event_type.name for item in pattern.positive_items[length:]
-            }
-            if prefix_types & suffix_types:
-                continue
             leads = set(plan.order[:length]) == prefix_variables
             evidence = snapshot is not None and any(
                 snapshot.rate_or_default(name, 0.0) > 0.0
@@ -472,6 +495,15 @@ class PrefixShareManager:
             return signature, length, effective
         return None
 
+    def _snapshot(self, collector: Optional[StatisticsCollector]):
+        """The collector's statistics at the hub's clock — the current
+        monitoring tick while the multi-pattern engine adapts, so the
+        snapshot reuses the rates the tick already read from the hub."""
+        if collector is None:
+            return None
+        now = self._hub.last_time
+        return collector.snapshot(None if now == float("-inf") else now)
+
     def wants_resharing(self, plan, active_engine, collector) -> bool:
         """Would building an engine for ``plan`` *now* deepen the sharing
         topology relative to ``active_engine``?
@@ -483,36 +515,22 @@ class PrefixShareManager:
         Only upgrades are reported — an engine already shared at the
         deepest structurally eligible prefix answers ``False`` without
         consulting the cost model, so scores hovering near zero cannot
-        make the topology oscillate every monitoring period.
+        make the topology oscillate every monitoring period.  Neither that
+        answer nor the one for a pattern with no structurally shareable
+        prefix takes a statistics snapshot.
         """
         if not isinstance(plan, OrderBasedPlan):
             return False
+        candidates = self._candidates(plan.pattern)
+        if not candidates:
+            return False
         current = getattr(active_engine, "group_signature", None)
-        if current is not None and self._deepest_structural(plan.pattern) == current:
+        if current == candidates[0][0]:
             return False
         choice = self._choose(plan, collector)
         if choice is None:
             return False
         return choice[0] != current
-
-    def _deepest_structural(self, pattern: Pattern) -> Optional[Signature]:
-        """Deepest prefix signature passing the structural gates (shared by
-        at least two registered patterns, prefix/suffix types disjoint) —
-        the cheap, snapshot-free upper bound on what :meth:`_choose` can
-        pick."""
-        for length in shareable_lengths(pattern):
-            signature = prefix_signature(pattern, length)
-            if self._signature_counts.get(signature, 0) < 2:
-                continue
-            items = pattern.positive_items[:length]
-            prefix_types = {item.event_type.name for item in items}
-            suffix_types = {
-                item.event_type.name for item in pattern.positive_items[length:]
-            }
-            if prefix_types & suffix_types:
-                continue
-            return signature
-        return None
 
     def _create_group(
         self, signature: Signature, pattern: Pattern, length: int

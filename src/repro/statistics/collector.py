@@ -98,19 +98,6 @@ class StatisticsCollector:
             if pattern.conditions.single_variable_conditions(item.variable):
                 self.register_pair(item.variable, item.variable)
 
-    def rate_estimator(self, name: str) -> Optional[SlidingWindowRateEstimator]:
-        """The live rate estimator for an event type, if registered."""
-        return self._rate_estimators.get(name)
-
-    def share_rate(self, name: str, estimator: SlidingWindowRateEstimator) -> None:
-        """Point this collector's rate estimate for ``name`` at a shared estimator.
-
-        Multi-pattern serving feeds every event exactly once into one
-        estimator per event type; each pattern's collector then reads the
-        shared instance instead of double-counting arrivals.
-        """
-        self._rate_estimators[name] = estimator
-
     def selectivity_estimator(
         self, a: str, b: str
     ) -> Optional[SlidingSelectivityEstimator]:
@@ -197,15 +184,20 @@ class StatisticsCollector:
     def snapshot(self, now: Optional[float] = None) -> StatisticsSnapshot:
         """Produce an immutable snapshot of the current estimates."""
         reference = self._last_time if now is None else now
-        rates = {
-            name: estimator.rate(reference)
-            for name, estimator in self._rate_estimators.items()
-        }
         selectivities = {
             key: estimator.selectivity(reference)
             for key, estimator in self._selectivity_estimators.items()
         }
-        return StatisticsSnapshot(rates, selectivities, timestamp=reference)
+        return StatisticsSnapshot(
+            self._rates_at(reference), selectivities, timestamp=reference
+        )
+
+    def _rates_at(self, reference: float) -> Dict[str, float]:
+        """Arrival rates of the tracked types at ``reference``."""
+        return {
+            name: estimator.rate(reference)
+            for name, estimator in self._rate_estimators.items()
+        }
 
     def seed_from_snapshot(self, snapshot: StatisticsSnapshot) -> None:
         """Warm-start estimators from a known snapshot.

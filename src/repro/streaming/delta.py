@@ -94,8 +94,8 @@ def delta_keyed_slots(target: object) -> List[Tuple[str, object, str]]:
             f"{type(target).__name__} does not support incremental snapshots "
             "(no _delta_keyed_state() change-tracking hook)"
         )
-    # A collection reachable under several names (a multi-pattern engine's
-    # per-pattern collectors all read the one shared statistics hub) is
+    # A collection reachable under several names (a shared prefix group's
+    # selectivity estimators, which its members' collectors also hold) is
     # tracked once, under the first name that reaches it.
     slots: List[Tuple[str, object, str]] = []
     seen: set = set()

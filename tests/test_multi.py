@@ -5,7 +5,8 @@ evaluator protocol, match provenance, the cost-model sharing decision
 (including evidence-driven plan reordering) and the headline guarantee:
 N patterns served by one shared pipeline produce per-pattern match sets
 byte-identical to N isolated pipelines — across compile modes and across
-a kill/resume cycle.
+a kill/resume cycle — and the one monitoring tick the engine owns for
+all its patterns.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.experiments.runner import build_dataset, build_workload
 from repro.multi import (
     PatternSet,
     PrefixShareManager,
+    SharedStatisticsCollector,
     SharedStatisticsHub,
     SuffixNFAEngine,
     as_pattern_set,
@@ -39,7 +41,8 @@ from repro.parallel import ParallelCEPEngine
 from repro.patterns import CompositePattern, PatternItem, Pattern, seq
 from repro.patterns.operators import PatternOperator
 from repro.plans import OrderBasedPlan
-from repro.statistics import StatisticsSnapshot
+from repro.statistics import StatisticsCollector, StatisticsSnapshot
+from repro.statistics.sliding_window import SlidingWindowRateEstimator
 from repro.streaming import DeltaTracker, materialize_engine_blob
 from repro.streaming.sinks import match_record
 
@@ -60,6 +63,21 @@ def _family(count=4, size=4, duration=30.0, max_events=1500):
         max_events=config.max_events,
     ).to_list()
     return patterns, events
+
+
+def _tick_times(events, interval=1.0):
+    """The timestamps a monitoring tick fires at: the first event at least
+    ``interval`` after the previous tick (or after the first event)."""
+    ticks = []
+    next_tick = None
+    for event in events:
+        now = event.timestamp
+        if next_tick is None:
+            next_tick = now + interval
+        elif now >= next_tick:
+            ticks.append(now)
+            next_tick = now + interval
+    return ticks
 
 
 def _per_pattern_records(patterns, matches):
@@ -278,6 +296,35 @@ class TestSharingDecision:
         # Already shared at the deepest structural prefix: no oscillation.
         assert not manager.wants_resharing(plan, shared, collector)
 
+    def test_probe_without_shareable_prefix_takes_no_snapshot(self, monkeypatch):
+        hub = SharedStatisticsHub(window=50.0)
+        manager = PrefixShareManager(hub)
+        p1, p2 = self._patterns()
+        lone = Pattern(
+            PatternOperator.SEQUENCE,
+            [PatternItem("a", C), PatternItem("b", D), PatternItem("c", A)],
+            window=10.0, name="lone",
+        )
+        for pattern in (p1, p2, lone):
+            manager.register(pattern)
+        collector = SharedStatisticsCollector(hub)
+        collector.register_pattern(lone)
+        plan = OrderBasedPlan(lone, ("a", "b", "c"))
+        engine = manager(plan, collector)
+        assert not isinstance(engine, SuffixNFAEngine)
+
+        calls = []
+        snapshot = StatisticsCollector.snapshot
+
+        def counted(self, now=None):
+            calls.append(now)
+            return snapshot(self, now)
+
+        monkeypatch.setattr(StatisticsCollector, "snapshot", counted)
+        for _ in range(3):
+            assert not manager.wants_resharing(plan, engine, collector)
+        assert calls == []
+
 
 class TestSharedVsIsolated:
     @pytest.mark.parametrize("compile_mode", ["interpreted", "compiled", "indexed"])
@@ -336,6 +383,90 @@ class TestSharedVsIsolated:
         engine = _shared_engine(patterns, "compiled")
         engine.run(events[:200])
         assert kernels_reused_total() > before
+
+
+class TestMonitoringTick:
+    """The multi-pattern engine owns one monitoring tick for every pattern."""
+
+    def test_patterns_decide_together_on_engine_ticks(self, monkeypatch):
+        patterns, events = _family(count=4)
+        reads = []
+        rate = SlidingWindowRateEstimator.rate
+
+        def counted(self, now=None):
+            reads.append((id(self), now))
+            return rate(self, now)
+
+        monkeypatch.setattr(SlidingWindowRateEstimator, "rate", counted)
+        engine = _shared_engine(patterns)
+        engine.run(events)
+
+        ticks = _tick_times(events)
+        assert len(ticks) > 10
+        replacements = []
+        for adaptive in engine.sub_engines:
+            statistics = adaptive.controller.statistics
+            assert statistics.decisions_evaluated == len(ticks)
+            replacements.extend(record.time for record in statistics.replacements)
+        assert replacements, "no pattern re-planned on this stream"
+        assert set(replacements) <= set(ticks)
+
+        hub = engine.statistics_hub
+        estimators = {id(hub.rate_estimator(name)) for name in hub.tracked_types}
+        per_tick = {(estimator, tick): 0 for estimator in estimators for tick in ticks}
+        for key in reads:
+            if key in per_tick:
+                per_tick[key] += 1
+        assert set(per_tick.values()) == {1}
+
+    def test_tick_survives_full_and_delta_checkpoints(self):
+        patterns, events = _family(count=4)
+        ticks = _tick_times(events)
+        tick_indexes = [
+            index for index, event in enumerate(events) if event.timestamp in ticks
+        ]
+
+        def between_ticks(index):
+            # Cut two events after a tick, with the next tick still ahead.
+            cut = tick_indexes[index] + 2
+            assert cut < tick_indexes[index + 1]
+            return cut
+
+        first, second = between_ticks(3), between_ticks(8)
+
+        def outcome(engine, matches):
+            return (
+                _per_pattern_records(patterns, matches),
+                {a.pattern.name: a.plan_history for a in engine.sub_engines},
+                {
+                    a.pattern.name: (
+                        a.controller.statistics.decisions_evaluated,
+                        [r.time for r in a.controller.statistics.replacements],
+                    )
+                    for a in engine.sub_engines
+                },
+            )
+
+        reference = _shared_engine(patterns)
+        expected = outcome(reference, reference.run(events).matches)
+
+        engine = _shared_engine(patterns)
+        matches = engine.run(events[:first]).matches
+        resumed = restore_engine(snapshot_engine(engine))
+        matches.extend(resumed.run(events[first:]).matches)
+        assert outcome(resumed, matches) == expected
+
+        engine = _shared_engine(patterns)
+        matches = engine.run(events[:first]).matches
+        base = snapshot_engine(engine)
+        tracker = DeltaTracker(engine)
+        tracker.prime(0)
+        matches.extend(engine.run(events[first:second]).matches)
+        frame = tracker.encode_frame(0, 1)
+        assert tracker.last_kind == "delta"
+        resumed = restore_engine(materialize_engine_blob(base, [frame]))
+        matches.extend(resumed.run(events[second:]).matches)
+        assert outcome(resumed, matches) == expected
 
 
 class TestRoutingHygiene:
