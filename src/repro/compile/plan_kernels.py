@@ -241,11 +241,12 @@ class CompiledPlanKernels:
                 if not kernel.fn(event):
                     return False
             return True
+        observe = collector.observe_condition
         satisfied = True
         timestamp = event.timestamp
         for kernel in kernels:
             outcome = kernel.fn(event)
-            collector.observe_condition(variable, variable, timestamp, outcome)
+            observe(variable, variable, timestamp, outcome)
             if not outcome:
                 satisfied = False
         return satisfied
@@ -304,11 +305,12 @@ class CompiledPlanKernels:
                 if not kernel.fn(left_bindings, right_bindings):
                     return False
             return True
+        observe = collector.observe_condition
         satisfied = True
         for kernel in kernels:
             outcome = kernel.fn(left_bindings, right_bindings)
             for a, b in kernel.report_pairs:
-                collector.observe_condition(a, b, now, outcome)
+                observe(a, b, now, outcome)
             if not outcome:
                 satisfied = False
         return satisfied

@@ -73,12 +73,13 @@ class SharedStatisticsHub:
     def observe(self, event: Event) -> None:
         """Count one arrival — called exactly once per event by the
         multi-pattern engine, regardless of how many patterns consume it."""
+        timestamp = event.timestamp
         estimator = self._rates.get(event.type_name)
         if estimator is not None:
-            estimator.observe(event.timestamp)
+            estimator._counter.add(timestamp)
             self._rate_cache = None
-        if event.timestamp > self._last_time:
-            self._last_time = event.timestamp
+        if timestamp > self._last_time:
+            self._last_time = timestamp
 
     def rates(self, reference: float) -> Dict[str, float]:
         """Every type's rate at ``reference``, computed once until the next
@@ -141,4 +142,5 @@ class SharedStatisticsCollector(StatisticsCollector):
 
     def observe_event(self, event: Event) -> None:
         # The hub counted this arrival once for all patterns.
-        self._advance(event.timestamp)
+        if event.timestamp > self._last_time:
+            self._last_time = event.timestamp

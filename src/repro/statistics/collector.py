@@ -127,25 +127,29 @@ class StatisticsCollector:
     # Online updates
     # ------------------------------------------------------------------
     def observe_event(self, event: Event) -> None:
-        """Record the arrival of a primitive event."""
+        """Record the arrival of a primitive event.
+
+        Unregistered types only move the clock: the collector tracks the
+        types relevant to its pattern, mirroring per-pattern statistics.
+        """
+        timestamp = event.timestamp
         estimator = self._rate_estimators.get(event.type_name)
-        if estimator is None:
-            # Unregistered types are ignored: the collector only tracks the
-            # types relevant to its pattern, mirroring per-pattern statistics.
-            self._advance(event.timestamp)
-            return
-        estimator.observe(event.timestamp)
-        self._advance(event.timestamp)
+        if estimator is not None:
+            estimator._counter.add(timestamp)
+        if timestamp > self._last_time:
+            self._last_time = timestamp
 
     def observe_condition(
         self, a: str, b: str, timestamp: float, success: bool
     ) -> None:
-        """Record one evaluation of the condition between variables ``a``/``b``."""
-        key = pair_key(a, b)
-        estimator = self._selectivity_estimators.get(key)
-        if estimator is None:
-            return
-        estimator.observe(timestamp, success)
+        """Record one evaluation of the condition between variables ``a``/``b``.
+
+        ``(a, b)`` must be the canonical pair (:func:`pair_key`): every
+        caller reports the sorted pair, so the report is one lookup.
+        """
+        estimator = self._selectivity_estimators.get((a, b))
+        if estimator is not None:
+            estimator.observe(timestamp, success)
 
     def observe_condition_bulk(
         self,
@@ -159,24 +163,12 @@ class StatisticsCollector:
 
         Used by the indexed hot path: an index probe that pruned a whole
         bucket of candidate pairings reports aggregate counts instead of
-        paying one estimator update per pairing.
+        paying one estimator update per pairing.  ``(a, b)`` is the
+        canonical pair, as for :meth:`observe_condition`.
         """
-        estimator = self._selectivity_estimators.get(pair_key(a, b))
-        if estimator is None:
-            return
-        estimator.observe_many(timestamp, attempts, successes)
-
-    def advance_time(self, timestamp: float) -> None:
-        """Advance all estimators' clocks without new observations."""
-        self._advance(timestamp)
-        for estimator in self._rate_estimators.values():
-            estimator.advance(timestamp)
-        for estimator in self._selectivity_estimators.values():
-            estimator.advance(timestamp)
-
-    def _advance(self, timestamp: float) -> None:
-        if timestamp > self._last_time:
-            self._last_time = timestamp
+        estimator = self._selectivity_estimators.get((a, b))
+        if estimator is not None:
+            estimator.observe_many(timestamp, attempts, successes)
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -198,37 +190,6 @@ class StatisticsCollector:
             name: estimator.rate(reference)
             for name, estimator in self._rate_estimators.items()
         }
-
-    def seed_from_snapshot(self, snapshot: StatisticsSnapshot) -> None:
-        """Warm-start estimators from a known snapshot.
-
-        Injects synthetic observations consistent with the snapshot so the
-        first estimates after start-up are sensible rather than zero.  Used
-        by experiments that pass initial statistics to the engine, matching
-        Algorithm 1's ``in_stat`` argument.
-        """
-        for name in self._rate_estimators:
-            if not snapshot.has_rate(name):
-                continue
-            rate = snapshot.rate(name)
-            estimator = SlidingWindowRateEstimator(self._window, self._num_buckets)
-            count = max(1, int(round(rate * self._window)))
-            if rate > 0:
-                for i in range(count):
-                    estimator.observe(self._last_time - self._window * (1 - (i + 1) / count))
-                estimator.advance(self._last_time)
-            self._rate_estimators[name] = estimator
-        for key in self._selectivity_estimators:
-            selectivity = snapshot.selectivities.get(key)
-            if selectivity is None:
-                continue
-            estimator = SlidingSelectivityEstimator(
-                self._window,
-                self._num_buckets,
-                prior_selectivity=selectivity,
-                prior_weight=16.0,
-            )
-            self._selectivity_estimators[key] = estimator
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

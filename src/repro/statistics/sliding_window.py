@@ -4,10 +4,19 @@ The paper maintains stream statistics with the histogram-based sliding
 window techniques of Datar et al.  We implement the same functionality with
 a bucketed sliding counter: the window is split into a fixed number of time
 buckets, counts are accumulated into the newest bucket and whole buckets
-expire as time advances.  A running total follows the buckets, so updates
-are O(1) amortised, queries O(1) once stale buckets are gone, and the
-relative error is bounded (at most one bucket's worth of events), which is
-the property the adaptation layer relies on.
+expire as time advances, so the relative error is bounded (at most one
+bucket's worth of events), which is the property the adaptation layer
+relies on.
+
+Updates are counted by the bucket, not by the call.  The newest bucket is
+kept *open* outside the run of closed buckets as ``(floor index, amount)``:
+an update that lands in it at or after the clock is one index comparison
+and one addition.  A bucket closes — it is appended to the run, and the
+stale head of the run expires — when an update opens a newer bucket, or
+when a read needs it: ``count``, ``rate`` and the ``_buckets`` property
+(which checkpoints and delta snapshots read) first fold the open bucket in
+and expire at the newest time, so every read sees exactly the run an
+eager counter (append and expire on every update) would hold.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ class BucketedSlidingCounter:
         "_total",
         "_last_time",
         "late_samples",
+        "_open_index",
+        "_open_amount",
     )
 
     def __init__(self, window: float, num_buckets: int = 32):
@@ -48,26 +59,35 @@ class BucketedSlidingCounter:
         self.window = float(window)
         self.num_buckets = int(num_buckets)
         self._bucket_width = self.window / self.num_buckets
-        # Each bucket is [start_time, count]; newest last.  ``_total`` is the
-        # sum of the counts: amounts are integer-valued, so the running sum
-        # is exact whatever the order of additions and removals.
+        # Closed buckets as (start_time, count); newest last.  ``_total`` is
+        # the sum of their counts: amounts are integer-valued, so the running
+        # sum is exact whatever the order of additions and removals.
         self._run: Deque[Tuple[float, float]] = deque()
         self._total = 0.0
         self._last_time: Optional[float] = None
         #: Out-of-order updates absorbed so far (clamped into the newest
         #: bucket rather than rejected).
         self.late_samples = 0
+        # The open (newest) bucket: ``timestamp // width`` of its updates
+        # and their summed amount; ``None`` while every bucket is closed.
+        self._open_index: Optional[float] = None
+        self._open_amount = 0.0
 
     @property
     def _buckets(self) -> Deque[Tuple[float, float]]:
         """The bucket run, under the name checkpoints know it by."""
+        self._fold()
         return self._run
 
     @_buckets.setter
     def _buckets(self, run) -> None:
         # Wholesale replacement: older pickles restore the run under this
         # name, and delta snapshots swap it out (for a sentinel) and back.
+        # A replacement run is the whole count (the getter folded the open
+        # bucket in), so no bucket stays open.
         self._run = run
+        self._open_index = None
+        self._open_amount = 0.0
         self._total = (
             float(sum(count for _start, count in run)) if isinstance(run, deque) else 0.0
         )
@@ -86,32 +106,47 @@ class BucketedSlidingCounter:
         a full window behind still raises :class:`StatisticsError` — at
         that distance it could not contribute to any estimate, and the
         usual cause is a caller bug (e.g. re-running a single-run engine),
-        which should stay loud.
+        which should stay loud.  A regression within ``1e-9`` (float
+        noise) is clamped the same way without counting as late; the clock
+        never goes backwards.
         """
-        if self._last_time is not None and timestamp < self._last_time - 1e-9:
-            if timestamp < self._last_time - self.window:
-                raise StatisticsError(
-                    f"out-of-order update beyond one window: {timestamp} < "
-                    f"last seen {self._last_time} - window {self.window:g} "
-                    "(disordered feeds should be bounded by the event-time "
-                    "ordering stage; engines are single-run)"
-                )
-            self.late_samples += 1
-            timestamp = self._last_time
+        index = timestamp // self._bucket_width
+        if index == self._open_index and timestamp >= self._last_time:
+            self._open_amount += amount
+            self._last_time = timestamp
+            return
+        last = self._last_time
+        if last is not None and timestamp < last:
+            if timestamp < last - 1e-9:
+                if timestamp < last - self.window:
+                    raise StatisticsError(
+                        f"out-of-order update beyond one window: {timestamp} < "
+                        f"last seen {last} - window {self.window:g} "
+                        "(disordered feeds should be bounded by the event-time "
+                        "ordering stage; engines are single-run)"
+                    )
+                self.late_samples += 1
+            timestamp = last
+            index = timestamp // self._bucket_width
+            if index == self._open_index:
+                self._open_amount += amount
+                return
         self._last_time = timestamp
-        bucket_start = self._bucket_start(timestamp)
+        self._fold()
         run = self._run
-        if run and run[-1][0] == bucket_start:
-            run[-1] = (bucket_start, run[-1][1] + amount)
-        else:
-            run.append((bucket_start, amount))
-        self._total += amount
-        self._expire(timestamp)
+        if run and run[-1][0] == index * self._bucket_width:
+            # A read or a restored run closed this bucket; reopen it.
+            count = run.pop()[1]
+            self._total -= count
+            amount = count + amount
+        self._open_index = index
+        self._open_amount = amount
 
     def __setstate__(self, state) -> None:
-        # Engine checkpoints written before `late_samples` existed pickle
-        # this class without that slot; default it so restored counters
-        # clamp late updates instead of dying on an unset attribute.
+        # Engine checkpoints written before `late_samples` or the open
+        # bucket existed pickle this class without those slots; default
+        # them so restored counters clamp late updates instead of dying on
+        # an unset attribute.
         dict_state, slot_state = (
             state if isinstance(state, tuple) else (state, None)
         )
@@ -121,21 +156,39 @@ class BucketedSlidingCounter:
                     setattr(self, key, value)
         if not hasattr(self, "late_samples"):
             self.late_samples = 0
+        if not hasattr(self, "_open_index"):
+            self._open_index = None
+            self._open_amount = 0.0
 
     def advance(self, timestamp: float) -> None:
-        """Advance time without recording an occurrence (expires old buckets)."""
+        """Advance the clock without recording an occurrence.
+
+        Buckets the new time leaves behind expire at the next read or at
+        the next bucket an update opens.
+        """
         if self._last_time is None or timestamp > self._last_time:
             self._last_time = timestamp
-        self._expire(timestamp)
 
     def count(self, now: Optional[float] = None) -> float:
         """Total count within the window ending at ``now`` (default: last seen)."""
-        reference = self._reference_time(now)
+        self._fold()
+        return self._count_at(self._last_time if now is None else now)
+
+    def rate(self, now: Optional[float] = None) -> float:
+        """Occurrences per time unit over the (possibly partially filled) window."""
+        self._fold()
+        reference = self._last_time if now is None else now
+        if reference is None or not self._run:
+            return 0.0
+        elapsed = max(reference - self._run[0][0], self._bucket_width)
+        return self._count_at(reference) / min(elapsed, self.window)
+
+    def _count_at(self, reference: Optional[float]) -> float:
         if reference is None:
             return 0.0
         # The running total minus the buckets already out of this window:
-        # they sit at the head, and there are none when ``now`` is the
-        # newest time seen (``add``/``advance`` expire as they go).
+        # they sit at the head, and there are none when ``reference`` is
+        # the newest time seen (reads expire at it).
         cutoff = reference - self.window
         total = self._total
         for start, count in self._run:
@@ -144,36 +197,25 @@ class BucketedSlidingCounter:
             total -= count
         return total
 
-    def rate(self, now: Optional[float] = None) -> float:
-        """Occurrences per time unit over the (possibly partially filled) window."""
-        reference = self._reference_time(now)
-        if reference is None:
-            return 0.0
-        if not self._run:
-            return 0.0
-        oldest_start = self._run[0][0]
-        elapsed = max(reference - oldest_start, self._bucket_width)
-        effective = min(elapsed, self.window)
-        return self.count(now=reference) / effective
-
-    def _reference_time(self, now: Optional[float]) -> Optional[float]:
-        if now is not None:
-            return now
-        return self._last_time
-
-    def _bucket_start(self, timestamp: float) -> float:
-        return (timestamp // self._bucket_width) * self._bucket_width
-
-    def _expire(self, now: float) -> None:
-        cutoff = now - self.window
-        buckets = self._run
-        while buckets and buckets[0][0] + self._bucket_width <= cutoff:
-            self._total -= buckets.popleft()[1]
+    def _fold(self) -> None:
+        """Close the open bucket and expire at the newest time: the run an
+        eager counter would hold."""
+        run = self._run
+        if self._open_index is not None:
+            run.append((self._open_index * self._bucket_width, self._open_amount))
+            self._total += self._open_amount
+            self._open_index = None
+            self._open_amount = 0.0
+        if self._last_time is not None:
+            cutoff = self._last_time - self.window
+            while run and run[0][0] + self._bucket_width <= cutoff:
+                self._total -= run.popleft()[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"BucketedSlidingCounter(window={self.window:g}, "
-            f"buckets={len(self._run)}/{self.num_buckets})"
+            f"buckets={len(self._run) + (self._open_index is not None)}/"
+            f"{self.num_buckets})"
         )
 
 
@@ -267,11 +309,6 @@ class SlidingSelectivityEstimator:
             self._successes.add(timestamp, successes)
         else:
             self._successes.advance(timestamp)
-
-    def advance(self, timestamp: float) -> None:
-        """Advance time so stale evaluations drop out of the window."""
-        self._attempts.advance(timestamp)
-        self._successes.advance(timestamp)
 
     def selectivity(self, now: Optional[float] = None) -> float:
         """Current estimated selectivity in ``[0, 1]``."""

@@ -3,14 +3,24 @@
 from __future__ import annotations
 
 import math
+import pickle
+import random
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
-from repro.conditions import AndCondition, EqualityCondition
+from repro.conditions import (
+    AndCondition,
+    AttributeComparisonCondition,
+    AttributeThresholdCondition,
+    EqualityCondition,
+)
+from repro.engine import engine_for_plan
 from repro.errors import StatisticsError
 from repro.events import Event, EventType
 from repro.patterns import seq
+from repro.plans import OrderBasedPlan, TreeBasedPlan
 from repro.statistics import (
     BucketedSlidingCounter,
     ConstantValue,
@@ -137,7 +147,7 @@ class TestBucketedSlidingCounter:
 
     def test_unpickle_state_without_late_samples_slot(self):
         """Counters from pre-late_samples engine checkpoints keep working."""
-        from collections import deque
+        from collections import Counter, deque
 
         old = BucketedSlidingCounter.__new__(BucketedSlidingCounter)
         # The slots state an older build would have pickled (no late_samples).
@@ -187,7 +197,7 @@ class TestBucketedSlidingCounter:
 
     def test_replacing_the_buckets_resets_the_total(self):
         """Delta restore swaps the bucket run wholesale (``setattr``)."""
-        from collections import deque
+        from collections import Counter, deque
 
         counter = BucketedSlidingCounter(window=10.0, num_buckets=10)
         counter.add(1.0)
@@ -360,14 +370,327 @@ class TestStatisticsCollector:
         with pytest.raises(StatisticsError):
             StatisticsCollector(window=0.0)
 
-    def test_seed_from_snapshot(self):
-        collector = StatisticsCollector(window=10.0)
-        collector.register_pattern(make_pattern())
-        collector.advance_time(10.0)
-        collector.seed_from_snapshot(
-            StatisticsSnapshot({"A": 4.0, "B": 2.0, "C": 1.0}, {("a", "b"): 0.25})
-        )
-        snapshot = collector.snapshot()
-        assert snapshot.rate("A") > snapshot.rate("C") > 0
-        assert snapshot.selectivity("a", "b") == pytest.approx(0.25, abs=0.05)
 
+# ----------------------------------------------------------------------
+# The open-bucket counter against the eager algorithm it replaced
+# ----------------------------------------------------------------------
+class EagerCounter:
+    """The eager ``BucketedSlidingCounter``: every update appends to (or
+    grows) the newest bucket of the run and expires the stale head.
+
+    The reference the open-bucket counter must equal on every read.  It is
+    the algorithm the open bucket replaced, with one intended difference:
+    its clock never goes backwards (a regression within ``1e-9`` clamps to
+    the clock like a late update, without counting as late).
+    """
+
+    def __init__(self, window, num_buckets=32):
+        self.window = float(window)
+        self.num_buckets = int(num_buckets)
+        self._bucket_width = self.window / self.num_buckets
+        self._run = deque()
+        self._total = 0.0
+        self._last_time = None
+        self.late_samples = 0
+
+    def add(self, timestamp, amount=1.0):
+        if self._last_time is not None and timestamp < self._last_time:
+            if timestamp < self._last_time - 1e-9:
+                if timestamp < self._last_time - self.window:
+                    raise StatisticsError("out-of-order update beyond one window")
+                self.late_samples += 1
+            timestamp = self._last_time
+        self._last_time = timestamp
+        bucket_start = (timestamp // self._bucket_width) * self._bucket_width
+        run = self._run
+        if run and run[-1][0] == bucket_start:
+            run[-1] = (bucket_start, run[-1][1] + amount)
+        else:
+            run.append((bucket_start, amount))
+        self._total += amount
+        self._expire(timestamp)
+
+    def advance(self, timestamp):
+        if self._last_time is None or timestamp > self._last_time:
+            self._last_time = timestamp
+        self._expire(timestamp)
+
+    def count(self, now=None):
+        reference = self._last_time if now is None else now
+        if reference is None:
+            return 0.0
+        cutoff = reference - self.window
+        total = self._total
+        for start, count in self._run:
+            if start + self._bucket_width > cutoff:
+                break
+            total -= count
+        return total
+
+    def rate(self, now=None):
+        reference = self._last_time if now is None else now
+        if reference is None or not self._run:
+            return 0.0
+        elapsed = max(reference - self._run[0][0], self._bucket_width)
+        return self.count(now=reference) / min(elapsed, self.window)
+
+    def _expire(self, now):
+        cutoff = now - self.window
+        while self._run and self._run[0][0] + self._bucket_width <= cutoff:
+            self._total -= self._run.popleft()[1]
+
+
+def _drive_against_eager(seed, steps=1500):
+    """Drive both counters with one seeded operation sequence; every read
+    (and every error) must agree exactly."""
+    rng = random.Random(seed)
+    window = rng.choice([1.0, 4.0, 10.0, 0.7])
+    num_buckets = rng.choice([1, 4, 8, 32])
+    counter = BucketedSlidingCounter(window, num_buckets)
+    eager = EagerCounter(window, num_buckets)
+    width = window / num_buckets
+    clock = rng.uniform(0.0, 50.0)
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.72:
+            kind = rng.choice(
+                ["same", "same", "same", "next", "gap", "late", "late", "noise", "boundary"]
+            )
+            if kind == "same":
+                timestamp = clock + rng.uniform(0.0, width / 4)
+            elif kind == "next":
+                timestamp = clock + width
+            elif kind == "gap":
+                timestamp = clock + rng.choice([0.5, 1.0, 1.5, 3.0]) * window
+            elif kind == "late":
+                timestamp = clock - rng.uniform(0.0, 1.2 * window)
+            elif kind == "noise":
+                timestamp = clock - rng.uniform(1e-12, 9e-10)
+            else:  # the start of the next bucket, then noise just behind it
+                timestamp = (clock // width + 1) * width - rng.choice([0.0, 5e-10])
+            amount = float(rng.choice([1, 1, 1, 2, 7]))
+            outcomes = []
+            for target in (counter, eager):
+                try:
+                    target.add(timestamp, amount)
+                    outcomes.append(None)
+                except StatisticsError:
+                    outcomes.append("error")
+            assert outcomes[0] == outcomes[1], (kind, timestamp)
+            clock = max(clock, timestamp)
+        elif roll < 0.8:
+            timestamp = clock + rng.choice([-0.5, 0.0, 0.1, 1.0, 2.5]) * window
+            counter.advance(timestamp)
+            eager.advance(timestamp)
+            clock = max(clock, timestamp)
+        elif roll < 0.9:
+            for now in (None, clock, clock - 0.3 * window, clock + 0.6 * window, clock + 3 * window):
+                assert counter.count(now) == eager.count(now), now
+                assert counter.rate(now) == eager.rate(now), now
+        elif roll < 0.94:
+            counter = pickle.loads(pickle.dumps(counter))
+        elif roll < 0.97:
+            # A delta snapshot: swap the run out for a sentinel and back,
+            # restored the way a replayed chain restores it.
+            run = counter._buckets
+            counter._buckets = object()
+            counter._buckets = deque(sorted(dict(run).items()))
+        else:
+            assert list(counter._buckets) == list(eager._run)
+        assert counter.late_samples == eager.late_samples
+    assert counter.count() == eager.count()
+    assert counter.rate() == eager.rate()
+    assert list(counter._buckets) == list(eager._run)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_open_bucket_counter_equals_the_eager_algorithm(seed):
+    _drive_against_eager(seed)
+
+
+def test_the_clock_never_goes_backwards():
+    """A regression within the 1e-9 tolerance used to rewind the clock and,
+    at a bucket boundary, append an older bucket behind a newer one."""
+    counter = BucketedSlidingCounter(window=4.0, num_buckets=4)
+    counter.add(5.0)
+    counter.add(5.0 - 5e-10)
+    assert counter._last_time == 5.0
+    assert counter.late_samples == 0
+    assert list(counter._buckets) == [(5.0, 2.0)]
+    counter.advance(4.0)
+    assert counter._last_time == 5.0
+
+
+# ----------------------------------------------------------------------
+# Every condition report names the canonical (sorted) pair
+# ----------------------------------------------------------------------
+class CanonicalPairsOnly(StatisticsCollector):
+    """A collector that refuses a report under an unsorted pair: the
+    report path indexes its estimators with the pair as given."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reports = Counter()
+
+    def observe_condition(self, a, b, timestamp, success):
+        if a > b:
+            raise AssertionError(f"unsorted pair reported: ({a!r}, {b!r})")
+        self.reports["single"] += 1
+        super().observe_condition(a, b, timestamp, success)
+
+    def observe_condition_bulk(self, a, b, timestamp, attempts, successes=0.0):
+        if a > b:
+            raise AssertionError(f"unsorted pair reported in bulk: ({a!r}, {b!r})")
+        self.reports["bulk"] += 1
+        super().observe_condition_bulk(a, b, timestamp, attempts, successes)
+
+
+def _reversed_names_pattern():
+    """SEQ(A z, B y, C x): declaration order is the reverse of sort order,
+    with equi-joins (indexable), a comparison and a local condition."""
+    a, b, c = EventType("A"), EventType("B"), EventType("C")
+    condition = AndCondition(
+        [
+            EqualityCondition("z", "y", "pid"),
+            EqualityCondition("y", "x", "pid"),
+            AttributeComparisonCondition("z", "v", "<", "x", "v"),
+            AttributeThresholdCondition("x", "v", ">", 0.2),
+        ]
+    )
+    return seq([a, b, c], condition=condition, variables=["z", "y", "x"], window=3.0)
+
+
+def _reversed_names_stream(count=600, seed=5):
+    rng = random.Random(seed)
+    types = [EventType("A"), EventType("B"), EventType("C")]
+    events, clock = [], 0.0
+    for number in range(count):
+        clock += rng.choice([0.0, 0.05, 0.1, 0.3])
+        events.append(
+            Event(
+                rng.choice(types),
+                clock,
+                {"pid": rng.randint(0, 5), "v": rng.random()},
+                sequence_number=number,
+            )
+        )
+    return events
+
+
+@pytest.mark.parametrize(
+    "family, compile_mode",
+    [
+        ("nfa", "interpreted"),
+        ("nfa", "compiled"),
+        ("nfa", "indexed"),
+        ("tree", "interpreted"),
+        ("tree", "compiled"),
+        ("tree", "indexed"),
+    ],
+)
+def test_every_condition_report_uses_the_canonical_pair(family, compile_mode):
+    pattern = _reversed_names_pattern()
+    collector = CanonicalPairsOnly(window=15.0)
+    collector.register_pattern(pattern)
+    if family == "nfa":
+        plan = OrderBasedPlan(pattern, ["z", "y", "x"])
+    else:
+        plan = TreeBasedPlan.left_deep(pattern, ["z", "y", "x"])
+    engine = engine_for_plan(plan, collector, compile_mode=compile_mode)
+    matches = 0
+    for event in _reversed_names_stream():
+        collector.observe_event(event)
+        matches += len(engine.process(event))
+    assert matches > 0
+    assert collector.reports["single"] > 0
+    if family == "nfa" and compile_mode == "indexed":
+        assert collector.reports["bulk"] > 0
+    # Every tracked pair saw evidence: no report was dropped by a miss.
+    for a, b in collector.tracked_pairs:
+        assert collector.selectivity_estimator(a, b).attempts() > 0, (a, b)
+
+
+# ----------------------------------------------------------------------
+# Checkpoints taken while a bucket is open
+# ----------------------------------------------------------------------
+def _adaptive_engine():
+    from repro.adaptive import InvariantBasedPolicy
+    from repro.engine import AdaptiveCEPEngine
+    from repro.optimizer import GreedyOrderPlanner
+
+    return AdaptiveCEPEngine(
+        _reversed_names_pattern(),
+        GreedyOrderPlanner(),
+        InvariantBasedPolicy(distance=0.05),
+        monitoring_interval=1.0,
+        compile_mode="indexed",
+    )
+
+
+def _match_digest(matches):
+    return sorted(
+        (
+            match.detection_time,
+            tuple(
+                (variable, event.sequence_number)
+                for variable, event in sorted(match.bindings.items())
+            ),
+        )
+        for match in matches
+    )
+
+
+def _controller_counts(engine):
+    stats = engine.controller.statistics
+    return (
+        stats.decisions_evaluated,
+        stats.reoptimizations_requested,
+        stats.plans_generated,
+        stats.plans_replaced,
+    )
+
+
+def _lands_in_open_bucket(engine, event):
+    """Whether ``event`` lands in the open bucket of its type's rate counter."""
+    counter = engine._collector._rate_estimators[event.type_name]._counter
+    return (
+        counter._open_index is not None
+        and event.timestamp // counter._bucket_width == counter._open_index
+    )
+
+
+@pytest.mark.parametrize("mode", ["full", "delta"])
+def test_checkpoint_mid_bucket_resumes_like_an_uninterrupted_run(mode):
+    from repro.engine.state import restore_engine, snapshot_engine
+    from repro.streaming import DeltaTracker, materialize_engine_blob
+
+    events = _reversed_names_stream(count=1500, seed=8)
+    reference = _adaptive_engine()
+    expected = [m for event in events for m in reference.process(event)]
+
+    engine = _adaptive_engine()
+    served = []
+    for cut, event in enumerate(events):
+        if cut == 200:
+            base = snapshot_engine(engine)
+            tracker = DeltaTracker(engine)
+            tracker.prime(0)
+        if cut >= 700 and _lands_in_open_bucket(engine, event):
+            break
+        served += engine.process(event)
+    assert _lands_in_open_bucket(engine, events[cut])
+    if mode == "full":
+        restored = restore_engine(snapshot_engine(engine))
+    else:
+        restored = restore_engine(materialize_engine_blob(base, [tracker.encode_frame(0, 1)]))
+    tail = events[cut:]
+    live = served + [m for event in tail for m in engine.process(event)]
+    resumed = served + [m for event in tail for m in restored.process(event)]
+
+    assert _controller_counts(reference)[3] > 0  # the run adapted
+    for run, name in ((live, "checkpointed"), (resumed, "restored")):
+        assert _match_digest(run) == _match_digest(expected), name
+    for candidate in (engine, restored):
+        assert _controller_counts(candidate) == _controller_counts(reference)
+        assert candidate.plan_history == reference.plan_history
+        assert candidate._collector.snapshot() == reference._collector.snapshot()
