@@ -92,14 +92,10 @@ class AdaptationController:
         planner: PlanGenerator,
         policy: ReoptimizationPolicy,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
-        min_relative_improvement: float = 0.0,
     ):
-        if min_relative_improvement < 0:
-            raise AdaptationError("min_relative_improvement must be >= 0")
         self._pattern = pattern
         self._planner = planner
         self._policy = policy
-        self._min_relative_improvement = float(min_relative_improvement)
         self._current_result: Optional[PlanGenerationResult] = None
         self.statistics = AdaptationStatistics()
         #: Optional replacement observer ``(AdaptationRecord) -> None``,
@@ -206,13 +202,10 @@ class AdaptationController:
         current_cost = self._current_result.plan.cost(snapshot)
         new_cost = new_result.plan.cost(snapshot)
 
-        required_cost = current_cost * (1.0 - self._min_relative_improvement)
-        if new_result.plan == self._current_result.plan or new_cost >= required_cost:
-            # The freshly generated plan is not a (meaningful) improvement;
-            # keep the current one.  The small improvement margin implements
-            # Algorithm 1's "if new_plan is better than curr_plan" check
-            # robustly against estimator noise, so near-identical plans do
-            # not oscillate with every monitoring period.
+        if new_result.plan == self._current_result.plan or new_cost >= current_cost:
+            # The freshly generated plan is not an improvement (Algorithm
+            # 1's "if new_plan is better than curr_plan" check); keep the
+            # current one.
             return None
 
         # Capture the replacement's motivation before installing the new

@@ -23,13 +23,7 @@ from repro.engine.migration import PlanMigrationManager
 from repro.engine.cep_engine import AdaptiveCEPEngine, RunResult, engine_for_plan
 from repro.engine.multi_pattern import MultiPatternEngine
 from repro.engine.protocol import CEPEngine
-from repro.engine.state import (
-    is_shard_snapshot,
-    restore_engine,
-    restore_shard_states,
-    snapshot_engine,
-    snapshot_shard_states,
-)
+from repro.engine.state import restore_engine, snapshot_engine
 
 __all__ = [
     "CEPEngine",
@@ -46,7 +40,4 @@ __all__ = [
     "engine_for_plan",
     "snapshot_engine",
     "restore_engine",
-    "snapshot_shard_states",
-    "restore_shard_states",
-    "is_shard_snapshot",
 ]

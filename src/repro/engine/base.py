@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set
 
 from repro.compile import CompiledPlanKernels, validate_compile_mode
-from repro.errors import EngineError
 from repro.events import Event
 from repro.engine.match import Match, PartialMatch
 from repro.engine.semantics import local_conditions_hold
@@ -338,11 +337,3 @@ class EvaluationEngine:
             if not sequence_order_respected(self.pattern, others, item.variable, candidate):
                 return False
         return True
-
-
-def require_positive_variable(pattern: Pattern, variable: str) -> PatternItem:
-    """Lookup helper raising :class:`EngineError` for unknown variables."""
-    for item in pattern.positive_items:
-        if item.variable == variable:
-            return item
-    raise EngineError(f"variable {variable!r} is not a positive item of {pattern.name!r}")

@@ -7,7 +7,7 @@ all positive variables (after negation filtering and Kleene expansion).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.events import Event
 
@@ -152,9 +152,6 @@ class PartialMatch:
             return 0.0
         return self.max_timestamp - self.min_timestamp
 
-    def within_window(self, window: float) -> bool:
-        return self.span() <= window
-
     def __repr__(self) -> str:
         parts = []
         for variable, value in self.bindings.items():
@@ -218,8 +215,3 @@ class Match:
     def __repr__(self) -> str:
         variables = ", ".join(sorted(self.bindings))
         return f"Match({self.pattern_name}: {variables} @ {self.detection_time:g})"
-
-
-def primary_events(bindings: Mapping[str, BindingValue]) -> Sequence[Event]:
-    """The single-event bindings of a match (excluding Kleene lists)."""
-    return [value for value in bindings.values() if isinstance(value, Event)]

@@ -161,13 +161,6 @@ class MultiPatternEngine:
     def statistics_hub(self) -> SharedStatisticsHub:
         return self._hub
 
-    def engine_for(self, pattern_id: str) -> AdaptiveCEPEngine:
-        """The per-pattern adaptive engine registered under ``pattern_id``."""
-        try:
-            return self._adaptives[pattern_id]
-        except KeyError:
-            raise EngineError(f"no engine for pattern id {pattern_id!r}") from None
-
     def reoptimization_count(self) -> int:
         return sum(engine.reoptimization_count() for engine in self._adaptives.values())
 

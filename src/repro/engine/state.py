@@ -13,13 +13,18 @@ resumes whenever a component grows a new field), snapshots serialize the
 engine object graph wholesale with :mod:`pickle`.  Every component shipped
 with the library is picklable — the process worker backend ships its shard
 replicas the same way — and the same caveat applies: user-supplied
-conditions must be module-level classes or functions, not closures.
+conditions must be module-level classes or functions, not closures.  Every
+backend checkpoints its engine as one engine frame: a worker backend
+folds its workers' replicas back into the
+:class:`~repro.parallel.ParallelCEPEngine` it hosts and snapshots that, so
+a checkpoint resumes under either backend.
 
 Every blob is framed as ``magic + one version byte [+ CRC32] + pickled
 payload`` so that a checkpoint written by an incompatible library version
-fails loudly instead of unpickling garbage state.  Four frame kinds share
-that one layout (:func:`_frame` / :func:`_unframe`); a kind's version is
-bumped whenever its payload layout changes incompatibly.
+fails loudly instead of unpickling garbage state.  Three frame kinds —
+engine, ordering and delta — share that one layout (:func:`_frame` /
+:func:`_unframe`); a kind's version is bumped whenever its payload layout
+changes incompatibly.
 """
 
 from __future__ import annotations
@@ -27,18 +32,13 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict
 
 from repro.errors import CheckpointError
 
 #: One engine's whole object graph — :func:`snapshot_engine`.
 SNAPSHOT_MAGIC = b"repro-engine-state"
 SNAPSHOT_VERSION = 1
-
-#: One engine blob per worker replica plus coordinator metadata —
-#: :func:`snapshot_shard_states`.
-SHARD_SNAPSHOT_MAGIC = b"repro-shard-states"
-SHARD_SNAPSHOT_VERSION = 1
 
 #: The reorder buffer plus staged events — :func:`snapshot_ordering_state`.
 ORDERING_SNAPSHOT_MAGIC = b"repro-ordering-state"
@@ -98,18 +98,6 @@ def _has_magic(blob: bytes, magic: bytes) -> bool:
     return isinstance(blob, (bytes, bytearray)) and blob.startswith(magic)
 
 
-def _pair(kind: str, payload: Any, first: type, second: type) -> Tuple[Any, Any]:
-    """The ``(first, second)`` payload of the shard frame."""
-    if not (
-        isinstance(payload, tuple)
-        and len(payload) == 2
-        and isinstance(payload[0], first)
-        and isinstance(payload[1], second)
-    ):
-        raise CheckpointError(f"{kind} snapshot decoded to an unexpected layout")
-    return payload
-
-
 def _require_engine(engine: object, complaint: str) -> None:
     if not callable(getattr(engine, "process", None)):
         raise CheckpointError(
@@ -140,44 +128,6 @@ def restore_engine(blob: bytes) -> object:
     engine = _unframe("engine", SNAPSHOT_MAGIC, SNAPSHOT_VERSION, blob)
     _require_engine(engine, "snapshot decoded to")
     return engine
-
-
-def is_shard_snapshot(blob: bytes) -> bool:
-    """Whether ``blob`` is a :func:`snapshot_shard_states` frame."""
-    return _has_magic(blob, SHARD_SNAPSHOT_MAGIC)
-
-
-def snapshot_shard_states(
-    shard_blobs: Sequence[bytes], meta: Optional[Dict[str, Any]] = None
-) -> bytes:
-    """Frame per-shard engine blobs (plus coordinator metadata) into one blob.
-
-    The multi-core streaming backends checkpoint one engine replica per
-    worker; a consistent cut is the *set* of replica snapshots taken at a
-    queue barrier, together with the coordinator state that routes events
-    and deduplicates matches (partitioner, dedup filter, queue high-water
-    marks).  Each entry of ``shard_blobs`` must itself be a
-    :func:`snapshot_engine` frame, so a shard can be restored individually
-    with :func:`restore_engine`.
-    """
-    blobs = [bytes(blob) for blob in shard_blobs]
-    if not blobs:
-        raise CheckpointError("a shard snapshot needs at least one shard blob")
-    for index, blob in enumerate(blobs):
-        if not blob.startswith(SNAPSHOT_MAGIC):
-            raise CheckpointError(
-                f"shard {index} blob is not a snapshot_engine() frame"
-            )
-    body = _dumps(
-        (blobs, dict(meta or {})), "shard snapshot metadata is not picklable"
-    )
-    return _frame(SHARD_SNAPSHOT_MAGIC, SHARD_SNAPSHOT_VERSION, body)
-
-
-def restore_shard_states(blob: bytes) -> Tuple[List[bytes], Dict[str, Any]]:
-    """Unframe a :func:`snapshot_shard_states` blob → ``(shard_blobs, meta)``."""
-    payload = _unframe("shard", SHARD_SNAPSHOT_MAGIC, SHARD_SNAPSHOT_VERSION, blob)
-    return _pair("shard", payload, list, dict)
 
 
 def is_ordering_snapshot(blob: bytes) -> bool:
@@ -230,7 +180,7 @@ def snapshot_delta_state(payload: Dict[str, Any]) -> bytes:
     ``payload`` is the per-epoch delta produced by
     :class:`repro.streaming.delta.DeltaTracker`: a ``streams`` map of
     per-stream skeleton blobs and keyed-collection diffs, the epoch lineage
-    (``epoch`` / ``since_epoch``) and optional coordinator metadata.  The
+    (``epoch`` / ``since_epoch``) and an unused ``meta`` entry.  The
     CRC covers the pickled payload, so a torn append-only delta file fails
     loudly on restore (and the chain falls back to its longest intact
     prefix) instead of unpickling garbage state.

@@ -69,9 +69,6 @@ class MethodComparisonResult:
     def rows_for_method(self, method: str) -> List[Dict[str, float]]:
         return [row for row in self.rows if row["method"] == method]
 
-    def rows_for_size(self, size: int) -> List[Dict[str, float]]:
-        return [row for row in self.rows if row["size"] == size]
-
     def throughput(self, method: str, size: int) -> float:
         for row in self.rows:
             if row["method"] == method and row["size"] == size:

@@ -269,10 +269,6 @@ class MetricsRegistry:
         with self._lock:
             self._pipelines[name] = metrics
 
-    def unregister_pipeline(self, name: str = "pipeline") -> None:
-        with self._lock:
-            self._pipelines.pop(name, None)
-
     def register_gauge(
         self,
         name: str,
@@ -296,10 +292,6 @@ class MetricsRegistry:
         """
         with self._lock:
             self._samplers[name] = sampler
-
-    def unregister_sampler(self, name: str) -> None:
-        with self._lock:
-            self._samplers.pop(name, None)
 
     def register_engine_introspection(
         self, introspection: Callable[[], dict], name: str = "pipeline"

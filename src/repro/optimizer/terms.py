@@ -146,10 +146,3 @@ class SumExpression(StatExpression):
 
     def describe(self) -> str:
         return " + ".join(term.describe() for term in self.terms)
-
-
-def product_of(*factors: StatExpression) -> StatExpression:
-    """Convenience constructor returning a single factor unchanged."""
-    if len(factors) == 1:
-        return factors[0]
-    return ProductExpression(factors)

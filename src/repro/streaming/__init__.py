@@ -38,9 +38,9 @@ The building blocks:
   :data:`~repro.streaming.pipeline.CHECKPOINT_FULL_EVERY` checkpoints and
   CRC-framed append-only deltas of only the changed state between
   (``--checkpoint-mode delta`` on the CLI); the execution backend owns the
-  :class:`~repro.streaming.delta.DeltaTracker` that diffs its engine,
-  restore replays base + deltas, and worker backends ship per-shard deltas
-  through the snapshot barrier;
+  :class:`~repro.streaming.delta.DeltaTracker` that diffs its engine
+  (a worker backend's is the engine its workers' replicas fold back into)
+  and restore replays base + deltas;
 * **the network data plane** (:mod:`~repro.streaming.net`) — HTTP event
   ingestion into a bounded source the pipeline pulls (a full source
   answers 429) and acked webhook match delivery (idempotency keys, retry

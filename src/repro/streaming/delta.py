@@ -28,9 +28,12 @@ taken at the object level:
   inserted/updated/deleted map entries.
 
 The remembered copies live in a :class:`DeltaTracker`, and the tracker
-belongs to whatever hosts the tracked object — the execution backend
-creates one when it cuts a base and drops it when it restores — so the
-engines themselves carry no delta API and no tracking state.
+belongs to the execution backend hosting the engine: it creates one when
+it cuts a base and drops it when it restores, so the engines themselves
+carry no delta API and no tracking state.  A worker backend tracks the
+:class:`~repro.parallel.ParallelCEPEngine` it folds its workers' replicas
+back into, so worker processes hold no tracker and both backends write the
+same frames.
 
 Replaying a chain — the base snapshot's collections plus every delta in
 epoch order, injected into the newest delta's skeleton — rebuilds the
@@ -49,13 +52,10 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.state import (
-    is_shard_snapshot,
     restore_delta_state,
     restore_engine,
-    restore_shard_states,
     snapshot_delta_state,
     snapshot_engine,
-    snapshot_shard_states,
 )
 from repro.errors import CheckpointError
 
@@ -110,11 +110,6 @@ def delta_keyed_slots(target: object) -> List[Tuple[str, object, str]]:
             f"{sorted(names)}"
         )
     return slots
-
-
-def supports_delta(target: object) -> bool:
-    """Whether ``target`` implements the change-tracking hook."""
-    return callable(getattr(target, "_delta_keyed_state", None))
 
 
 def frozen_roots(target: object) -> List[object]:
@@ -341,10 +336,11 @@ class DeltaTracker:
     snapshots: :meth:`prime` remembers the keyed-collection contents at a
     base epoch, and every :meth:`encode_payload` call ships the diff since
     the previous epoch and advances the remembered state.  Trackers live
-    *outside* the tracked object, owned by whatever hosts it — the inline
-    backend for its engine, the worker process for its shard replica, the
-    process coordinator for the dedup filter — so full snapshots of the
-    object never carry tracking state.
+    *outside* the tracked object, owned by the execution backend hosting
+    it (a worker backend tracks its template
+    :class:`~repro.parallel.ParallelCEPEngine`, whose slots cover every
+    shard replica and the deduplicator), so full snapshots of the object
+    never carry tracking state.
     """
 
     def __init__(self, target: object):
@@ -408,14 +404,16 @@ class DeltaTracker:
         self.epoch = int(epoch)
         return payload
 
-    def encode_frame(
-        self, since_epoch: Optional[int], epoch: int, stream: str = "engine"
-    ) -> bytes:
-        """A framed single-stream delta of the tracked object."""
+    def encode_frame(self, since_epoch: Optional[int], epoch: int) -> bytes:
+        """A framed delta of the tracked object (its one ``engine`` stream).
+
+        The ``streams`` map and the empty ``meta`` entry keep the layout
+        every stored delta frame has.
+        """
         payload = self.encode_payload(since_epoch, epoch)
         return snapshot_delta_state(
             {
-                "streams": {stream: payload},
+                "streams": {"engine": payload},
                 "meta": None,
                 "epoch": int(epoch),
                 "since_epoch": since_epoch,
@@ -426,136 +424,40 @@ class DeltaTracker:
 # ----------------------------------------------------------------------
 # Chain replay (the checkpoint store's restore path)
 # ----------------------------------------------------------------------
-class DeltaChainMaterializer:
-    """Replays ``base + deltas`` back into a full engine-state blob."""
-
-    def __init__(self) -> None:
-        self._streams: Dict[str, Dict[str, Any]] = {}
-        self._meta_blob: Optional[bytes] = None
-
-    def seed(self, stream: str, target: object) -> None:
-        """Adopt a restored base object's collections as the chain start.
-
-        The restored base graph has exactly the aliasing of the live engine
-        the tracker primed on (pickle preserves identity within one blob),
-        so enumerating its frozen roots yields the same token numbering the
-        deltas' skeletons were encoded with.
-        """
-        _skeleton, collections = extract_keyed_state(target)
-        self._streams[stream] = {
-            "collections": {
-                name: _copy_collection(value) for name, value in collections.items()
-            },
-            "kinds": {
-                name: _collection_kind(value) for name, value in collections.items()
-            },
-            "skeleton": None,
-            "cold_objects": frozen_roots(target),
-            "cold": False,
-        }
-
-    def apply_frame(self, frame: bytes) -> Dict[str, Any]:
-        payload = restore_delta_state(frame)
-        for stream, stream_payload in payload["streams"].items():
-            self._apply_stream(stream, stream_payload)
-        meta_blob = payload.get("meta")
-        if meta_blob is not None:
-            self._meta_blob = meta_blob
-        return payload
-
-    def _apply_stream(self, stream: str, payload: Dict[str, Any]) -> None:
-        entry = self._streams.setdefault(
-            stream,
-            {
-                "collections": {},
-                "kinds": {},
-                "skeleton": None,
-                "cold_objects": [],
-                "cold": False,
-            },
-        )
-        if payload.get("kind") == "base":
-            entry["collections"] = {}
-        previous = entry["collections"]
-        updated: Dict[str, Any] = {}
-        kinds: Dict[str, str] = {}
-        for name, collection_entry in payload["collections"].items():
-            updated[name] = _apply_collection(collection_entry, previous.get(name))
-            kinds[name] = collection_entry["kind"]
-        # Names absent from this epoch (e.g. a drained migration engine)
-        # are dropped — the skeleton no longer has a slot for them.
-        entry["collections"] = updated
-        entry["kinds"] = kinds
-        entry["skeleton"] = payload["skeleton"]
-        entry["cold"] = bool(payload.get("cold"))
-
-    def materialize(self, stream: str) -> object:
-        entry = self._streams.get(stream)
-        if entry is None or entry["skeleton"] is None:
-            raise CheckpointError(
-                f"delta chain holds no skeleton for stream {stream!r}"
-            )
-        cold_objects = entry["cold_objects"] if entry["cold"] else None
-        if entry["cold"] and not cold_objects:
-            raise CheckpointError(
-                f"delta chain for stream {stream!r} references cold objects "
-                "but its base provided none"
-            )
-        return inject_keyed_state(
-            entry["skeleton"], entry["collections"], cold_objects, entry["kinds"]
-        )
-
-    @property
-    def streams(self) -> List[str]:
-        return sorted(self._streams)
-
-    @property
-    def meta_blob(self) -> Optional[bytes]:
-        return self._meta_blob
-
-
 def materialize_engine_blob(base_engine_blob: bytes, frames: List[bytes]) -> bytes:
     """Fold a base engine blob plus chained delta frames into a full blob.
 
-    The result is a plain :func:`~repro.engine.state.snapshot_engine` (or
-    :func:`~repro.engine.state.snapshot_shard_states`) frame — exactly what
-    an execution backend's ``restore()`` already understands, so resuming
-    from a delta chain needs no new restore paths downstream.
+    The base's collections are the chain start; every frame's diffs apply
+    in epoch order and the newest frame's skeleton receives the result.
+    The restored base graph has exactly the aliasing of the live engine
+    the tracker primed on (pickle preserves identity within one blob), so
+    enumerating its frozen roots yields the same token numbering the
+    deltas' skeletons were encoded with.  The result is a plain
+    :func:`~repro.engine.state.snapshot_engine` frame — exactly what an
+    execution backend's ``restore()`` already understands.
     """
     if not frames:
         return base_engine_blob
-    materializer = DeltaChainMaterializer()
-    if is_shard_snapshot(base_engine_blob):
-        shard_blobs, meta = restore_shard_states(base_engine_blob)
-        for shard_id, shard_blob in enumerate(shard_blobs):
-            materializer.seed(f"shard:{shard_id}", restore_engine(shard_blob))
-        dedup = meta.get("dedup")
-        if dedup is not None and supports_delta(dedup):
-            materializer.seed("dedup", dedup)
-        num_shards: Optional[int] = len(shard_blobs)
-        base_meta: Optional[Dict[str, Any]] = meta
-    else:
-        materializer.seed("engine", restore_engine(base_engine_blob))
-        num_shards = None
-        base_meta = None
+    base = restore_engine(base_engine_blob)
+    cold_objects = frozen_roots(base)
+    _skeleton, live = extract_keyed_state(base)
+    collections = {name: _copy_collection(value) for name, value in live.items()}
     for frame in frames:
-        materializer.apply_frame(frame)
-    shard_streams = [s for s in materializer.streams if s.startswith("shard:")]
-    if not shard_streams:
-        return snapshot_engine(materializer.materialize("engine"))
-    if num_shards is None:
-        num_shards = len(shard_streams)
-    blobs = [
-        snapshot_engine(materializer.materialize(f"shard:{shard_id}"))
-        for shard_id in range(num_shards)
-    ]
-    if materializer.meta_blob is not None:
-        try:
-            meta = pickle.loads(materializer.meta_blob)
-        except Exception as exc:
-            raise CheckpointError(f"corrupt delta coordinator meta: {exc}") from exc
-    else:
-        meta = dict(base_meta or {})
-    if "dedup" in materializer.streams:
-        meta["dedup"] = materializer.materialize("dedup")
-    return snapshot_shard_states(blobs, meta)
+        stream = restore_delta_state(frame)["streams"].get("engine")
+        if stream is None:
+            raise CheckpointError("delta frame holds no engine stream")
+        previous = {} if stream["kind"] == "base" else collections
+        # Names absent from this epoch (e.g. a drained migration engine)
+        # are dropped — the skeleton no longer has a slot for them.
+        collections = {
+            name: _apply_collection(entry, previous.get(name))
+            for name, entry in stream["collections"].items()
+        }
+    kinds = {name: entry["kind"] for name, entry in stream["collections"].items()}
+    engine = inject_keyed_state(
+        stream["skeleton"],
+        collections,
+        cold_objects if stream["cold"] else None,
+        kinds,
+    )
+    return snapshot_engine(engine)

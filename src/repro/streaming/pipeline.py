@@ -52,7 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine import Match
 from repro.engine.state import restore_ordering_state, snapshot_ordering_state
@@ -76,6 +76,10 @@ CHECKPOINT_FULL_EVERY = 8
 
 #: Valid ``checkpoint_mode`` values.
 CHECKPOINT_MODES = ("full", "delta")
+
+#: Seconds an introspection request from another thread waits for the run
+#: loop of a worker-backend pipeline to reach a batch boundary.
+FRAME_WAIT_SECONDS = 5.0
 
 
 @dataclass
@@ -137,9 +141,9 @@ class StreamingPipeline:
         append-only incremental deltas between consecutive full base
         snapshots — each delta only the state changed since the previous
         epoch (see :mod:`repro.streaming.delta`) — which keeps
-        high-cadence checkpointing cheap and shrinks worker-barrier
-        hand-offs from O(total state) to O(changed state).  Either mode
-        resumes from a store written by the other.
+        high-cadence checkpoint files small.  Either mode resumes from a
+        store written by the other, and either backend from a store
+        written by the other backend.
     ordering:
         Event-time out-of-order tolerance: a
         :class:`~repro.streaming.ordering.ReorderBuffer` in front of the
@@ -227,6 +231,10 @@ class StreamingPipeline:
         # Manual checkpoint requests (control-plane POST /checkpoint): the
         # run loop performs the cut between batches and sets the events.
         self._manual_requests: "deque[threading.Event]" = deque()
+        # Introspection requests (GET /engine, /metrics) on a running worker
+        # backend: the run loop takes the frame between batches, puts it in
+        # the request's reply dict and sets its event.
+        self._frame_requests: "deque[Tuple[threading.Event, dict]]" = deque()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -278,9 +286,22 @@ class StreamingPipeline:
 
         Delegates to the execution backend, which merges per-shard frames
         for worker backends; see :mod:`repro.obs.introspect` and the
-        control plane's ``/engine`` endpoint.
+        control plane's ``/engine`` endpoint.  A worker backend refreshes
+        its replicas through the hand-off queues that ``submit`` feeds, so
+        while such a pipeline runs the frame is taken by the run loop
+        between batches — like a manual checkpoint — and this call waits
+        up to :data:`FRAME_WAIT_SECONDS` for it.
         """
-        return self._backend.engine_introspection()
+        if not self._running or isinstance(self._backend, InlineBackend):
+            return self._backend.engine_introspection()
+        done, reply = threading.Event(), {}
+        self._frame_requests.append((done, reply))
+        if not done.wait(FRAME_WAIT_SECONDS) or "frame" not in reply:
+            raise StreamingError(
+                "the run loop took no introspection frame (it is blocked on "
+                "its source or has stopped)"
+            )
+        return reply["frame"]
 
     def _sample_partial_matches(self) -> None:
         """Record the live partial-match population into the metrics.
@@ -766,6 +787,8 @@ class StreamingPipeline:
                 # cadence-triggered checkpoint uses.
                 if self._manual_requests:
                     self._service_manual_checkpoints()
+                if self._frame_requests:
+                    self._service_frame_requests()
 
                 # Fill phase: stage a chunk of events from the source.  The
                 # chunk bounds how far the source can run ahead of the
@@ -836,6 +859,8 @@ class StreamingPipeline:
                 self._late_emitter.flush()
             while self._manual_requests:
                 self._manual_requests.popleft().set()
+            while self._frame_requests:
+                self._frame_requests.popleft()[0].set()
 
     def _service_manual_checkpoints(self) -> None:
         """Perform one cut for every pending ``request_checkpoint`` call."""
@@ -847,6 +872,16 @@ class StreamingPipeline:
         # One cut satisfies every request queued up to this boundary.
         self._write_checkpoint(reason="manual")
         for done in pending:
+            done.set()
+
+    def _service_frame_requests(self) -> None:
+        """Take one introspection frame for every pending request."""
+        pending = []
+        while self._frame_requests:
+            pending.append(self._frame_requests.popleft())
+        frame = self._backend.engine_introspection()
+        for done, reply in pending:
+            reply["frame"] = frame
             done.set()
 
     def __repr__(self) -> str:

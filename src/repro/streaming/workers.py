@@ -31,6 +31,9 @@ the same input (the property ``tests/test_equivalence.py`` enforces):
   state (partitioner) and the deduplication filter all agree on exactly
   which events have been processed.  That is what preserves the
   pipeline's kill/resume zero-loss guarantee across worker processes.
+  Both backends write the cut as one
+  :func:`~repro.engine.state.snapshot_engine` frame of the hosted engine,
+  so either resumes the other's checkpoints.
 
 Shard outputs travel back on one unbounded output queue consumed by a
 **merger thread**, which applies the window-bounded
@@ -55,7 +58,6 @@ arrival-order feed clock (which disorder would otherwise let run ahead).
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import threading
 import time
 import traceback
@@ -63,24 +65,12 @@ from queue import Empty, Full
 from typing import Dict, List, Optional
 
 from repro.engine import Match
-from repro.engine.state import (
-    is_shard_snapshot,
-    restore_delta_state,
-    restore_engine,
-    restore_shard_states,
-    snapshot_delta_state,
-    snapshot_engine,
-    snapshot_shard_states,
-)
+from repro.engine.state import restore_engine, snapshot_engine
 from repro.errors import CheckpointError, StreamingError
 from repro.streaming.delta import DeltaTracker
 from repro.events import Event
 from repro.metrics import PipelineMetrics
-from repro.parallel import (
-    UNBOUNDED_DEDUP_WINDOW,
-    ParallelCEPEngine,
-    StreamingMatchDeduplicator,
-)
+from repro.parallel import ParallelCEPEngine, StreamingMatchDeduplicator
 
 #: Events per hand-off batch (amortises queue/pickle overhead per event).
 FEED_BATCH = 32
@@ -157,10 +147,9 @@ class ExecutionBackend:
     def snapshot_base(self, epoch: int) -> bytes:
         """A full snapshot that also anchors delta epoch ``epoch``.
 
-        Like :meth:`snapshot`, but every delta tracker the backend owns
-        (its engine's, or worker-side for shard replicas and
-        coordinator-side for the dedup filter) remembers this state as the
-        base the next :meth:`snapshot_delta` diffs against.
+        Like :meth:`snapshot`, but the backend's delta tracker remembers
+        this state as the base the next :meth:`snapshot_delta` diffs
+        against.
         """
         raise StreamingError(
             f"{type(self).__name__} does not support incremental checkpoints"
@@ -176,6 +165,25 @@ class ExecutionBackend:
         raise StreamingError(
             f"{type(self).__name__} does not support incremental checkpoints"
         )
+
+    #: Change tracking for incremental checkpoints over the hosted engine:
+    #: created when a base is cut, dropped when a restore replaces the engine.
+    _tracker: Optional[DeltaTracker] = None
+
+    def _base_frame(self, engine, epoch: int) -> bytes:
+        blob = snapshot_engine(engine)
+        self._tracker = DeltaTracker(engine)
+        self._tracker.prime(epoch)
+        self._note_cut(None)
+        return blob
+
+    def _delta_frame(self, engine, since_epoch: int, epoch: int) -> bytes:
+        if self._tracker is None:
+            # Never primed: the frame degrades to a self-contained base.
+            self._tracker = DeltaTracker(engine)
+        frame = self._tracker.encode_frame(since_epoch, epoch)
+        self._note_cut(self._tracker.last_kind)
+        return frame
 
     def restore(self, blob: bytes) -> None:
         """Apply a :meth:`snapshot` blob (before the backend is started)."""
@@ -210,9 +218,6 @@ class InlineBackend(ExecutionBackend):
             )
         self._engine = engine
         self._ready: List[Match] = []
-        # Change tracking for incremental checkpoints: created when a base
-        # is cut, dropped when a restore replaces the engine.
-        self._tracker: Optional[DeltaTracker] = None
 
     @property
     def engine(self):
@@ -232,27 +237,12 @@ class InlineBackend(ExecutionBackend):
         return snapshot_engine(self._engine)
 
     def snapshot_base(self, epoch: int) -> bytes:
-        blob = snapshot_engine(self._engine)
-        self._tracker = DeltaTracker(self._engine)
-        self._tracker.prime(epoch)
-        self._note_cut(None)
-        return blob
+        return self._base_frame(self._engine, epoch)
 
     def snapshot_delta(self, since_epoch: int, epoch: int) -> bytes:
-        if self._tracker is None:
-            # Never primed: the frame degrades to a self-contained base.
-            self._tracker = DeltaTracker(self._engine)
-        frame = self._tracker.encode_frame(since_epoch, epoch)
-        self._note_cut(self._tracker.last_kind)
-        return frame
+        return self._delta_frame(self._engine, since_epoch, epoch)
 
     def restore(self, blob: bytes) -> None:
-        if is_shard_snapshot(blob):
-            raise CheckpointError(
-                "this checkpoint was written by a worker backend; resume it "
-                "with ProcessWorkerBackend (--backend process) or clear the "
-                "checkpoint store"
-            )
         self._engine = restore_engine(blob)
         self._tracker = None
 
@@ -265,17 +255,14 @@ class InlineBackend(ExecutionBackend):
 # ----------------------------------------------------------------------
 # Input-queue messages  (pipeline → worker):
 #   ("events", (event, ...))      process a partitioned batch
-#   ("mark", token)               barrier: echo the token back when reached
-#   ("snapshot", token, mode)     reply with a state blob; mode is None for
-#                                 a plain full snapshot, ("base", epoch) to
-#                                 also prime the worker's delta tracker, or
-#                                 ("delta", since_epoch, epoch) for a framed
-#                                 incremental snapshot (changed state only)
+#   ("mark", token)               barrier: reply once every earlier batch
+#                                 has been processed
+#   ("snapshot", token)           the same barrier, replying with the
+#                                 replica's snapshot_engine() blob
 #   ("stop",)                     reply ("stopped", ...) and exit
 # Output-queue messages (worker → merger):
 #   ("matches", shard_id, last_ts, (match, ...), n_events, seconds)
-#   ("mark", shard_id, token)
-#   ("snapshot", shard_id, token, blob)
+#   ("reply", shard_id, token, blob_or_None)
 #   ("stopped", shard_id, final_blob)
 #   ("error", shard_id, traceback_text)
 def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
@@ -286,13 +273,9 @@ def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
     the replica keeps its partial matches and adaptation state for the
     next batch.  Events arrive in non-decreasing timestamp order (a
     pipeline over a disordered source restores the order upstream with
-    its :mod:`~repro.streaming.ordering` stage).  For incremental
-    checkpoints the worker owns its shard's
-    :class:`~repro.streaming.delta.DeltaTracker`, so only the changed
-    state crosses the output queue at a delta barrier.
+    its :mod:`~repro.streaming.ordering` stage).
     """
     process = engine.process
-    tracker: Optional[DeltaTracker] = None
     try:
         while True:
             message = in_queue.get()
@@ -309,25 +292,9 @@ def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
                     ("matches", shard_id, last_ts, tuple(matches), len(events), elapsed)
                 )
             elif kind == "mark":
-                out_queue.put(("mark", shard_id, message[1]))
+                out_queue.put(("reply", shard_id, message[1], None))
             elif kind == "snapshot":
-                token, mode = message[1], message[2]
-                if mode is None:
-                    blob = snapshot_engine(engine)
-                elif mode[0] == "base":
-                    blob = snapshot_engine(engine)
-                    if tracker is None:
-                        tracker = DeltaTracker(engine)
-                    tracker.prime(mode[1])
-                elif mode[0] == "delta":
-                    if tracker is None:
-                        # Never primed (e.g. a restarted worker): the frame
-                        # degrades to a self-contained base for this shard.
-                        tracker = DeltaTracker(engine)
-                    blob = tracker.encode_frame(mode[1], mode[2])
-                else:  # pragma: no cover - protocol misuse
-                    raise StreamingError(f"unknown snapshot mode {mode!r}")
-                out_queue.put(("snapshot", shard_id, token, blob))
+                out_queue.put(("reply", shard_id, message[1], snapshot_engine(engine)))
             elif kind == "stop":
                 out_queue.put(("stopped", shard_id, snapshot_engine(engine)))
                 return
@@ -352,7 +319,13 @@ class ProcessWorkerBackend(ExecutionBackend):
 
     The coordinator side — hand-off batching, routing, the merger thread,
     barriers and snapshots — runs in the pipeline's process; each worker
-    runs :func:`_worker_loop` over its own copy of one replica.
+    runs :func:`_worker_loop` over its own copy of one replica.  The
+    hosted :class:`~repro.parallel.ParallelCEPEngine` is the one copy of
+    everything else: its partitioner routes, its streaming deduplicator
+    filters the merged matches, and a checkpoint cut folds the workers'
+    replicas back into it and snapshots it as one engine frame — the same
+    frame an inline backend writes for the same engine, so a checkpoint
+    resumes under either backend.
     """
 
     name = "process"
@@ -367,13 +340,7 @@ class ProcessWorkerBackend(ExecutionBackend):
             )
         self._context = multiprocessing.get_context()
         self._template = engine
-        self._engines = [shard.engine for shard in engine.sharded_engine.shards]
-        self._partitioner = engine.partitioner
         self._num_shards = engine.num_shards
-        window = engine.pattern.window
-        self._dedup = StreamingMatchDeduplicator(
-            window=window if window != float("inf") else UNBOUNDED_DEDUP_WINDOW
-        )
         self._metrics = PipelineMetrics()
 
         self._started = False
@@ -388,8 +355,7 @@ class ProcessWorkerBackend(ExecutionBackend):
         # Guarded by _lock:
         self._ready: List[Match] = []
         self._error: Optional[str] = None
-        self._mark_acks: Dict[int, set] = {}
-        self._snapshot_blobs: Dict[int, Dict[int, bytes]] = {}
+        self._replies: Dict[int, Dict[int, Optional[bytes]]] = {}
         self._stopped_workers: set = set()
         self._fed_counts = [0] * self._num_shards
         self._done_counts = [0] * self._num_shards
@@ -402,10 +368,6 @@ class ProcessWorkerBackend(ExecutionBackend):
 
         self._pending: List[List[Event]] = [[] for _ in range(self._num_shards)]
         self._next_token = 0
-        # Coordinator-side change tracking for the dedup filter (the shard
-        # replicas are tracked worker-side): created when a base is cut,
-        # dropped when restore() swaps the filter object.
-        self._delta_tracker: Optional[DeltaTracker] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -429,14 +391,17 @@ class ProcessWorkerBackend(ExecutionBackend):
 
     @property
     def deduplicator(self) -> StreamingMatchDeduplicator:
-        return self._dedup
+        return self._template._streaming_dedup
+
+    def _replicas(self) -> List:
+        return [shard.engine for shard in self._template.sharded_engine.shards]
 
     def bind_metrics(self, metrics: PipelineMetrics) -> None:
         self._metrics = metrics
 
     def plan_history(self) -> List[str]:
         history: List[str] = []
-        for shard_id, engine in enumerate(self._engines):
+        for shard_id, engine in enumerate(self._replicas()):
             history.extend(
                 f"shard {shard_id}: {plan}"
                 for plan in getattr(engine, "plan_history", [])
@@ -446,20 +411,21 @@ class ProcessWorkerBackend(ExecutionBackend):
     def engine_introspection(self) -> dict:
         """Per-shard introspection frames merged into one cross-shard view.
 
-        The replicas are refreshed here through the same snapshot barrier
-        a checkpoint uses (workers ship their state back and the
-        coordinator adopts it), so the frames — drift included — describe
-        the workers' current truth, not a stale template.
+        The replicas are refreshed here through the same cut a checkpoint
+        takes, so the frames — drift included — describe the workers'
+        current truth, not a stale template.  The cut drives the hand-off
+        queues, so while workers run only the thread that submits may call
+        this; a running :class:`~repro.streaming.StreamingPipeline` hands
+        other threads' requests to its run loop.
         """
         from repro.obs.introspect import (
             engine_introspection_frame,
             merge_introspection_frames,
         )
 
-        if self._started:
-            self._full_snapshot(None)
+        self._cut()
         return merge_introspection_frames(
-            [engine_introspection_frame(engine) for engine in self._engines]
+            [engine_introspection_frame(engine) for engine in self._replicas()]
         )
 
     # ------------------------------------------------------------------
@@ -496,8 +462,7 @@ class ProcessWorkerBackend(ExecutionBackend):
         with self._lock:
             self._ready = []
             self._error = None
-            self._mark_acks = {}
-            self._snapshot_blobs = {}
+            self._replies = {}
             self._stopped_workers = set()
             self._fed_counts = [0] * self._num_shards
             self._done_counts = [0] * self._num_shards
@@ -510,9 +475,9 @@ class ProcessWorkerBackend(ExecutionBackend):
         self._out_queue = self._context.Queue()  # unbounded: merger always drains
         self._workers = [
             self._spawn_worker(
-                shard_id, self._engines[shard_id], self._in_queues[shard_id], self._out_queue
+                shard_id, engine, self._in_queues[shard_id], self._out_queue
             )
-            for shard_id in range(self._num_shards)
+            for shard_id, engine in enumerate(self._replicas())
         ]
         self._merger = threading.Thread(
             target=self._merger_loop, name=f"{self.name}-merger", daemon=True
@@ -623,14 +588,11 @@ class ProcessWorkerBackend(ExecutionBackend):
                         n_events, elapsed
                     )
                     if matches:
-                        admitted = self._dedup.filter(matches, now=watermark)
+                        admitted = self.deduplicator.filter(matches, now=watermark)
                         self._ready.extend(admitted)
-                elif kind == "mark":
-                    _, shard_id, token = message
-                    self._mark_acks.setdefault(token, set()).add(shard_id)
-                elif kind == "snapshot":
+                elif kind == "reply":
                     _, shard_id, token, blob = message
-                    self._snapshot_blobs.setdefault(token, {})[shard_id] = blob
+                    self._replies.setdefault(token, {})[shard_id] = blob
                 elif kind == "stopped":
                     _, shard_id, final_blob = message
                     self._adopt_engine(shard_id, restore_engine(final_blob))
@@ -642,8 +604,7 @@ class ProcessWorkerBackend(ExecutionBackend):
                 self._cond.notify_all()
 
     def _adopt_engine(self, shard_id: int, engine) -> None:
-        """Fold a worker's final engine state back into the template."""
-        self._engines[shard_id] = engine
+        """Fold a worker's engine state back into the template."""
         self._template.sharded_engine.shards[shard_id].engine = engine
 
     def _raise_if_failed_locked(self) -> None:
@@ -711,7 +672,7 @@ class ProcessWorkerBackend(ExecutionBackend):
     def submit(self, event: Event) -> None:
         self.start()
         self._raise_if_failed()
-        for shard_id in self._partitioner.route(event, self._num_shards):
+        for shard_id in self._template.partitioner.route(event, self._num_shards):
             pending = self._pending[shard_id]
             pending.append(event)
             if len(pending) >= FEED_BATCH:
@@ -725,28 +686,34 @@ class ProcessWorkerBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Barrier, flush, snapshot
     # ------------------------------------------------------------------
-    def _barrier(self) -> int:
-        """Wait until every worker has consumed everything fed so far."""
+    def _barrier(self, kind: str = "mark") -> List[Optional[bytes]]:
+        """Send every worker a ``kind`` message behind everything fed so far
+        and wait for all replies (returned in shard order).
+
+        A worker replies only after processing every earlier batch, and the
+        merger handles a worker's matches before its reply, so once this
+        returns the deduplicator has seen every match of every fed event.
+        """
         self._next_token += 1
         token = self._next_token
         for shard_id in range(self._num_shards):
             self._flush_pending(shard_id)
         for shard_id in range(self._num_shards):
-            self._put(shard_id, ("mark", token))
+            self._put(shard_id, (kind, token))
         deadline = time.monotonic() + BARRIER_TIMEOUT_S
         with self._cond:
-            while len(self._mark_acks.get(token, ())) < self._num_shards:
+            while len(self._replies.get(token, ())) < self._num_shards:
                 self._raise_if_failed_locked()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise StreamingError(
                         f"barrier timed out after {BARRIER_TIMEOUT_S:g}s "
-                        f"({len(self._mark_acks.get(token, ()))}/"
+                        f"({len(self._replies.get(token, ()))}/"
                         f"{self._num_shards} workers reached it)"
                     )
                 self._cond.wait(min(remaining, 0.25))
-            self._mark_acks.pop(token, None)
-        return token
+            by_shard = self._replies.pop(token)
+        return [by_shard[shard_id] for shard_id in range(self._num_shards)]
 
     def flush(self) -> List[Match]:
         if not self._started:
@@ -754,109 +721,33 @@ class ProcessWorkerBackend(ExecutionBackend):
         self._barrier()
         return self.collect()
 
-    def _request_shard_blobs(self, mode) -> List[bytes]:
-        """Barrier, then one state blob per worker (full or delta framed)."""
-        token = self._barrier()
-        for shard_id in range(self._num_shards):
-            self._put(shard_id, ("snapshot", token, mode))
-        deadline = time.monotonic() + BARRIER_TIMEOUT_S
-        with self._cond:
-            while len(self._snapshot_blobs.get(token, {})) < self._num_shards:
-                self._raise_if_failed_locked()
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise StreamingError(
-                        f"snapshot timed out after {BARRIER_TIMEOUT_S:g}s"
-                    )
-                self._cond.wait(min(remaining, 0.25))
-            by_shard = self._snapshot_blobs.pop(token)
-        return [by_shard[shard_id] for shard_id in range(self._num_shards)]
+    def _cut(self) -> ParallelCEPEngine:
+        """The template at a consistent cut.
 
-    def _coordinator_meta(self, include_dedup: bool = True) -> Dict:
-        meta = {
-            "backend": self.name,
-            "num_shards": self._num_shards,
-            "partitioner": self._partitioner,
-            "event_time_watermark": self._event_time_watermark,
-            "queue_high_water": {
-                shard_id: lane.queue_high_water
-                for shard_id, lane in self._metrics.workers.items()
-            },
-        }
-        if include_dedup:
-            meta["dedup"] = self._dedup
-        return meta
-
-    def _full_snapshot(self, mode) -> bytes:
-        if not self._started:
-            # Nothing in flight: snapshot the local replicas directly.
-            blobs = [snapshot_engine(engine) for engine in self._engines]
-        else:
-            blobs = self._request_shard_blobs(mode)
-            # Keep the local replicas coherent with the workers' truth.
-            with self._lock:
-                for shard_id, blob in enumerate(blobs):
-                    self._adopt_engine(shard_id, restore_engine(blob))
-        with self._lock:
-            meta = self._coordinator_meta()
-        return snapshot_shard_states(blobs, meta)
+        With workers running, each ships its replica through a snapshot
+        barrier and the replica replaces the template's shard engine, so
+        the replicas, the partitioner and the deduplicator all agree on
+        exactly which events have been processed.
+        """
+        if self._started:
+            for shard_id, blob in enumerate(self._barrier("snapshot")):
+                self._adopt_engine(shard_id, restore_engine(blob))
+        return self._template
 
     def snapshot(self) -> bytes:
-        return self._full_snapshot(None)
+        return snapshot_engine(self._cut())
 
     def snapshot_base(self, epoch: int) -> bytes:
-        """Full shard snapshot that anchors delta epoch ``epoch``.
-
-        Workers prime their shard trackers against exactly the state they
-        ship, and the coordinator primes the dedup-filter tracker, so the
-        next :meth:`snapshot_delta` diffs against this base.
-        """
-        blob = self._full_snapshot(("base", int(epoch)))
-        with self._lock:
-            self._delta_tracker = DeltaTracker(self._dedup)
-            self._delta_tracker.prime(epoch)
-        self._note_cut(None)
-        return blob
+        return self._base_frame(self._cut(), epoch)
 
     def snapshot_delta(self, since_epoch: int, epoch: int) -> bytes:
-        """Per-shard deltas shipped through the existing snapshot barrier.
+        """A delta of the template against the last cut.
 
-        Each worker diffs its replica against the last primed epoch and
-        ships only the changed state over the output queue — at high
-        worker counts the checkpoint hand-off shrinks from O(total state)
-        to O(changed state).  The coordinator folds the per-shard frames,
-        its own dedup-filter delta and the (small) routing metadata into
-        one CRC-framed chain link.
+        The workers ship whole replicas, as at a full cut; the tracker
+        diffs the template's keyed collections (every shard's and the
+        deduplicator's) exactly as an inline backend diffs its engine.
         """
-        if not self._started:
-            raise StreamingError(
-                "snapshot_delta() requires running workers; take a base "
-                "snapshot instead"
-            )
-        shard_frames = self._request_shard_blobs(("delta", int(since_epoch), int(epoch)))
-        streams: Dict[str, Dict] = {}
-        for shard_id, frame in enumerate(shard_frames):
-            payload = restore_delta_state(frame)
-            streams[f"shard:{shard_id}"] = payload["streams"]["engine"]
-        with self._lock:
-            if self._delta_tracker is None:
-                # Never primed: the frame degrades to a self-contained base.
-                self._delta_tracker = DeltaTracker(self._dedup)
-            streams["dedup"] = self._delta_tracker.encode_payload(since_epoch, epoch)
-            meta_blob = pickle.dumps(
-                self._coordinator_meta(include_dedup=False),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        degraded = any(stream["kind"] == "base" for stream in streams.values())
-        self._note_cut("base" if degraded else "delta")
-        return snapshot_delta_state(
-            {
-                "streams": streams,
-                "meta": meta_blob,
-                "epoch": int(epoch),
-                "since_epoch": int(since_epoch),
-            }
-        )
+        return self._delta_frame(self._cut(), since_epoch, epoch)
 
     def restore(self, blob: bytes) -> None:
         if self._started:
@@ -864,37 +755,11 @@ class ProcessWorkerBackend(ExecutionBackend):
                 "restore() must run before the worker backend is started "
                 "(a resuming pipeline restores first, then starts workers)"
             )
-        self._delta_tracker = None
-        if is_shard_snapshot(blob):
-            shard_blobs, meta = restore_shard_states(blob)
-            if len(shard_blobs) != self._num_shards:
-                raise CheckpointError(
-                    f"checkpoint holds {len(shard_blobs)} shard states but "
-                    f"this backend runs {self._num_shards} workers; resume "
-                    "with the same worker count"
-                )
-            engines = [restore_engine(shard_blob) for shard_blob in shard_blobs]
-            for shard_id, engine in enumerate(engines):
-                self._adopt_engine(shard_id, engine)
-            partitioner = meta.get("partitioner")
-            if partitioner is not None:
-                self._partitioner = partitioner
-            dedup = meta.get("dedup")
-            if dedup is not None:
-                self._dedup = dedup
-            watermark = meta.get("event_time_watermark")
-            if watermark is not None:
-                self._event_time_watermark = float(watermark)
-            return
-        # An inline-backend checkpoint of a ParallelCEPEngine can be adopted
-        # shard by shard, so a service can be upgraded from --backend inline
-        # to a worker backend without discarding its checkpoints.
         engine = restore_engine(blob)
         if not isinstance(engine, ParallelCEPEngine):
             raise CheckpointError(
                 f"checkpoint holds a {type(engine).__name__}; a worker "
-                "backend can only resume a ParallelCEPEngine (inline) or a "
-                "shard-state (worker) checkpoint"
+                "backend can only resume a ParallelCEPEngine"
             )
         if engine.num_shards != self._num_shards:
             raise CheckpointError(
@@ -902,10 +767,8 @@ class ProcessWorkerBackend(ExecutionBackend):
                 f"backend runs {self._num_shards} workers; resume with the "
                 "same worker count"
             )
-        for shard_id, shard in enumerate(engine.sharded_engine.shards):
-            self._adopt_engine(shard_id, shard.engine)
-        self._partitioner = engine.partitioner
-        self._dedup = engine._streaming_dedup
+        self._template = engine
+        self._tracker = None
 
     def __repr__(self) -> str:
         return (

@@ -310,17 +310,6 @@ class TestAdaptationController:
         assert controller.statistics.plans_generated == 2
         assert controller.statistics.plans_replaced == 0
 
-    def test_min_relative_improvement_blocks_marginal_swaps(self):
-        controller = AdaptationController(
-            camera_pattern(),
-            GreedyOrderPlanner(),
-            UnconditionalPolicy(),
-            snapshot(),
-            min_relative_improvement=0.5,
-        )
-        # A modest change that improves the plan by less than 50% is ignored.
-        assert controller.update(snapshot(c=16.0, t=1.0)) is None
-
     def test_overhead_fraction(self):
         controller = AdaptationController(
             camera_pattern(), GreedyOrderPlanner(), UnconditionalPolicy(), snapshot()

@@ -486,6 +486,51 @@ def test_inline_checkpoint_resumes_on_worker_backend(workload, tmp_path):
     assert served == expected
 
 
+@pytest.mark.parametrize("checkpoint_mode", ["full", "delta"])
+def test_worker_checkpoint_resumes_inline(workload, tmp_path, checkpoint_mode):
+    """Backend downgrade mid-life: worker checkpoints feed an inline resume.
+
+    The kill lands after a base and three deltas in delta mode, so the
+    inline resume replays a chain the worker backend wrote.
+    """
+    pattern, events, expected = workload
+    sink_path = str(tmp_path / "matches-downgrade.jsonl")
+    store = CheckpointStore(str(tmp_path / "ckpt-downgrade"))
+    kill_at = 4 * CHECKPOINT_EVERY + CHECKPOINT_EVERY // 4
+
+    first = _build_pipeline(
+        pattern,
+        events,
+        sink_path,
+        store,
+        BroadcastPartitioner(),
+        checkpoint_mode=checkpoint_mode,
+    ).run(max_events=kill_at, final_checkpoint=False)
+    assert first.stop_reason == "max-events"
+    if checkpoint_mode == "delta":
+        assert store.stats()["deltas"] == FULL_EVERY
+
+    inline_engine = ParallelCEPEngine(
+        pattern,
+        GreedyOrderPlanner(),
+        InvariantBasedPolicy(),
+        shards=2,
+        partitioner=BroadcastPartitioner(),
+    )
+    second = StreamingPipeline(
+        inline_engine,
+        ReplaySource(events),
+        sinks=[JSONLMatchWriter(sink_path)],
+        checkpoint_store=store,
+        checkpoint_every=CHECKPOINT_EVERY,
+        checkpoint_mode=checkpoint_mode,
+    ).run()
+    assert second.resumed_from == 4 * CHECKPOINT_EVERY
+    assert second.total_events_processed == len(events)
+    served = sorted(line for line in open(sink_path).read().splitlines() if line)
+    assert served == expected
+
+
 @pytest.mark.parametrize(
     "checkpoint_mode, kill_at",
     [("full", offset) for offset in _fuzz_offsets()[:3]]

@@ -1,4 +1,4 @@
-"""The on-disk frame format shared by the four snapshot kinds.
+"""The on-disk frame format shared by the three snapshot kinds.
 
 ``repro.engine.state`` frames every blob as ``magic + version byte
 [+ CRC32] + pickled payload``.  Checkpoints outlive library versions, so
@@ -17,15 +17,12 @@ import pytest
 from repro.engine.state import (
     is_delta_snapshot,
     is_ordering_snapshot,
-    is_shard_snapshot,
     restore_delta_state,
     restore_engine,
     restore_ordering_state,
-    restore_shard_states,
     snapshot_delta_state,
     snapshot_engine,
     snapshot_ordering_state,
-    snapshot_shard_states,
 )
 from repro.errors import CheckpointError
 
@@ -57,14 +54,6 @@ FRAMES = {
         restore_engine,
         ToyEngine("e"),
         None,
-    ),
-    "shard": (
-        b"repro-shard-states\x01",
-        False,
-        snapshot_shard_states([ENGINE_FRAME, ENGINE_FRAME], {"num_shards": 2}),
-        restore_shard_states,
-        ([ENGINE_FRAME, ENGINE_FRAME], {"num_shards": 2}),
-        is_shard_snapshot,
     ),
     "ordering": (
         b"repro-ordering-state\x01",

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
 import queue
 import random
+import threading
 
 import pytest
 
 from repro.adaptive import InvariantBasedPolicy
 from repro.engine import AdaptiveCEPEngine
-from repro.engine.state import (
-    is_shard_snapshot,
-    restore_shard_states,
-    snapshot_engine,
-    snapshot_shard_states,
-)
+from repro.engine.state import restore_engine, snapshot_engine
 from repro.errors import CheckpointError, StreamingError
 from repro.events import Event, EventType
 from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
@@ -26,6 +23,7 @@ from repro.parallel import (
     match_signature,
 )
 from repro.streaming import (
+    Checkpoint,
     CheckpointStore,
     CollectorSink,
     InlineBackend,
@@ -107,39 +105,6 @@ class TestShardFeedLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Shard-state framing
-# ----------------------------------------------------------------------
-class TestShardStateFraming:
-    def test_round_trip(self):
-        engine = _sequential_engine(_camera_pattern())
-        blob = snapshot_shard_states(
-            [snapshot_engine(engine)], {"num_shards": 1, "note": "x"}
-        )
-        assert is_shard_snapshot(blob)
-        blobs, meta = restore_shard_states(blob)
-        assert len(blobs) == 1
-        assert meta["note"] == "x"
-
-    def test_rejects_non_engine_blobs(self):
-        with pytest.raises(CheckpointError, match="snapshot_engine"):
-            snapshot_shard_states([b"not-a-frame"])
-
-    def test_rejects_empty(self):
-        with pytest.raises(CheckpointError, match="at least one"):
-            snapshot_shard_states([])
-
-    def test_rejects_bad_magic(self):
-        with pytest.raises(CheckpointError, match="magic"):
-            restore_shard_states(b"garbage-bytes-here")
-
-    def test_engine_frame_is_not_shard_frame(self):
-        blob = snapshot_engine(_sequential_engine(_camera_pattern()))
-        assert not is_shard_snapshot(blob)
-        with pytest.raises(CheckpointError):
-            restore_shard_states(blob)
-
-
-# ----------------------------------------------------------------------
 # The inline backend (default wrapping)
 # ----------------------------------------------------------------------
 class TestInlineBackend:
@@ -159,13 +124,6 @@ class TestInlineBackend:
             collected.extend(backend.collect())
         collected.extend(backend.flush())
         assert _signatures(collected) == expected
-
-    def test_rejects_worker_checkpoint(self):
-        engine = _sequential_engine(_camera_pattern())
-        backend = InlineBackend(engine)
-        shard_blob = snapshot_shard_states([snapshot_engine(engine)])
-        with pytest.raises(CheckpointError, match="worker backend"):
-            backend.restore(shard_blob)
 
     def test_pipeline_wraps_bare_engine(self):
         pipeline = StreamingPipeline(_sequential_engine(_camera_pattern()), [])
@@ -231,7 +189,7 @@ class TestWorkerBackends:
             blob = first.snapshot()
         finally:
             first.close()
-        assert is_shard_snapshot(blob)
+        assert isinstance(restore_engine(blob), ParallelCEPEngine)
 
         second = backend_cls(_parallel_engine(pattern))
         try:
@@ -318,6 +276,46 @@ class TestWorkerFailure:
                 backend.flush()
         finally:
             backend.close()
+
+
+# ----------------------------------------------------------------------
+# Checkpoint portability: one engine frame for every backend
+# ----------------------------------------------------------------------
+def _older_worker_frame(engine):
+    """A checkpoint as worker backends used to write it: a
+    ``repro-shard-states`` frame holding one engine frame per replica plus
+    the coordinator's partitioner and deduplicator."""
+    blobs = [snapshot_engine(shard.engine) for shard in engine.sharded_engine.shards]
+    meta = {
+        "backend": "process",
+        "num_shards": engine.num_shards,
+        "partitioner": engine.partitioner,
+        "event_time_watermark": float("-inf"),
+        "queue_high_water": {},
+        "dedup": engine._streaming_dedup,
+    }
+    body = pickle.dumps((blobs, meta), protocol=pickle.HIGHEST_PROTOCOL)
+    return b"repro-shard-states\x01" + body
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_older_worker_frame_fails_with_checkpoint_error(backend, tmp_path):
+    pattern = _camera_pattern()
+    events = make_camera_stream(count=60, seed=3).to_list()
+    store = CheckpointStore(str(tmp_path / "ckpt"))
+    store.save(
+        Checkpoint(
+            events_processed=30,
+            matches_emitted=0,
+            engine_blob=_older_worker_frame(_parallel_engine(pattern)),
+            pattern_name=pattern.name,
+        )
+    )
+    engine = _parallel_engine(pattern)
+    host = InlineBackend(engine) if backend == "inline" else ProcessWorkerBackend(engine)
+    pipeline = StreamingPipeline(host, ReplaySource(events), checkpoint_store=store)
+    with pytest.raises(CheckpointError, match="not a valid engine snapshot"):
+        pipeline.run()
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +408,78 @@ class TestPipelineWithWorkers:
         )
         assert served == expected_lines
 
+
+    def test_introspection_from_another_thread_loses_no_event(self, monkeypatch):
+        """A scrape on another thread never touches the hand-off lists.
+
+        Hand-offs wait for a barrier (``FEED_BATCH`` is never reached), so
+        the scrape finds every pending list non-empty, and each list's
+        ``clear()``, called off the submitting thread, first waits for that
+        thread's next append: a scrape that flushed the lists itself would
+        wipe that event.  The pipeline must take the frame on its run loop
+        instead, so every event reaches a worker once.
+        """
+        pattern = _camera_pattern()
+        events = make_camera_stream(count=600, seed=14).to_list()
+        monkeypatch.setattr(workers, "FEED_BATCH", 2 * len(events))
+        expected = _signatures(_sequential_engine(pattern).run(events).matches)
+
+        class RacingPending(list):
+            def __init__(self, owner):
+                super().__init__()
+                self.owner = owner
+                self.appended = threading.Event()
+
+            def append(self, event):
+                super().append(event)
+                self.appended.set()
+
+            def clear(self):
+                if threading.current_thread() is not self.owner:
+                    self.appended.clear()
+                    self.appended.wait(timeout=60)
+                super().clear()
+
+        class RacingBackend(ProcessWorkerBackend):
+            def start(self):
+                if not self._started:
+                    super().start()
+                    owner = threading.current_thread()
+                    self._pending = [RacingPending(owner) for _ in self._pending]
+
+        backend = RacingBackend(
+            _parallel_engine(pattern, partitioner=KeyPartitioner("person_id"))
+        )
+        sink = CollectorSink()
+        pipeline = None
+        scraped = {}
+        calling = threading.Event()
+
+        def scrape():
+            calling.set()
+            try:
+                scraped["frame"] = pipeline.engine_introspection()
+            except Exception as exc:  # reported by the assertion below
+                scraped["error"] = exc
+
+        scraper = threading.Thread(target=scrape)
+
+        def source():
+            for index, event in enumerate(events):
+                if index == 300:
+                    scraper.start()
+                    calling.wait(timeout=60)
+                yield event
+
+        pipeline = StreamingPipeline(backend, source(), sinks=[sink])
+        result = pipeline.run()
+        scraper.join(timeout=60)
+
+        assert "error" not in scraped, scraped.get("error")
+        assert scraped["frame"]["shards"] == 2
+        lanes = result.metrics.workers.values()
+        assert sum(lane.events_processed for lane in lanes) == len(events)
+        assert _signatures(sink.matches) == expected
 
 # ----------------------------------------------------------------------
 # Adaptation: a worker replica is the inline replica in another process
