@@ -31,6 +31,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.conditions import AttributeComparisonCondition
 from repro.errors import PartitionError
 from repro.events import Event
@@ -45,14 +47,41 @@ def _stable_hash(value: object) -> int:
     Numeric keys are canonicalised first so that values that compare equal
     under the engine's equality joins (``7 == 7.0 == True``) also land on
     the same shard — mirroring Python's own ``hash(1) == hash(1.0)``
-    invariant.
+    invariant.  NumPy scalars are unwrapped to the Python value they equal
+    (their ``repr`` names the NumPy type, so ``np.int64(7)`` would
+    otherwise hash away from ``7``).
     """
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         value = int(value)
     elif isinstance(value, float) and value.is_integer():
         value = int(value)
     digest = hashlib.blake2b(repr(value).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+#: Keys :data:`_KEY_HASHES` may hold before it starts over.
+KEY_HASH_MEMO_SIZE = 4096
+
+#: ``_stable_hash`` of recently routed keys whose exact type is ``int`` or
+#: ``str``.  Only those two types enter, so keys that compare equal across
+#: types (``1 == 1.0 == True``) never share an entry, and the memo lives at
+#: module level so partitioners (and their checkpoints) hold no extra state.
+_KEY_HASHES: Dict[object, int] = {}
+
+
+def _key_hash(value: object) -> int:
+    """``_stable_hash(value)``, memoised for plain ``int`` and ``str`` keys."""
+    if type(value) is not int and type(value) is not str:
+        return _stable_hash(value)
+    hashed = _KEY_HASHES.get(value)
+    if hashed is None:
+        hashed = _stable_hash(value)
+        if len(_KEY_HASHES) >= KEY_HASH_MEMO_SIZE:
+            _KEY_HASHES.clear()
+        _KEY_HASHES[value] = hashed
+    return hashed
 
 
 class Partitioner:
@@ -136,7 +165,7 @@ class KeyPartitioner(Partitioner):
         self.attribute = attribute
 
     def route(self, event: Event, num_shards: int) -> Tuple[int, ...]:
-        return (_stable_hash(event.get(self.attribute)) % num_shards,)
+        return (_key_hash(event.payload.get(self.attribute)) % num_shards,)
 
     # ------------------------------------------------------------------
     # Safety check

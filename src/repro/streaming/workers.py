@@ -16,13 +16,18 @@ backend*.  The backend decides where the detection work actually happens:
   ``multiprocessing`` queues, and each worker folds ``engine.process``
   over its batch one event at a time — the same call the inline
   :class:`~repro.parallel.ParallelCEPEngine` makes — so a worker replica
-  adapts exactly like the inline replica it copies.
+  adapts exactly like the inline replica it copies.  The coordinator
+  pays per batch, not per event: a batch crosses as plain rows with each
+  :class:`~repro.events.EventType` sent once per worker session
+  (:func:`_encode_batch` / :func:`_decode_batch`), and ``submit`` takes
+  no lock — the failure check runs as each batch is queued.
 
 Both expose the same contract, so both produce the *same match set* for
 the same input (the property ``tests/test_equivalence.py`` enforces):
 
 * ``submit(event)`` routes one event through the partitioner into the
-  shard queues (blocking when a queue is full — natural backpressure);
+  shard queues (blocking when a queue is full — natural backpressure; a
+  worker failure raises here within :data:`FEED_BATCH` submits per shard);
 * ``collect()`` returns the matches that are ready *now* (non-blocking);
 * ``flush()`` is the barrier: it waits until every submitted event has
   been fully processed and returns the remaining matches;
@@ -62,13 +67,13 @@ import threading
 import time
 import traceback
 from queue import Empty, Full
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.engine import Match
 from repro.engine.state import restore_engine, snapshot_engine
 from repro.errors import CheckpointError, StreamingError
 from repro.streaming.delta import DeltaTracker
-from repro.events import Event
+from repro.events import Event, EventType
 from repro.metrics import PipelineMetrics
 from repro.parallel import ParallelCEPEngine, StreamingMatchDeduplicator
 
@@ -254,7 +259,11 @@ class InlineBackend(ExecutionBackend):
 # The worker protocol
 # ----------------------------------------------------------------------
 # Input-queue messages  (pipeline → worker):
-#   ("events", (event, ...))      process a partitioned batch
+#   ("events", new_types, rows)   process a partitioned batch: each row is
+#                                 (type_name, timestamp, sequence_number,
+#                                 payload); new_types holds the EventTypes
+#                                 this worker session has not received yet
+#                                 (see _encode_batch / _decode_batch)
 #   ("mark", token)               barrier: reply once every earlier batch
 #                                 has been processed
 #   ("snapshot", token)           the same barrier, replying with the
@@ -265,23 +274,71 @@ class InlineBackend(ExecutionBackend):
 #   ("reply", shard_id, token, blob_or_None)
 #   ("stopped", shard_id, final_blob)
 #   ("error", shard_id, traceback_text)
+def _encode_batch(events: List[Event], sent_types: Set[str]) -> tuple:
+    """The ``events`` message for one hand-off batch, as plain rows.
+
+    A row pickles as a small tuple rather than through the generic slot
+    state of an :class:`~repro.events.Event`, and each
+    :class:`~repro.events.EventType` (schema included) crosses to a worker
+    once per session: ``sent_types`` holds the names already shipped and is
+    updated here.
+    """
+    rows = tuple(
+        (event.event_type.name, event.timestamp, event.sequence_number, event.payload)
+        for event in events
+    )
+    new_types: Dict[str, EventType] = {}
+    if not sent_types.issuperset([row[0] for row in rows]):
+        new_types = {
+            event.event_type.name: event.event_type
+            for event in events
+            if event.event_type.name not in sent_types
+        }
+        sent_types.update(new_types)
+    return ("events", tuple(new_types.values()), rows)
+
+
+def _decode_batch(types: Dict[str, EventType], message: tuple) -> List[Event]:
+    """The events of an ``events`` message; ``types`` is the worker's
+    name → :class:`~repro.events.EventType` table, extended in place.
+
+    Events are rebuilt with slot stores, as
+    :meth:`~repro.engine.match.PartialMatch.of` builds partial matches, so
+    a rebuilt event equals the submitted one field by field.
+    """
+    _, new_types, rows = message
+    for event_type in new_types:
+        types[event_type.name] = event_type
+    new = Event.__new__
+    events = []
+    for type_name, timestamp, sequence_number, payload in rows:
+        event = new(Event)
+        event.event_type = types[type_name]
+        event.timestamp = timestamp
+        event.sequence_number = sequence_number
+        event.payload = payload
+        events.append(event)
+    return events
+
+
 def _worker_loop(shard_id: int, engine, in_queue, out_queue) -> None:
     """Host one shard replica: consume batches, ship match deltas back.
 
-    Each ``events`` message is folded through ``engine.process`` one event
-    at a time, exactly as the inline sharded engine feeds its replicas;
-    the replica keeps its partial matches and adaptation state for the
-    next batch.  Events arrive in non-decreasing timestamp order (a
-    pipeline over a disordered source restores the order upstream with
-    its :mod:`~repro.streaming.ordering` stage).
+    Each ``events`` message is decoded and folded through
+    ``engine.process`` one event at a time, exactly as the inline sharded
+    engine feeds its replicas; the replica keeps its partial matches and
+    adaptation state for the next batch.  Events arrive in non-decreasing
+    timestamp order (a pipeline over a disordered source restores the
+    order upstream with its :mod:`~repro.streaming.ordering` stage).
     """
     process = engine.process
+    types: Dict[str, EventType] = {}
     try:
         while True:
             message = in_queue.get()
             kind = message[0]
             if kind == "events":
-                events = message[1]
+                events = _decode_batch(types, message)
                 started = time.perf_counter()
                 matches = []
                 for event in events:
@@ -367,6 +424,8 @@ class ProcessWorkerBackend(ExecutionBackend):
         self._event_time_watermark = float("-inf")
 
         self._pending: List[List[Event]] = [[] for _ in range(self._num_shards)]
+        # Names of the event types each worker session has received.
+        self._sent_types: List[Set[str]] = [set() for _ in range(self._num_shards)]
         self._next_token = 0
 
     # ------------------------------------------------------------------
@@ -469,6 +528,7 @@ class ProcessWorkerBackend(ExecutionBackend):
             self._shard_clock = [float("-inf")] * self._num_shards
             self._fed_clock = float("-inf")
         self._pending = [[] for _ in range(self._num_shards)]
+        self._sent_types = [set() for _ in range(self._num_shards)]
         self._in_queues = [
             self._context.Queue(maxsize=QUEUE_CAPACITY) for _ in range(self._num_shards)
         ]
@@ -648,7 +708,9 @@ class ProcessWorkerBackend(ExecutionBackend):
         pending = self._pending[shard_id]
         if not pending:
             return
-        batch = tuple(pending)
+        message = _encode_batch(pending, self._sent_types[shard_id])
+        last_ts = pending[-1].timestamp
+        n_events = len(pending)
         pending.clear()
         # Credit the feed state *before* the put: once the batch is on the
         # queue a worker may process it and the merger may handle its delta;
@@ -658,10 +720,10 @@ class ProcessWorkerBackend(ExecutionBackend):
         # Crediting early is safe in the other direction — the shard is
         # classified as busy and contributes its (lagging) processed clock.
         with self._lock:
-            self._fed_counts[shard_id] += len(batch)
-            if batch[-1].timestamp > self._fed_clock:
-                self._fed_clock = batch[-1].timestamp
-        self._put(shard_id, ("events", batch))
+            self._fed_counts[shard_id] += n_events
+            if last_ts > self._fed_clock:
+                self._fed_clock = last_ts
+        self._put(shard_id, message)
         with self._lock:
             try:
                 depth = self._in_queues[shard_id].qsize()
@@ -670,8 +732,11 @@ class ProcessWorkerBackend(ExecutionBackend):
             self._metrics.worker_lane(shard_id).observe_queue_depth(depth)
 
     def submit(self, event: Event) -> None:
-        self.start()
-        self._raise_if_failed()
+        # No lock and no failure check per event: both happen once per
+        # batch, in _put, so a worker failure surfaces within FEED_BATCH
+        # submits per shard.
+        if not self._started:
+            self.start()
         for shard_id in self._template.partitioner.route(event, self._num_shards):
             pending = self._pending[shard_id]
             pending.append(event)
@@ -679,6 +744,8 @@ class ProcessWorkerBackend(ExecutionBackend):
                 self._flush_pending(shard_id)
 
     def collect(self) -> List[Match]:
+        if not self._ready:  # read without the lock; the swap takes it
+            return []
         with self._lock:
             ready, self._ready = self._ready, []
         return ready

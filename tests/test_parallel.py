@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+from decimal import Decimal
+
+import numpy as np
 import pytest
 
 from repro.adaptive import InvariantBasedPolicy, StaticPolicy
@@ -11,6 +16,7 @@ from repro.errors import ParallelExecutionError, PartitionError
 from repro.events import Event, EventType, InMemoryEventStream
 from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
 import repro.parallel
+import repro.parallel.partitioner as partitioner_module
 from repro.engine import MultiPatternEngine
 from repro.parallel import (
     BroadcastPartitioner,
@@ -172,6 +178,134 @@ class TestPartitioners:
         )
         with pytest.raises(PartitionError):
             KeyPartitioner("entity_id").validate(pattern, 2)
+
+
+class TestKeyRouting:
+    """``KeyPartitioner.route`` through the module-level hash memo."""
+
+    #: ``_stable_hash`` of plain Python keys as the partitioner computed it
+    #: before NumPy scalars were unwrapped and the memo existed: checkpoints
+    #: and the benchmark's key-to-shard assignment depend on these values.
+    PINNED_HASHES = [
+        (0, 9523843951405948789),
+        (1, 17797172410793473910),
+        (-7, 7251330064161976088),
+        (2**70, 8038594043786494433),
+        (1.0, 17797172410793473910),
+        (2.5, 6340594069982954676),
+        (-0.0, 9523843951405948789),
+        (float("inf"), 1180052285266817458),
+        (True, 17797172410793473910),
+        (False, 9523843951405948789),
+        ("a", 11494053157100649449),
+        ("entity-42", 2739691578779103368),
+        ("", 7531266821334470792),
+        (None, 6012258934026951680),
+        ((1, "x"), 11964883694390915837),
+        (("a", 2.5, None), 6000341698394947982),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        partitioner_module._KEY_HASHES.clear()
+        yield
+        partitioner_module._KEY_HASHES.clear()
+
+    @staticmethod
+    def _route(key, shards):
+        return KeyPartitioner("k").route(Event(EventType("A"), 0.0, {"k": key}), shards)[0]
+
+    @pytest.mark.parametrize("key,expected", PINNED_HASHES)
+    def test_plain_key_hashes_are_unchanged(self, key, expected):
+        assert partitioner_module._stable_hash(key) == expected
+        for shards in (2, 3, 7):
+            assert self._route(key, shards) == expected % shards
+            assert self._route(key, shards) == expected % shards  # memo hit
+
+    @pytest.mark.parametrize(
+        "numpy_key,python_key",
+        [
+            (np.int64(1), 1),
+            (np.int32(-7), -7),
+            (np.uint8(3), 3),
+            (np.float64(2.5), 2.5),
+            (np.float32(2.5), 2.5),
+            (np.float64(4.0), 4),
+            (np.bool_(True), 1),
+            (np.str_("entity-42"), "entity-42"),
+        ],
+    )
+    def test_numpy_scalar_keys_route_with_the_python_keys_they_equal(
+        self, numpy_key, python_key
+    ):
+        assert numpy_key == python_key
+        assert partitioner_module._stable_hash(numpy_key) == partitioner_module._stable_hash(
+            python_key
+        )
+        for shards in (2, 3, 5, 7):
+            assert self._route(numpy_key, shards) == self._route(python_key, shards)
+
+    def test_numpy_key_join_survives_sharding(self):
+        from repro.conditions import EqualityCondition
+
+        a, b = EventType("A"), EventType("B")
+        pattern = seq([a, b], condition=EqualityCondition("a", "b", "k"), window=10.0)
+        events = [Event(a, 1.0, {"k": 1}), Event(b, 2.0, {"k": np.int64(1)})]
+        KeyPartitioner("k").validate(pattern, 2)
+        assert len(sequential_matches(pattern, events).matches) == 1
+        engine = ParallelCEPEngine(
+            pattern,
+            GreedyOrderPlanner(),
+            InvariantBasedPolicy(),
+            shards=2,
+            partitioner=KeyPartitioner("k"),
+        )
+        assert len(engine.run(events).matches) == 1
+
+    def test_memo_agrees_with_the_hash(self):
+        rng = random.Random(5)
+        keys = [rng.randrange(-(2**40), 2**40) for _ in range(300)]
+        keys += [f"key-{rng.randrange(10**6)}" for _ in range(300)]
+        for key in keys * 2:
+            for shards in (2, 3, 8):
+                assert self._route(key, shards) == (
+                    partitioner_module._stable_hash(key) % shards
+                )
+
+    def test_memo_never_collapses_keys_that_compare_equal(self):
+        # 1 == True == 1.0 == Decimal(1) share a dict slot, so a memo keyed
+        # by value alone would hand each the hash of whichever came first.
+        # Only the exact int enters; the others are hashed as they were.
+        keys = (Decimal(1), 1.0, True, 1, np.int64(1), "1")
+        for order in (keys, keys[::-1]):
+            partitioner_module._KEY_HASHES.clear()
+            for key in order * 2:
+                for shards in (2, 3, 5, 7):
+                    assert self._route(key, shards) == (
+                        partitioner_module._stable_hash(key) % shards
+                    )
+            assert sorted(map(repr, partitioner_module._KEY_HASHES)) == ["'1'", "1"]
+            assert {type(key) for key in partitioner_module._KEY_HASHES} == {int, str}
+
+    def test_unhashable_keys_fall_through(self):
+        key = [1, "x"]
+        assert self._route(key, 3) == partitioner_module._stable_hash(key) % 3
+        assert not partitioner_module._KEY_HASHES
+
+    def test_memo_stays_within_its_bound(self, monkeypatch):
+        monkeypatch.setattr(partitioner_module, "KEY_HASH_MEMO_SIZE", 16)
+        for key in range(200):
+            assert self._route(key, 4) == partitioner_module._stable_hash(key) % 4
+            assert len(partitioner_module._KEY_HASHES) <= 16
+
+    def test_partitioner_pickles_as_before(self):
+        for key in range(50):
+            self._route(key, 2)
+        assert pickle.dumps(KeyPartitioner("k"), protocol=4) == (
+            b"\x80\x04\x95H\x00\x00\x00\x00\x00\x00\x00\x8c\x1arepro.parallel.partitioner"
+            b"\x94\x8c\x0eKeyPartitioner\x94\x93\x94)\x81\x94}\x94\x8c\tattribute"
+            b"\x94\x8c\x01k\x94sb."
+        )
 
 
 # ----------------------------------------------------------------------

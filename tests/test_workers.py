@@ -13,7 +13,7 @@ from repro.adaptive import InvariantBasedPolicy
 from repro.engine import AdaptiveCEPEngine
 from repro.engine.state import restore_engine, snapshot_engine
 from repro.errors import CheckpointError, StreamingError
-from repro.events import Event, EventType
+from repro.events import AttributeSpec, Event, EventSchema, EventType
 from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
 from repro.parallel import (
     BroadcastPartitioner,
@@ -32,7 +32,7 @@ from repro.streaming import (
     StreamingPipeline,
     workers,
 )
-from repro.streaming.workers import _worker_loop
+from repro.streaming.workers import _encode_batch, _worker_loop
 from tests.conftest import make_camera_stream
 
 from repro.conditions import (
@@ -78,6 +78,15 @@ def _signatures(matches):
 # ----------------------------------------------------------------------
 # Shard lifecycle: a replica fed hand-off batches by the worker loop
 # ----------------------------------------------------------------------
+def _feed_messages(events, size):
+    """``events`` as the coordinator hands them to one worker session."""
+    sent_types = set()
+    return [
+        _encode_batch(events[start : start + size], sent_types)
+        for start in range(0, len(events), size)
+    ]
+
+
 class TestShardFeedLifecycle:
     def test_feed_matches_run_to_completion(self):
         pattern = _camera_pattern()
@@ -89,20 +98,143 @@ class TestShardFeedLifecycle:
             pattern, GreedyOrderPlanner(), InvariantBasedPolicy(), None, 1.0
         )
         in_queue, out_queue = queue.Queue(), queue.Queue()
-        starts = range(0, len(events), 16)
-        for start in starts:
-            in_queue.put(("events", tuple(events[start : start + 16])))
+        messages = _feed_messages(events, 16)
+        for message in messages:
+            in_queue.put(message)
         in_queue.put(("stop",))
         _worker_loop(0, replica, in_queue, out_queue)  # returns on "stop"
 
         replies = []
         while not out_queue.empty():
             replies.append(out_queue.get())
-        assert [reply[0] for reply in replies] == ["matches"] * len(starts) + ["stopped"]
+        assert [reply[0] for reply in replies] == ["matches"] * len(messages) + ["stopped"]
         collected = [match for reply in replies[:-1] for match in reply[3]]
         assert _signatures(collected) == expected
         assert sum(reply[4] for reply in replies[:-1]) == len(events)
 
+
+class _Recorder:
+    """A stand-in replica that keeps every event the worker loop decodes."""
+
+    def __init__(self):
+        self.events = []
+
+    def process(self, event):
+        self.events.append(event)
+        return []
+
+
+def _schema_stream(count, seed):
+    """A mixed-type stream whose types carry schemas (and one does not)."""
+    rng = random.Random(seed)
+    reading = EventSchema(
+        [AttributeSpec("sensor", str), AttributeSpec("value", float, required=False)]
+    )
+    types = [
+        EventType("Temp", schema=reading, description="temperature"),
+        EventType("Humidity", schema=reading),
+        EventType("Door", schema=EventSchema([AttributeSpec("open", bool)])),
+        EventType("Heartbeat"),
+    ]
+    events, t = [], 0.0
+    for index in range(count):
+        t += rng.choice([0.0, 0.25, 1.0])
+        event_type = rng.choice(types)
+        payload = {
+            "Temp": lambda: {"sensor": f"s{rng.randrange(3)}", "value": rng.uniform(-5, 30)},
+            "Humidity": lambda: {"sensor": "h", "value": None},
+            "Door": lambda: {"open": rng.random() < 0.5, "tags": ["x", index]},
+            "Heartbeat": lambda: {},
+        }[event_type.name]()
+        events.append(Event(event_type, t, payload, sequence_number=10 * index + 3))
+    return events
+
+
+def _same_event(rebuilt, submitted):
+    # Event equality covers type name, timestamp, sequence number and
+    # payload; EventType equality ignores the schema, so compare it too.
+    assert type(rebuilt) is Event
+    assert rebuilt == submitted
+    assert rebuilt.event_type.description == submitted.event_type.description
+    if submitted.event_type.schema is None:
+        assert rebuilt.event_type.schema is None
+    else:
+        assert list(rebuilt.event_type.schema) == list(submitted.event_type.schema)
+    assert type(rebuilt.timestamp) is float
+    assert rebuilt.payload is not submitted.payload  # it crossed by value
+
+
+class TestHandOff:
+    """The coordinator's plain-row batches, decoded by the worker loop."""
+
+    def test_worker_rebuilds_every_event_exactly(self):
+        events = _schema_stream(300, seed=8)
+        recorder = _Recorder()
+        in_queue, out_queue = queue.Queue(), queue.Queue()
+        for message in _feed_messages(events, 7):
+            # Through pickle, as over a process queue.
+            in_queue.put(pickle.loads(pickle.dumps(message)))
+        in_queue.put(("mark", 1))
+        in_queue.put(("stop",))
+        _worker_loop(0, recorder, in_queue, out_queue)
+
+        assert len(recorder.events) == len(events)
+        for rebuilt, submitted in zip(recorder.events, events):
+            _same_event(rebuilt, submitted)
+        # One EventType object per name on the worker side.
+        by_name = {}
+        for event in recorder.events:
+            assert by_name.setdefault(event.type_name, event.event_type) is event.event_type
+        replies = [out_queue.get() for _ in range(out_queue.qsize())]
+        assert [reply[0] for reply in replies[:-2]] == ["matches"] * (len(replies) - 2)
+        assert replies[-2] == ("reply", 0, 1, None)
+        assert replies[-1][0] == "stopped"
+
+    def test_backend_ships_types_once_and_again_after_restart(self, monkeypatch):
+        """Each worker session receives every type it sees exactly once; a
+        restarted worker is a new session and receives them again."""
+        puts = []
+        original_put = ProcessWorkerBackend._put
+
+        def recording_put(self, shard_id, message, deadline=None):
+            if message[0] == "events":
+                puts.append((shard_id, message))
+            return original_put(self, shard_id, message, deadline)
+
+        monkeypatch.setattr(ProcessWorkerBackend, "_put", recording_put)
+        monkeypatch.setattr(workers, "FEED_BATCH", 8)
+        pattern = _camera_pattern()
+        events = make_camera_stream(count=160, seed=6).to_list()
+        expected = _signatures(_sequential_engine(pattern).run(events).matches)
+        backend = ProcessWorkerBackend(
+            _parallel_engine(pattern, partitioner=KeyPartitioner("person_id"))
+        )
+
+        def sessions(events):
+            del puts[:]
+            for event in events:
+                backend.submit(event)
+            matches = backend.flush()
+            backend.close()
+            shipped, routed = {0: [], 1: []}, {0: set(), 1: set()}
+            for shard_id, (_, new_types, rows) in puts:
+                shipped[shard_id].extend(event_type.name for event_type in new_types)
+                routed[shard_id].update(row[0] for row in rows)
+                # A type is shipped no later than its first row.
+                assert set(row[0] for row in rows) <= set(shipped[shard_id])
+            for shard_id in (0, 1):
+                assert sorted(shipped[shard_id]) == sorted(routed[shard_id])
+            return matches, puts[:]
+
+        try:
+            first, _ = sessions(events[:80])
+            second, restarted = sessions(events[80:])
+        finally:
+            backend.close()
+        assert _signatures(first + second) == expected
+        for shard_id in (0, 1):
+            batch = next(message for shard, message in restarted if shard == shard_id)
+            assert {event_type.name for event_type in batch[1]} == {row[0] for row in batch[2]}
 
 # ----------------------------------------------------------------------
 # The inline backend (default wrapping)
@@ -276,6 +408,37 @@ class TestWorkerFailure:
                 backend.flush()
         finally:
             backend.close()
+
+    def test_worker_error_surfaces_within_a_batch_per_shard(self):
+        """``submit`` checks for failure once per hand-off batch, not per
+        event: once a worker's error is recorded, at most FEED_BATCH submits
+        per shard return before the traceback is raised."""
+        a, b, c = EventType("A"), EventType("B"), EventType("C")
+        pattern = seq(
+            [a, b, c], condition=PredicateCondition(["a", "b"], _explode), window=10.0
+        )
+        shards = 2
+        backend = ProcessWorkerBackend(_parallel_engine(pattern, shards=shards))
+        events = [
+            Event(a if index % 2 == 0 else b, float(index), {}) for index in range(400)
+        ]
+        try:
+            for event in events[:4]:
+                backend.submit(event)
+            backend._flush_pending(0)  # shard 0 meets an A and then a B
+            with backend._cond:
+                assert backend._cond.wait_for(
+                    lambda: backend._error is not None, timeout=workers.BARRIER_TIMEOUT_S
+                )
+            returned = 0
+            with pytest.raises(StreamingError, match="(?s)shard 0 worker failed.*engine exploded"):
+                for event in events[4:]:
+                    backend.submit(event)
+                    returned += 1
+            assert returned <= workers.FEED_BATCH * shards
+        finally:
+            backend.close()
+
 
 
 # ----------------------------------------------------------------------
