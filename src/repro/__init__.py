@@ -140,8 +140,6 @@ from repro.plans import OrderBasedPlan, TreeBasedPlan
 from repro.optimizer import (
     GreedyOrderPlanner,
     ZStreamTreePlanner,
-    TrivialOrderPlanner,
-    TrivialTreePlanner,
     PlanGenerationResult,
 )
 from repro.adaptive import (
@@ -175,7 +173,6 @@ from repro.streaming import (
     StreamingPipeline,
     PipelineResult,
     ReplaySource,
-    IterableSource,
     CallbackSource,
     JSONLFileSource,
     CSVFileSource,
@@ -246,8 +243,6 @@ __all__ = [
     # optimizer
     "GreedyOrderPlanner",
     "ZStreamTreePlanner",
-    "TrivialOrderPlanner",
-    "TrivialTreePlanner",
     "PlanGenerationResult",
     # adaptive
     "AdaptationController",
@@ -280,7 +275,6 @@ __all__ = [
     "StreamingPipeline",
     "PipelineResult",
     "ReplaySource",
-    "IterableSource",
     "CallbackSource",
     "JSONLFileSource",
     "CSVFileSource",

@@ -1,7 +1,8 @@
 """Shared-prefix evaluation across pattern plans.
 
 The paper's cost model scores a plan prefix by the number of partial
-matches it keeps alive (:func:`repro.plans.cost.order_prefix_cost`).
+matches it keeps alive (:func:`repro.optimizer.cost.order_plan_cost` of
+the prefix).
 When several patterns open with the *same* prefix — same operator,
 window, ``(variable, event type)`` items and prefix-only conditions —
 re-deriving those partial matches once per pattern is pure waste: the
@@ -34,9 +35,9 @@ from repro.engine.match import Match, PartialMatch
 from repro.engine.nfa import LazyNFAEngine
 from repro.events import Event
 from repro.multi.hub import SharedStatisticsCollector, SharedStatisticsHub
+from repro.optimizer.cost import sharing_score
 from repro.patterns import Pattern
 from repro.plans import OrderBasedPlan
-from repro.plans.cost import order_plan_cost, sharing_score
 from repro.statistics import StatisticsCollector
 from repro.statistics.collector import pairs_for_pattern
 
@@ -315,7 +316,7 @@ class PrefixShareManager:
     — picks the deepest declared prefix that (a) at least two registered
     patterns share structurally, (b) uses event types disjoint from the
     suffix steps, and (c) the cost model scores as a positive saving
-    (:func:`~repro.plans.cost.sharing_score`; prefixes with no rate
+    (:func:`~repro.optimizer.cost.sharing_score`; prefixes with no rate
     evidence yet share optimistically when the plan already leads with
     them).  When the installed plan does *not* evaluate the prefix first,
     the manager may still share by reordering the evaluation: it moves
@@ -486,12 +487,10 @@ class PrefixShareManager:
                     shared_order = prefix_order + tuple(
                         v for v in plan.order if v not in prefix_variables
                     )
-                    penalty = order_plan_cost(
-                        snapshot, pattern, shared_order
-                    ) - order_plan_cost(snapshot, pattern, plan.order)
+                    effective = OrderBasedPlan(pattern, shared_order)
+                    penalty = effective.cost(snapshot) - plan.cost(snapshot)
                     if penalty >= score / members:
                         continue
-                    effective = OrderBasedPlan(pattern, shared_order)
             return signature, length, effective
         return None
 

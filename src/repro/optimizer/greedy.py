@@ -1,7 +1,8 @@
 """Greedy order-based plan generation (Algorithm 2 in the paper).
 
 The algorithm iteratively selects the event type that minimises the growth
-factor of the number of partial matches:
+factor of the number of partial matches (the cost model's
+:meth:`~repro.optimizer.cost.CostModel.step_factor`):
 
 * step 1 picks the item with the lowest ``rate * local_selectivity``;
 * step ``i`` picks the remaining item minimising
@@ -15,66 +16,40 @@ a deciding condition ``expr(winner) < expr(loser)`` (Section 4.1).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.optimizer.base import (
     PlanGenerator,
     default_block_label_for_position,
     initial_snapshot_or_error,
 )
+from repro.optimizer.cost import CostModel
 from repro.optimizer.recorder import ComparisonRecorder, PlanGenerationResult
-from repro.optimizer.terms import (
-    LocalSelectivityTerm,
-    ProductExpression,
-    RateTerm,
-    SelectivityTerm,
-    StatExpression,
-)
 from repro.patterns import Pattern
 from repro.plans import OrderBasedPlan
 from repro.statistics import StatisticsSnapshot
 
 
 class GreedyOrderPlanner(PlanGenerator):
-    """Instrumented greedy order-based planner.
-
-    Parameters
-    ----------
-    require_rates:
-        When true (default), generation fails fast if the snapshot lacks an
-        arrival rate for any participating event type.
-    """
+    """Instrumented greedy order-based planner."""
 
     name = "greedy-order"
-
-    def __init__(self, require_rates: bool = True):
-        self._require_rates_flag = require_rates
 
     def generate(
         self, pattern: Pattern, snapshot: Optional[StatisticsSnapshot]
     ) -> PlanGenerationResult:
         snapshot = initial_snapshot_or_error(snapshot)
-        if self._require_rates_flag:
-            self._require_rates(pattern, snapshot)
+        self._require_rates(pattern, snapshot)
 
+        model = CostModel(pattern)
         recorder = ComparisonRecorder()
         variables = [item.variable for item in pattern.positive_items]
-        coupled_pairs = {
-            tuple(sorted(pair)) for pair in pattern.conditions.variable_pairs()
-        }
-        has_local = {
-            variable: bool(pattern.conditions.single_variable_conditions(variable))
-            for variable in variables
-        }
-
         order: List[str] = []
         remaining = list(variables)
 
         for position in range(len(variables)):
             expressions = {
-                candidate: self._candidate_expression(
-                    pattern, candidate, order, coupled_pairs, has_local
-                )
+                candidate: model.step_factor(order, candidate)
                 for candidate in remaining
             }
             values = {
@@ -121,31 +96,3 @@ class GreedyOrderPlanner(PlanGenerator):
             comparisons_performed=recorder.comparisons_performed,
             metadata={"order": tuple(order)},
         )
-
-    # ------------------------------------------------------------------
-    # Expression construction
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _candidate_expression(
-        pattern: Pattern,
-        candidate: str,
-        prefix: Sequence[str],
-        coupled_pairs,
-        has_local,
-    ) -> StatExpression:
-        """Selection expression of a candidate given the already-chosen prefix.
-
-        ``rate(type) * sel(candidate) * prod_{k in prefix, coupled} sel(k, candidate)``.
-        Pairs without a predicate contribute factor 1 and are omitted so the
-        expression stays small (near-constant-time verification, Section 4.1).
-        """
-        item = pattern.item_by_variable(candidate)
-        factors: List[StatExpression] = [RateTerm(item.event_type.name)]
-        if has_local.get(candidate):
-            factors.append(LocalSelectivityTerm(candidate))
-        for previous in prefix:
-            if tuple(sorted((previous, candidate))) in coupled_pairs:
-                factors.append(SelectivityTerm(previous, candidate))
-        if len(factors) == 1:
-            return factors[0]
-        return ProductExpression(factors)

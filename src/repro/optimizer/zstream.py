@@ -2,13 +2,9 @@
 
 The algorithm computes, for every contiguous span of the pattern's positive
 items, the cheapest binary evaluation tree over that span, reusing the
-memoized best subtrees of its sub-spans.  The cost recursion is
-
-    Cost(T) = Cost(L) + Cost(R) + Card(L, R)
-    Card(T) = Card(L) * Card(R) * SEL(L, R)
-
-with leaf cardinality equal to the type's arrival rate (times any local
-selectivity).
+memoized best subtrees of its sub-spans.  Every candidate tree is costed by
+the shared cost model (:meth:`repro.optimizer.cost.CostModel.join`), the
+same recursion ``TreeBasedPlan.cost`` folds.
 
 Instrumentation (Section 4.2): a comparison between the costs of two
 candidate trees over the same span is a block-building comparison for the
@@ -22,41 +18,23 @@ snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import OptimizerError
 from repro.optimizer.base import (
     PlanGenerator,
     default_block_label_for_subset,
     initial_snapshot_or_error,
 )
-from repro.optimizer.recorder import ComparisonRecorder, PlanGenerationResult
-from repro.optimizer.terms import (
-    ConstantTerm,
-    LocalSelectivityTerm,
-    ProductExpression,
-    RateTerm,
-    SelectivityTerm,
-    StatExpression,
-    SumExpression,
+from repro.optimizer.cost import CostModel, SubtreeCost
+from repro.optimizer.recorder import (
+    ComparisonRecorder,
+    DecidingConditionSet,
+    PlanGenerationResult,
 )
+from repro.optimizer.terms import StatExpression
 from repro.patterns import Pattern
-from repro.plans import TreeBasedPlan, TreeInternalNode, TreeLeaf, TreePlanNode
+from repro.plans import TreeBasedPlan
 from repro.statistics import StatisticsSnapshot
-
-
-@dataclass
-class _SpanSolution:
-    """Best tree found for one contiguous span of positive items."""
-
-    node: TreePlanNode
-    cost: float
-    cardinality: float
-    # Expressions used when this subtree participates in a *parent*'s
-    # invariant: internal subtrees freeze to constants, leaves stay symbolic.
-    cost_expression: StatExpression
-    cardinality_expression: StatExpression
 
 
 class ZStreamTreePlanner(PlanGenerator):
@@ -64,52 +42,29 @@ class ZStreamTreePlanner(PlanGenerator):
 
     name = "zstream-tree"
 
-    def __init__(self, require_rates: bool = True):
-        self._require_rates_flag = require_rates
-
     def generate(
         self, pattern: Pattern, snapshot: Optional[StatisticsSnapshot]
     ) -> PlanGenerationResult:
         snapshot = initial_snapshot_or_error(snapshot)
-        if self._require_rates_flag:
-            self._require_rates(pattern, snapshot)
+        self._require_rates(pattern, snapshot)
 
         variables = [item.variable for item in pattern.positive_items]
         n = len(variables)
         recorder = ComparisonRecorder()
-        coupled_pairs = {
-            tuple(sorted(pair)) for pair in pattern.conditions.variable_pairs()
-        }
-        has_local = {
-            variable: bool(pattern.conditions.single_variable_conditions(variable))
-            for variable in variables
-        }
+        model = CostModel(pattern)
 
-        # solutions[(start, length)] -> best solution for that span
-        solutions: Dict[Tuple[int, int], _SpanSolution] = {}
-        for start, variable in enumerate(variables):
-            solutions[(start, 1)] = self._leaf_solution(
-                pattern, snapshot, variable, has_local
-            )
-
+        # solutions[(start, length)] -> best subtree for that span
+        solutions: Dict[Tuple[int, int], SubtreeCost] = {
+            (start, 1): model.leaf(snapshot, variable)
+            for start, variable in enumerate(variables)
+        }
         for length in range(2, n + 1):
             for start in range(0, n - length + 1):
                 solutions[(start, length)] = self._solve_span(
-                    pattern,
-                    snapshot,
-                    variables,
-                    solutions,
-                    start,
-                    length,
-                    coupled_pairs,
-                    recorder,
+                    model, snapshot, variables, solutions, start, length, recorder
                 )
 
-        if n == 1:
-            root: TreePlanNode = solutions[(0, 1)].node
-        else:
-            root = solutions[(0, n)].node
-        plan = TreeBasedPlan(pattern, root)
+        plan = TreeBasedPlan(pattern, solutions[(0, n)].node)
 
         # Keep only the deciding-condition sets of blocks present in the final
         # plan, ordered bottom-up to match the verification order.  Blocks the
@@ -119,8 +74,6 @@ class ZStreamTreePlanner(PlanGenerator):
             for node in plan.internal_nodes_bottom_up()
         ]
         by_label = {s.block_label: s for s in recorder.condition_sets()}
-        from repro.optimizer.recorder import DecidingConditionSet
-
         ordered_sets = [
             by_label.get(label, DecidingConditionSet(label)) for label in final_labels
         ]
@@ -134,88 +87,42 @@ class ZStreamTreePlanner(PlanGenerator):
             metadata={"num_spans": len(solutions)},
         )
 
-    # ------------------------------------------------------------------
-    # DP internals
-    # ------------------------------------------------------------------
-    def _leaf_solution(
-        self,
-        pattern: Pattern,
-        snapshot: StatisticsSnapshot,
-        variable: str,
-        has_local: Dict[str, bool],
-    ) -> _SpanSolution:
-        item = pattern.item_by_variable(variable)
-        factors: List[StatExpression] = [RateTerm(item.event_type.name)]
-        if has_local.get(variable):
-            factors.append(LocalSelectivityTerm(variable))
-        expression: StatExpression = (
-            factors[0] if len(factors) == 1 else ProductExpression(factors)
-        )
-        value = expression.evaluate(snapshot)
-        return _SpanSolution(
-            node=TreeLeaf(variable, item.event_type.name),
-            cost=value,
-            cardinality=value,
-            cost_expression=expression,
-            cardinality_expression=expression,
-        )
-
     def _solve_span(
         self,
-        pattern: Pattern,
+        model: CostModel,
         snapshot: StatisticsSnapshot,
         variables: List[str],
-        solutions: Dict[Tuple[int, int], _SpanSolution],
+        solutions: Dict[Tuple[int, int], SubtreeCost],
         start: int,
         length: int,
-        coupled_pairs,
         recorder: ComparisonRecorder,
-    ) -> _SpanSolution:
+    ) -> SubtreeCost:
         span_variables = variables[start : start + length]
         block_label = default_block_label_for_subset(span_variables)
         recorder.open_block(block_label)
 
-        candidates: List[Tuple[_SpanSolution, StatExpression, float, float]] = []
-        for split in range(1, length):
-            left = solutions[(start, split)]
-            right = solutions[(start + split, length - split)]
-            selectivity_expr = self._selectivity_expression(
-                left.node.variables(), right.node.variables(), coupled_pairs
+        candidates: List[Tuple[SubtreeCost, StatExpression]] = [
+            model.join(
+                snapshot,
+                solutions[(start, split)],
+                solutions[(start + split, length - split)],
             )
-            selectivity_value = selectivity_expr.evaluate(snapshot) if selectivity_expr else 1.0
-            cardinality = left.cardinality * right.cardinality * selectivity_value
-            cost = left.cost + right.cost + cardinality
-
-            cost_expression = self._candidate_cost_expression(
-                left, right, selectivity_expr
-            )
-            candidate = _SpanSolution(
-                node=TreeInternalNode(left.node, right.node),
-                cost=cost,
-                cardinality=cardinality,
-                cost_expression=ConstantTerm(cost, label=f"cost[{block_label}]"),
-                cardinality_expression=ConstantTerm(
-                    cardinality, label=f"card[{block_label}]"
-                ),
-            )
-            candidates.append((candidate, cost_expression, cost, cardinality))
-
-        if not candidates:
-            raise OptimizerError(f"span {span_variables!r} produced no candidate trees")
+            for split in range(1, length)
+        ]
 
         # Pick the cheapest candidate; ties break towards the earliest split
         # so the algorithm stays deterministic.
         best_index = min(
-            range(len(candidates)), key=lambda i: (candidates[i][2], i)
+            range(len(candidates)), key=lambda i: (candidates[i][0].cost, i)
         )
-        best, best_expression, best_cost, _best_card = candidates[best_index]
+        best, best_expression = candidates[best_index]
 
-        for index, (_, expression, cost, _) in enumerate(candidates):
+        for index, (candidate, expression) in enumerate(candidates):
             if index == best_index:
                 continue
             recorder.count_comparison()
             note = f"split choice for [{'+'.join(span_variables)}]"
-            if best_cost == cost:
+            if best.cost == candidate.cost:
                 note += " (tie at creation)"
             recorder.record(
                 block_label,
@@ -224,44 +131,3 @@ class ZStreamTreePlanner(PlanGenerator):
                 note=note,
             )
         return best
-
-    @staticmethod
-    def _selectivity_expression(
-        left_variables: Tuple[str, ...],
-        right_variables: Tuple[str, ...],
-        coupled_pairs,
-    ) -> Optional[StatExpression]:
-        """Product of selectivities between the two children (None if no predicate)."""
-        terms: List[StatExpression] = []
-        for a in left_variables:
-            for b in right_variables:
-                if tuple(sorted((a, b))) in coupled_pairs:
-                    terms.append(SelectivityTerm(a, b))
-        if not terms:
-            return None
-        if len(terms) == 1:
-            return terms[0]
-        return ProductExpression(terms)
-
-    @staticmethod
-    def _candidate_cost_expression(
-        left: _SpanSolution,
-        right: _SpanSolution,
-        selectivity_expr: Optional[StatExpression],
-    ) -> StatExpression:
-        """Cost expression of a candidate tree for invariant verification.
-
-        ``cost(L) + cost(R) + card(L) * card(R) * SEL(L, R)`` where the
-        sub-expressions of internal children are frozen constants and those
-        of leaves are live rate terms.
-        """
-        cardinality_factors: List[StatExpression] = [
-            left.cardinality_expression,
-            right.cardinality_expression,
-        ]
-        if selectivity_expr is not None:
-            cardinality_factors.append(selectivity_expr)
-        cardinality = ProductExpression(cardinality_factors)
-        return SumExpression(
-            [left.cost_expression, right.cost_expression, cardinality]
-        )

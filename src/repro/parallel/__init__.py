@@ -75,9 +75,9 @@ class ParallelCEPEngine:
         :class:`BroadcastPartitioner`.
     initial_snapshot / monitoring_interval / compile_mode:
         Forwarded to every shard's engine replica.
-    validate_partitioning:
-        When true (default), the partitioner's safety check runs against
-        the pattern before any event is routed.
+
+    The partitioner's safety check runs against the pattern before any
+    event is routed.
     """
 
     def __init__(
@@ -89,13 +89,11 @@ class ParallelCEPEngine:
         partitioner: Optional[Partitioner] = None,
         initial_snapshot: Optional[StatisticsSnapshot] = None,
         monitoring_interval: float = 1.0,
-        validate_partitioning: bool = True,
         compile_mode: str = "interpreted",
     ):
         self.pattern = pattern
         self._partitioner = partitioner or BroadcastPartitioner()
-        if validate_partitioning:
-            self._partitioner.validate(pattern, shards)
+        self._partitioner.validate(pattern, shards)
         self._sharded = ShardedEngine(
             pattern,
             planner,

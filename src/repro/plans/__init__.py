@@ -8,23 +8,16 @@ matches.  Two plan families are supported, mirroring the paper:
 * :class:`TreeBasedPlan` — a binary join tree over the positive items (the
   ZStream model); executed by the tree engine.
 
-The cost model (:mod:`repro.plans.cost`) estimates, from a statistics
-snapshot, the expected number of partial matches a plan materialises — the
-quantity both plan-generation algorithms minimise.
+``plan.cost(snapshot)`` estimates the expected number of partial matches
+a plan materialises — the quantity both plan-generation algorithms
+minimise.  It reads the one cost model, :mod:`repro.optimizer.cost`, the
+planners build their deciding conditions from (imported at call time:
+the optimizer imports this package).
 """
 
 from repro.plans.base import EvaluationPlan
 from repro.plans.order_plan import OrderBasedPlan, PlanStep
 from repro.plans.tree_plan import TreeBasedPlan, TreePlanNode, TreeLeaf, TreeInternalNode
-from repro.plans.cost import (
-    order_plan_cost,
-    order_prefix_cost,
-    order_step_cost,
-    sharing_score,
-    tree_plan_cost,
-    tree_node_cardinality,
-    pair_selectivity_product,
-)
 
 __all__ = [
     "EvaluationPlan",
@@ -34,11 +27,4 @@ __all__ = [
     "TreePlanNode",
     "TreeLeaf",
     "TreeInternalNode",
-    "order_plan_cost",
-    "order_prefix_cost",
-    "order_step_cost",
-    "sharing_score",
-    "tree_plan_cost",
-    "tree_node_cardinality",
-    "pair_selectivity_product",
 ]

@@ -13,7 +13,6 @@ from typing import List, Sequence, Tuple
 from repro.errors import PlanError
 from repro.patterns import Pattern, PatternItem
 from repro.plans.base import EvaluationPlan
-from repro.plans.cost import order_plan_cost
 from repro.statistics import StatisticsSnapshot
 
 
@@ -146,6 +145,8 @@ class OrderBasedPlan(EvaluationPlan):
     # EvaluationPlan interface
     # ------------------------------------------------------------------
     def cost(self, snapshot: StatisticsSnapshot) -> float:
+        from repro.optimizer.cost import order_plan_cost
+
         return order_plan_cost(snapshot, self.pattern, self._order)
 
     def block_labels(self) -> Sequence[str]:

@@ -13,7 +13,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from repro.errors import PlanError
 from repro.patterns import Pattern
 from repro.plans.base import EvaluationPlan
-from repro.plans.cost import tree_plan_cost
 from repro.statistics import StatisticsSnapshot
 
 
@@ -166,6 +165,8 @@ class TreeBasedPlan(EvaluationPlan):
     # EvaluationPlan interface
     # ------------------------------------------------------------------
     def cost(self, snapshot: StatisticsSnapshot) -> float:
+        from repro.optimizer.cost import tree_plan_cost
+
         return tree_plan_cost(snapshot, self.pattern, self._root)
 
     def block_labels(self) -> Sequence[str]:

@@ -97,7 +97,6 @@ from repro.streaming.sources import (
     CallbackSource,
     CSVFileSource,
     EventSource,
-    IterableSource,
     JSONLFileSource,
     RateLimiter,
     ReplaySource,
@@ -118,7 +117,6 @@ __all__ = [
     "FILL_CHUNK",
     # sources
     "EventSource",
-    "IterableSource",
     "CallbackSource",
     "NO_EVENT",
     "ReplaySource",

@@ -63,7 +63,7 @@ from repro.obs.decisions import CoalescingEmitter, DecisionLog
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore, DeltaCheckpoint
 from repro.streaming.ordering import ReorderBuffer
 from repro.streaming.sinks import MatchSink
-from repro.streaming.sources import EventSource, IterableSource
+from repro.streaming.sources import EventSource, ReplaySource
 from repro.streaming.workers import ExecutionBackend, InlineBackend
 
 #: How many events one fill phase pulls at most (bounds per-iteration latency
@@ -128,7 +128,7 @@ class StreamingPipeline:
     source:
         An :class:`~repro.streaming.sources.EventSource`, any
         :class:`~repro.events.EventStream`, or a plain iterable of events
-        (wrapped into an :class:`IterableSource` automatically).
+        (wrapped into a :class:`ReplaySource` automatically).
     sinks:
         Zero or more :class:`~repro.streaming.sinks.MatchSink` objects.
     checkpoint_store / checkpoint_every:
@@ -182,7 +182,7 @@ class StreamingPipeline:
                 f"got {checkpoint_mode!r}"
             )
         self._source = (
-            source if isinstance(source, EventSource) else IterableSource(source)
+            source if isinstance(source, EventSource) else ReplaySource(source)
         )
         self._sinks: List[MatchSink] = list(sinks)
         self._store = checkpoint_store
@@ -384,7 +384,7 @@ class StreamingPipeline:
         """Every live AdaptationController reachable from the engine.
 
         Walks the engine shapes duck-typed: a bare adaptive engine's
-        ``controller``, a multi-pattern engine's ``sub_engines()``, and a
+        ``controller``, a multi-pattern engine's ``sub_engines``, and a
         sharded parallel engine's per-shard engines.  Process-worker
         replicas live out-of-process and cannot be walked — their replan
         records are unavailable (a documented best-effort boundary).
@@ -396,10 +396,7 @@ class StreamingPipeline:
             yield controller
         sub_engines = getattr(engine, "sub_engines", None)
         if sub_engines is not None:
-            # MultiPatternEngine exposes sub_engines as a property (a
-            # list); older engine shapes exposed a method.
-            subs = sub_engines() if callable(sub_engines) else sub_engines
-            for sub in subs:
+            for sub in sub_engines:
                 if sub is not engine:
                     yield from self._iter_controllers(sub)
         sharded = getattr(engine, "sharded_engine", None)

@@ -3,11 +3,11 @@
 A source is a lazy, single-pass :class:`~repro.events.EventStream` that
 yields events incrementally instead of materialising a list:
 
-* :class:`IterableSource` — adapt any iterable/generator of events;
+* :class:`ReplaySource` — (optionally rate-controlled) replay of any
+  iterable of events, the synthetic-load generator of the throughput
+  experiments;
 * :class:`CallbackSource` — pull events from a zero-argument callable
   (the adapter for push-style client libraries);
-* :class:`ReplaySource` — rate-controlled replay of a recorded stream,
-  the synthetic-load generator of the throughput experiments;
 * :class:`JSONLFileSource` / :class:`CSVFileSource` — read (and optionally
   tail) event files, assigning *deterministic* sequence numbers from the
   record index so two reads of one file produce identical events — the
@@ -133,19 +133,6 @@ class EventSource(GeneratorEventStream):
             yield event
 
 
-class IterableSource(EventSource):
-    """Adapt any iterable of events (a list, a generator, another stream)."""
-
-    name = "iterable"
-
-    def __init__(self, events: Iterable[Event], rate: Optional[float] = None):
-        self._events = events
-        super().__init__(rate=rate)
-
-    def _records(self) -> Iterator[Event]:
-        return iter(self._events)
-
-
 class _NoEvent:
     """The type of the :data:`NO_EVENT` sentinel (repr-friendly singleton)."""
 
@@ -203,12 +190,12 @@ class CallbackSource(EventSource):
 
 
 class ReplaySource(EventSource):
-    """Rate-controlled replay of a recorded stream.
+    """Replay of a recorded stream or any iterable of events.
 
-    Replays a materialised stream (or any re-iterable collection of events)
-    at ``rate`` events per second — the synthetic load generator used by
-    the ``serve`` CLI and the throughput-under-rate experiment.  With
-    ``rate=None`` the replay is unthrottled (as fast as the consumer pulls).
+    Replays a materialised stream, a list or a generator at ``rate`` events
+    per second — the synthetic load generator used by the ``serve`` CLI and
+    the throughput-under-rate experiment.  With ``rate=None`` the replay is
+    unthrottled (as fast as the consumer pulls).
     """
 
     name = "replay"

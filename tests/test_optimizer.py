@@ -16,8 +16,6 @@ from repro.optimizer import (
     RateTerm,
     SelectivityTerm,
     SumExpression,
-    TrivialOrderPlanner,
-    TrivialTreePlanner,
     ZStreamTreePlanner,
 )
 from repro.optimizer.recorder import DecidingCondition
@@ -229,11 +227,6 @@ class TestGreedyOrderPlanner:
         with pytest.raises(OptimizerError):
             GreedyOrderPlanner().generate(camera_pattern(), StatisticsSnapshot({"A": 1.0}))
 
-    def test_missing_rates_allowed_when_disabled(self):
-        planner = GreedyOrderPlanner(require_rates=False)
-        result = planner.generate(camera_pattern(), StatisticsSnapshot({"A": 1.0}))
-        assert isinstance(result.plan, OrderBasedPlan)
-
     def test_requires_snapshot(self):
         with pytest.raises(OptimizerError):
             GreedyOrderPlanner().generate(camera_pattern(), None)
@@ -309,22 +302,3 @@ class TestZStreamTreePlanner:
         second = ZStreamTreePlanner().generate(camera_pattern(), camera_snapshot())
         assert first.plan == second.plan
 
-
-class TestTrivialPlanners:
-    def test_trivial_order_planner(self):
-        result = TrivialOrderPlanner().generate(camera_pattern(), None)
-        assert result.plan.order == ("a", "b", "c")
-        assert all(s.is_empty() for s in result.condition_sets)
-
-    def test_trivial_tree_planner(self):
-        result = TrivialTreePlanner().generate(camera_pattern(), None)
-        assert isinstance(result.plan, TreeBasedPlan)
-        assert all(s.is_empty() for s in result.condition_sets)
-
-    def test_trivial_planners_ignore_statistics(self):
-        snapshot = camera_snapshot()
-        assert TrivialOrderPlanner().generate(camera_pattern(), snapshot).plan.order == (
-            "a",
-            "b",
-            "c",
-        )

@@ -28,7 +28,6 @@ from repro.streaming import (
     CheckpointStore,
     CollectorSink,
     FILL_CHUNK,
-    IterableSource,
     JSONLMatchWriter,
     PayloadWatermarkExtractor,
     PunctuatedWatermarks,
@@ -396,14 +395,14 @@ class TestPipelineOrdering:
 class TestSourceRateValidation:
     def test_rate_zero_is_rejected(self):
         with pytest.raises(StreamingError):
-            IterableSource([], rate=0)
+            ReplaySource([], rate=0)
 
     def test_negative_rate_is_rejected(self):
         with pytest.raises(StreamingError):
             ReplaySource([], rate=-5.0)
 
     def test_rate_none_disables_pacing(self):
-        source = IterableSource([_event(1.0)])
+        source = ReplaySource([_event(1.0)])
         assert [event.timestamp for event in source] == [1.0]
 
 

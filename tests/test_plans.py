@@ -8,16 +8,8 @@ from repro.conditions import AndCondition, EqualityCondition
 from repro.errors import PlanError
 from repro.events import EventType
 from repro.patterns import seq
-from repro.plans import (
-    OrderBasedPlan,
-    TreeBasedPlan,
-    TreeInternalNode,
-    TreeLeaf,
-    order_plan_cost,
-    order_step_cost,
-    pair_selectivity_product,
-    tree_plan_cost,
-)
+from repro.optimizer.cost import CostModel, tree_plan_cost
+from repro.plans import OrderBasedPlan, TreeBasedPlan, TreeInternalNode, TreeLeaf
 from repro.statistics import StatisticsSnapshot
 
 
@@ -99,22 +91,29 @@ class TestCostModel:
     def test_order_step_cost_uses_rate_and_selectivities(self):
         pattern = camera_pattern()
         snapshot = camera_snapshot()
-        first = order_step_cost(snapshot, pattern, [], "c")
-        assert first == pytest.approx(10.0)
-        second = order_step_cost(snapshot, pattern, ["c"], "b")
-        assert second == pytest.approx(15.0 * 0.2)
+        first = CostModel(pattern).step_factor([], "c")
+        assert first.describe() == "rate(C)"
+        assert first.evaluate(snapshot) == pytest.approx(10.0)
+        second = CostModel(pattern).step_factor(["c"], "b")
+        assert second.describe() == "rate(B) * sel(c,b)"
+        assert second.evaluate(snapshot) == pytest.approx(15.0 * 0.2)
 
     def test_order_step_cost_uncoupled_pair_has_no_selectivity(self):
         pattern = camera_pattern()
         snapshot = camera_snapshot()
-        # a and c are not directly coupled by a condition.
-        step = order_step_cost(snapshot, pattern, ["c"], "a")
-        assert step == pytest.approx(100.0)
+        # a and c are not directly coupled by a condition, so even an
+        # estimate for the pair is never read.
+        snapshot = StatisticsSnapshot(
+            {"A": 100.0, "B": 15.0, "C": 10.0}, {("a", "c"): 0.01}
+        )
+        step = CostModel(pattern).step_factor(["c"], "a")
+        assert step.describe() == "rate(A)"
+        assert step.evaluate(snapshot) == pytest.approx(100.0)
 
     def test_order_plan_cost_is_sum_of_prefix_products(self):
         pattern = camera_pattern()
         snapshot = camera_snapshot()
-        cost = order_plan_cost(snapshot, pattern, ["c", "b", "a"])
+        cost = OrderBasedPlan(pattern, ["c", "b", "a"]).cost(snapshot)
         step1 = 10.0
         step2 = step1 * (15.0 * 0.2)
         step3 = step2 * (100.0 * 0.3)
@@ -123,9 +122,10 @@ class TestCostModel:
     def test_pair_selectivity_product(self):
         pattern = camera_pattern()
         snapshot = camera_snapshot()
-        product = pair_selectivity_product(snapshot, ["a"], ["b", "c"], pattern)
-        assert product == pytest.approx(0.3)
-        assert pair_selectivity_product(snapshot, ["a"], ["c"], pattern) == 1.0
+        product = CostModel(pattern).join_selectivity(["a"], ["b", "c"])
+        assert product.describe() == "sel(a,b)"
+        assert product.evaluate(snapshot) == pytest.approx(0.3)
+        assert CostModel(pattern).join_selectivity(["a"], ["c"]) is None
 
     def test_local_selectivity_in_cost(self):
         from repro.conditions import AttributeThresholdCondition
@@ -136,7 +136,7 @@ class TestCostModel:
             window=10,
         )
         snapshot = StatisticsSnapshot({"A": 10.0, "B": 1.0}, {("a", "a"): 0.1})
-        assert order_step_cost(snapshot, pattern, [], "a") == pytest.approx(1.0)
+        assert CostModel(pattern).step_factor([], "a").evaluate(snapshot) == pytest.approx(1.0)
 
 
 class TestTreePlan:

@@ -12,7 +12,8 @@ from repro.events import Event, EventType, InMemoryEventStream
 from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
 from repro.adaptive import build_invariant_set
 from repro.patterns import seq
-from repro.plans import OrderBasedPlan, TreeBasedPlan, order_plan_cost
+from repro.optimizer.cost import order_plan_cost
+from repro.plans import OrderBasedPlan, TreeBasedPlan
 from repro.statistics import BucketedSlidingCounter, StatisticsSnapshot
 
 A, B, C = EventType("A"), EventType("B"), EventType("C")

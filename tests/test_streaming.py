@@ -28,7 +28,6 @@ from repro.streaming import (
     CheckpointStore,
     CollectorSink,
     CSVFileSource,
-    IterableSource,
     JSONLFileSource,
     JSONLMatchWriter,
     MetricsSink,
@@ -104,25 +103,25 @@ class TestSources:
 
     def test_iterable_source_yields_in_order(self):
         events = self._events()
-        source = IterableSource(events)
+        source = ReplaySource(iter(events))
         assert list(source) == events
         assert source.events_emitted == len(events)
 
     def test_source_is_single_pass(self):
-        source = IterableSource(self._events())
+        source = ReplaySource(self._events())
         list(source)
         with pytest.raises(Exception, match="single-pass"):
             list(source)
 
     def test_skip_fast_forwards(self):
         events = self._events()
-        source = IterableSource(events)
+        source = ReplaySource(events)
         source.skip(4)
         assert list(source) == events[4:]
         assert source.events_emitted == 2
 
     def test_skip_after_iteration_starts_rejected(self):
-        source = IterableSource(self._events())
+        source = ReplaySource(self._events())
         next(iter(source))
         with pytest.raises(StreamingError):
             source.skip(1)
