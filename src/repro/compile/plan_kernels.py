@@ -14,8 +14,8 @@ pre-resolves everything the interpreted hot path recomputes per event:
   one closure per step;
 * **joins** — for a tree plan, the lowered kernels linking each child
   node to its sibling, in both join orientations;
-* **locals** — per-variable acceptance kernels, evaluated once per
-  event by :meth:`CompiledPlanKernels.evaluate_local`.
+* **locals** — per-variable acceptance kernels, fused into one test per
+  variable by :meth:`CompiledPlanKernels.local_acceptor`.
 
 The statistics contract matches the interpreted path exactly: when a
 collector is attached, *every* kernel of a step/join is evaluated even
@@ -233,23 +233,41 @@ class CompiledPlanKernels:
     # ------------------------------------------------------------------
     # Evaluation entry points (the compiled hot path)
     # ------------------------------------------------------------------
-    def evaluate_local(self, variable: str, event, collector) -> bool:
-        """Single-variable acceptance kernels for one event."""
-        kernels = self.local_kernels.get(variable, ())
+    def local_acceptor(self, variable: str, collector):
+        """The fused acceptance test of one variable's local kernels.
+
+        ``accept(event)`` runs every kernel, reports each outcome to
+        ``collector`` (without one, evaluation short-circuits) and says
+        whether the event may bind ``variable``.  ``None`` when the
+        variable has no local condition: every event of its type passes
+        and nothing is reported.
+        """
+        kernel_fns = tuple(kernel.fn for kernel in self.local_kernels.get(variable, ()))
+        if not kernel_fns:
+            return None
         if collector is None:
-            for kernel in kernels:
-                if not kernel.fn(event):
-                    return False
-            return True
+
+            def accept(event):
+                for fn in kernel_fns:
+                    if not fn(event):
+                        return False
+                return True
+
+            return accept
+
         observe = collector.observe_condition
-        satisfied = True
-        timestamp = event.timestamp
-        for kernel in kernels:
-            outcome = kernel.fn(event)
-            observe(variable, variable, timestamp, outcome)
-            if not outcome:
-                satisfied = False
-        return satisfied
+
+        def accept(event):
+            satisfied = True
+            timestamp = event.timestamp
+            for fn in kernel_fns:
+                outcome = fn(event)
+                observe(variable, variable, timestamp, outcome)
+                if not outcome:
+                    satisfied = False
+            return satisfied
+
+        return accept
 
     def step_extender(self, position: int, collector):
         """The fused hot-path closure of one NFA plan step.

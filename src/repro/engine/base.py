@@ -9,7 +9,7 @@ over the positive items.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.compile import CompiledPlanKernels, validate_compile_mode
 from repro.events import Event
@@ -17,6 +17,11 @@ from repro.engine.match import Match, PartialMatch
 from repro.engine.semantics import local_conditions_hold
 from repro.patterns import Pattern, PatternItem
 from repro.statistics import StatisticsCollector
+
+#: One entry of an engine's per-type arrival table: the targets the type
+#: serves, each with its local acceptance test (``None``: no local
+#: condition), and whether the type feeds a negated or Kleene side buffer.
+Arrival = Tuple[Tuple[Tuple[object, Optional[Callable[[Event], bool]]], ...], bool]
 
 
 @dataclass
@@ -28,6 +33,15 @@ class EngineCounters:
     inside its admissible time interval, so pairings ruled out by the
     window or the SEQ order alone are not attempts (the tree engine counts
     every sibling pairing it considers).
+
+    Two counts depend on *when* expiry runs, not only on the events that
+    match: the tree engine's ``extension_attempts`` counts a pairing
+    before its window check, so a stale sibling not yet expired is an
+    attempt, and the indexed tier's ``candidates_pruned`` counts stale,
+    not-yet-expired partial matches a probe skips by key.  Expiry is
+    clocked by the events an engine is offered — every event, whether or
+    not the pattern names its type — so dropping events ahead of an
+    engine moves both.
     """
 
     events_processed: int = 0
@@ -65,13 +79,6 @@ class EvaluationEngine:
     collector:
         Optional statistics collector receiving condition-evaluation
         feedback (arrival rates are fed by the enclosing CEP engine).
-    emit_all_new_only_after:
-        When set (by the plan-migration manager on a *new* engine), matches
-        are emitted only if all their events arrived at or after this time.
-    suppress_all_new_after:
-        When set (on a *draining* engine), matches whose events all arrived
-        at or after this time are suppressed — they are the new engine's
-        responsibility.
     compile_mode:
         ``"interpreted"`` (default) evaluates conditions through their
         ``evaluate`` method; ``"compiled"`` lowers the plan's conditions
@@ -79,6 +86,13 @@ class EvaluationEngine:
         equality-predicate hash indexes over the candidate stores.
         Subclasses opt in by calling :meth:`_compile_plan` once
         ``self.plan`` is set.
+
+    Plan migration (:class:`~repro.engine.PlanMigrationManager`) takes no
+    constructor argument: a new engine starts with empty buffers, so it can
+    only produce matches made entirely of events after the switch, and the
+    *draining* engine carries ``suppress_all_new_after`` — set to the
+    switch time, it suppresses matches whose events all arrived at or after
+    it, since those are the new engine's.
     """
 
     def __init__(
@@ -162,6 +176,48 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # Shared machinery
     # ------------------------------------------------------------------
+    def _arrival_table(
+        self, targets: Mapping[str, Sequence[Tuple[object, str]]]
+    ) -> Dict[str, Arrival]:
+        """Per event type: what an arrival of the type can reach.
+
+        ``targets`` maps a type to the ``(target, variable)`` pairs it
+        serves (NFA steps or tree leaves, in dispatch order); each entry
+        becomes ``(targets with their local acceptance tests, special)``,
+        where ``special`` says the type has a negated or Kleene item and so
+        feeds the side buffers.  A type in neither is absent: its arrival
+        only advances the expiry clock.  Derived state — built when the
+        plan is compiled and on restore, never pickled.
+        """
+        special = {
+            item.event_type.name
+            for item in (*self.pattern.negated_items, *self.pattern.kleene_items)
+        }
+        table: Dict[str, Arrival] = {
+            type_name: (
+                tuple((target, self._local_acceptor(v)) for target, v in served),
+                type_name in special,
+            )
+            for type_name, served in targets.items()
+        }
+        for type_name in special:
+            table.setdefault(type_name, ((), True))
+        return table
+
+    def _local_acceptor(self, variable: str) -> Optional[Callable[[Event], bool]]:
+        """The single-variable conditions of ``variable`` as one test, or
+        ``None`` when it has none and every event of its type is accepted.
+
+        Outcomes are reported to the collector as
+        :func:`~repro.engine.semantics.local_conditions_hold` reports them.
+        """
+        if self._compiled is not None:
+            return self._compiled.local_acceptor(variable, self.collector)
+        if not self.pattern.conditions.single_variable_conditions(variable):
+            return None
+        pattern, collector = self.pattern, self.collector
+        return lambda event: local_conditions_hold(pattern, variable, event, collector)
+
     def _buffer_special_items(self, event: Event) -> None:
         """Store events of negated / Kleene item types in their side buffers."""
         for item in self.pattern.negated_items:
@@ -176,13 +232,16 @@ class EvaluationEngine:
                 self._kleene_buffers[item.variable].append(event)
 
     def _expire_special_buffers(self, now: float) -> None:
+        if not (self._negated_buffers or self._kleene_buffers):
+            return
         window = self.pattern.window
         if window == float("inf"):
             return
         cutoff = now - window
         for buffers in (self._negated_buffers, self._kleene_buffers):
             for variable, events in buffers.items():
-                buffers[variable] = [e for e in events if e.timestamp >= cutoff]
+                if events:
+                    buffers[variable] = [e for e in events if e.timestamp >= cutoff]
 
     def _finalize(self, partial: PartialMatch, now: float) -> Optional[Match]:
         """Turn a completed positive binding into a reportable match.

@@ -121,9 +121,9 @@ class PlanMigrationManager:
     # ------------------------------------------------------------------
     def process(self, event: Event) -> List[Match]:
         """Feed one event to the active engine and to any draining engines."""
-        now = event.timestamp
-        if self._draining:
-            self._retire_expired(now)
+        if not self._draining:
+            return self._active.process(event)
+        self._retire_expired(event.timestamp)
         matches = self._active.process(event)
         for engine, _retirement in self._draining:
             matches.extend(engine.process(event))

@@ -21,21 +21,33 @@ strictly before those it orders after (the plan's
 :class:`~repro.plans.PlanStep` relations — one source for all execution
 modes).  For every incoming event ``e``:
 
-1. ``e`` is appended to the buffers of the positive variables it can serve
-   (local single-variable conditions permitting) and to the negated/Kleene
-   side buffers.
-2. Every stored partial match whose *next* plan step accepts ``e``'s type
+1. The expiry check runs, on the engine's own cadence (below).
+2. If ``e``'s type has a negated or Kleene item, ``e`` joins those side
+   buffers.
+3. ``e`` is appended to the buffers of the positive variables it can serve
+   (local single-variable conditions permitting).
+4. If no step that accepted ``e`` has a waiting partial match and ``e``
+   does not serve the plan's initiator variable, ``e`` only waits: the
+   engine returns here, having paid the check and the appends.
+5. Every stored partial match whose *next* plan step accepts ``e``'s type
    and whose interval contains ``e``'s timestamp is tentatively extended
    with ``e`` (the newly bound conditions are evaluated).
-3. If ``e`` serves the plan's initiator variable, a fresh partial match is
+6. If ``e`` serves the plan's initiator variable, a fresh partial match is
    opened with it.
-4. Every partial match created in steps 2–3 is then recursively extended
-   with *buffered* (earlier) events for its remaining steps — the slice of
-   the step's buffer inside the interval, found by bisection — so matches
-   whose plan order disagrees with arrival order are still found.  It is
-   then stored for future arrivals, unless its next step must *precede* an
-   already-bound event: no future arrival can take that step, so such a
-   partial match is dropped after its one history scan.
+7. Every partial match created in steps 5–6 (when there is none, the
+   engine returns) is then recursively extended with *buffered* (earlier)
+   events for its remaining steps — the slice of the step's buffer inside
+   the interval, found by bisection — so matches whose plan order
+   disagrees with arrival order are still found.  It is then stored for
+   future arrivals, unless its next step must *precede* an already-bound
+   event: no future arrival can take that step, so such a partial match
+   is dropped after its one history scan.
+
+Steps 2–4 read one per-type *arrival table*, derived from the plan when
+it is compiled (and rebuilt on restore, never pickled): the steps a type
+serves, each with its local acceptance test, and whether the type is a
+negated or Kleene type.  A type the pattern never names is absent from
+it, but its events still clock expiry (step 1).
 
 With this discipline every complete match is materialised exactly once —
 during the processing of its last-arriving event — and the number of live
@@ -43,7 +55,9 @@ partial matches tracks the quantity the plan-generation cost model
 minimises.  Only candidates inside the interval reach a condition, so
 ``counters.extension_attempts`` counts exactly the pairings whose
 conditions were evaluated (the paper's cost proxy), not the pairings time
-alone rules out.  Expiry trims the heads of the sorted stores.
+alone rules out.  Expiry trims the heads of the sorted stores every
+``expiry_interval_fraction`` of a window, clocked by the events the
+engine is offered.
 
 An event that arrives *behind* its buffer's tail is still inserted in
 timestamp position, so the stores stay sorted and the interval search
@@ -58,7 +72,7 @@ All three modes share the enumeration above and differ in the per-step
 ``compile_mode="interpreted"`` evaluates them through
 :mod:`repro.engine.semantics`.  ``"compiled"`` uses the plan's
 :class:`~repro.compile.CompiledPlanKernels` (fused step extenders and
-local kernels in :meth:`_accept_into_buffers`).  ``"indexed"`` adds
+local kernels in the arrival table).  ``"indexed"`` adds
 equality hash indexes over both candidate stores — the waiting partial
 matches and the buffered events of each step — so join probes only touch
 candidates whose equality key can match (and, within a bucket, whose
@@ -77,7 +91,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.compile import EqualityIndex
 from repro.engine.base import EvaluationEngine
 from repro.engine.match import Match, PartialMatch
-from repro.engine.semantics import evaluate_new_conditions, local_conditions_hold
+from repro.engine.semantics import evaluate_new_conditions
 from repro.errors import EngineError
 from repro.events import Event
 from repro.plans import OrderBasedPlan, PlanStep
@@ -214,7 +228,10 @@ class LazyNFAEngine(EvaluationEngine):
     def _bind_steps(self) -> None:
         """Build the per-step runtime table over the persistent stores.
 
-        Extender closures and equality indexes are derived state: never
+        Extender closures, equality indexes and the per-type arrival table
+        (the steps each type serves, with their local acceptance tests —
+        derived from ``_type_to_variables``, so types a subclass hides from
+        dispatch stay hidden after a restore) are derived state: never
         pickled, rebuilt here at construction and on restore.
         """
         compiled = self._compiled
@@ -247,6 +264,13 @@ class LazyNFAEngine(EvaluationEngine):
             steps.append(step)
         self._steps = steps
         self._step_of: Dict[str, _Step] = {s.relations.variable: s for s in steps}
+        self._window = self.pattern.window
+        self._arrivals = self._arrival_table(
+            {
+                type_name: [(self._step_of[v], v) for v in variables]
+                for type_name, variables in self._type_to_variables.items()
+            }
+        )
 
     def _interpreted_extender(self, variable: str) -> Callable:
         pattern, collector = self.pattern, self.collector
@@ -269,8 +293,8 @@ class LazyNFAEngine(EvaluationEngine):
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        del state["_steps"]
-        del state["_step_of"]
+        for derived in ("_steps", "_step_of", "_window", "_arrivals"):
+            del state[derived]
         return state
 
     # ------------------------------------------------------------------
@@ -289,8 +313,8 @@ class LazyNFAEngine(EvaluationEngine):
         return sum(len(events) for events in self._buffers.values())
 
     def expire(self, now: float) -> None:
-        window = self.pattern.window
-        if window == float("inf"):
+        window = self._window
+        if window == _INF:
             return
         cutoff = now - window
         for step in self._steps:
@@ -300,6 +324,8 @@ class LazyNFAEngine(EvaluationEngine):
                 if step.buffer_index is not None:
                     step.buffer_index.trim(cutoff, _TIMESTAMP)
             waiting = step.waiting
+            if not waiting:
+                continue
             kept = [pm for pm in waiting if pm.min_timestamp >= cutoff]
             if len(kept) != len(waiting):
                 waiting[:] = kept
@@ -313,16 +339,47 @@ class LazyNFAEngine(EvaluationEngine):
         self.counters.events_processed += 1
         if now - self._last_expiry >= self._expiry_interval:
             self.expire(now)
-        self._buffer_special_items(event)
+        arrival = self._arrivals.get(event.type_name)
+        if arrival is None:
+            return []
+        serves, special = arrival
+        if special:
+            self._buffer_special_items(event)
 
-        accepted_variables = self._accept_into_buffers(event)
-        if not accepted_variables:
+        initiator = self._steps[0]
+        accepted: List[_Step] = []
+        extendable = False
+        for step, accept in serves:
+            if accept is not None and not accept(event):
+                continue
+            events = step.buffer
+            # A timestamp regression: keep the stores sorted, the interval
+            # search depends on it.
+            late = bool(events) and events[-1].timestamp > now
+            if late:
+                insort(events, event, key=_TIMESTAMP)
+            else:
+                events.append(event)
+            if step.buffer_index is not None:
+                key = event.get(step.index_spec.event_attribute)
+                if late:
+                    step.buffer_index.add_sorted(key, event, _TIMESTAMP)
+                else:
+                    step.buffer_index.add(key, event)
+            accepted.append(step)
+            if step.waiting or step is initiator:
+                extendable = True
+        if not extendable:
+            # Buffered only: no waiting partial match takes the event and
+            # it opens none, so there is nothing to extend.
             return []
 
-        new_matches = self._extend_with_event(event, accepted_variables, now)
-        if self._order[0] in accepted_variables:
+        new_matches = self._extend_with_event(event, accepted, now)
+        if initiator in accepted:
             new_matches.append(PartialMatch.of(self._order[0], event))
             self.counters.partial_matches_created += 1
+        if not new_matches:
+            return []
 
         completed = self._extend_from_buffers(new_matches, now)
 
@@ -336,52 +393,18 @@ class LazyNFAEngine(EvaluationEngine):
     # ------------------------------------------------------------------
     # Matching steps
     # ------------------------------------------------------------------
-    def _accept_into_buffers(self, event: Event) -> List[str]:
-        """Buffer the event under every positive variable it can serve.
-
-        Compiled local kernels (or the interpreted conditions) decide
-        acceptance per event.
-        """
-        accepted: List[str] = []
-        compiled = self._compiled
-        for variable in self._type_to_variables.get(event.type_name, ()):
-            if compiled is not None:
-                held = compiled.evaluate_local(variable, event, self.collector)
-            else:
-                held = local_conditions_hold(
-                    self.pattern, variable, event, self.collector
-                )
-            if held:
-                step = self._step_of[variable]
-                events = step.buffer
-                # A timestamp regression: keep the stores sorted, the
-                # interval search depends on it.
-                late = bool(events) and events[-1].timestamp > event.timestamp
-                if late:
-                    insort(events, event, key=_TIMESTAMP)
-                else:
-                    events.append(event)
-                if step.buffer_index is not None:
-                    key = event.get(step.index_spec.event_attribute)
-                    if late:
-                        step.buffer_index.add_sorted(key, event, _TIMESTAMP)
-                    else:
-                        step.buffer_index.add(key, event)
-                accepted.append(variable)
-        return accepted
-
     def _extend_with_event(
-        self, event: Event, accepted_variables: List[str], now: float
+        self, event: Event, accepted: List[_Step], now: float
     ) -> List[PartialMatch]:
-        """Extend stored partial matches whose next step accepts this event."""
+        """Extend stored partial matches whose next step accepted this event."""
         extended: List[PartialMatch] = []
-        window = self.pattern.window
+        window = self._window
         attempts = 0
-        for variable in accepted_variables:
-            step = self._step_of[variable]
-            relations = step.relations
-            if relations.closed_to_arrivals:
+        for step in accepted:
+            if not step.waiting:
+                # Closed steps never store one; the index shadows the list.
                 continue
+            relations = step.relations
             candidates: Sequence[PartialMatch] = step.waiting
             if step.waiting_index is not None:
                 spec = step.index_spec
@@ -426,7 +449,7 @@ class LazyNFAEngine(EvaluationEngine):
         frontier = new_matches
         steps = self._steps
         depth = self._depth
-        window = self.pattern.window
+        window = self._window
         attempts = 0
         created = 0
         while frontier:

@@ -1,13 +1,17 @@
 """Tree (ZStream-style) engine for tree-based plans.
 
 Events are buffered at the leaves of the plan tree; every internal node
-stores the sub-matches covering its leaves.  When a new event arrives it is
-turned into a leaf sub-match and propagated upwards: at each internal node
-the new sub-match is joined against the sub-matches stored at the sibling
-subtree, and the joins that satisfy the temporal, window and predicate
-constraints are stored and propagated further.  Sub-matches reaching the
-root are complete and are emitted (after negation filtering and Kleene
-expansion, shared with the NFA engine).
+stores the sub-matches covering its leaves.  A per-type arrival table,
+derived from the plan when it is compiled (like the NFA's), names the
+leaves a type serves with their local tests and whether the type feeds a
+negated or Kleene side buffer; a type the pattern never names only clocks
+expiry.  When a new event arrives it is turned into a leaf sub-match and
+propagated upwards: at each internal node the new sub-match is joined
+against the sub-matches stored at the sibling subtree, and the joins that
+satisfy the temporal, window and predicate constraints are stored and
+propagated further.  Sub-matches reaching the root are complete and are
+emitted (after negation filtering and Kleene expansion, shared with the
+NFA engine).
 """
 
 from __future__ import annotations
@@ -16,11 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.engine.base import EvaluationEngine
 from repro.engine.match import Match, PartialMatch
-from repro.engine.semantics import (
-    evaluate_join_conditions,
-    groups_order_respected,
-    local_conditions_hold,
-)
+from repro.engine.semantics import evaluate_join_conditions, groups_order_respected
 from repro.errors import EngineError
 from repro.events import Event
 from repro.plans import TreeBasedPlan, TreeInternalNode, TreeLeaf, TreePlanNode
@@ -70,6 +70,36 @@ class TreeEvaluationEngine(EvaluationEngine):
         self._last_expiry = float("-inf")
         self._compile_plan()
 
+    def _compile_plan(self) -> None:
+        super()._compile_plan()
+        self._bind_leaves()
+
+    def _bind_leaves(self) -> None:
+        """Derive the per-type arrival table over the leaf stores.
+
+        Each type maps to the leaves it serves with their local acceptance
+        tests, and says whether the type feeds a negated or Kleene side
+        buffer.  Derived state like the window read off the pattern: never
+        pickled, rebuilt here at construction and on restore.
+        """
+        self._window = self.pattern.window
+        self._arrivals = self._arrival_table(
+            {
+                type_name: [(store, store.node.variable) for store in stores]
+                for type_name, stores in self._leaf_stores_by_type.items()
+            }
+        )
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_leaves()
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_window"]
+        del state["_arrivals"]
+        return state
+
     def _build_stores(self, node: TreePlanNode, parent: Optional[_NodeStore]) -> _NodeStore:
         store = _NodeStore(node, parent)
         self._stores.append(store)
@@ -95,16 +125,21 @@ class TreeEvaluationEngine(EvaluationEngine):
         }
 
     def expire(self, now: float) -> None:
-        window = self.pattern.window
+        window = self._window
         if window == float("inf"):
             return
         cutoff = now - window
         for store in self._stores:
-            store.matches = [
+            stored = store.matches
+            if not stored:
+                continue
+            kept = [
                 pm
-                for pm in store.matches
+                for pm in stored
                 if pm.min_timestamp is None or pm.min_timestamp >= cutoff
             ]
+            if len(kept) != len(stored):
+                store.matches = kept
         self._expire_special_buffers(now)
         self._last_expiry = now
 
@@ -113,21 +148,18 @@ class TreeEvaluationEngine(EvaluationEngine):
         self.counters.events_processed += 1
         if now - self._last_expiry >= self._expiry_interval:
             self.expire(now)
-        self._buffer_special_items(event)
+        arrival = self._arrivals.get(event.type_name)
+        if arrival is None:
+            return []
+        leaves, special = arrival
+        if special:
+            self._buffer_special_items(event)
 
-        compiled = self._compiled
         matches: List[Match] = []
-        for store in self._leaf_stores_by_type.get(event.type_name, ()):
-            leaf = store.node
-            if compiled is not None:
-                held = compiled.evaluate_local(leaf.variable, event, self.collector)
-            else:
-                held = local_conditions_hold(
-                    self.pattern, leaf.variable, event, self.collector
-                )
-            if not held:
+        for store, accept in leaves:
+            if accept is not None and not accept(event):
                 continue
-            leaf_match = PartialMatch.of(leaf.variable, event)
+            leaf_match = PartialMatch.of(store.node.variable, event)
             self.counters.partial_matches_created += 1
             matches.extend(self._store_and_propagate(store, leaf_match, now))
         return matches
@@ -177,7 +209,7 @@ class TreeEvaluationEngine(EvaluationEngine):
             for value in (left.max_timestamp, right.max_timestamp)
             if value is not None
         )
-        if self.pattern.window != float("inf") and span_max - span_min > self.pattern.window:
+        if span_max - span_min > self._window:
             return None
         if not groups_order_respected(self.pattern, left.bindings, right.bindings):
             return None

@@ -118,8 +118,11 @@ class SuffixNFAEngine(LazyNFAEngine):
         self.prefix_variables = tuple(prefix_variables)
         self.prefix_types = frozenset(prefix_types)
         self.join_time = join_time
+        # Hidden from dispatch; ``_bind_steps`` derives the arrival table
+        # from ``_type_to_variables``, so a restore keeps them hidden.
         for type_name in self.prefix_types:
             self._type_to_variables.pop(type_name, None)
+            self._arrivals.pop(type_name, None)
 
     def inject_partials(self, partials: List[PartialMatch], now: float) -> List[Match]:
         """Extend delivered prefix bindings through the suffix steps.
