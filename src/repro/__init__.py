@@ -126,11 +126,9 @@ from repro.patterns import (
     Pattern,
     PatternItem,
     PatternOperator,
-    CompositePattern,
     PatternBuilder,
     seq,
     conjunction,
-    disjunction,
 )
 from repro.statistics import (
     StatisticsSnapshot,
@@ -229,11 +227,9 @@ __all__ = [
     "Pattern",
     "PatternItem",
     "PatternOperator",
-    "CompositePattern",
     "PatternBuilder",
     "seq",
     "conjunction",
-    "disjunction",
     # statistics
     "StatisticsSnapshot",
     "StatisticsCollector",

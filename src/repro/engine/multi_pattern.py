@@ -1,9 +1,8 @@
 """Shared one-pass multi-pattern evaluation.
 
-Historically this engine evaluated a :class:`CompositePattern` by feeding
-every event to every sub-pattern's engine — N patterns meant reading the
-stream N times.  It now serves a :class:`~repro.multi.PatternSet` (or a
-plain ``list`` of patterns) in **one pass**:
+The engine serves a :class:`~repro.multi.PatternSet` (or a plain ``list``
+of patterns) — the paper's composite patterns included — in **one pass**
+rather than reading the stream once per pattern:
 
 * each event is routed through a per-event-type dispatch table to only
   the patterns that can consume it;
@@ -27,11 +26,9 @@ plain ``list`` of patterns) in **one pass**:
 Matches are tagged with their originating pattern's registry id
 (``Match.pattern_id``), so the union output keeps provenance.
 
-The constructor takes anything :func:`~repro.multi.registry.as_pattern_set`
-coerces — a ``PatternSet``, a :class:`CompositePattern` (the paper's
-disjunction experiments) or a non-empty list of patterns; a bare
-:class:`Pattern` or an empty collection raises
-:class:`~repro.errors.EngineError`.
+The constructor takes a non-empty ``PatternSet`` or a non-empty list of
+patterns (wrapped in a ``PatternSet``); a bare :class:`Pattern` or an
+empty collection raises :class:`~repro.errors.EngineError`.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from repro.errors import EngineError
 from repro.events import Event, EventStream
 from repro.metrics import RunMetrics, aggregate_metrics
 from repro.multi.hub import SharedStatisticsCollector, SharedStatisticsHub
-from repro.multi.registry import as_pattern_set
+from repro.multi.registry import PatternSet
 from repro.multi.sharing import (
     PrefixShareManager,
     SharedPrefixGroup,
@@ -65,8 +62,8 @@ class MultiPatternEngine:
     Parameters
     ----------
     patterns:
-        A :class:`~repro.multi.PatternSet`, a :class:`CompositePattern`
-        or a non-empty iterable of :class:`Pattern` objects.
+        A :class:`~repro.multi.PatternSet` or a non-empty iterable of
+        :class:`Pattern` objects.
     planner:
         Plan-generation algorithm shared by all patterns (planners are
         stateless, so sharing one instance is safe).
@@ -82,10 +79,6 @@ class MultiPatternEngine:
     statistics_window:
         Sliding window of the shared statistics hub (defaults to five of
         the longest pattern window, matching the per-pattern default).
-    enable_sharing:
-        Route plans through the shared-prefix manager (default).  When
-        off, per-pattern engines are built standalone; event dispatch and
-        the shared statistics hub still apply.
     """
 
     def __init__(
@@ -97,35 +90,32 @@ class MultiPatternEngine:
         monitoring_interval: float = 1.0,
         compile_mode: str = "interpreted",
         statistics_window: Optional[float] = None,
-        enable_sharing: bool = True,
     ):
-        pattern_set = None if isinstance(patterns, Pattern) else as_pattern_set(patterns)
-        if not pattern_set:  # a bare Pattern, or an empty collection
+        if not isinstance(patterns, (Pattern, PatternSet)):
+            patterns = PatternSet(patterns)
+        if isinstance(patterns, Pattern) or not patterns:
             raise EngineError(
-                "MultiPatternEngine takes a PatternSet, a CompositePattern or a "
-                f"non-empty list of Patterns, got {patterns!r}; serve a single "
-                "Pattern with AdaptiveCEPEngine or wrap it in a list"
+                "MultiPatternEngine takes a non-empty PatternSet or a non-empty "
+                f"list of Patterns, got {patterns!r}; serve a single Pattern "
+                "with AdaptiveCEPEngine or wrap it in a list"
             )
-        self.pattern = patterns if hasattr(patterns, "subpatterns") else pattern_set
-        self.pattern_set = pattern_set
+        self.pattern = patterns
         if monitoring_interval <= 0:
             raise EngineError("monitoring_interval must be positive")
         self.compile_mode = compile_mode
-        self._sharing_enabled = bool(enable_sharing)
         self._monitoring_interval = float(monitoring_interval)
         self._next_tick: Optional[float] = None
 
-        window = pattern_set.window if pattern_set.window != float("inf") else 100.0
+        window = patterns.window if patterns.window != float("inf") else 100.0
         self._hub = SharedStatisticsHub(window=statistics_window or 5.0 * window)
         self._manager = PrefixShareManager(self._hub, compile_mode=compile_mode)
-        for subpattern in pattern_set:
+        for subpattern in patterns:
             self._hub.register(subpattern)
-            if self._sharing_enabled:
-                self._manager.register(subpattern)
+            self._manager.register(subpattern)
 
         self._adaptives: Dict[str, AdaptiveCEPEngine] = {}
         self._ids_by_name: Dict[str, str] = {}
-        for pattern_id, subpattern in pattern_set.items():
+        for pattern_id, subpattern in patterns.items():
             collector = SharedStatisticsCollector(self._hub)
             engine = AdaptiveCEPEngine(
                 pattern=subpattern,
@@ -134,7 +124,7 @@ class MultiPatternEngine:
                 initial_snapshot=_restrict_snapshot(initial_snapshot, subpattern),
                 compile_mode=compile_mode,
                 statistics_collector=collector,
-                engine_factory=self._manager if self._sharing_enabled else None,
+                engine_factory=self._manager,
             )
             self._manager.attach(subpattern.name, engine)
             self._adaptives[pattern_id] = engine
@@ -196,7 +186,6 @@ class MultiPatternEngine:
             "reoptimizations": self.reoptimization_count(),
             "partial_matches": {"live": self.partial_match_count()},
             "sharing": {
-                "enabled": self._sharing_enabled,
                 "groups": self._manager.sharing_report(),
                 "prefix_hits": self._manager.prefix_hits_total(),
                 "kernels_reused": kernels_reused_total(),
@@ -222,7 +211,7 @@ class MultiPatternEngine:
         manager = self._manager
         for adaptive in self._adaptives.values():
             pattern = adaptive.pattern
-            adaptive._engine_factory = manager if self._sharing_enabled else None
+            adaptive._engine_factory = manager
             collector = adaptive.collector
             manager.attach(pattern.name, adaptive)
             for engine in adaptive.evaluation_engines():

@@ -26,9 +26,18 @@ Every conforming engine agrees on the return shapes:
 ``partial_match_count()``
     number of live partial matches across all internal engines.
 ``plan_history``
-    descriptions of every plan installed so far, in adoption order.
+    descriptions of every plan installed so far, in adoption order (a
+    sharded facade prefixes each with its shard, ``"shard 0: ..."``).
 ``introspection()``
-    a JSON-serializable dict of engine internals for observability.
+    a JSON-serializable dict of engine internals for observability (a
+    sharded facade merges its replicas' frames into one cross-shard
+    frame).
+
+``plan_history`` and ``introspection()`` are what every host reads — the
+pipeline's ``PipelineResult.plan_history`` and ``/engine`` endpoint, the
+experiment runner — and each facade gives them in one shape, whether it
+runs inline or its replicas run in worker processes; no host re-derives
+either.
 
 State is not part of the protocol: every facade is captured whole by
 :func:`~repro.engine.state.snapshot_engine` and rebuilt by

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.adaptive import (
     AverageRelativeDifferenceDistance,
@@ -13,22 +13,21 @@ from repro.adaptive import (
     UnconditionalPolicy,
 )
 from repro.datasets import DatasetSimulator, dataset_by_name
-from repro.engine import AdaptiveCEPEngine, MultiPatternEngine
 from repro.errors import ExperimentError
 from repro.events import InMemoryEventStream
 from repro.experiments.config import ExperimentConfig, PolicySpec
 from repro.metrics import RunMetrics
+from repro.multi import PatternSet
 from repro.optimizer import GreedyOrderPlanner, PlanGenerator, ZStreamTreePlanner
 from repro.parallel import (
     BroadcastPartitioner,
     KeyPartitioner,
     ParallelCEPEngine,
+    build_replica,
 )
-from repro.patterns import CompositePattern, Pattern
+from repro.patterns import Pattern
 from repro.streaming import ProcessWorkerBackend
 from repro.workloads import WorkloadGenerator
-
-PatternLike = Union[Pattern, CompositePattern]
 
 
 def build_partitioner(partition_by: Optional[str]):
@@ -85,7 +84,7 @@ def make_stream(
 
 
 def build_streaming_engine(
-    config: ExperimentConfig, pattern: PatternLike, spec: PolicySpec
+    config: ExperimentConfig, pattern: Pattern | PatternSet, spec: PolicySpec
 ):
     """A fresh engine (or worker backend) for one run.
 
@@ -95,7 +94,8 @@ def build_streaming_engine(
     With ``backend="process"`` the result is a
     :class:`~repro.streaming.ProcessWorkerBackend` hosting
     ``config.shards`` engine replicas, one per worker process; otherwise a
-    bare engine, sharded in-process when the config asks for it.
+    bare engine, sharded in-process when the config asks for it, else the
+    one :func:`~repro.parallel.build_replica` makes for the pattern.
     """
     planner = build_planner(config.algorithm)
     policy = build_policy(spec)
@@ -115,18 +115,11 @@ def build_streaming_engine(
         if config.backend == "inline":
             return engine
         return ProcessWorkerBackend(engine)
-    if not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
-        return MultiPatternEngine(
-            pattern,
-            planner,
-            policy_factory=lambda: build_policy(spec),
-            **settings,
-        )
-    return AdaptiveCEPEngine(pattern, planner, policy, **settings)
+    return build_replica(pattern, planner, policy, None, **settings)
 
 
 def run_single(
-    pattern: PatternLike,
+    pattern: Pattern | PatternSet,
     stream: InMemoryEventStream,
     config: ExperimentConfig,
     policy_spec: PolicySpec,

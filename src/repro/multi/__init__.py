@@ -2,8 +2,10 @@
 
 This package holds the building blocks of the multi-pattern evaluator:
 
-* :class:`PatternSet` — the deployment registry: stable pattern ids that
-  survive add/remove churn and tag every emitted match's provenance;
+* :class:`PatternSet` — the deployment registry and the one
+  pattern-collection type (the paper's composite patterns are pattern
+  sets): stable pattern ids that survive add/remove churn and tag every
+  emitted match's provenance;
 * :class:`SharedStatisticsHub` / :class:`SharedStatisticsCollector` —
   one arrival counter per event type shared by all patterns;
 * :class:`PrefixShareManager` / :class:`SharedPrefixGroup` /
@@ -17,7 +19,7 @@ imported *by* the engine layer, so an eager re-import would cycle).
 """
 
 from repro.multi.hub import SharedStatisticsCollector, SharedStatisticsHub
-from repro.multi.registry import PatternSet, as_pattern_set
+from repro.multi.registry import PatternSet
 from repro.multi.sharing import (
     MIN_PREFIX_LENGTH,
     PrefixShareManager,
@@ -37,7 +39,6 @@ __all__ = [
     "SharedStatisticsCollector",
     "SharedStatisticsHub",
     "SuffixNFAEngine",
-    "as_pattern_set",
     "prefix_signature",
     "shareable_lengths",
     "share_prefix_statistics",

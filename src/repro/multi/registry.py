@@ -6,16 +6,16 @@ Ids survive ``add``/``remove`` churn (removing pattern 3 never renames
 pattern 7), so sinks, decision logs and per-pattern metrics can attribute
 matches across redeployments.
 
-The registry is duck-compatible with
-:class:`~repro.patterns.CompositePattern` (``name``, ``window``,
-``subpatterns()``, ``event_types()``), so everything that already accepts
-a composite — partitioner validation, sharded replica construction, the
-streaming pipeline — accepts a pattern set unchanged.
+A pattern set is also the paper's *composite pattern* (a disjunction of
+sub-patterns, each planned and evaluated independently): it is the one
+pattern-collection type, and every host — partitioner validation, sharded
+replica construction, the experiment runner — tells it from a single
+:class:`~repro.patterns.Pattern` with ``isinstance(x, Pattern)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import PatternError
 from repro.events import EventType
@@ -108,7 +108,7 @@ class PatternSet:
         return pattern_id in self._by_id
 
     # ------------------------------------------------------------------
-    # CompositePattern-compatible surface
+    # Composite-pattern surface (the set as one disjunction)
     # ------------------------------------------------------------------
     @property
     def operator(self) -> PatternOperator:
@@ -126,6 +126,7 @@ class PatternSet:
 
     @property
     def size(self) -> int:
+        """Composite pattern size: the size of each sub-sequence (Appendix A)."""
         return max((p.size for p in self._by_id.values()), default=0)
 
     def subpatterns(self) -> Tuple[Pattern, ...]:
@@ -144,16 +145,3 @@ class PatternSet:
     def __repr__(self) -> str:
         return f"PatternSet({', '.join(self._by_id)})"
 
-
-def as_pattern_set(patterns) -> PatternSet:
-    """Coerce a :class:`PatternSet`, composite or pattern sequence to a set."""
-    if isinstance(patterns, PatternSet):
-        return patterns
-    if hasattr(patterns, "subpatterns") and not isinstance(patterns, Pattern):
-        return PatternSet(patterns.subpatterns(), name=patterns.name)
-    if isinstance(patterns, Pattern):
-        raise PatternError(
-            "a single Pattern is not a pattern collection; wrap it in a list "
-            "or a PatternSet"
-        )
-    return PatternSet(list(patterns))

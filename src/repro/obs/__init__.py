@@ -40,7 +40,6 @@ from repro.obs.decisions import (
 )
 from repro.obs.introspect import (
     drift_rows,
-    engine_introspection_frame,
     merge_introspection_frames,
 )
 from repro.obs.registry import (
@@ -69,7 +68,6 @@ __all__ = [
     "network_samples",
     # engine introspection
     "drift_rows",
-    "engine_introspection_frame",
     "merge_introspection_frames",
     # control plane
     "ControlPlane",

@@ -20,11 +20,13 @@ hands a decision sink, and
 :meth:`~repro.engine.AdaptiveCEPEngine.introspection` reports the
 installed plan's full table.
 
-**Frames** are plain dicts (:func:`engine_introspection_frame`): plan,
-work counters, live partial matches per operator state and the drift
-section.  Per-shard frames (parallel/worker execution) fold with
-:func:`merge_introspection_frames`; worker replicas are refreshed through
-the snapshot barrier checkpoints already use.
+**Frames** are plain dicts, one shape per engine facade, each returned by
+the facade's own ``introspection()``: plan, work counters, live partial
+matches per operator state and the drift section.  A sharded
+:class:`~repro.parallel.ParallelCEPEngine` folds its replicas' frames with
+:func:`merge_introspection_frames`, so every host — inline, or a worker
+backend whose replicas are refreshed through the snapshot barrier
+checkpoints already use — serves the same frame for the same engine.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.statistics.snapshot import pair_key
 
 __all__ = [
     "drift_rows",
-    "engine_introspection_frame",
     "merge_introspection_frames",
 ]
 
@@ -76,36 +77,8 @@ def drift_rows(result, pattern, observed: StatisticsSnapshot) -> List[Dict[str, 
 
 
 # ----------------------------------------------------------------------
-# Whole-engine frames (the /engine endpoint)
+# Cross-shard frames (the /engine endpoint of a sharded engine)
 # ----------------------------------------------------------------------
-def engine_introspection_frame(engine) -> Dict[str, Any]:
-    """Duck-typed introspection of any engine shape the pipeline hosts.
-
-    * an engine exposing ``introspection()`` (adaptive / multi-pattern)
-      answers for itself;
-    * a sharded facade (``sharded_engine.shards``) yields one frame per
-      shard replica, merged;
-    * anything else degrades to its counters and partial-match count.
-    """
-    introspection = getattr(engine, "introspection", None)
-    if callable(introspection):
-        return introspection()
-    sharded = getattr(engine, "sharded_engine", None)
-    if sharded is not None:
-        frames = [
-            engine_introspection_frame(shard.engine) for shard in sharded.shards
-        ]
-        return merge_introspection_frames(frames)
-    frame: Dict[str, Any] = {"engine": type(engine).__name__}
-    counters = getattr(engine, "counters", None)
-    if counters is not None:
-        frame["counters"] = dict(vars(counters))
-    count = getattr(engine, "partial_match_count", None)
-    if callable(count):
-        frame["partial_matches"] = {"live": count()}
-    return frame
-
-
 def _merge_numeric(target: Dict[str, Any], source: Mapping[str, Any]) -> None:
     for key, value in source.items():
         if isinstance(value, (int, float)):

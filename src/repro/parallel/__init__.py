@@ -33,13 +33,14 @@ events across partition keys (see
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.adaptive import ReoptimizationPolicy
 from repro.engine import Match, RunResult
 from repro.engine.cep_engine import fold_run
 from repro.events import Event, EventStream
 from repro.metrics import RunMetrics, aggregate_metrics
+from repro.obs.introspect import merge_introspection_frames
 from repro.optimizer import PlanGenerator
 from repro.parallel.merger import (
     UNBOUNDED_DEDUP_WINDOW,
@@ -54,10 +55,8 @@ from repro.parallel.partitioner import (
 )
 from repro.parallel.shard import Shard, ShardedEngine, build_replica
 from repro.multi.registry import PatternSet
-from repro.patterns import CompositePattern, Pattern
+from repro.patterns import Pattern
 from repro.statistics import StatisticsSnapshot
-
-PatternLike = Union[Pattern, CompositePattern, PatternSet]
 
 
 class ParallelCEPEngine:
@@ -82,7 +81,7 @@ class ParallelCEPEngine:
 
     def __init__(
         self,
-        pattern: PatternLike,
+        pattern: Pattern | PatternSet,
         planner: PlanGenerator,
         policy: ReoptimizationPolicy,
         shards: int = 1,
@@ -133,23 +132,20 @@ class ParallelCEPEngine:
     @property
     def plan_history(self) -> "list[str]":
         """Installed-plan descriptions across all shard replicas, in shard
-        order (replicas adapt independently)."""
-        history: "list[str]" = []
-        for shard in self._sharded.shards:
-            history.extend(shard.engine.plan_history)
-        return history
+        order (replicas adapt independently); each entry names the shard
+        whose replica installed the plan (``"shard 0: ..."``)."""
+        return [
+            f"shard {shard.shard_id}: {plan}"
+            for shard in self._sharded.shards
+            for plan in shard.engine.plan_history
+        ]
 
     def introspection(self) -> dict:
-        """Per-shard introspection frames under one facade-level dict."""
-        return {
-            "pattern": self.pattern.name,
-            "shards": {
-                shard.shard_id: shard.engine.introspection()
-                for shard in self._sharded.shards
-            },
-            "partitioner": type(self._partitioner).__name__,
-            "partial_matches": {"live": self.partial_match_count()},
-        }
+        """The replicas' introspection frames merged into one cross-shard
+        frame (see :func:`~repro.obs.introspect.merge_introspection_frames`)."""
+        return merge_introspection_frames(
+            [shard.engine.introspection() for shard in self._sharded.shards]
+        )
 
     # ------------------------------------------------------------------
     # Event-at-a-time API
@@ -213,9 +209,8 @@ class ParallelCEPEngine:
 
         ``events_processed`` counts distinct input events (broadcast
         replication does not inflate it; ``extra["events_dispatched"]``
-        counts every hand-off to a replica), ``duration_seconds`` is the
-        wall-clock time of the whole run, and each ``plan_history`` entry
-        names the shard whose replica installed the plan.
+        counts every hand-off to a replica) and ``duration_seconds`` is the
+        wall-clock time of the whole run.
         """
         result = fold_run(self, stream)
         result.metrics.extra.update(
@@ -223,11 +218,6 @@ class ParallelCEPEngine:
             events_dispatched=float(self._sharded.events_dispatched),
             duplicates_dropped=float(self._streaming_dedup.duplicates_dropped),
         )
-        result.plan_history = [
-            f"shard {shard.shard_id}: {plan}"
-            for shard in self._sharded.shards
-            for plan in shard.engine.plan_history
-        ]
         return result
 
 

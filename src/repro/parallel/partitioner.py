@@ -29,16 +29,15 @@ the keys, so a match could span keys and key partitioning is refused.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.conditions import AttributeComparisonCondition
 from repro.errors import PartitionError
 from repro.events import Event
-from repro.patterns import CompositePattern, Pattern
-
-PatternLike = Union[Pattern, CompositePattern]
+from repro.multi.registry import PatternSet
+from repro.patterns import Pattern
 
 
 def _stable_hash(value: object) -> int:
@@ -94,7 +93,7 @@ class Partitioner:
         """Shard indices (in ``range(num_shards)``) this event is sent to."""
         raise NotImplementedError
 
-    def validate(self, pattern: PatternLike, num_shards: int) -> None:
+    def validate(self, pattern: Pattern | PatternSet, num_shards: int) -> None:
         """Raise :class:`PartitionError` if sharded detection under this
         strategy could miss matches of ``pattern``.  The default accepts
         everything; strategies that split the stream override it."""
@@ -131,7 +130,7 @@ class RoundRobinPartitioner(Partitioner):
         self._next += 1
         return (shard,)
 
-    def validate(self, pattern: PatternLike, num_shards: int) -> None:
+    def validate(self, pattern: Pattern | PatternSet, num_shards: int) -> None:
         if num_shards <= 1:
             return
         for subpattern in pattern.subpatterns():
@@ -185,7 +184,7 @@ class KeyPartitioner(Partitioner):
                 edges.append((condition.left_variable, condition.right_variable))
         return edges
 
-    def validate(self, pattern: PatternLike, num_shards: int) -> None:
+    def validate(self, pattern: Pattern | PatternSet, num_shards: int) -> None:
         if num_shards <= 1:
             return
         for subpattern in pattern.subpatterns():

@@ -2,7 +2,8 @@
 
 A :class:`Shard` owns one independent engine replica (a full
 :class:`~repro.engine.AdaptiveCEPEngine` — or
-:class:`~repro.engine.MultiPatternEngine` for composite patterns — with
+:class:`~repro.engine.MultiPatternEngine` for a
+:class:`~repro.multi.PatternSet` — with
 its own statistics collector and adaptation controller).
 :class:`ShardedEngine` builds ``N`` such shards from one
 pattern/planner/policy specification and routes each arriving event to
@@ -26,12 +27,12 @@ from repro.adaptive import ReoptimizationPolicy
 from repro.engine import AdaptiveCEPEngine, Match, MultiPatternEngine
 from repro.errors import ParallelExecutionError
 from repro.events import Event
+from repro.multi.registry import PatternSet
 from repro.optimizer import PlanGenerator
 from repro.parallel.partitioner import Partitioner
-from repro.patterns import CompositePattern, Pattern
+from repro.patterns import Pattern
 from repro.statistics import StatisticsSnapshot
 
-PatternLike = Union[Pattern, CompositePattern]
 EngineLike = Union[AdaptiveCEPEngine, MultiPatternEngine]
 
 
@@ -62,7 +63,7 @@ class ShardedEngine:
 
     def __init__(
         self,
-        pattern: PatternLike,
+        pattern: Pattern | PatternSet,
         planner: PlanGenerator,
         policy: ReoptimizationPolicy,
         num_shards: int,
@@ -120,7 +121,7 @@ class ShardedEngine:
 
 
 def build_replica(
-    pattern: PatternLike,
+    pattern: Pattern | PatternSet,
     planner: PlanGenerator,
     policy: ReoptimizationPolicy,
     initial_snapshot: Optional[StatisticsSnapshot],
@@ -130,8 +131,7 @@ def build_replica(
     """One fresh engine with private planner/policy copies."""
     replica_planner = copy.deepcopy(planner)
     replica_policy = copy.deepcopy(policy)
-    if not isinstance(pattern, Pattern) and hasattr(pattern, "subpatterns"):
-        # CompositePattern or PatternSet.
+    if not isinstance(pattern, Pattern):
         return MultiPatternEngine(
             pattern,
             replica_planner,

@@ -15,19 +15,20 @@ examples and tests::
         .build()
     )
 
-Module-level helpers :func:`seq`, :func:`conjunction` and
-:func:`disjunction` cover the simple cases in one call.
+Module-level helpers :func:`seq` and :func:`conjunction` cover the simple
+cases in one call; a composite (OR) pattern is a
+:class:`~repro.multi.PatternSet` of such patterns.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro.conditions import Condition, ConditionSet
 from repro.errors import PatternError
 from repro.events import EventType
 from repro.patterns.operators import PatternOperator
-from repro.patterns.pattern import CompositePattern, Pattern, PatternItem
+from repro.patterns.pattern import Pattern, PatternItem
 
 
 class PatternBuilder:
@@ -37,7 +38,7 @@ class PatternBuilder:
         if operator not in (PatternOperator.SEQUENCE, PatternOperator.CONJUNCTION):
             raise PatternError(
                 "PatternBuilder supports SEQUENCE or CONJUNCTION roots; "
-                "use disjunction() for composite patterns"
+                "use a repro.multi.PatternSet for composite patterns"
             )
         self._operator = operator
         self._items: List[PatternItem] = []
@@ -186,12 +187,3 @@ def conjunction(
         name=name,
     )
 
-
-def disjunction(
-    patterns: Sequence[Pattern], name: Optional[str] = None
-) -> CompositePattern:
-    """Build a composite (OR) pattern from sub-patterns."""
-    return CompositePattern(patterns, name=name)
-
-
-PatternLike = Union[Pattern, CompositePattern]

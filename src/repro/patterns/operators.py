@@ -3,7 +3,7 @@
 The paper's evaluation exercises five pattern families built from these
 operators: plain sequences, conjunctions, sequences with a negated event,
 sequences with a Kleene-closure event, and composite patterns (disjunctions
-of sequences).
+of sequences, held by a :class:`~repro.multi.PatternSet`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ class PatternOperator(Enum):
 
     ``SEQUENCE`` and ``CONJUNCTION`` are top-level operators over the
     pattern's primitive items.  ``DISJUNCTION`` is the top-level operator of
-    a :class:`~repro.patterns.CompositePattern`.  ``NEGATION`` and
+    a :class:`~repro.multi.PatternSet`, the one pattern-collection type.  ``NEGATION`` and
     ``KLEENE_CLOSURE`` are item-level modifiers attached to individual
     primitive events.
     """

@@ -5,9 +5,9 @@ ordered list of :class:`PatternItem` positions, a condition set and a time
 window.  Items can carry negation or Kleene-closure modifiers, matching the
 five pattern families used in the paper's evaluation.
 
-A :class:`CompositePattern` is a disjunction of sub-patterns; following the
-paper, each sub-pattern is planned and evaluated independently and their
-matches are unioned.
+A composite pattern — a disjunction of sub-patterns — is a
+:class:`~repro.multi.PatternSet`; following the paper, each sub-pattern is
+planned and evaluated independently and their matches are unioned.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class Pattern:
         if operator not in (PatternOperator.SEQUENCE, PatternOperator.CONJUNCTION):
             raise PatternError(
                 f"Pattern root operator must be SEQUENCE or CONJUNCTION, got {operator}; "
-                "use CompositePattern for disjunctions"
+                "use a repro.multi.PatternSet for disjunctions"
             )
         items = tuple(items)
         if not items:
@@ -235,61 +235,12 @@ class Pattern:
         return self._operator is PatternOperator.CONJUNCTION
 
     def subpatterns(self) -> Tuple["Pattern", ...]:
-        """Uniform interface with :class:`CompositePattern`."""
+        """Uniform interface with :class:`~repro.multi.PatternSet`."""
         return (self,)
 
     def __repr__(self) -> str:
         items = ", ".join(repr(item) for item in self._items)
         return f"Pattern<{self._operator.value}>({items}; window={self._window:g})"
-
-
-class CompositePattern:
-    """A disjunction (OR) of independent sub-patterns.
-
-    Matches the paper's "composite patterns" family: a match of any
-    sub-pattern is a match of the composite.  Each sub-pattern keeps its own
-    plan, its own statistics and its own adaptation state.
-    """
-
-    def __init__(self, patterns: Sequence[Pattern], name: Optional[str] = None):
-        patterns = tuple(patterns)
-        if len(patterns) < 2:
-            raise PatternError("a composite pattern requires at least two sub-patterns")
-        self._patterns = patterns
-        self._name = name or " | ".join(p.name for p in patterns)
-
-    @property
-    def operator(self) -> PatternOperator:
-        return PatternOperator.DISJUNCTION
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    @property
-    def window(self) -> float:
-        return max(p.window for p in self._patterns)
-
-    @property
-    def size(self) -> int:
-        """Composite pattern size: the size of each sub-sequence (Appendix A)."""
-        return max(p.size for p in self._patterns)
-
-    def subpatterns(self) -> Tuple[Pattern, ...]:
-        return self._patterns
-
-    def event_types(self) -> Tuple[EventType, ...]:
-        types: List[EventType] = []
-        seen = set()
-        for pattern in self._patterns:
-            for event_type in pattern.event_types:
-                if event_type.name not in seen:
-                    seen.add(event_type.name)
-                    types.append(event_type)
-        return tuple(types)
-
-    def __repr__(self) -> str:
-        return f"CompositePattern({' | '.join(p.name for p in self._patterns)})"
 
 
 def validate_pattern_types(

@@ -284,9 +284,9 @@ class StreamingPipeline:
     def engine_introspection(self) -> dict:
         """One frame of engine internals (plan, populations, drift).
 
-        Delegates to the execution backend, which merges per-shard frames
-        for worker backends; see :mod:`repro.obs.introspect` and the
-        control plane's ``/engine`` endpoint.  A worker backend refreshes
+        The hosted engine's own ``introspection()`` frame, the same shape
+        on every backend; see :mod:`repro.obs.introspect` and the control
+        plane's ``/engine`` endpoint.  A worker backend refreshes
         its replicas through the hand-off queues that ``submit`` feeds, so
         while such a pipeline runs the frame is taken by the run loop
         between batches — like a manual checkpoint — and this call waits
@@ -827,8 +827,8 @@ class StreamingPipeline:
                 sink.flush()
             # Stop the workers before reading plan history: the process
             # backend only ships its replicas' final state (including the
-            # plans they adapted to) back on close.  Idempotent — the
-            # finally-block close becomes a no-op.
+            # plans they adapted to) back into its engine on close.
+            # Idempotent — the finally-block close becomes a no-op.
             self._backend.close()
             self._sample_partial_matches()
 
@@ -841,7 +841,7 @@ class StreamingPipeline:
                 resumed_from=resumed_from,
                 total_events_processed=self._events_processed_total,
                 total_matches_emitted=self._matches_emitted_total,
-                plan_history=self._backend.plan_history(),
+                plan_history=list(self._backend.engine.plan_history),
             )
         finally:
             self._running = False

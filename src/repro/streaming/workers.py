@@ -197,15 +197,10 @@ class ExecutionBackend:
     def close(self) -> None:
         """Stop workers and reclaim their state (idempotent)."""
 
-    def plan_history(self) -> List[str]:
-        """Plan descriptions accumulated by the engine(s), best effort."""
-        return []
-
     def engine_introspection(self) -> dict:
-        """One frame of engine internals (see :mod:`repro.obs.introspect`)."""
-        from repro.obs.introspect import engine_introspection_frame
-
-        return engine_introspection_frame(self.engine)
+        """The hosted engine's ``introspection()`` frame (see
+        :mod:`repro.obs.introspect`)."""
+        return self.engine.introspection()
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
@@ -250,9 +245,6 @@ class InlineBackend(ExecutionBackend):
     def restore(self, blob: bytes) -> None:
         self._engine = restore_engine(blob)
         self._tracker = None
-
-    def plan_history(self) -> List[str]:
-        return list(getattr(self._engine, "plan_history", []))
 
 
 # ----------------------------------------------------------------------
@@ -458,34 +450,17 @@ class ProcessWorkerBackend(ExecutionBackend):
     def bind_metrics(self, metrics: PipelineMetrics) -> None:
         self._metrics = metrics
 
-    def plan_history(self) -> List[str]:
-        history: List[str] = []
-        for shard_id, engine in enumerate(self._replicas()):
-            history.extend(
-                f"shard {shard_id}: {plan}"
-                for plan in getattr(engine, "plan_history", [])
-            )
-        return history
-
     def engine_introspection(self) -> dict:
-        """Per-shard introspection frames merged into one cross-shard view.
+        """The template's cross-shard ``introspection()`` frame.
 
         The replicas are refreshed here through the same cut a checkpoint
-        takes, so the frames — drift included — describe the workers'
+        takes, so the frame — drift included — describes the workers'
         current truth, not a stale template.  The cut drives the hand-off
         queues, so while workers run only the thread that submits may call
         this; a running :class:`~repro.streaming.StreamingPipeline` hands
         other threads' requests to its run loop.
         """
-        from repro.obs.introspect import (
-            engine_introspection_frame,
-            merge_introspection_frames,
-        )
-
-        self._cut()
-        return merge_introspection_frames(
-            [engine_introspection_frame(engine) for engine in self._replicas()]
-        )
+        return self._cut().introspection()
 
     # ------------------------------------------------------------------
     # Worker processes

@@ -17,12 +17,8 @@ from repro.conditions import ConditionSet, EqualityCondition
 from repro.datasets.base import DatasetSimulator
 from repro.errors import DatasetError
 from repro.events import EventType, InMemoryEventStream
-from repro.patterns import (
-    CompositePattern,
-    Pattern,
-    PatternItem,
-    PatternOperator,
-)
+from repro.multi.registry import PatternSet
+from repro.patterns import Pattern, PatternItem, PatternOperator
 
 #: The five pattern families of the paper's evaluation (Appendix A).
 PATTERN_FAMILIES = ("sequence", "conjunction", "negation", "kleene", "composite")
@@ -241,13 +237,13 @@ class WorkloadGenerator:
         )
         return pattern, stream
 
-    def composite_pattern(self, size: int, variant: int = 0) -> CompositePattern:
+    def composite_pattern(self, size: int, variant: int = 0) -> PatternSet:
         """A disjunction of three independent sequences of the given size."""
         subpatterns = [
             self.sequence_pattern(size, variant=variant * 10 + branch)
             for branch in range(3)
         ]
-        return CompositePattern(
+        return PatternSet(
             subpatterns, name=f"{self.dataset.name}-composite-{size}-{variant}"
         )
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.engine import AdaptiveCEPEngine
-from repro.experiments import runner
 from repro.experiments.cli import build_parser, main
+from repro.parallel import shard
 from repro.streaming.net import build_parser as build_net_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -298,7 +298,8 @@ class TestExecution:
                 super().__init__(*args, **kwargs)
                 built.append(self)
 
-        monkeypatch.setattr(runner, "AdaptiveCEPEngine", RecordingEngine)
+        # The runner builds every unsharded engine through build_replica.
+        monkeypatch.setattr(shard, "AdaptiveCEPEngine", RecordingEngine)
 
         def matches_per_cell(mode):
             del built[:]

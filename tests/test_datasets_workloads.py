@@ -13,7 +13,8 @@ from repro.datasets import (
 )
 from repro.errors import DatasetError
 from repro.events import EventType
-from repro.patterns import CompositePattern, Pattern
+from repro.multi import PatternSet
+from repro.patterns import Pattern
 from repro.statistics import ConstantValue
 from repro.workloads import PATTERN_FAMILIES, WorkloadGenerator
 
@@ -207,7 +208,7 @@ class TestWorkloadGenerator:
 
     def test_composite_pattern(self, workload):
         pattern = workload.composite_pattern(3)
-        assert isinstance(pattern, CompositePattern)
+        assert isinstance(pattern, PatternSet)
         assert len(pattern.subpatterns()) == 3
         for subpattern in pattern.subpatterns():
             assert subpattern.size == 3
@@ -215,7 +216,7 @@ class TestWorkloadGenerator:
     def test_pattern_family_dispatch(self, workload):
         for family in PATTERN_FAMILIES:
             pattern = workload.pattern(family, 3)
-            assert isinstance(pattern, (Pattern, CompositePattern))
+            assert isinstance(pattern, (Pattern, PatternSet))
 
     def test_unknown_family_rejected(self, workload):
         with pytest.raises(DatasetError):

@@ -44,6 +44,7 @@ from repro.conditions import AndCondition, EqualityCondition
 from repro.datasets import StockDatasetSimulator
 from repro.engine import AdaptiveCEPEngine
 from repro.events import EventType
+from repro.obs import MetricsRegistry
 from repro.optimizer import GreedyOrderPlanner
 from repro.parallel import (
     BroadcastPartitioner,
@@ -53,6 +54,7 @@ from repro.parallel import (
 from repro.patterns import seq
 from repro.streaming import (
     CollectorSink,
+    InlineBackend,
     ProcessWorkerBackend,
     ReorderBuffer,
     ReplaySource,
@@ -286,3 +288,33 @@ def test_disordered_sequential_equals_sorted_reference(references):
         assert restored == list(events)
         matches = run_sequential(pattern, restored, partitioner)
         assert _records(matches) == reference, name
+
+
+def test_sharded_engine_answers_alike_on_every_backend():
+    """One engine, one answer: a keyed 2-shard engine reports the same
+    ``/engine`` frame shape and the same plan history whether the pipeline
+    hosts it inline or one replica per worker process, and both equal
+    what the engine reports for itself."""
+    pattern, events, partitioner = _keyed_workload()
+    expected_history = _parallel(pattern, partitioner).run(events).plan_history
+    assert all(entry.startswith("shard ") for entry in expected_history)
+
+    frames, histories = {}, {}
+    for backend_cls in (InlineBackend, ProcessWorkerBackend):
+        pipeline = StreamingPipeline(
+            backend_cls(_parallel(pattern, partitioner)), ReplaySource(events)
+        )
+        histories[backend_cls] = pipeline.run().plan_history
+        frames[backend_cls] = pipeline.engine_introspection()
+        if backend_cls is InlineBackend:
+            registry = MetricsRegistry(clock=lambda: 0.0)
+            registry.register_engine_introspection(pipeline.engine_introspection)
+            scrape, _ = registry.render()
+            assert "repro_plan_predicted_cost" in scrape
+
+    inline, workers = frames[InlineBackend], frames[ProcessWorkerBackend]
+    assert set(inline) == set(workers)
+    assert inline["plan"] and inline["plan"] == workers["plan"]
+    assert inline["drift"]["pairs"] and workers["drift"]["pairs"]
+    assert inline["shards"] == workers["shards"] == SHARDS
+    assert histories[InlineBackend] == histories[ProcessWorkerBackend] == expected_history

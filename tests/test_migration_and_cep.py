@@ -16,8 +16,9 @@ from repro.engine import (
 )
 from repro.errors import EngineError
 from repro.events import Event, EventType, InMemoryEventStream
+from repro.multi import PatternSet
 from repro.optimizer import GreedyOrderPlanner, ZStreamTreePlanner
-from repro.patterns import CompositePattern, seq
+from repro.patterns import seq
 from repro.plans import OrderBasedPlan, TreeBasedPlan
 from repro.statistics import StatisticsSnapshot
 
@@ -231,7 +232,7 @@ class TestMultiPatternEngine:
         second = seq(
             [C, D], condition=EqualityCondition("c", "d", "person_id"), window=5, name="p2"
         )
-        return CompositePattern([first, second])
+        return PatternSet([first, second])
 
     def test_requires_composite_pattern(self):
         with pytest.raises(EngineError):

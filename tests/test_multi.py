@@ -11,12 +11,13 @@ all its patterns.
 
 from __future__ import annotations
 
+import collections
 import json
-import warnings
 
 import pytest
 
 from repro.adaptive import InvariantBasedPolicy
+from repro.datasets import StockDatasetSimulator
 from repro.engine import (
     AdaptiveCEPEngine,
     MultiPatternEngine,
@@ -27,6 +28,7 @@ from repro.engine.protocol import CEPEngine
 from repro.errors import EngineError, PatternError
 from repro.events import EventType
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.method_comparison import compare_methods
 from repro.experiments.runner import build_dataset, build_workload
 from repro.multi import (
     PatternSet,
@@ -34,17 +36,17 @@ from repro.multi import (
     SharedStatisticsCollector,
     SharedStatisticsHub,
     SuffixNFAEngine,
-    as_pattern_set,
 )
 from repro.optimizer import GreedyOrderPlanner
 from repro.parallel import ParallelCEPEngine
-from repro.patterns import CompositePattern, PatternItem, Pattern, seq
+from repro.patterns import PatternItem, Pattern, seq
 from repro.patterns.operators import PatternOperator
 from repro.plans import OrderBasedPlan
 from repro.statistics import StatisticsCollector, StatisticsSnapshot
 from repro.statistics.sliding_window import SlidingWindowRateEstimator
 from repro.streaming import DeltaTracker, materialize_engine_blob
 from repro.streaming.sinks import match_record
+from repro.workloads import WorkloadGenerator
 
 A, B, C, D = EventType("A"), EventType("B"), EventType("C"), EventType("D")
 
@@ -149,18 +151,6 @@ class TestPatternSet:
         assert registry.subpatterns() == (p1, p2)
         assert {t.name for t in registry.event_types()} == {"A", "B", "C", "D"}
 
-    def test_as_pattern_set_coercions(self):
-        p1 = seq([A, B], window=5.0, name="p1")
-        p2 = seq([C, D], window=5.0, name="p2")
-        registry = PatternSet([p1, p2])
-        assert as_pattern_set(registry) is registry
-        assert as_pattern_set([p1, p2]).ids() == ("p1", "p2")
-        composite = CompositePattern([p1, p2], name="legacy")
-        coerced = as_pattern_set(composite)
-        assert coerced.name == "legacy" and coerced.subpatterns() == (p1, p2)
-        with pytest.raises(PatternError):
-            as_pattern_set(p1)
-
 
 class TestConstructorShim:
     def test_plain_list_constructor(self):
@@ -169,25 +159,84 @@ class TestConstructorShim:
         engine = MultiPatternEngine(
             [p1, p2], GreedyOrderPlanner(), InvariantBasedPolicy
         )
-        assert engine.pattern_set.ids() == ("p1", "p2")
-
-    def test_composite_pattern_accepted_without_warning(self):
-        p1 = seq([A, B], window=5.0, name="p1")
-        p2 = seq([C, D], window=5.0, name="p2")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine = MultiPatternEngine(
-                CompositePattern([p1, p2]), GreedyOrderPlanner(), InvariantBasedPolicy
-            )
-        assert engine.pattern_set.ids() == ("p1", "p2")
+        assert isinstance(engine.pattern, PatternSet)
+        assert engine.pattern.ids() == ("p1", "p2")
+        # Sharing is always on: the frame has no switch to report.
+        assert set(engine.introspection()["sharing"]) == {
+            "groups",
+            "prefix_hits",
+            "kernels_reused",
+        }
 
     def test_bare_pattern_keeps_historical_engine_error(self):
-        with pytest.raises(EngineError, match="PatternSet, a CompositePattern or"):
+        with pytest.raises(EngineError, match="PatternSet or a non-empty list"):
             MultiPatternEngine(
                 seq([A, B], window=5.0), GreedyOrderPlanner(), InvariantBasedPolicy
             )
         with pytest.raises(EngineError, match="non-empty list"):
             MultiPatternEngine([], GreedyOrderPlanner(), InvariantBasedPolicy)
+
+
+class TestCompositePath:
+    """The paper's composite family — a disjunction of three sequences —
+    through the multi-pattern engine and the method comparison.  The
+    literals were recorded before the composite type became a
+    ``PatternSet``; the engine must still install the same plans, tag the
+    same provenance and find the same matches."""
+
+    def test_composite_pattern_through_multi_engine(self):
+        stocks = StockDatasetSimulator(duration_hint=60.0)
+        composite = WorkloadGenerator(stocks, seed=1).composite_pattern(3)
+        events = stocks.generate(duration=60.0, seed=5, max_events=2000).to_list()
+        engine = MultiPatternEngine(
+            composite,
+            GreedyOrderPlanner(),
+            InvariantBasedPolicy,
+            monitoring_interval=1.0,
+        )
+        result = engine.run(events)
+        assert dict(collections.Counter(m.pattern_name for m in result.matches)) == {
+            "stocks-seq-3-0": 14,
+            "stocks-seq-3-1": 50,
+            "stocks-seq-3-2": 76,
+        }
+        assert result.plan_history == [
+            "OrderBasedPlan[K11 -> K00 -> K03]",
+            "OrderBasedPlan[K00 -> K03 -> K11]",
+            "OrderBasedPlan[K00 -> K11 -> K03]",
+            "OrderBasedPlan[K00 -> K03 -> K11]",
+            "OrderBasedPlan[K03 -> K00 -> K11]",
+            "OrderBasedPlan[K00 -> K11 -> K03]",
+            "OrderBasedPlan[K00 -> K03 -> K11]",
+            "OrderBasedPlan[K00 -> K11 -> K03]",
+            "OrderBasedPlan[K11 -> K01 -> K06]",
+            "OrderBasedPlan[K01 -> K11 -> K06]",
+            "OrderBasedPlan[K11 -> K01 -> K06]",
+            "OrderBasedPlan[K06 -> K01 -> K11]",
+            "OrderBasedPlan[K01 -> K11 -> K06]",
+            "OrderBasedPlan[K03 -> K11 -> K00]",
+            "OrderBasedPlan[K00 -> K11 -> K03]",
+        ]
+        assert all(m.pattern_id == m.pattern_name for m in result.matches)
+        assert {m.pattern_id for m in result.matches} == {
+            subpattern.name for subpattern in composite.subpatterns()
+        }
+        assert engine.work_metrics().reoptimizations == 12
+
+    def test_compare_methods_composite_row(self):
+        config = ExperimentConfig(
+            dataset="stocks",
+            algorithm="greedy",
+            duration=40.0,
+            max_events=1500,
+            sizes=(3,),
+            monitoring_interval=2.0,
+            pattern_families=("composite",),
+        )
+        (row,) = compare_methods(config).rows_for_method("invariant")
+        assert {
+            key: row[key] for key in ("size", "reoptimizations", "matches", "partial_matches")
+        } == {"size": 3, "reoptimizations": 6.0, "matches": 145.0, "partial_matches": 1201.0}
 
 
 class TestEvaluatorProtocol:

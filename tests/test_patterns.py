@@ -7,14 +7,13 @@ import pytest
 from repro.conditions import EqualityCondition
 from repro.errors import PatternError
 from repro.events import EventType
+from repro.multi import PatternSet
 from repro.patterns import (
-    CompositePattern,
     Pattern,
     PatternBuilder,
     PatternItem,
     PatternOperator,
     conjunction,
-    disjunction,
     seq,
 )
 from repro.patterns.pattern import validate_pattern_types
@@ -91,7 +90,7 @@ class TestPattern:
             seq([A, B], window=0)
 
     def test_disjunction_root_rejected_for_pattern(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match="PatternSet"):
             Pattern(PatternOperator.DISJUNCTION, [PatternItem("a", A)])
 
     def test_condition_referencing_unknown_variable_rejected(self):
@@ -200,27 +199,25 @@ class TestPatternBuilder:
             PatternBuilder.sequence().within(-1)
 
     def test_disjunction_root_not_allowed(self):
-        with pytest.raises(PatternError):
+        with pytest.raises(PatternError, match="PatternSet"):
             PatternBuilder(PatternOperator.DISJUNCTION)
 
 
 class TestCompositePattern:
+    """The paper's composite pattern (a disjunction) is a ``PatternSet``."""
+
     def test_disjunction_helper(self):
-        composite = disjunction([seq([A, B], window=5), seq([C, D], window=8)])
+        composite = PatternSet([seq([A, B], window=5), seq([C, D], window=8)])
         assert composite.operator is PatternOperator.DISJUNCTION
         assert len(composite.subpatterns()) == 2
         assert composite.window == 8
 
-    def test_requires_two_subpatterns(self):
-        with pytest.raises(PatternError):
-            CompositePattern([seq([A, B])])
-
     def test_size_is_max_subpattern_size(self):
-        composite = disjunction([seq([A, B]), seq([A, B, C])])
+        composite = PatternSet([seq([A, B]), seq([A, B, C])])
         assert composite.size == 3
 
     def test_event_types_deduplicated(self):
-        composite = disjunction([seq([A, B]), seq([B, C])])
+        composite = PatternSet([seq([A, B]), seq([B, C])])
         names = [t.name for t in composite.event_types()]
         assert names == ["A", "B", "C"]
 

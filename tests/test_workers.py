@@ -384,7 +384,7 @@ class TestWorkerBackends:
 
     def test_plan_history_is_shard_prefixed(self, backend_cls):
         backend = backend_cls(_parallel_engine(_camera_pattern()))
-        history = backend.plan_history()
+        history = backend.engine.plan_history
         assert history
         assert all(entry.startswith("shard ") for entry in history)
 
