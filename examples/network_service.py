@@ -171,7 +171,7 @@ def main() -> None:
             f"re-push deduped {source.metrics.events_duplicate} events "
             "at the source"
         )
-        stats = receiver.core.stats()
+        stats = receiver.stats()
 
     # 6. The delivered file is byte-identical to the file-source run.
     delivered = sorted_lines(delivered_path)

@@ -4,8 +4,9 @@ The script plays the operational story on a small synthetic workload:
 
 1. record a stock-ticker stream to an event file (``events.jsonl``);
 2. serve it through a :class:`StreamingPipeline` wired with a
-   :class:`DecisionLog` and a :class:`MetricsRegistry`,
-   with the HTTP :class:`ControlPlane` attached on an ephemeral port;
+   :class:`DecisionLog`, with the HTTP :class:`ControlPlane` attached on
+   an ephemeral port (it reads the pipeline's metrics, decision log and
+   engine frame from the pipeline itself);
 3. poke the live endpoints from a separate thread while the pipeline runs:
    ``GET /health``, ``GET /ready``, ``GET /metrics`` (Prometheus text) and
    ``POST /checkpoint`` (a manual cut, recorded with reason ``manual``);
@@ -40,7 +41,6 @@ from repro import (
 from repro.obs import (
     ControlPlane,
     DecisionLog,
-    MetricsRegistry,
     read_decision_records,
     verify_continuity,
 )
@@ -125,12 +125,8 @@ def main() -> None:
     # without a final checkpoint ("kill -9").
     log = DecisionLog(decisions_path)
     first = build_pipeline(pattern, dataset, events_path, matches_path, store, log)
-    registry = MetricsRegistry()
-    registry.register_pipeline(first.metrics)
     report: dict = {}
-    with ControlPlane(
-        pipeline=first, registry=registry, decision_log=log
-    ) as control:
+    with ControlPlane(first) as control:
         print(f"control plane listening on {control.url}")
         poker = threading.Timer(0.05, poke_endpoints, args=(control.url, report))
         poker.start()
@@ -148,7 +144,10 @@ def main() -> None:
     status, body = report["checkpoint"]
     print(f"POST /checkpoint -> {status} {body.strip()}")
     status, body = report["decisions"]
-    print(f"GET /decisions?limit=5 -> {status} ({len(json.loads(body))} records)")
+    print(
+        f"GET /decisions?limit=5 -> {status} "
+        f"({len(json.loads(body)['records'])} records)"
+    )
     assert report["health"][0] == 200
     assert any("repro_events_processed_total" in line for line in prom_lines)
     print(

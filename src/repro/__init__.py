@@ -183,7 +183,6 @@ from repro.obs import (
     ControlPlane,
     DecisionLog,
     DecisionRecord,
-    MetricsRegistry,
 )
 
 __version__ = "1.1.0"
@@ -282,5 +281,4 @@ __all__ = [
     "ControlPlane",
     "DecisionLog",
     "DecisionRecord",
-    "MetricsRegistry",
 ]

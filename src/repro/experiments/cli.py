@@ -48,7 +48,7 @@ from repro.experiments.runner import (
     build_workload,
 )
 from repro.metrics import NetworkMetrics
-from repro.obs import ControlPlane, DecisionLog, MetricsRegistry
+from repro.obs import ControlPlane, DecisionLog
 from repro.streaming import (
     CheckpointStore,
     CSVFileSource,
@@ -320,16 +320,33 @@ def _run_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _validate_serve_pattern_args(args: argparse.Namespace) -> None:
+    """Refuse a pattern count the service would not serve as asked.
+
+    A keyed sharded serve (``--shards > 1 --partition-by K``) detects one
+    keyed pattern; with ``--patterns > 1`` it would silently drop the
+    rest.  Sharded multi-pattern serving broadcasts (no
+    ``--partition-by``).
+    """
+    if args.patterns < 1:
+        raise StreamingError(f"--patterns must be at least 1, got {args.patterns}")
+    if args.patterns > 1 and args.shards > 1 and args.partition_by:
+        raise StreamingError(
+            "--patterns > 1 with --shards > 1 --partition-by serves one keyed "
+            "pattern; drop --partition-by to broadcast the pattern set to "
+            "every shard"
+        )
+
+
 def _serve_pattern(args: argparse.Namespace, config: ExperimentConfig, workload):
     """The pattern (or shared PatternSet, with --patterns > 1) the service detects."""
     size = int(args.size)
     if config.shards > 1 and args.partition_by:
         return workload.keyed_sequence_pattern(size, key=args.partition_by)
-    patterns = int(getattr(args, "patterns", 1) or 1)
-    if patterns > 1:
+    if args.patterns > 1:
         from repro.multi import PatternSet
 
-        return PatternSet(workload.similar_sequence_patterns(patterns, size=size))
+        return PatternSet(workload.similar_sequence_patterns(args.patterns, size=size))
     return workload.sequence_pattern(size)
 
 
@@ -371,6 +388,7 @@ def _serve_source(args: argparse.Namespace, config: ExperimentConfig, dataset, w
 
 def _run_serve(args: argparse.Namespace) -> int:
     _validate_ordering_args(args)
+    _validate_serve_pattern_args(args)
     config = _config_from_args(args)
     dataset = build_dataset(config)
     workload = build_workload(config, dataset)
@@ -429,15 +447,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     control = None
     if args.control_port is not None:
-        registry = MetricsRegistry()
-        registry.register_pipeline(pipeline.metrics)
-        registry.register_engine_introspection(pipeline.engine_introspection)
-        if net_metrics is not None:
-            registry.register_network(net_metrics)
         control = ControlPlane(
-            pipeline=pipeline,
-            registry=registry,
-            decision_log=decision_log,
+            pipeline,
             network=net_metrics,
             host=args.control_host,
             port=args.control_port,

@@ -22,9 +22,11 @@ installed plan's full table.
 
 **Frames** are plain dicts, one shape per engine facade, each returned by
 the facade's own ``introspection()``: plan, work counters, live partial
-matches per operator state and the drift section.  A sharded
+matches per operator state and the drift section; a
+:class:`~repro.engine.MultiPatternEngine` frame holds one such frame per
+pattern under ``patterns`` next to its sharing totals.  A sharded
 :class:`~repro.parallel.ParallelCEPEngine` folds its replicas' frames with
-:func:`merge_introspection_frames`, so every host — inline, or a worker
+:func:`merge_introspection_frames`, pattern by pattern, so every host — inline, or a worker
 backend whose replicas are refreshed through the snapshot barrier
 checkpoints already use — serves the same frame for the same engine.
 """
@@ -85,23 +87,22 @@ def _merge_numeric(target: Dict[str, Any], source: Mapping[str, Any]) -> None:
             target[key] = target.get(key, 0) + value
 
 
-def merge_introspection_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold per-shard introspection frames into one cross-shard view.
+def _merge_pattern_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fold one pattern's per-shard frames: the rule every pattern shares.
 
-    Counters and per-state occupancies sum; per-pair drift keeps the
-    worst-drifting shard's row (replicas share predictions but observe
-    their own slice of the stream, so the worst case is the actionable
-    one).  ``shards`` records how many frames were folded.
+    Counters, re-optimizations and per-state occupancies sum; per-pair
+    drift keeps the worst-drifting shard's row (replicas share predictions
+    but observe their own slice of the stream, so the worst case is the
+    actionable one).
     """
-    frames = [frame for frame in frames if frame]
-    if not frames:
-        return {}
-    if len(frames) == 1:
-        merged = dict(frames[0])
-        merged.setdefault("shards", 1)
-        return merged
-    merged: Dict[str, Any] = {key: frames[0].get(key) for key in ("pattern", "plan")}
-    merged["shards"] = len(frames)
+    head = frames[0]
+    merged: Dict[str, Any] = {
+        key: head[key] for key in ("pattern", "plan") if key in head
+    }
+    if any("reoptimizations" in frame for frame in frames):
+        merged["reoptimizations"] = sum(
+            frame.get("reoptimizations", 0) for frame in frames
+        )
     counters: Dict[str, Any] = {}
     partial: Dict[str, Any] = {"live": 0}
     per_state: Dict[str, int] = {}
@@ -131,4 +132,64 @@ def merge_introspection_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, An
             drift_rows_by_pair.values(), key=lambda row: row["drift"], reverse=True
         )
         merged["drift"] = {**drift_meta, "max_drift": rows[0]["drift"], "pairs": rows}
+    return merged
+
+
+def _merge_sharing(sections: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fold per-shard ``sharing`` sections of a multi-pattern frame.
+
+    Every replica builds the same share groups, so the groups fold by
+    prefix with their completion and hit counts summed.  ``kernels_reused``
+    is the compiled-kernel cache's count for the whole process that takes
+    the frames, the same number in every replica's section, so it is kept
+    as is rather than summed.
+    """
+    groups: Dict[str, Dict[str, Any]] = {}
+    for section in sections:
+        for group in section.get("groups", []):
+            folded = groups.get(group["prefix"])
+            if folded is None:
+                groups[group["prefix"]] = dict(group)
+            else:
+                for key in ("completions", "prefix_hits"):
+                    folded[key] += group[key]
+    return {
+        "groups": list(groups.values()),
+        "prefix_hits": sum(section.get("prefix_hits", 0) for section in sections),
+        "kernels_reused": max(
+            (section.get("kernels_reused", 0) for section in sections), default=0
+        ),
+    }
+
+
+def merge_introspection_frames(frames: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fold per-shard introspection frames into one cross-shard view.
+
+    Single-pattern frames fold by :func:`_merge_pattern_frames`.  A
+    multi-pattern frame folds its top level by the same rule and each of
+    its ``patterns`` by pattern id, and its ``sharing`` section by
+    :func:`_merge_sharing`.  ``shards`` records how many frames were
+    folded; one frame is returned as it is.
+    """
+    frames = [frame for frame in frames if frame]
+    if not frames:
+        return {}
+    if len(frames) == 1:
+        merged = dict(frames[0])
+        merged.setdefault("shards", 1)
+        return merged
+    merged = _merge_pattern_frames(frames)
+    merged["shards"] = len(frames)
+    if any("patterns" in frame for frame in frames):
+        per_pattern: Dict[str, List[Dict[str, Any]]] = {}
+        for frame in frames:
+            for pattern_id, pattern_frame in frame.get("patterns", {}).items():
+                per_pattern.setdefault(pattern_id, []).append(pattern_frame)
+        merged["sharing"] = _merge_sharing(
+            [frame["sharing"] for frame in frames if "sharing" in frame]
+        )
+        merged["patterns"] = {
+            pattern_id: _merge_pattern_frames(pattern_frames)
+            for pattern_id, pattern_frames in per_pattern.items()
+        }
     return merged

@@ -1,9 +1,10 @@
 """The network data plane: HTTP ingestion and acked match delivery.
 
 Everything before this module moves events and matches through files.  This
-module puts the pipeline on the wire — stdlib only, matching the control
-plane's :mod:`http.server` idiom — with the same exactly-once discipline
-the file seams already have.  One transport in, one transport out:
+module puts the pipeline on the wire — stdlib only, on the one HTTP
+scaffold the control plane also runs on
+(:class:`~repro.obs.service.HTTPService`) — with the same exactly-once
+discipline the file seams already have.  One transport in, one transport out:
 
 * **Ingestion** — a :class:`NetworkEventSource` is a bounded push-buffer
   behind the existing :class:`~repro.streaming.sources.CallbackSource` pull
@@ -48,12 +49,12 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import CheckpointError, StreamingError
 from repro.events import Event, EventType
 from repro.metrics import NetworkMetrics
+from repro.obs.service import HTTPService, Request
 from repro.streaming.sinks import MatchSink, match_record
 from repro.streaming.sources import NO_EVENT, CallbackSource
 
@@ -292,7 +293,7 @@ class NetworkEventSource(CallbackSource):
 # ----------------------------------------------------------------------
 # Ingestion: the wire server
 # ----------------------------------------------------------------------
-class HTTPEventIngress:
+class HTTPEventIngress(HTTPService):
     """HTTP ingestion endpoint feeding a :class:`NetworkEventSource`.
 
     ``POST /events``
@@ -308,58 +309,23 @@ class HTTPEventIngress:
         The source's buffer/cursor counters.
     """
 
+    name = "HTTP ingress"
+
     def __init__(self, source: NetworkEventSource, host: str = "127.0.0.1", port: int = 0):
-        self.source = source
-        self.host = host
-        self._requested_port = int(port)
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "HTTPEventIngress":
-        if self._server is not None:
-            raise StreamingError("HTTP ingress already started")
-        ingress = self
-
-        class Handler(_IngressHandler):
-            owner = ingress
-
-        self._server = ThreadingHTTPServer((self.host, self._requested_port), Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="http-ingress", daemon=True
+        super().__init__(
+            {
+                ("POST", "/events"): self._events,
+                ("POST", "/end"): self._end,
+                ("GET", "/stats"): lambda request: (200, self.source.stats()),
+            },
+            host,
+            port,
         )
-        self._thread.start()
-        return self
+        self.source = source
 
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def __enter__(self) -> "HTTPEventIngress":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
-
-    # Transport-independent request logic (unit-testable).
-    def handle_events(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
+    def _events(self, request: Request) -> Tuple[int, Dict[str, Any]]:
         try:
-            records = parse_event_payload(body)
+            records = parse_event_payload(request.body)
         except StreamingError as exc:
             self.source.metrics.events_invalid += 1
             return 400, {"error": str(exc)}
@@ -375,43 +341,9 @@ class HTTPEventIngress:
             counts[status] += 1
         return 202, counts
 
-    def handle_end(self) -> Tuple[int, Dict[str, Any]]:
+    def _end(self, request: Request) -> Tuple[int, Dict[str, Any]]:
         self.source.end_of_stream()
         return 200, {"status": "ended"}
-
-
-class _IngressHandler(BaseHTTPRequestHandler):
-    owner: HTTPEventIngress  # injected by HTTPEventIngress.start()
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _send_json(self, status: int, body: Dict[str, Any]) -> None:
-        payload = (json.dumps(body) + "\n").encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        route = self.path.rstrip("/") or "/"
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        if route == "/events":
-            self._send_json(*self.owner.handle_events(body))
-        elif route == "/end":
-            self._send_json(*self.owner.handle_end())
-        else:
-            self._send_json(404, {"error": f"unknown endpoint {route!r}"})
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        route = self.path.rstrip("/") or "/"
-        if route == "/stats":
-            self._send_json(200, self.owner.source.stats())
-        else:
-            self._send_json(404, {"error": f"unknown endpoint {route!r}"})
 
 
 def parse_event_payload(body: bytes) -> List[Dict[str, Any]]:
@@ -640,8 +572,15 @@ class WebhookMatchSink(AckedDeliverySink):
 # ----------------------------------------------------------------------
 # Receiver (the consumer side: tests, CLI smoke, reference consumers)
 # ----------------------------------------------------------------------
-class _ReceiverCore:
-    """The receiver's dedup-and-write logic, shared by its handler threads.
+class WebhookReceiver(HTTPService):
+    """A webhook endpoint that stores match deliveries exactly once.
+
+    ``POST`` (any path) with an ``Idempotency-Key`` header appends the raw
+    request body as one line of the output file — first delivery only; a
+    repeated key is acknowledged without a second write.  ``--fail-first``
+    injects 500s before the first success (retry/backoff tests).
+    ``GET`` (any path, ``/stats`` by convention) reports received/duplicate
+    counts.
 
     The ordering discipline that makes the hop exactly-once: the match line
     is written and fsynced **before** the ack goes back, and a key seen
@@ -650,7 +589,23 @@ class _ReceiverCore:
     the redelivery invisible in the output file.
     """
 
-    def __init__(self, path: str, fail_first: int = 0):
+    name = "webhook receiver"
+
+    def __init__(
+        self,
+        path: str,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        fail_first: int = 0,
+    ):
+        super().__init__(
+            {
+                ("POST", "*"): self._deliver,
+                ("GET", "*"): lambda request: (200, self.stats()),
+            },
+            host,
+            port,
+        )
         self.path = path
         self._lock = threading.Lock()
         self._seen: set = set()
@@ -658,6 +613,15 @@ class _ReceiverCore:
         self.duplicates = 0
         self.failures_to_inject = int(fail_first)
         self._handle = open(path, "a", encoding="utf-8")
+
+    def _deliver(self, request: Request) -> Tuple[int, Dict[str, Any]]:
+        key = request.headers.get("Idempotency-Key")
+        if not key:
+            return 400, {"error": "missing Idempotency-Key header"}
+        outcome = self.accept(key, request.body.decode("utf-8", errors="replace"))
+        if outcome == "injected":
+            return 500, {"error": "injected failure"}
+        return 200, {"status": outcome, "key": key}
 
     def accept(self, key: str, line: str) -> str:
         """Record one delivery; returns ``stored``/``duplicate``/``injected``."""
@@ -683,104 +647,12 @@ class _ReceiverCore:
                 "failures_to_inject": self.failures_to_inject,
             }
 
-    def close(self) -> None:
+    def stop(self) -> None:
+        super().stop()
         with self._lock:
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
-
-
-class WebhookReceiver:
-    """A webhook endpoint that stores match deliveries exactly once.
-
-    ``POST`` (any path) with an ``Idempotency-Key`` header appends the raw
-    request body as one line of the output file — first delivery only; a
-    repeated key is acknowledged without a second write.  ``--fail-first``
-    injects 500s before the first success (retry/backoff tests).
-    ``GET /stats`` reports received/duplicate counts.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fail_first: int = 0,
-    ):
-        self.core = _ReceiverCore(path, fail_first=fail_first)
-        self.host = host
-        self._requested_port = int(port)
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> int:
-        if self._server is not None:
-            return self._server.server_address[1]
-        return self._requested_port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "WebhookReceiver":
-        if self._server is not None:
-            raise StreamingError("webhook receiver already started")
-        core = self.core
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-                pass
-
-            def _answer(self, status: int, body: Dict[str, Any]) -> None:
-                payload = (json.dumps(body) + "\n").encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def do_GET(self) -> None:  # noqa: N802
-                self._answer(200, core.stats())
-
-            def do_POST(self) -> None:  # noqa: N802
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length) if length else b""
-                key = self.headers.get("Idempotency-Key")
-                if not key:
-                    self._answer(400, {"error": "missing Idempotency-Key header"})
-                    return
-                outcome = core.accept(key, body.decode("utf-8", errors="replace"))
-                if outcome == "injected":
-                    self._answer(500, {"error": "injected failure"})
-                else:
-                    self._answer(200, {"status": outcome, "key": key})
-
-        self._server = ThreadingHTTPServer((self.host, self._requested_port), Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="webhook-receiver", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.core.close()
-
-    def __enter__(self) -> "WebhookReceiver":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
 
 # ----------------------------------------------------------------------

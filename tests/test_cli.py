@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import AdaptiveCEPEngine
+from repro.errors import StreamingError
 from repro.experiments.cli import build_parser, main
 from repro.parallel import shard
 from repro.streaming.net import build_parser as build_net_parser
@@ -289,6 +290,17 @@ class TestExecution:
         capsys.readouterr()
         assert main(serve_args) == 0
         assert "resumed from event 600" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--patterns", "4", "--shards", "2", "--partition-by", "entity_id"], "partition-by"),
+            (["--patterns", "0"], "at least 1"),
+        ],
+    )
+    def test_serve_refuses_a_pattern_count_it_would_not_serve(self, options, message):
+        with pytest.raises(StreamingError, match=message):
+            main(["serve", "--dataset", "stocks", *self.COMMON, *options])
 
     def test_compare_honours_compile_mode(self, monkeypatch, tmp_path):
         built = []

@@ -44,7 +44,7 @@ from repro.conditions import AndCondition, EqualityCondition
 from repro.datasets import StockDatasetSimulator
 from repro.engine import AdaptiveCEPEngine
 from repro.events import EventType
-from repro.obs import MetricsRegistry
+from repro.obs import engine_introspection_samples, render_prometheus
 from repro.optimizer import GreedyOrderPlanner
 from repro.parallel import (
     BroadcastPartitioner,
@@ -306,11 +306,8 @@ def test_sharded_engine_answers_alike_on_every_backend():
         )
         histories[backend_cls] = pipeline.run().plan_history
         frames[backend_cls] = pipeline.engine_introspection()
-        if backend_cls is InlineBackend:
-            registry = MetricsRegistry(clock=lambda: 0.0)
-            registry.register_engine_introspection(pipeline.engine_introspection)
-            scrape, _ = registry.render()
-            assert "repro_plan_predicted_cost" in scrape
+        scrape = render_prometheus(engine_introspection_samples(frames[backend_cls]))
+        assert "repro_plan_predicted_cost" in scrape
 
     inline, workers = frames[InlineBackend], frames[ProcessWorkerBackend]
     assert set(inline) == set(workers)

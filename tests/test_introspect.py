@@ -11,29 +11,44 @@ statistics collector — so it is on for every engine, with no flag:
   shift, a ``replan`` record handed to a decision sink carries the drift
   rows of the *outgoing* plan (and a controller without a sink computes
   none, so the state checkpoints pickle does not grow);
-* **export** — ``/engine`` and the metrics registry serve the drift
-  section of a default-built engine, and per-shard frames merge keeping
-  the worst row per pair.
+* **export** — ``/engine`` and ``/metrics`` serve the drift section of a
+  default-built engine, every plan and drift gauge labelled with its
+  pattern, and per-shard frames merge pattern by pattern keeping the
+  worst row per pair.
 """
 
 from __future__ import annotations
 
 import json
-import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.adaptive import InvariantBasedPolicy
+from repro.datasets import StockDatasetSimulator
 from repro.datasets.generic import ConfigurableDatasetSimulator
-from repro.engine import AdaptiveCEPEngine
+from repro.engine import AdaptiveCEPEngine, MultiPatternEngine
 from repro.events import EventType
-from repro.obs import ControlPlane, DecisionLog, MetricsRegistry
+from repro.obs import (
+    ControlPlane,
+    DecisionLog,
+    engine_introspection_samples,
+    render_prometheus,
+)
 from repro.obs.introspect import drift_rows, merge_introspection_frames
 from repro.optimizer import GreedyOrderPlanner
 from repro.statistics import StatisticsSnapshot
 from repro.statistics.timevarying import ConstantValue, StepValue
-from repro.streaming import CheckpointStore, CollectorSink, ReplaySource, StreamingPipeline
+from repro.parallel import ParallelCEPEngine
+from repro.streaming import (
+    CheckpointStore,
+    CollectorSink,
+    InlineBackend,
+    ProcessWorkerBackend,
+    ReplaySource,
+    StreamingPipeline,
+)
+from repro.workloads import WorkloadGenerator
 
 #: Stream time of the regime shift in :func:`_shifting_stream`.
 SHIFT = 40.0
@@ -209,6 +224,57 @@ class TestFrameMerging:
         assert merged["drift"]["pairs"][0]["ratio"] == 3.0
         assert merged["drift"]["max_drift"] == 3.0
         assert merged["drift"]["predicted_cost"] == 3.0
+        assert merge_introspection_frames([frame(4, 1.1)]) == {
+            **frame(4, 1.1),
+            "shards": 1,
+        }
+
+    def test_multi_pattern_frames_fold_pattern_by_pattern(self):
+        def pattern_frame(name, reoptimizations, ratio):
+            return {
+                "pattern": name,
+                "plan": f"plan-{name}",
+                "reoptimizations": reoptimizations,
+                "partial_matches": {"live": 2},
+                "drift": {
+                    "predicted_cost": 5.0,
+                    "pairs": [{"pair": "a~b", "ratio": ratio, "drift": ratio}],
+                },
+            }
+
+        def frame(ratio):
+            return {
+                "pattern": "set",
+                "reoptimizations": 3,
+                "partial_matches": {"live": 4},
+                "sharing": {
+                    "groups": [{"prefix": "g", "completions": 2, "prefix_hits": 5}],
+                    "prefix_hits": 5,
+                    "kernels_reused": 9,
+                },
+                "patterns": {
+                    "p1": pattern_frame("p1", 1, ratio),
+                    "p2": pattern_frame("p2", 2, 1.0),
+                },
+            }
+
+        merged = merge_introspection_frames([frame(1.5), frame(4.0)])
+        assert "plan" not in merged
+        assert merged["shards"] == 2
+        assert merged["reoptimizations"] == 6
+        assert merged["partial_matches"]["live"] == 8
+        assert merged["sharing"] == {
+            "groups": [{"prefix": "g", "completions": 4, "prefix_hits": 10}],
+            "prefix_hits": 10,
+            "kernels_reused": 9,
+        }
+        assert set(merged["patterns"]) == {"p1", "p2"}
+        p1 = merged["patterns"]["p1"]
+        assert p1["plan"] == "plan-p1"
+        assert p1["reoptimizations"] == 2
+        assert p1["partial_matches"]["live"] == 4
+        assert p1["drift"]["max_drift"] == 4.0
+        assert merged["patterns"]["p2"]["reoptimizations"] == 4
 
 
 class TestPipelineIntrospection:
@@ -245,12 +311,10 @@ class TestPipelineIntrospection:
         assert frame["drift"]["pairs"]
         assert frame["drift"]["predicted_cost"] > 0
 
-        registry = MetricsRegistry(clock=lambda: 0.0)
-        registry.register_engine_introspection(pipeline.engine_introspection)
-        body, _ = registry.render()
+        body = render_prometheus(engine_introspection_samples(frame))
         assert "repro_plan_predicted_cost" in body
         assert "repro_cost_model_drift_ratio" in body
-        with ControlPlane(pipeline=pipeline, registry=registry) as control:
+        with ControlPlane(pipeline) as control:
             with urllib.request.urlopen(f"{control.url}/engine", timeout=5) as response:
                 payload = json.loads(response.read().decode("utf-8"))
             with urllib.request.urlopen(f"{control.url}/metrics", timeout=5) as response:
@@ -286,24 +350,80 @@ class TestPipelineIntrospection:
         assert frame["plan"] and frame["counters"]["events_processed"] > 0
         assert "high_water" not in frame["partial_matches"]
 
-        registry = MetricsRegistry(clock=lambda: 0.0)
-        registry.register_engine_introspection(pipeline.engine_introspection)
-        body, _ = registry.render()
+        body = render_prometheus(engine_introspection_samples(frame))
         assert "repro_partial_matches_live" in body
         assert "repro_cost_model_drift_max" in body
 
-        with ControlPlane(pipeline=pipeline) as control:
+        with ControlPlane(pipeline) as control:
             with urllib.request.urlopen(f"{control.url}/engine", timeout=5) as response:
                 assert response.status == 200
                 payload = json.loads(response.read().decode("utf-8"))
         assert payload["partial_matches"]["live"] == frame["partial_matches"]["live"]
         assert payload["drift"]["max_drift"] == frame["drift"]["max_drift"]
 
-    def test_engine_endpoint_degrades_without_introspection_surface(self):
-        with ControlPlane(pipeline=object()) as control:
-            try:
-                with urllib.request.urlopen(f"{control.url}/engine", timeout=5) as r:
-                    status = r.status
-            except urllib.error.HTTPError as error:
-                status = error.code
-            assert status == 501
+
+def _stock_pattern_set():
+    stocks = StockDatasetSimulator(num_types=10, duration_hint=40, seed=5)
+    events = stocks.generate(duration=40, seed=6, max_events=1500).to_list()
+    return WorkloadGenerator(stocks, seed=1).composite_pattern(3), events
+
+
+def _scrape(pipeline) -> str:
+    with ControlPlane(pipeline) as control:
+        with urllib.request.urlopen(f"{control.url}/metrics", timeout=30) as response:
+            return response.read().decode("utf-8")
+
+
+class TestMultiPatternIntrospection:
+    """A pattern set keeps every pattern's plan and drift on ``/engine``
+    and ``/metrics``, sharded or not, on every backend."""
+
+    @pytest.mark.parametrize("backend_cls", [InlineBackend, ProcessWorkerBackend])
+    def test_sharded_pattern_set_frame_keeps_every_pattern(self, backend_cls):
+        patterns, events = _stock_pattern_set()
+        engine = ParallelCEPEngine(
+            patterns, GreedyOrderPlanner(), InvariantBasedPolicy(), shards=2
+        )
+        pipeline = StreamingPipeline(backend_cls(engine), ReplaySource(events))
+        pipeline.run()
+        frame = pipeline.engine_introspection()
+        assert frame["shards"] == 2
+        assert set(frame["patterns"]) == {p.name for p in patterns}
+        for pattern_frame in frame["patterns"].values():
+            assert pattern_frame["plan"]
+            assert pattern_frame["drift"]["pairs"]
+        assert frame["reoptimizations"] == sum(
+            pattern_frame["reoptimizations"]
+            for pattern_frame in frame["patterns"].values()
+        )
+        assert "sharing" in frame
+
+    def test_pattern_set_scrape_labels_every_pattern(self):
+        patterns, events = _stock_pattern_set()
+        engine = MultiPatternEngine(
+            patterns,
+            GreedyOrderPlanner(),
+            policy_factory=InvariantBasedPolicy,
+        )
+        pipeline = StreamingPipeline(engine, ReplaySource(events))
+        pipeline.run()
+        scrape = _scrape(pipeline)
+        for pattern in patterns:
+            label = f'pattern="{pattern.name}"'
+            for name in (
+                "repro_plan_predicted_cost",
+                "repro_cost_model_drift_max",
+                "repro_cost_model_drift_ratio",
+            ):
+                assert any(
+                    line.startswith(name + "{") and label in line
+                    for line in scrape.splitlines()
+                ), f"{name} has no series for {pattern.name}"
+
+    def test_single_pattern_series_carry_the_pattern_label(self, camera_pattern):
+        pipeline = StreamingPipeline(_engine(camera_pattern), ReplaySource(_shifting_stream()))
+        pipeline.run()
+        assert (
+            f'repro_plan_predicted_cost{{pattern="{camera_pattern.name}",pipeline="pipeline"}}'
+            in _scrape(pipeline)
+        )

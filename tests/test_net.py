@@ -23,7 +23,7 @@ from repro.engine import AdaptiveCEPEngine
 from repro.errors import CheckpointError, StreamingError
 from repro.events import EventType
 from repro.metrics import NetworkMetrics
-from repro.obs import ControlPlane, DecisionLog, MetricsRegistry
+from repro.obs import ControlPlane, DecisionLog, network_samples, render_prometheus
 from repro.optimizer import GreedyOrderPlanner
 from repro.patterns import seq
 from repro.streaming import (
@@ -33,6 +33,7 @@ from repro.streaming import (
     JSONLFileSource,
     JSONLMatchWriter,
     NetworkEventSource,
+    ReplaySource,
     StreamingPipeline,
     WebhookMatchSink,
     WebhookReceiver,
@@ -364,8 +365,6 @@ class TestAckedDeliverySink:
         engine = AdaptiveCEPEngine(
             pattern, GreedyOrderPlanner(), InvariantBasedPolicy()
         )
-        from repro.streaming import ReplaySource
-
         events = make_camera_stream(count=400, seed=3).to_list()
         StreamingPipeline(
             engine, ReplaySource(events), sinks=[sink], decision_log=log
@@ -383,7 +382,7 @@ class TestWebhookDelivery:
             for match in matches:
                 sink.emit(match)
             sink.flush()
-            assert receiver.core.stats()["received"] == 2
+            assert receiver.stats()["received"] == 2
         assert sink.metrics.delivery_retries == 2
         assert sink.metrics.matches_delivered == 2
         assert len(open(out).read().splitlines()) == 2
@@ -401,7 +400,7 @@ class TestWebhookDelivery:
             resumed.restore({"acked": 0})
             resumed.emit(match)
             resumed.flush()
-            stats = receiver.core.stats()
+            stats = receiver.stats()
         assert stats["received"] == 1
         assert stats["duplicates"] == 1
         assert len(open(out).read().splitlines()) == 1
@@ -411,14 +410,12 @@ class TestWebhookDelivery:
 # Observability wiring
 # ----------------------------------------------------------------------
 class TestNetworkObservability:
-    def test_registry_renders_net_series(self):
+    def test_network_samples_render_net_series(self):
         metrics = NetworkMetrics()
         metrics.events_accepted = 7
         metrics.matches_delivered = 3
         metrics.delivery.observe(0.002)
-        registry = MetricsRegistry()
-        registry.register_network(metrics)
-        body, _content_type = registry.render("prometheus")
+        body = render_prometheus(network_samples(metrics))
         assert 'repro_net_events_accepted_total{pipeline="pipeline"} 7' in body
         assert 'repro_net_matches_delivered_total{pipeline="pipeline"} 3' in body
         assert "repro_net_delivery_seconds_count" in body
@@ -426,14 +423,16 @@ class TestNetworkObservability:
     def test_control_plane_serves_network_snapshot(self):
         metrics = NetworkMetrics()
         metrics.events_accepted = 5
-        with ControlPlane(network=metrics) as control:
+        with ControlPlane(_idle_pipeline(), network=metrics) as control:
             body = json.loads(
                 urllib.request.urlopen(control.url + "/network").read()
             )
+            scrape = urllib.request.urlopen(control.url + "/metrics").read().decode()
         assert body["events_accepted"] == 5
+        assert 'repro_net_events_accepted_total{pipeline="pipeline"} 5' in scrape
 
     def test_control_plane_404s_without_network(self):
-        with ControlPlane() as control:
+        with ControlPlane(_idle_pipeline()) as control:
             with pytest.raises(urllib.error.HTTPError) as failure:
                 urllib.request.urlopen(control.url + "/network")
             assert failure.value.code == 404
@@ -462,6 +461,10 @@ def wire_workload(tmp_path_factory):
     )
     assert reference, "differential workload must produce matches"
     return events_path, reference
+
+
+def _idle_pipeline():
+    return StreamingPipeline(_fresh_engine(), ReplaySource([]))
 
 
 def _fresh_engine():
@@ -548,7 +551,7 @@ class TestLoopbackDifferential:
                     ingress.url, read_event_records(events_path), end=True
                 )
                 second = pipeline.run()
-            stats = receiver.core.stats()
+            stats = receiver.stats()
 
         assert second.resumed_from == 200
         assert totals[PUSH_ACCEPTED] == 400  # push-side replay is complete

@@ -30,12 +30,14 @@ from repro.obs import (
     CoalescingEmitter,
     DecisionLog,
     DecisionRecord,
-    MetricsRegistry,
+    Sample,
+    pipeline_samples,
     read_decision_records,
+    render_json,
     render_prometheus,
     verify_continuity,
 )
-from repro.obs.registry import Sample
+from repro.obs.exposition import uptime_sample
 from repro.optimizer import GreedyOrderPlanner
 from repro.adaptive import InvariantBasedPolicy
 from repro.parallel import BroadcastPartitioner, ParallelCEPEngine
@@ -106,22 +108,23 @@ def _http_post(url: str):
         return error.code, error.read().decode("utf-8")
 
 
+def _fixed_samples():
+    """The sample list the golden file was rendered from: a control plane
+    created this instant over :func:`_fixed_metrics`, no engine frame."""
+    return [uptime_sample(0.0), *pipeline_samples(_fixed_metrics())]
+
+
 class TestPrometheusRendering:
     def test_golden_file(self):
-        registry = MetricsRegistry(clock=lambda: 100.0)
-        registry.register_pipeline(_fixed_metrics())
-        body, content_type = registry.render()
+        body = render_prometheus(_fixed_samples())
         with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
             golden = handle.read()
-        assert content_type == "text/plain; version=0.0.4; charset=utf-8"
         assert body == golden
 
     def test_exposition_is_well_formed(self):
         """Every line is a comment or `name{labels} value`, and every
         sample's TYPE is declared before the sample appears."""
-        registry = MetricsRegistry(clock=lambda: 100.0)
-        registry.register_pipeline(_fixed_metrics())
-        body, _ = registry.render()
+        body = render_prometheus(_fixed_samples())
         sample_re = re.compile(
             r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
             r'(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*\})? -?[0-9].*$'
@@ -140,9 +143,7 @@ class TestPrometheusRendering:
             assert name in typed, f"sample {name} before its TYPE declaration"
 
     def test_counters_end_in_total_or_timing_suffix(self):
-        registry = MetricsRegistry(clock=lambda: 0.0)
-        registry.register_pipeline(_fixed_metrics())
-        for sample in registry.collect():
+        for sample in _fixed_samples():
             assert sample.name.startswith("repro_")
             if sample.type == "counter":
                 assert sample.name.endswith(("_total", "_sum", "_count"))
@@ -154,28 +155,12 @@ class TestPrometheusRendering:
         assert 'k="a\\"b\\\\c\\nd"' in body
 
     def test_json_format(self):
-        registry = MetricsRegistry(clock=lambda: 0.0)
-        registry.register_pipeline(_fixed_metrics())
-        body, content_type = registry.render("json")
-        assert content_type == "application/json"
-        payload = json.loads(body)
+        payload = json.loads(render_json(_fixed_samples()))
         by_name = {entry["name"]: entry for entry in payload["metrics"]}
         assert by_name["repro_events_ingested_total"]["value"] == 1200.0
         assert by_name["repro_late_events_total"]["labels"] == {
             "pipeline": "pipeline"
         }
-
-    def test_dead_gauge_does_not_break_scrape(self):
-        registry = MetricsRegistry(clock=lambda: 0.0)
-
-        def explode():
-            raise RuntimeError("gauge source is gone")
-
-        registry.register_gauge("repro_dead", explode)
-        registry.register_gauge("repro_alive", lambda: 7.0)
-        names = [sample.name for sample in registry.collect()]
-        assert "repro_alive" in names
-        assert "repro_dead" not in names
 
 
 class TestDecisionLog:
@@ -343,29 +328,53 @@ class TestPipelineObservability:
             pipeline.request_checkpoint()
 
 
+def _idle_pipeline(pattern, **kwargs) -> StreamingPipeline:
+    return StreamingPipeline(_fresh_engine(pattern), ReplaySource([]), **kwargs)
+
+
 class TestControlPlane:
-    def test_endpoints_without_pipeline(self):
-        with ControlPlane() as control:
+    def test_endpoints_of_an_idle_pipeline(self, camera_pattern):
+        with ControlPlane(_idle_pipeline(camera_pattern)) as control:
             status, body = _http_get(f"{control.url}/health")
             assert status == 200
-            assert json.loads(body)["status"] == "ok"
+            assert json.loads(body) == {"status": "ok", "pipeline": "created"}
             status, body = _http_get(f"{control.url}/ready")
             assert status == 503
-            status, body = _http_get(f"{control.url}/metrics")
-            assert status == 200
+            with urllib.request.urlopen(f"{control.url}/metrics", timeout=5) as response:
+                assert response.headers["Content-Type"] == (
+                    "text/plain; version=0.0.4; charset=utf-8"
+                )
+                body = response.read().decode("utf-8")
             assert "repro_uptime_seconds" in body
+            assert 'repro_events_processed_total{pipeline="pipeline"} 0' in body
             status, body = _http_get(f"{control.url}/decisions")
             assert status == 404
             status, body = _http_post(f"{control.url}/checkpoint")
-            assert status == 501
+            assert status == 503
             status, body = _http_get(f"{control.url}/nonsense")
             assert status == 404
 
-    def test_decisions_endpoint_filters_and_validation(self):
+    def test_raising_engine_frame_does_not_break_scrape(self, camera_pattern):
+        pipeline = _idle_pipeline(camera_pattern)
+
+        def explode():
+            raise RuntimeError("workers mid-restart")
+
+        pipeline.engine_introspection = explode
+        with ControlPlane(pipeline) as control:
+            status, body = _http_get(f"{control.url}/metrics")
+            assert status == 200
+            assert "repro_events_processed_total" in body
+            assert "repro_plan_predicted_cost" not in body
+            status, body = _http_get(f"{control.url}/engine")
+            assert status == 503
+            assert "workers mid-restart" in json.loads(body)["error"]
+
+    def test_decisions_endpoint_filters_and_validation(self, camera_pattern):
         log = DecisionLog()
         log.record("late_event_policy", count=3)
         log.record("replan", reason="invariant")
-        with ControlPlane(decision_log=log) as control:
+        with ControlPlane(_idle_pipeline(camera_pattern, decision_log=log)) as control:
             status, body = _http_get(f"{control.url}/decisions?type=replan")
             assert status == 200
             payload = json.loads(body)
@@ -394,12 +403,8 @@ class TestControlPlane:
             checkpoint_every=1000,
             decision_log=log,
         )
-        registry = MetricsRegistry()
-        registry.register_pipeline(pipeline.metrics)
 
-        with ControlPlane(
-            pipeline=pipeline, registry=registry, decision_log=log
-        ) as control:
+        with ControlPlane(pipeline) as control:
             base = control.url
             # Not yet running: alive but not ready.
             assert _http_get(f"{base}/health")[0] == 200
@@ -460,13 +465,13 @@ class TestControlPlane:
         records = read_decision_records(decisions_path)
         assert verify_continuity(records) == []
 
-    def test_metrics_json_format_over_http(self):
-        registry = MetricsRegistry()
-        registry.register_pipeline(_fixed_metrics())
-        with ControlPlane(registry=registry) as control:
-            status, body = _http_get(f"{control.url}/metrics?format=json")
-            assert status == 200
-            payload = json.loads(body)
+    def test_metrics_json_format_over_http(self, camera_pattern):
+        with ControlPlane(_idle_pipeline(camera_pattern)) as control:
+            url = f"{control.url}/metrics?format=json"
+            with urllib.request.urlopen(url, timeout=5) as response:
+                assert response.status == 200
+                assert response.headers["Content-Type"] == "application/json"
+                payload = json.loads(response.read())
             names = {entry["name"] for entry in payload["metrics"]}
             assert "repro_events_processed_total" in names
 
