@@ -25,7 +25,7 @@ from repro.optimizer.base import PlanGenerator
 from repro.optimizer.recorder import PlanGenerationResult
 from repro.patterns import Pattern
 from repro.plans.base import EvaluationPlan
-from repro.statistics import StatisticsSnapshot
+from repro.statistics import StatisticsProbe, StatisticsSnapshot
 
 
 @dataclass
@@ -165,16 +165,25 @@ class AdaptationController:
         self.statistics.plans_generated += 1
         return result
 
-    def update(self, snapshot: StatisticsSnapshot) -> Optional[EvaluationPlan]:
+    def update(
+        self, view: "StatisticsProbe | StatisticsSnapshot"
+    ) -> Optional[EvaluationPlan]:
         """One iteration of the detection–adaptation loop's decision step.
 
-        Evaluates ``D`` on the given statistics and, when it returns true,
-        invokes ``A``.  The new plan is installed only if it improves on the
-        current plan's cost (Algorithm 1: "if new_plan is better than
-        curr_plan").  Returns the newly installed plan, or ``None`` when the
-        plan did not change.
+        Evaluates ``D`` on the given statistics view and, when it returns
+        true, invokes ``A``.  The new plan is installed only if it improves
+        on the current plan's cost (Algorithm 1: "if new_plan is better
+        than curr_plan").  Returns the newly installed plan, or ``None``
+        when the plan did not change.
+
+        ``view`` is a tick's :class:`~repro.statistics.StatisticsProbe` or
+        a :class:`~repro.statistics.StatisticsSnapshot`.  ``D`` reads the
+        view; the full snapshot (``view.snapshot()``) is taken only when a
+        plan is generated, since ``A``, the cost comparison, the new
+        invariants and the drift rows plan from or keep it.
         """
         if self._current_result is None:
+            snapshot = view.snapshot()
             result = self._timed_generate(snapshot)
             self._current_result = result
             self._policy.on_plan_installed(result, snapshot)
@@ -191,13 +200,14 @@ class AdaptationController:
             return result.plan
 
         started = time.perf_counter()
-        decision: PolicyDecision = self._policy.should_reoptimize(snapshot)
+        decision: PolicyDecision = self._policy.should_reoptimize(view)
         self.statistics.time_in_decision += time.perf_counter() - started
         self.statistics.decisions_evaluated += 1
         if not decision.reoptimize:
             return None
 
         self.statistics.reoptimizations_requested += 1
+        snapshot = view.snapshot()
         new_result = self._timed_generate(snapshot)
         current_cost = self._current_result.plan.cost(snapshot)
         new_cost = new_result.plan.cost(snapshot)

@@ -24,7 +24,7 @@ from repro.adaptive.invariants import (
 )
 from repro.errors import AdaptationError
 from repro.optimizer.recorder import PlanGenerationResult
-from repro.statistics import StatisticsSnapshot
+from repro.statistics import StatisticsProbe, StatisticsSnapshot
 
 
 @dataclass
@@ -43,8 +43,15 @@ class ReoptimizationPolicy:
     #: Name used in experiment reports (matches the paper's legends).
     name: str = "policy"
 
-    def should_reoptimize(self, snapshot: StatisticsSnapshot) -> PolicyDecision:
-        """The decision function D: evaluate against current statistics."""
+    def should_reoptimize(
+        self, view: "StatisticsProbe | StatisticsSnapshot"
+    ) -> PolicyDecision:
+        """The decision function D: evaluate against current statistics.
+
+        ``view`` is a tick's :class:`~repro.statistics.StatisticsProbe`
+        or a snapshot; a policy that needs every statistic takes
+        ``view.snapshot()``.
+        """
         raise NotImplementedError
 
     def on_plan_installed(
@@ -65,7 +72,7 @@ class StaticPolicy(ReoptimizationPolicy):
 
     name = "static"
 
-    def should_reoptimize(self, snapshot: StatisticsSnapshot) -> PolicyDecision:
+    def should_reoptimize(self, view) -> PolicyDecision:
         return PolicyDecision(reoptimize=False, reason="static policy never adapts")
 
 
@@ -80,7 +87,7 @@ class UnconditionalPolicy(ReoptimizationPolicy):
 
     name = "unconditional"
 
-    def should_reoptimize(self, snapshot: StatisticsSnapshot) -> PolicyDecision:
+    def should_reoptimize(self, view) -> PolicyDecision:
         return PolicyDecision(reoptimize=True, reason="unconditional reoptimization")
 
 
@@ -109,12 +116,13 @@ class ConstantThresholdPolicy(ReoptimizationPolicy):
     ) -> None:
         self._reference = snapshot
 
-    def should_reoptimize(self, snapshot: StatisticsSnapshot) -> PolicyDecision:
+    def should_reoptimize(self, view) -> PolicyDecision:
         if self._reference is None:
             return PolicyDecision(
                 reoptimize=True, reason="no reference statistics yet"
             )
-        deviation = snapshot.max_relative_deviation(self._reference)
+        # Every statistic is compared, so this policy reads a full snapshot.
+        deviation = view.snapshot().max_relative_deviation(self._reference)
         if deviation >= self._threshold:
             return PolicyDecision(
                 reoptimize=True,
@@ -191,10 +199,11 @@ class InvariantBasedPolicy(ReoptimizationPolicy):
         """Forward adaptation feedback to the distance estimator."""
         self._distance_estimator.observe_adaptation(previous_cost, new_cost)
 
-    def should_reoptimize(self, snapshot: StatisticsSnapshot) -> PolicyDecision:
+    def should_reoptimize(self, view) -> PolicyDecision:
         if self._invariants is None:
             return PolicyDecision(reoptimize=True, reason="no invariants built yet")
-        violated = self._invariants.first_violated(snapshot)
+        # Only the terms the invariants name are read from the view.
+        violated = self._invariants.first_violated(view)
         if violated is None:
             return PolicyDecision(
                 reoptimize=False,

@@ -18,11 +18,19 @@ Three kernel shapes match the three places conditions fire:
 * **join** — ``fn(left_bindings, right_bindings) -> bool`` for the
   conditions linking two sibling sub-matches at a tree node.
 
-Every shape has a *safe fallback*: conditions the compiler does not
-understand structurally (user lambdas, disjunctions, negations, unknown
-subclasses) are wrapped in a closure that reproduces the interpreted
-call exactly — build the trial binding, call ``evaluate`` — so compiled
-mode never changes what is detected, only how fast.
+Two-variable comparisons are lowered from the
+:class:`~repro.conditions.ComparisonShape` a condition declares
+(``Condition.comparison_shape``): left variable and attribute, operator,
+right variable and attribute, an additive margin on the left and what a
+missing attribute reads as.  Attribute comparisons and the stocks
+dataset's price-jump condition both declare one, so both run as one
+comparison closure.
+
+Every shape has a *safe fallback*: conditions that declare no shape
+(user lambdas, disjunctions, negations, unknown subclasses) are wrapped
+in a closure that reproduces the interpreted call exactly — build the
+trial binding, call ``evaluate`` — so compiled mode never changes what
+is detected, only how fast.
 
 Kernels are **not** picklable (they close over bound methods and
 operator functions); the :class:`~repro.compile.plan_kernels.CompiledPlanKernels`
@@ -35,8 +43,8 @@ import operator
 from typing import Callable, FrozenSet, Iterable, Tuple
 
 from repro.conditions import (
-    AttributeComparisonCondition,
     AttributeThresholdCondition,
+    ComparisonShape,
     Condition,
     PredicateCondition,
 )
@@ -128,6 +136,76 @@ def compile_local_kernel(condition: Condition, variable: str) -> CompiledKernel:
 
 
 # ----------------------------------------------------------------------
+# Comparison lowering: one closure per declared ComparisonShape
+# ----------------------------------------------------------------------
+def _comparison(shape: ComparisonShape) -> Callable:
+    """``compare(left_event, right_event) -> bool`` for a declared shape."""
+    op = _OPS[shape.op]
+    left_attribute = shape.left_attribute
+    right_attribute = shape.right_attribute
+    margin = shape.margin
+    missing = shape.missing
+    if missing is None:
+        if margin:
+
+            def compare(left, right):
+                left_value = left.payload.get(left_attribute)
+                if left_value is None:
+                    return False
+                right_value = right.payload.get(right_attribute)
+                return right_value is not None and op(left_value + margin, right_value)
+
+        else:
+
+            def compare(left, right):
+                left_value = left.payload.get(left_attribute)
+                if left_value is None:
+                    return False
+                right_value = right.payload.get(right_attribute)
+                return right_value is not None and op(left_value, right_value)
+
+    elif margin:
+
+        def compare(left, right):
+            return op(
+                left.payload.get(left_attribute, missing) + margin,
+                right.payload.get(right_attribute, missing),
+            )
+
+    else:
+
+        def compare(left, right):
+            return op(
+                left.payload.get(left_attribute, missing),
+                right.payload.get(right_attribute, missing),
+            )
+
+    return compare
+
+
+def _interpreted_step(condition: Condition, new_variable: str) -> Callable:
+    """``fn(bindings, event)``: build the trial binding, call ``evaluate``."""
+
+    def fn(bindings, event):
+        trial = dict(bindings)
+        trial[new_variable] = event
+        return bool(condition.evaluate(trial))
+
+    return fn
+
+
+def _interpreted_join(condition: Condition) -> Callable:
+    """``fn(left_bindings, right_bindings)``: merge them, call ``evaluate``."""
+
+    def fn(left_bindings, right_bindings):
+        combined = dict(left_bindings)
+        combined.update(right_bindings)
+        return bool(condition.evaluate(combined))
+
+    return fn
+
+
+# ----------------------------------------------------------------------
 # Step kernels: fn(bindings, event) -> bool  (NFA extension edges)
 # ----------------------------------------------------------------------
 def compile_step_kernel(condition: Condition, new_variable: str) -> CompiledKernel:
@@ -139,8 +217,7 @@ def compile_step_kernel(condition: Condition, new_variable: str) -> CompiledKern
     ever broadened.
     """
     pairs = report_pairs_for(condition.variables)
-    fn = None
-    specialized = False
+    shape = condition.comparison_shape()
     if (
         isinstance(condition, AttributeThresholdCondition)
         and condition.variable == new_variable
@@ -148,82 +225,50 @@ def compile_step_kernel(condition: Condition, new_variable: str) -> CompiledKern
         op = _OPS[condition.op_symbol]
         attribute = condition.attribute
         value = condition.value
-        specialized = True
 
         def fn(bindings, event, _op=op, _attr=attribute, _value=value):
             attr = event.get(_attr)
             return attr is not None and _op(attr, _value)
 
-    elif isinstance(condition, AttributeComparisonCondition):
-        op = _OPS[condition.op_symbol]
-        left_variable = condition.left_variable
-        left_attribute = condition.left_attribute
-        right_variable = condition.right_variable
-        right_attribute = condition.right_attribute
-        if left_variable == new_variable:
-            specialized = True
+        return CompiledKernel(condition, fn, pairs, True)
 
-            def fn(
-                bindings,
-                event,
-                _condition=condition,
-                _new=new_variable,
-                _op=op,
-                _la=left_attribute,
-                _rv=right_variable,
-                _ra=right_attribute,
-            ):
-                other = bindings[_rv]
+    if (
+        shape is not None
+        and shape.left_variable != shape.right_variable
+        and new_variable in (shape.left_variable, shape.right_variable)
+    ):
+        compare = _comparison(shape)
+        interpreted = _interpreted_step(condition, new_variable)
+        if shape.left_variable == new_variable:
+            other_variable = shape.right_variable
+
+            def fn(bindings, event):
+                other = bindings[other_variable]
                 if isinstance(other, list):
-                    trial = dict(bindings)
-                    trial[_new] = event
-                    return bool(_condition.evaluate(trial))
-                left_value = event.get(_la)
-                if left_value is None:
-                    return False
-                right_value = other.get(_ra)
-                return right_value is not None and _op(left_value, right_value)
+                    return interpreted(bindings, event)
+                return compare(event, other)
 
-        elif right_variable == new_variable:
-            specialized = True
+        else:
+            other_variable = shape.left_variable
 
-            def fn(
-                bindings,
-                event,
-                _condition=condition,
-                _new=new_variable,
-                _op=op,
-                _lv=left_variable,
-                _la=left_attribute,
-                _ra=right_attribute,
-            ):
-                other = bindings[_lv]
+            def fn(bindings, event):
+                other = bindings[other_variable]
                 if isinstance(other, list):
-                    trial = dict(bindings)
-                    trial[_new] = event
-                    return bool(_condition.evaluate(trial))
-                left_value = other.get(_la)
-                if left_value is None:
-                    return False
-                right_value = event.get(_ra)
-                return right_value is not None and _op(left_value, right_value)
+                    return interpreted(bindings, event)
+                return compare(other, event)
 
-    elif type(condition) is PredicateCondition and new_variable in condition.variables:
+        return CompiledKernel(condition, fn, pairs, True)
+
+    if type(condition) is PredicateCondition and new_variable in condition.variables:
         # An opaque predicate stays a fallback (``specialized`` is about
         # structural lowering), but its call needs no trial binding: at
         # this step every variable but the new one is already bound, so
         # the positional arguments are read straight off the bindings —
         # Kleene lists included, exactly as ``evaluate`` would pass them.
         fn = _positional_predicate(condition, new_variable)
-
-    if fn is None:
-
-        def fn(bindings, event, _condition=condition, _new=new_variable):
-            trial = dict(bindings)
-            trial[_new] = event
-            return bool(_condition.evaluate(trial))
-
-    return CompiledKernel(condition, fn, pairs, specialized)
+    else:
+        fn = _interpreted_step(condition, new_variable)
+    return CompiledKernel(condition, fn, pairs, False)
 
 
 def _positional_predicate(condition: PredicateCondition, new_variable: str) -> Callable:
@@ -262,56 +307,33 @@ def compile_join_kernel(
 ) -> CompiledKernel:
     """Lower a condition linking two sibling sub-matches of a tree node."""
     pairs = report_pairs_for(condition.variables)
-    fn = None
-    specialized = False
-    if isinstance(condition, AttributeComparisonCondition):
-        op = _OPS[condition.op_symbol]
-        left_variable = condition.left_variable
-        left_attribute = condition.left_attribute
-        right_variable = condition.right_variable
-        right_attribute = condition.right_attribute
-        if left_variable in left_variables and right_variable in right_variables:
-            lhs_side, rhs_side = 0, 1
-        elif left_variable in right_variables and right_variable in left_variables:
-            lhs_side, rhs_side = 1, 0
-        else:  # pragma: no cover - conditions_between guarantees coverage
-            lhs_side = rhs_side = None
-        if lhs_side is not None:
-            specialized = True
+    interpreted = _interpreted_join(condition)
+    shape = condition.comparison_shape()
+    if shape is not None:
+        lhs_variable = shape.left_variable
+        rhs_variable = shape.right_variable
+        compare = _comparison(shape)
+        if lhs_variable in left_variables and rhs_variable in right_variables:
 
-            def fn(
-                left_bindings,
-                right_bindings,
-                _condition=condition,
-                _op=op,
-                _lv=left_variable,
-                _la=left_attribute,
-                _rv=right_variable,
-                _ra=right_attribute,
-                _lhs=lhs_side,
-                _rhs=rhs_side,
-            ):
-                sides = (left_bindings, right_bindings)
-                lhs = sides[_lhs][_lv]
-                rhs = sides[_rhs][_rv]
+            def fn(left_bindings, right_bindings):
+                lhs = left_bindings[lhs_variable]
+                rhs = right_bindings[rhs_variable]
                 if isinstance(lhs, list) or isinstance(rhs, list):
-                    combined = dict(left_bindings)
-                    combined.update(right_bindings)
-                    return bool(_condition.evaluate(combined))
-                left_value = lhs.get(_la)
-                if left_value is None:
-                    return False
-                right_value = rhs.get(_ra)
-                return right_value is not None and _op(left_value, right_value)
+                    return interpreted(left_bindings, right_bindings)
+                return compare(lhs, rhs)
 
-    if fn is None:
+            return CompiledKernel(condition, fn, pairs, True)
+        if lhs_variable in right_variables and rhs_variable in left_variables:
 
-        def fn(left_bindings, right_bindings, _condition=condition):
-            combined = dict(left_bindings)
-            combined.update(right_bindings)
-            return bool(_condition.evaluate(combined))
+            def fn(left_bindings, right_bindings):
+                lhs = right_bindings[lhs_variable]
+                rhs = left_bindings[rhs_variable]
+                if isinstance(lhs, list) or isinstance(rhs, list):
+                    return interpreted(left_bindings, right_bindings)
+                return compare(lhs, rhs)
 
-    return CompiledKernel(condition, fn, pairs, specialized)
+            return CompiledKernel(condition, fn, pairs, True)
+    return CompiledKernel(condition, interpreted, pairs, False)
 
 
 def specialization_counts(kernels: Iterable[CompiledKernel]) -> Tuple[int, int]:

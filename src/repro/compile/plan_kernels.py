@@ -161,6 +161,7 @@ class CompiledPlanKernels:
     def _build(self) -> None:
         global _PLANS_COMPILED
         _PLANS_COMPILED += 1
+        reused_before = _KERNELS_REUSED
         plan = self.plan
         pattern = plan.pattern
         conditions = pattern.conditions
@@ -188,6 +189,9 @@ class CompiledPlanKernels:
             raise EngineError(
                 f"cannot compile kernels for plan type {type(plan).__name__}"
             )
+        #: Shared-cache hits this build made (a multi-pattern engine sums
+        #: them over the builds it makes; see ``PrefixShareManager``).
+        self.kernels_reused = _KERNELS_REUSED - reused_before
 
     def _build_steps(self, plan: OrderBasedPlan) -> None:
         conditions = plan.pattern.conditions

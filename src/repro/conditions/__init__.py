@@ -8,6 +8,7 @@ condition against concrete bound events.
 """
 
 from repro.conditions.base import (
+    ComparisonShape,
     Condition,
     TrueCondition,
     AndCondition,
@@ -23,6 +24,7 @@ from repro.conditions.atomic import (
 from repro.conditions.container import ConditionSet
 
 __all__ = [
+    "ComparisonShape",
     "Condition",
     "TrueCondition",
     "AndCondition",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, FrozenSet, Mapping, Optional, Sequence
 
-from repro.conditions.base import _OPAQUE_TOKENS, Condition
+from repro.conditions.base import _OPAQUE_TOKENS, ComparisonShape, Condition
 from repro.errors import PatternError
 
 _OPERATORS: dict = {
@@ -155,6 +155,15 @@ class AttributeComparisonCondition(Condition):
     @property
     def variables(self) -> FrozenSet[str]:
         return frozenset({self._left_variable, self._right_variable})
+
+    def comparison_shape(self) -> ComparisonShape:
+        return ComparisonShape(
+            self._left_variable,
+            self._left_attribute,
+            self._op_symbol,
+            self._right_variable,
+            self._right_attribute,
+        )
 
     def evaluate(self, binding: Mapping[str, object]) -> bool:
         if (

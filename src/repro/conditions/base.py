@@ -18,7 +18,7 @@ Conditions expose:
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Mapping, Sequence, Tuple
+from typing import FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import PatternError
 
@@ -26,6 +26,27 @@ from repro.errors import PatternError
 #: Deterministic (construction order) so two identical runs assign the same
 #: keys, which keeps kernel-cache and shared-prefix keys stable across runs.
 _OPAQUE_TOKENS = itertools.count()
+
+
+class ComparisonShape(NamedTuple):
+    """The declared form ``left.attribute + margin <op> right.attribute``
+    of a two-variable comparison.
+
+    The compiled tiers lower a condition that declares a shape to a
+    specialised comparison kernel (:mod:`repro.compile.kernels`).
+    ``missing`` is what an absent attribute reads as; ``None`` means the
+    comparison fails when either attribute is absent (or ``None``).  A
+    zero ``margin`` adds nothing, so non-numeric attributes compare as
+    they are.
+    """
+
+    left_variable: str
+    left_attribute: str
+    op: str
+    right_variable: str
+    right_attribute: str
+    margin: float = 0.0
+    missing: Optional[float] = None
 
 
 class Condition:
@@ -58,6 +79,15 @@ class Condition:
         if token is None:
             token = self._cache_token = next(_OPAQUE_TOKENS)
         return f"opaque:{type(self).__name__}:{token}"
+
+    def comparison_shape(self) -> Optional[ComparisonShape]:
+        """The comparison this condition is, if it declares one.
+
+        A condition returning a shape promises that, on single-event
+        bindings of both variables, ``evaluate`` is exactly that
+        comparison.  Kleene list bindings still go through ``evaluate``.
+        """
+        return None
 
     def is_fully_bound(self, binding: Mapping[str, object]) -> bool:
         """Whether every referenced variable is present in ``binding``."""

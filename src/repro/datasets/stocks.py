@@ -18,7 +18,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.conditions import Condition
+from repro.conditions import ComparisonShape, Condition
 from repro.datasets.base import DatasetSimulator
 from repro.errors import DatasetError
 from repro.events import AttributeSpec, EventSchema, EventType
@@ -26,7 +26,14 @@ from repro.statistics import OscillatingValue, RandomWalkValue, TimeVaryingValue
 
 
 class PriceJumpCondition(Condition):
-    """``first.diff + margin < second.diff``: a clear acceleration in price moves."""
+    """``first.diff + margin < second.diff``: a clear acceleration in price moves.
+
+    It declares that comparison (a missing ``diff`` reads as 0.0), so the
+    compiled tiers lower it to a comparison kernel.  Its cache key stays
+    the per-instance opaque one: a structural key would let the prefixes
+    of patterns whose conditions are equal only by value form new share
+    groups.
+    """
 
     def __init__(self, first_variable: str, second_variable: str, margin: float):
         self._first = first_variable
@@ -40,6 +47,11 @@ class PriceJumpCondition(Condition):
     @property
     def margin(self) -> float:
         return self._margin
+
+    def comparison_shape(self) -> ComparisonShape:
+        return ComparisonShape(
+            self._first, "diff", "<", self._second, "diff", self._margin, 0.0
+        )
 
     def evaluate(self, binding) -> bool:
         if self._first not in binding or self._second not in binding:

@@ -137,6 +137,11 @@ class EvaluationEngine:
             self.plan, indexed=self.compile_mode == "indexed"
         )
 
+    @property
+    def kernels_reused(self) -> int:
+        """Kernel-cache hits made when this engine's plan was compiled."""
+        return self._compiled.kernels_reused if self._compiled is not None else 0
+
     def partial_match_count(self) -> int:
         """Number of partial matches currently stored (memory pressure proxy)."""
         raise NotImplementedError

@@ -303,7 +303,7 @@ class AdaptiveCEPEngine:
 
     def adapt(self, now: float) -> None:
         """One iteration of the detection–adaptation loop's decision phase."""
-        new_plan = self.controller.update(self._collector.snapshot(now))
+        new_plan = self.controller.update(self._collector.probe(now))
         if new_plan is not None:
             new_engine = self._build_engine(new_plan)
             self._migration.switch_to(new_engine, switch_time=now)

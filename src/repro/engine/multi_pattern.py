@@ -16,7 +16,7 @@ rather than reading the stream once per pattern:
   :class:`~repro.multi.SuffixNFAEngine`;
 * one monitoring tick serves every pattern: when the interval has
   elapsed, every pattern's controller decides (and re-plans) on the same
-  event, from a snapshot whose rates the hub computed once for that
+  event, from statistics whose rates the hub computed once for that
   tick;
 * the adaptive controller still re-plans each pattern independently —
   every re-planned engine is routed through the share manager again, and
@@ -135,6 +135,11 @@ class MultiPatternEngine:
         self._routes: Dict[str, List[Tuple[str, AdaptiveCEPEngine]]] = {}
         self._group_routes: Dict[str, List[SharedPrefixGroup]] = {}
         self._routing_version = -1
+        #: Per pattern id: its distinct event-type names, in pattern order.
+        self._type_names: Dict[str, Tuple[str, ...]] = {
+            pattern_id: tuple(dict.fromkeys(t.name for t in adaptive.pattern.event_types))
+            for pattern_id, adaptive in self._adaptives.items()
+        }
 
     # ------------------------------------------------------------------
     # Introspection
@@ -179,8 +184,6 @@ class MultiPatternEngine:
             pattern_id: engine.introspection()
             for pattern_id, engine in self._adaptives.items()
         }
-        from repro.compile import kernels_reused_total
-
         return {
             "pattern": self.pattern.name,
             "reoptimizations": self.reoptimization_count(),
@@ -188,7 +191,7 @@ class MultiPatternEngine:
             "sharing": {
                 "groups": self._manager.sharing_report(),
                 "prefix_hits": self._manager.prefix_hits_total(),
-                "kernels_reused": kernels_reused_total(),
+                "kernels_reused": self._manager.kernels_reused,
             },
             "patterns": frames,
         }
@@ -259,21 +262,16 @@ class MultiPatternEngine:
         """Per-event-type dispatch: each type maps to the prefix groups and
         the per-pattern engines that consume it.  A pattern is *skipped*
         for a type when every one of its live engines receives that type
-        through a shared prefix group instead."""
+        through a shared prefix group instead.  Rebuilt whenever the share
+        manager's ``version`` moves (an engine build or a membership
+        change)."""
         routes: Dict[str, List[Tuple[str, AdaptiveCEPEngine]]] = {}
         for pattern_id, adaptive in self._adaptives.items():
-            live = adaptive.evaluation_engines()
-            for event_type in adaptive.pattern.event_types:
-                name = event_type.name
-                if live and all(
-                    isinstance(engine, SuffixNFAEngine)
-                    and name in engine.prefix_types
-                    for engine in live
-                ):
-                    continue
-                entries = routes.setdefault(name, [])
-                if not any(entry[0] == pattern_id for entry in entries):
-                    entries.append((pattern_id, adaptive))
+            skipped = _group_fed_types(adaptive.evaluation_engines())
+            entry = (pattern_id, adaptive)
+            for name in self._type_names[pattern_id]:
+                if name not in skipped:
+                    routes.setdefault(name, []).append(entry)
         group_routes: Dict[str, List[SharedPrefixGroup]] = {}
         for group in self._manager.groups():
             group.prune_members()
@@ -343,6 +341,18 @@ class MultiPatternEngine:
     def run(self, stream: "EventStream | Iterable[Event]") -> RunResult:
         """Process a whole stream in one pass and report run metrics."""
         return fold_run(self, stream)
+
+
+def _group_fed_types(live) -> frozenset:
+    """The types every one of a pattern's live engines receives through a
+    shared prefix group: the prefix types all of them share, or none when
+    an engine is not a group member."""
+    fed = None
+    for engine in live:
+        if not isinstance(engine, SuffixNFAEngine):
+            return frozenset()
+        fed = engine.prefix_types if fed is None else fed & engine.prefix_types
+    return fed or frozenset()
 
 
 def _restrict_snapshot(

@@ -6,12 +6,13 @@ itself, so one stream is measured N times.  The
 :class:`SharedStatisticsHub` owns exactly one sliding-window rate
 estimator per event type; the multi-pattern engine feeds each event into
 the hub once.  A pattern's :class:`SharedStatisticsCollector` holds no
-rate estimator of its own: its snapshots read the hub's rates, which the
-hub computes once per reference time (so at a monitoring tick each
-type's rate is computed once, however many patterns decide on it).  The
-per-pattern collectors keep their own selectivity estimators (conditions
-are pattern-local), except for pairs evaluated on their behalf by a
-shared prefix group, which are re-pointed at the group's estimators via
+rate estimator of its own: its probes and snapshots read the hub's
+rates, which the hub computes once per reference time (so at a
+monitoring tick each type's rate is computed once, however many
+patterns decide on it).  The per-pattern collectors keep their own
+selectivity estimators (conditions are pattern-local), except for pairs
+evaluated on their behalf by a shared prefix group, which are
+re-pointed at the group's estimators via
 :meth:`~repro.statistics.StatisticsCollector.share_selectivity` — the
 only estimators two collectors hold in common.
 """
@@ -107,9 +108,9 @@ class SharedStatisticsCollector(StatisticsCollector):
     """A per-pattern collector whose arrival rates come from the hub.
 
     ``register_event_type`` records which of the hub's types the pattern
-    uses; a snapshot reads their rates from the hub, and ``observe_event``
-    only advances the local clock — the hub has already counted the
-    arrival.  Selectivity estimation is unchanged (pattern-local), so the
+    uses; a probe or a snapshot reads their rates from the hub, and
+    ``observe_event`` only advances the local clock — the hub has already
+    counted the arrival.  Selectivity estimation is unchanged (pattern-local), so the
     resulting snapshots are exactly what an isolated collector would
     produce, at 1/N the counting work.
     """
@@ -136,9 +137,12 @@ class SharedStatisticsCollector(StatisticsCollector):
         if event_type.name not in self._rate_types:
             self._rate_types.append(event_type.name)
 
-    def _rates_at(self, reference: float) -> Dict[str, float]:
-        rates = self._hub.rates(reference)
-        return {name: rates[name] for name in self._rate_types}
+    def _rate_at(self, type_name: str, reference: float) -> Optional[float]:
+        # The hub computes every type's rate once per reference time, so a
+        # tick's snapshots and probes across all patterns share one pass.
+        if type_name not in self._rate_types:
+            return None
+        return self._hub.rates(reference)[type_name]
 
     def observe_event(self, event: Event) -> None:
         # The hub counted this arrival once for all patterns.

@@ -331,6 +331,12 @@ class PrefixShareManager:
     :func:`~repro.engine.engine_for_plan` unchanged.
     """
 
+    #: Kernel-cache hits made by the engines this manager built (every
+    #: pattern engine and every group engine of one multi-pattern engine).
+    #: Pickled with the manager; a class default for blobs written before
+    #: the count existed.
+    kernels_reused = 0
+
     def __init__(self, hub: SharedStatisticsHub, compile_mode: str = "interpreted"):
         self._hub = hub
         self.compile_mode = compile_mode
@@ -426,11 +432,14 @@ class PrefixShareManager:
         if choice is None:
             from repro.engine.cep_engine import engine_for_plan
 
-            return engine_for_plan(plan, collector, compile_mode=compile_mode)
+            engine = engine_for_plan(plan, collector, compile_mode=compile_mode)
+            self.kernels_reused += engine.kernels_reused
+            return engine
         signature, length, plan = choice
         group = self._groups.get(signature)
         if group is None:
             group = self._create_group(signature, plan.pattern, length)
+            self.kernels_reused += group.engine.kernels_reused
         engine = SuffixNFAEngine(
             plan,
             collector,
@@ -440,6 +449,7 @@ class PrefixShareManager:
             join_time=self._hub.last_time,
             compile_mode=compile_mode,
         )
+        self.kernels_reused += engine.kernels_reused
         share_prefix_statistics(collector, group)
         group.add_member(engine, plan.pattern.name)
         return engine

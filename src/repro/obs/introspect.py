@@ -140,9 +140,8 @@ def _merge_sharing(sections: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
     Every replica builds the same share groups, so the groups fold by
     prefix with their completion and hit counts summed.  ``kernels_reused``
-    is the compiled-kernel cache's count for the whole process that takes
-    the frames, the same number in every replica's section, so it is kept
-    as is rather than summed.
+    counts the kernel-cache hits of each replica's own engine builds, so
+    it is summed too.
     """
     groups: Dict[str, Dict[str, Any]] = {}
     for section in sections:
@@ -156,9 +155,7 @@ def _merge_sharing(sections: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     return {
         "groups": list(groups.values()),
         "prefix_hits": sum(section.get("prefix_hits", 0) for section in sections),
-        "kernels_reused": max(
-            (section.get("kernels_reused", 0) for section in sections), default=0
-        ),
+        "kernels_reused": sum(section.get("kernels_reused", 0) for section in sections),
     }
 
 

@@ -13,7 +13,7 @@ from repro.statistics.sliding_window import (
     SlidingWindowRateEstimator,
     SlidingSelectivityEstimator,
 )
-from repro.statistics.collector import StatisticsCollector
+from repro.statistics.collector import StatisticsCollector, StatisticsProbe
 from repro.statistics.timevarying import (
     TimeVaryingValue,
     ConstantValue,
@@ -30,6 +30,7 @@ __all__ = [
     "SlidingWindowRateEstimator",
     "SlidingSelectivityEstimator",
     "StatisticsCollector",
+    "StatisticsProbe",
     "TimeVaryingValue",
     "ConstantValue",
     "StepValue",

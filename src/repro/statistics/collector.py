@@ -5,7 +5,8 @@ the paper's ACEP architecture (Figure 2): it consumes the same event stream
 as the evaluation mechanism, maintains sliding-window arrival-rate
 estimators per event type and selectivity estimators per condition pair,
 and produces :class:`~repro.statistics.StatisticsSnapshot` objects on
-demand for the optimizer and the reoptimizing decision function.
+demand for the optimizer, plus a per-tick :class:`StatisticsProbe` that
+the reoptimizing decision function reads.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class StatisticsCollector:
             estimator.observe_many(timestamp, attempts, successes)
 
     # ------------------------------------------------------------------
-    # Snapshots
+    # Snapshots and probes
     # ------------------------------------------------------------------
     def snapshot(self, now: Optional[float] = None) -> StatisticsSnapshot:
         """Produce an immutable snapshot of the current estimates."""
@@ -180,22 +181,98 @@ class StatisticsCollector:
             key: estimator.selectivity(reference)
             for key, estimator in self._selectivity_estimators.items()
         }
-        return StatisticsSnapshot(
-            self._rates_at(reference), selectivities, timestamp=reference
-        )
+        rates = {name: self._rate_at(name, reference) for name in self.tracked_types}
+        return StatisticsSnapshot(rates, selectivities, timestamp=reference)
 
-    def _rates_at(self, reference: float) -> Dict[str, float]:
-        """Arrival rates of the tracked types at ``reference``."""
-        return {
-            name: estimator.rate(reference)
-            for name, estimator in self._rate_estimators.items()
-        }
+    def probe(self, now: float) -> "StatisticsProbe":
+        """A read view of the estimates at ``now``, valid until the next
+        observed event (see :class:`StatisticsProbe`)."""
+        return StatisticsProbe(self, now)
+
+    def _rate_at(self, type_name: str, reference: float) -> Optional[float]:
+        """Arrival rate of one type at ``reference``; ``None`` if untracked."""
+        estimator = self._rate_estimators.get(type_name)
+        return None if estimator is None else estimator.rate(reference)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"StatisticsCollector(types={len(self._rate_estimators)}, "
             f"pairs={len(self._selectivity_estimators)}, window={self._window:g})"
         )
+
+
+class StatisticsProbe:
+    """One monitoring tick's view of a collector's estimates at ``now``.
+
+    It answers the reads a :class:`~repro.optimizer.terms.StatExpression`
+    makes (``rate_or_default``, ``selectivity``, ``local_selectivity``)
+    with exactly the floats ``collector.snapshot(now)`` would hold, but
+    computes only the statistics that are read, each once per tick.  The
+    full snapshot is built by :meth:`snapshot` only when a caller keeps
+    one or plans from it.  A :class:`StatisticsSnapshot` offers the same
+    reads and ``snapshot()`` (itself), so either is a valid view.
+
+    A probe is valid inside its tick: reading it after the collector has
+    observed a newer event raises :class:`~repro.errors.StatisticsError`.
+    """
+
+    __slots__ = (
+        "_collector",
+        "timestamp",
+        "_clock",
+        "_rates",
+        "_selectivities",
+        "_snapshot",
+    )
+
+    def __init__(self, collector: StatisticsCollector, now: float):
+        self._collector = collector
+        self.timestamp = now
+        self._clock = collector._last_time
+        self._rates: Dict[str, Optional[float]] = {}
+        self._selectivities: Dict[PairKey, float] = {}
+        self._snapshot: Optional[StatisticsSnapshot] = None
+
+    def _check(self) -> None:
+        if self._collector._last_time != self._clock:
+            raise StatisticsError(
+                "statistics probe read after its tick: the collector has "
+                "observed a newer event"
+            )
+
+    def rate_or_default(self, type_name: str, default: float = 0.0) -> float:
+        self._check()
+        rates = self._rates
+        if type_name in rates:
+            rate = rates[type_name]
+        else:
+            rate = self._collector._rate_at(type_name, self.timestamp)
+            rate = rates[type_name] = None if rate is None else float(rate)
+        return default if rate is None else rate
+
+    def selectivity(self, a: str, b: str) -> float:
+        return self._selectivity(pair_key(a, b))
+
+    def local_selectivity(self, variable: str) -> float:
+        return self._selectivity((variable, variable))
+
+    def _selectivity(self, key: PairKey) -> float:
+        self._check()
+        value = self._selectivities.get(key)
+        if value is None:
+            estimator = self._collector._selectivity_estimators.get(key)
+            value = (
+                1.0 if estimator is None else float(estimator.selectivity(self.timestamp))
+            )
+            self._selectivities[key] = value
+        return value
+
+    def snapshot(self) -> StatisticsSnapshot:
+        """The full snapshot at the probe's time (built once, on demand)."""
+        self._check()
+        if self._snapshot is None:
+            self._snapshot = self._collector.snapshot(self.timestamp)
+        return self._snapshot
 
 
 def pairs_for_pattern(pattern: Pattern) -> Iterable[PairKey]:

@@ -100,6 +100,11 @@ class StatisticsSnapshot:
         """Combined selectivity of conditions local to a single variable."""
         return self._selectivities.get((variable, variable), 1.0)
 
+    def snapshot(self) -> "StatisticsSnapshot":
+        """The snapshot itself: a snapshot is a valid statistics view
+        wherever a :class:`~repro.statistics.StatisticsProbe` is."""
+        return self
+
     # ------------------------------------------------------------------
     # Derived snapshots
     # ------------------------------------------------------------------

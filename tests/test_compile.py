@@ -22,7 +22,9 @@ import json
 import pickle
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.adaptive import InvariantBasedPolicy
 from repro.compile import (
@@ -132,6 +134,106 @@ def test_join_kernel_matches_interpreted_both_orientations():
         expected = condition.evaluate({"a": ea, "c": ec})
         assert forward.fn({"a": ea, "b": ea}, {"c": ec}) == expected
         assert backward.fn({"c": ec}, {"a": ea, "b": ea}) == expected
+
+
+# The stocks join: PriceJumpCondition declares ``a.diff + margin < b.diff``
+# with a missing ``diff`` reading as 0.0 (AttributeComparisonCondition's
+# missing attribute fails instead), so both compiled kernels lower it.
+# Diffs and margins are multiples of 1.25, exact in binary, so the sum
+# can tie the other side and the strictness of ``<`` is exercised.
+_DIFFS = st.one_of(
+    st.none(),  # no ``diff`` attribute
+    st.sampled_from([-2.5, -1.25, -0.0, 0.0, 1.25, 2.5, 3.75]),
+    st.integers(-3, 3).map(float),
+)
+_MARGINS = st.sampled_from([0.0, 1.25, 2.5, -1.25])
+
+
+def _stock_event(diff, t=0.0):
+    return Event(B, t, {} if diff is None else {"diff": diff, "price": 10.0})
+
+
+def _stock_binding(diffs):
+    """One event, or a Kleene list of events (which goes through evaluate)."""
+    if isinstance(diffs, list):
+        return [_stock_event(diff, float(i)) for i, diff in enumerate(diffs)]
+    return _stock_event(diffs)
+
+
+_STOCK_BINDINGS = st.one_of(_DIFFS, st.lists(_DIFFS, min_size=1, max_size=3))
+
+
+@given(margin=_MARGINS, first=_STOCK_BINDINGS, second=_STOCK_BINDINGS)
+def _price_jump_kernels_agree(margin, first, second):
+    from repro.datasets.stocks import PriceJumpCondition
+
+    condition = PriceJumpCondition("a", "b", margin)
+    first, second = _stock_binding(first), _stock_binding(second)
+    expected = condition.evaluate({"a": first, "b": second})
+    if not isinstance(second, list):
+        kernel = compile_step_kernel(condition, "b")
+        assert kernel.specialized
+        assert kernel.fn({"a": first}, second) == expected
+    if not isinstance(first, list):
+        kernel = compile_step_kernel(condition, "a")
+        assert kernel.specialized
+        assert kernel.fn({"b": second}, first) == expected
+    left, right = frozenset({"a"}), frozenset({"b"})
+    forward = compile_join_kernel(condition, left, right)
+    backward = compile_join_kernel(condition, right, left)
+    assert forward.specialized and backward.specialized
+    assert forward.fn({"a": first}, {"b": second}) == expected
+    assert backward.fn({"b": second}, {"a": first}) == expected
+
+
+def test_price_jump_kernels_agree_with_evaluate():
+    """Step (either variable new) and join (either side) kernels of the
+    stocks condition equal ``PriceJumpCondition.evaluate`` on negative,
+    zero, tied and missing diffs and on Kleene list bindings."""
+    _price_jump_kernels_agree()
+
+
+def test_price_jump_property_catches_a_non_strict_mutant(monkeypatch):
+    import operator
+
+    from repro.compile import kernels
+
+    monkeypatch.setitem(kernels._OPS, "<", operator.le)
+    mutant = settings(
+        database=None, derandomize=True, report_multiple_bugs=False, max_examples=300
+    )(_price_jump_kernels_agree)
+    with pytest.raises(AssertionError):
+        mutant()
+
+
+def test_every_dataset_condition_lowers_or_is_a_predicate():
+    """Each shipped dataset's inter-event condition compiles to specialised
+    step and join kernels, or is a PredicateCondition (traffic's
+    ``same_direction``, opaque by design and called positionally)."""
+    from repro.datasets import (
+        ConfigurableDatasetSimulator,
+        StockDatasetSimulator,
+        TrafficDatasetSimulator,
+    )
+    from repro.statistics import ConstantValue
+
+    datasets = [
+        StockDatasetSimulator(),
+        TrafficDatasetSimulator(),
+        ConfigurableDatasetSimulator([A, B], {"A": ConstantValue(1.0), "B": ConstantValue(1.0)}),
+    ]
+    for dataset in datasets:
+        condition = dataset.condition_between("a", "b")
+        if type(condition) is PredicateCondition:
+            continue
+        left, right = frozenset({"a"}), frozenset({"b"})
+        kernels = [
+            compile_step_kernel(condition, "a"),
+            compile_step_kernel(condition, "b"),
+            compile_join_kernel(condition, left, right),
+            compile_join_kernel(condition, right, left),
+        ]
+        assert all(kernel.specialized for kernel in kernels), dataset.name
 
 
 # ----------------------------------------------------------------------

@@ -266,7 +266,7 @@ class TestFrameMerging:
         assert merged["sharing"] == {
             "groups": [{"prefix": "g", "completions": 4, "prefix_hits": 10}],
             "prefix_hits": 10,
-            "kernels_reused": 9,
+            "kernels_reused": 18,
         }
         assert set(merged["patterns"]) == {"p1", "p2"}
         p1 = merged["patterns"]["p1"]

@@ -433,6 +433,29 @@ class TestSharedVsIsolated:
         engine.run(events[:200])
         assert kernels_reused_total() > before
 
+    def test_kernels_reused_counts_only_this_engines_builds(self):
+        """Two engines in one process: the sharing frame of each credits
+        the kernel-cache hits of its own builds, not the process total."""
+        from repro.compile import kernels_reused_total
+
+        patterns, events = _family(count=4)
+        first = _shared_engine(patterns, "compiled")
+        first.run(events[:300])
+        before = kernels_reused_total()
+        second = _shared_engine(patterns, "compiled")
+        own = kernels_reused_total() - before
+        assert own > 0, "the second engine's builds hit the kernels the first compiled"
+        assert second.introspection()["sharing"]["kernels_reused"] == own
+        assert own < kernels_reused_total()
+
+        first.run(events[300:900])  # the first engine re-plans and hits the cache
+        assert second.introspection()["sharing"]["kernels_reused"] == own
+        second.run(events[:900])  # re-plans add the second engine's own hits
+        count = second.introspection()["sharing"]["kernels_reused"]
+        assert count >= own
+        restored = restore_engine(snapshot_engine(second))
+        assert restored.introspection()["sharing"]["kernels_reused"] == count
+
 
 class TestMonitoringTick:
     """The multi-pattern engine owns one monitoring tick for every pattern."""
@@ -542,3 +565,50 @@ class TestRoutingHygiene:
             for group in groups_for_type
         ]
         assert all(group.member_count > 0 for group in routed)
+
+    def test_routing_tables_equal_the_direct_derivation_at_every_rebuild(self, monkeypatch):
+        """Through a run with plan switches, every rebuilt table equals the
+        straightforward derivation: per pattern, per type in pattern order,
+        skip a type only when every live engine takes it from a group."""
+        from repro.multi.sharing import SuffixNFAEngine
+
+        def derived_routes(engine):
+            routes = {}
+            for pattern_id, adaptive in engine._adaptives.items():
+                live = adaptive.evaluation_engines()
+                for event_type in adaptive.pattern.event_types:
+                    name = event_type.name
+                    if live and all(
+                        isinstance(e, SuffixNFAEngine) and name in e.prefix_types
+                        for e in live
+                    ):
+                        continue
+                    entries = routes.setdefault(name, [])
+                    if not any(entry[0] == pattern_id for entry in entries):
+                        entries.append((pattern_id, adaptive))
+            groups = {}
+            for group in engine.share_manager.groups():
+                if group.member_count:
+                    for name in sorted(group.prefix_types):
+                        groups.setdefault(name, []).append(group)
+            return routes, groups
+
+        rebuild = MultiPatternEngine._rebuild_routing
+        checked = []
+
+        def checked_rebuild(engine):
+            rebuild(engine)
+            routes, groups = derived_routes(engine)
+            assert engine._routes == routes
+            assert engine._group_routes == groups
+            checked.append(sum(len(entries) for entries in routes.values()))
+
+        monkeypatch.setattr(MultiPatternEngine, "_rebuild_routing", checked_rebuild)
+        patterns, events = _family(count=4)
+        # A pattern that repeats an event type is listed once for it.
+        patterns.append(seq([A, B, A], window=5.0, name="repeats"))
+        engine = _shared_engine(patterns, "compiled")
+        engine.run(events)
+        assert engine.reoptimization_count() > 0
+        assert engine.share_manager.groups(), "no pattern took types from a group"
+        assert len(checked) > 2

@@ -541,3 +541,17 @@ class TestDeltaDegradationGauges:
             assert (backend.last_kind, backend.degraded_encodes) == ("delta", 1)
         finally:
             backend.close()
+
+
+def test_every_traced_layer_target_is_defined_where_the_tracer_wraps_it():
+    """The benchmark's traced pass wraps each layer boundary by
+    ``owner.__dict__[attribute]``: a method moved to a base class, a
+    helper or another module would break that pass only.  Every target
+    must be defined on its owner itself, and be callable."""
+    from bench.tracing import layer_targets
+
+    targets = layer_targets()
+    assert targets
+    for owner, attribute, span in targets:
+        assert attribute in vars(owner), f"{span}: {owner.__name__}.{attribute} moved"
+        assert callable(vars(owner)[attribute]), span

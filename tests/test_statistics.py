@@ -7,8 +7,10 @@ import pickle
 import random
 from collections import Counter, deque
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.conditions import (
     AndCondition,
@@ -694,3 +696,142 @@ def test_checkpoint_mid_bucket_resumes_like_an_uninterrupted_run(mode):
         assert _controller_counts(candidate) == _controller_counts(reference)
         assert candidate.plan_history == reference.plan_history
         assert candidate._collector.snapshot() == reference._collector.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# The per-tick probe D reads: the snapshot's floats, computed on demand
+# ---------------------------------------------------------------------------
+_PROBE_TYPES = ("A", "B", "C")
+_PROBE_PAIRS = (("a", "b"), ("b", "c"), ("a", "a"))
+
+
+def _probe_collector(shared, arrivals, outcomes):
+    """A collector tracking A, B, C and the pairs above, fed a random state.
+
+    The shared variant reads its rates from a hub that also tracks ``D``
+    for another pattern, which this collector must still report as
+    untracked.
+    """
+    from repro.multi.hub import SharedStatisticsCollector, SharedStatisticsHub
+
+    if shared:
+        hub = SharedStatisticsHub(window=8.0, num_buckets=4)
+        hub.rate_estimator("D")
+        collector = SharedStatisticsCollector(hub)
+    else:
+        hub = None
+        collector = StatisticsCollector(window=8.0, num_buckets=4)
+    for name in _PROBE_TYPES:
+        collector.register_event_type(EventType(name))
+    for a, b in _PROBE_PAIRS:
+        collector.register_pair(a, b)
+    time = 0.0
+    for (type_name, step), (pair, success) in zip(arrivals, outcomes):
+        time += step
+        event = Event(EventType(type_name), time)
+        if hub is not None:
+            hub.observe(event)
+        collector.observe_event(event)
+        collector.observe_condition(*pair, time, success)
+    return collector, time
+
+
+def _probe_terms():
+    from repro.optimizer.terms import LocalSelectivityTerm, RateTerm, SelectivityTerm
+
+    terms = [RateTerm(name) for name in (*_PROBE_TYPES, "D")]
+    terms += [SelectivityTerm(a, b) for a, b in (*_PROBE_PAIRS, ("b", "a"), ("c", "d"))]
+    terms += [LocalSelectivityTerm(v) for v in ("a", "b", "d")]
+    return terms
+
+
+@given(
+    shared=st.booleans(),
+    arrivals=st.lists(
+        st.tuples(st.sampled_from(("A", "B", "C", "D")), st.sampled_from((0.0, 0.3, 1.0, 2.5))),
+        max_size=40,
+    ),
+    outcomes=st.lists(
+        st.tuples(st.sampled_from(_PROBE_PAIRS + (("c", "d"),)), st.booleans()), max_size=40
+    ),
+    lag=st.sampled_from((0.0, 0.5, 4.0, 20.0)),
+    order=st.randoms(use_true_random=False),
+)
+def test_probe_reads_the_snapshots_floats(shared, arrivals, outcomes, lag, order):
+    """Every rate and selectivity term evaluates to the same float through
+    a probe as through ``collector.snapshot(now)``, untracked types and
+    pairs included, whatever order the probe is read in."""
+    collector, last = _probe_collector(shared, arrivals, outcomes)
+    now = last + lag
+    terms = _probe_terms()
+    order.shuffle(terms)
+    probe = collector.probe(now)
+    probed = [term.evaluate(probe) for term in terms]
+    snapshot = collector.snapshot(now)
+    for term, value in zip(terms, probed):
+        expected = term.evaluate(snapshot)
+        assert type(value) is type(expected) and value == expected, term.describe()
+    assert probe.snapshot() == snapshot and probe.timestamp == snapshot.timestamp
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_probe_raises_after_the_collector_moves_on(shared):
+    collector, last = _probe_collector(shared, [("A", 1.0)], [(("a", "b"), True)])
+    probe = collector.probe(last + 1.0)
+    assert probe.rate_or_default("A") > 0.0
+    collector.observe_event(Event(EventType("A"), last + 1.0))
+    for read in (
+        lambda: probe.rate_or_default("A"),
+        lambda: probe.selectivity("a", "b"),
+        lambda: probe.local_selectivity("a"),
+        probe.snapshot,
+    ):
+        with pytest.raises(StatisticsError, match="after its tick"):
+            read()
+
+
+def test_probe_driven_run_decides_as_a_snapshot_driven_run(monkeypatch):
+    """On a small stocks pattern set, deciding from probes gives the same
+    adaptation counts, plan history and replacement times as handing
+    ``collector.snapshot(now)`` to ``AdaptationController.update``."""
+    from repro.adaptive import InvariantBasedPolicy
+    from repro.engine import MultiPatternEngine
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import build_dataset, build_workload
+    from repro.multi import PatternSet
+    from repro.optimizer import GreedyOrderPlanner
+
+    config = ExperimentConfig(dataset="stocks", duration=40.0, max_events=2000)
+    dataset = build_dataset(config)
+    patterns = build_workload(config, dataset).similar_sequence_patterns(4, size=4)
+    events = dataset.generate(
+        duration=config.duration, seed=config.stream_seed, max_events=config.max_events
+    ).to_list()
+
+    def run():
+        engine = MultiPatternEngine(
+            PatternSet(patterns),
+            GreedyOrderPlanner(),
+            policy_factory=lambda: InvariantBasedPolicy(distance=0.1),
+            compile_mode="compiled",
+        )
+        engine.run(events)
+        decisions = []
+        for adaptive in engine.sub_engines:
+            stats = adaptive.controller.statistics
+            decisions.append(
+                (
+                    stats.decisions_evaluated,
+                    stats.reoptimizations_requested,
+                    stats.plans_generated,
+                    stats.plans_replaced,
+                    [(r.time, r.plan_description) for r in stats.replacements],
+                )
+            )
+        return decisions, engine.plan_history
+
+    probed = run()
+    monkeypatch.setattr(StatisticsCollector, "probe", StatisticsCollector.snapshot)
+    snapshotted = run()
+    assert probed == snapshotted
+    assert sum(counts[3] for counts in probed[0]) > 0, "no plan was replaced"
