@@ -18,8 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.adaptive.policies import InvariantBasedPolicy, PolicyDecision, ReoptimizationPolicy
-from repro.errors import AdaptationError
+from repro.adaptive.policies import PolicyDecision, ReoptimizationPolicy
 from repro.obs.introspect import drift_rows
 from repro.optimizer.base import PlanGenerator
 from repro.optimizer.recorder import PlanGenerationResult
@@ -82,8 +81,7 @@ class AdaptationController:
         The reoptimizing decision function ``D``.
     initial_snapshot:
         Statistics used to create the initial plan (Algorithm 1's
-        ``in_stat``).  May be ``None``, in which case the first monitoring
-        period will trigger plan creation.
+        ``in_stat``).
     """
 
     def __init__(
@@ -91,12 +89,11 @@ class AdaptationController:
         pattern: Pattern,
         planner: PlanGenerator,
         policy: ReoptimizationPolicy,
-        initial_snapshot: Optional[StatisticsSnapshot] = None,
+        initial_snapshot: StatisticsSnapshot,
     ):
         self._pattern = pattern
         self._planner = planner
         self._policy = policy
-        self._current_result: Optional[PlanGenerationResult] = None
         self.statistics = AdaptationStatistics()
         #: Optional replacement observer ``(AdaptationRecord) -> None``,
         #: called whenever a plan is actually replaced — the streaming
@@ -104,8 +101,7 @@ class AdaptationController:
         #: pickled state (controllers travel inside engine snapshots and
         #: to worker processes) and re-attached by the pipeline.
         self.decision_sink = None
-        if initial_snapshot is not None:
-            self._install_initial_plan(initial_snapshot)
+        self._install(self._timed_generate(initial_snapshot), initial_snapshot)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -138,23 +134,18 @@ class AdaptationController:
 
     @property
     def current_plan(self) -> EvaluationPlan:
-        if self._current_result is None:
-            raise AdaptationError("no plan installed yet; call update() first")
         return self._current_result.plan
 
     @property
-    def current_result(self) -> Optional[PlanGenerationResult]:
+    def current_result(self) -> PlanGenerationResult:
         return self._current_result
-
-    @property
-    def has_plan(self) -> bool:
-        return self._current_result is not None
 
     # ------------------------------------------------------------------
     # Plan management
     # ------------------------------------------------------------------
-    def _install_initial_plan(self, snapshot: StatisticsSnapshot) -> None:
-        result = self._timed_generate(snapshot)
+    def _install(self, result: PlanGenerationResult, snapshot: StatisticsSnapshot) -> None:
+        """Put ``result``'s plan in effect: the initial plan and every
+        replacement take this one path."""
         self._current_result = result
         self._policy.on_plan_installed(result, snapshot)
 
@@ -182,23 +173,6 @@ class AdaptationController:
         plan is generated, since ``A``, the cost comparison, the new
         invariants and the drift rows plan from or keep it.
         """
-        if self._current_result is None:
-            snapshot = view.snapshot()
-            result = self._timed_generate(snapshot)
-            self._current_result = result
-            self._policy.on_plan_installed(result, snapshot)
-            self.statistics.plans_replaced += 1
-            record = AdaptationRecord(
-                time=snapshot.timestamp,
-                reason="initial plan",
-                previous_cost=float("inf"),
-                new_cost=result.plan.cost(snapshot),
-                plan_description=result.plan.describe(),
-            )
-            self.statistics.replacements.append(record)
-            self._notify_replacement(record)
-            return result.plan
-
         started = time.perf_counter()
         decision: PolicyDecision = self._policy.should_reoptimize(view)
         self.statistics.time_in_decision += time.perf_counter() - started
@@ -222,15 +196,13 @@ class AdaptationController:
         # plan: the distance is the policy's view of the *old* invariants,
         # and the drift table must compare against the *old* plan's
         # predictions — after installation both describe the new plan.
-        trigger_distance = getattr(self._policy, "current_distance", None)
+        trigger_distance = self._policy.current_distance
         drift = None
         if self.decision_sink is not None:
             drift = drift_rows(self._current_result, self._pattern, snapshot)[:3]
 
-        if isinstance(self._policy, InvariantBasedPolicy):
-            self._policy.observe_adaptation(current_cost, new_cost)
-        self._current_result = new_result
-        self._policy.on_plan_installed(new_result, snapshot)
+        self._policy.observe_adaptation(current_cost, new_cost)
+        self._install(new_result, snapshot)
         self.statistics.plans_replaced += 1
         record = AdaptationRecord(
             time=snapshot.timestamp,
@@ -261,7 +233,6 @@ class AdaptationController:
             f"decisions={stats.decisions_evaluated}, requested={stats.reoptimizations_requested}, "
             f"replaced={stats.plans_replaced}",
             f"time: D={stats.time_in_decision:.4f}s, A={stats.time_in_generation:.4f}s",
+            f"current plan: {self._current_result.plan.describe()}",
         ]
-        if self._current_result is not None:
-            lines.append(f"current plan: {self._current_result.plan.describe()}")
         return "\n".join(lines)

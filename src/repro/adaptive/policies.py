@@ -42,6 +42,9 @@ class ReoptimizationPolicy:
 
     #: Name used in experiment reports (matches the paper's legends).
     name: str = "policy"
+    #: The minimal distance ``d`` the policy's triggers are held to, for
+    #: the replacement record; ``None`` for policies without one.
+    current_distance: Optional[float] = None
 
     def should_reoptimize(
         self, view: "StatisticsProbe | StatisticsSnapshot"
@@ -62,6 +65,10 @@ class ReoptimizationPolicy:
         Called for the initial plan and after every replacement so policies
         can rebuild their internal state (invariants, reference snapshots).
         """
+
+    def observe_adaptation(self, previous_cost: float, new_cost: float) -> None:
+        """Feedback on a replacement: the replaced and the new plan's cost,
+        both on the statistics the replacement was planned from."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} name={self.name!r}>"

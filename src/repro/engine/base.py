@@ -88,8 +88,9 @@ class EvaluationEngine:
         ``self.plan`` is set.
 
     Plan migration (:class:`~repro.engine.PlanMigrationManager`) takes no
-    constructor argument: a new engine starts with empty buffers, so it can
-    only produce matches made entirely of events after the switch, and the
+    constructor argument: a new engine starts with empty buffers (but for
+    the negated-item events it inherits), so it can only produce matches
+    made entirely of events after the switch, and the
     *draining* engine carries ``suppress_all_new_after`` — set to the
     switch time, it suppresses matches whose events all arrived at or after
     it, since those are the new engine's.

@@ -134,7 +134,7 @@ class AdaptiveCEPEngine:
         replacing :func:`engine_for_plan` for every evaluation engine this
         facade builds (initial and post-adaptation).  The multi-pattern
         evaluator uses it to route plans with shareable prefixes into
-        shared-prefix groups.
+        shared-prefix groups; sharing is decided at those builds only.
     """
 
     def __init__(
@@ -302,30 +302,17 @@ class AdaptiveCEPEngine:
         return self._migration.process(event)
 
     def adapt(self, now: float) -> None:
-        """One iteration of the detection–adaptation loop's decision phase."""
+        """One iteration of the detection–adaptation loop's decision phase.
+
+        The only way the plan or its engine changes: ``D`` fires, ``A``
+        returns a cheaper plan, and the engine built for it takes over
+        through the migration contract.  An engine factory (the
+        multi-pattern share manager) decides sharing at that build."""
         new_plan = self.controller.update(self._collector.probe(now))
         if new_plan is not None:
             new_engine = self._build_engine(new_plan)
             self._migration.switch_to(new_engine, switch_time=now)
             self._plan_history.append(new_plan.describe())
-        elif self._engine_factory is not None:
-            # The policy keeps the plan, but a sharing-aware factory (the
-            # multi-pattern prefix-share manager) may have accumulated rate
-            # evidence that now scores this pattern into a shared-prefix
-            # group.  Rebuilding the engine for the *same* plan routes it
-            # through the factory again; the ordinary migration contract
-            # keeps the match set identical across the switch.
-            resharing = getattr(self._engine_factory, "wants_resharing", None)
-            if resharing is not None and resharing(
-                self.controller.current_plan,
-                self._migration.active_engine,
-                self._collector,
-            ):
-                new_engine = self._build_engine(self.controller.current_plan)
-                self._migration.switch_to(new_engine, switch_time=now)
-                self._plan_history.append(
-                    f"{self.controller.current_plan.describe()} [shared-prefix rewire]"
-                )
 
     # ------------------------------------------------------------------
     # Whole-stream API

@@ -11,7 +11,8 @@ for one pattern time window after the switch:
   matches may still complete), but suppresses matches made purely of
   post-switch events — those are the new engine's responsibility;
 * the new engine starts with empty buffers, so it can only ever produce
-  all-new matches.
+  all-new matches; it inherits only the negated-item events, which can
+  forbid a match but never complete one.
 
 At ``t0 + W`` every pre-switch event has expired from the old engine and it
 is retired.  The two engines never emit the same match, so no duplicate
@@ -100,9 +101,16 @@ class PlanMigrationManager:
         return roots
 
     def switch_to(self, new_engine: EvaluationEngine, switch_time: float) -> None:
-        """Install a new engine; the previous one drains for one window."""
+        """Install a new engine; the previous one drains for one window.
+
+        The new engine inherits the negated-item events the previous one
+        holds: one that arrived before the switch can still forbid an
+        all-new match.
+        """
         previous = self._active
         previous.suppress_all_new_after = switch_time
+        for variable, events in previous._negated_buffers.items():
+            new_engine._negated_buffers[variable] = list(events)
         self._draining.append((previous, switch_time + self._window))
         self._active = new_engine
         self.switches_performed += 1

@@ -329,6 +329,10 @@ class PrefixShareManager:
     tracking the planner's plan for policy purposes, the built engine
     evaluates the shared order.  Anything else falls back to
     :func:`~repro.engine.engine_for_plan` unchanged.
+
+    The decision is taken at every build — the initial one and each
+    re-plan — and nowhere else: a pattern joins or leaves a group only
+    when its own ``D`` fires.
     """
 
     #: Kernel-cache hits made by the engines this manager built (every
@@ -343,10 +347,6 @@ class PrefixShareManager:
         self._signature_counts: Dict[Signature, int] = {}
         self._groups: Dict[Signature, SharedPrefixGroup] = {}
         self._adaptives: Dict[str, object] = {}
-        #: Per pattern name: the prefixes passing the structural gates,
-        #: deepest first (see :meth:`_candidates`).  Derived from the
-        #: registered signatures, so :meth:`register` clears it.
-        self._structural: Dict[str, List[Tuple[Signature, int]]] = {}
         self._group_seq = 0
         self.last_scores: Dict[Signature, float] = {}
         #: Bumped on every engine build and membership change; the
@@ -359,7 +359,6 @@ class PrefixShareManager:
         # them (``MultiPatternEngine._rewire_sharing``).
         state = dict(self.__dict__)
         state["_adaptives"] = {}
-        state["_structural"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -372,33 +371,24 @@ class PrefixShareManager:
             self._signature_counts[signature] = (
                 self._signature_counts.get(signature, 0) + 1
             )
-        self._structural.clear()
 
     def _candidates(self, pattern: Pattern) -> List[Tuple[Signature, int]]:
         """``(signature, length)`` of every prefix of ``pattern`` that at
         least two registered patterns share structurally and whose event
-        types are disjoint from the suffix's, deepest first.
-
-        These gates depend on the pattern and the registrations only, so
-        they are worked out once per pattern; what :meth:`_choose` adds on
-        top needs statistics.
-        """
-        candidates = self._structural.get(pattern.name)
-        if candidates is None:
-            candidates = []
-            for length in shareable_lengths(pattern):
-                signature = prefix_signature(pattern, length)
-                if self._signature_counts.get(signature, 0) < 2:
-                    continue
-                prefix_types = {
-                    item.event_type.name for item in pattern.positive_items[:length]
-                }
-                suffix_types = {
-                    item.event_type.name for item in pattern.positive_items[length:]
-                }
-                if not prefix_types & suffix_types:
-                    candidates.append((signature, length))
-            self._structural[pattern.name] = candidates
+        types are disjoint from the suffix's, deepest first."""
+        candidates = []
+        for length in shareable_lengths(pattern):
+            signature = prefix_signature(pattern, length)
+            if self._signature_counts.get(signature, 0) < 2:
+                continue
+            prefix_types = {
+                item.event_type.name for item in pattern.positive_items[:length]
+            }
+            suffix_types = {
+                item.event_type.name for item in pattern.positive_items[length:]
+            }
+            if not prefix_types & suffix_types:
+                candidates.append((signature, length))
         return candidates
 
     def attach(self, pattern_name: str, adaptive) -> None:
@@ -515,34 +505,6 @@ class PrefixShareManager:
             return None
         now = self._hub.last_time
         return collector.snapshot(None if now == float("-inf") else now)
-
-    def wants_resharing(self, plan, active_engine, collector) -> bool:
-        """Would building an engine for ``plan`` *now* deepen the sharing
-        topology relative to ``active_engine``?
-
-        Consulted by the adaptive engine at monitoring boundaries when the
-        policy sees no reason to re-plan: rate evidence accumulated since
-        the last build may have turned a standalone engine into a
-        profitable group member (or revealed a deeper shareable prefix).
-        Only upgrades are reported — an engine already shared at the
-        deepest structurally eligible prefix answers ``False`` without
-        consulting the cost model, so scores hovering near zero cannot
-        make the topology oscillate every monitoring period.  Neither that
-        answer nor the one for a pattern with no structurally shareable
-        prefix takes a statistics snapshot.
-        """
-        if not isinstance(plan, OrderBasedPlan):
-            return False
-        candidates = self._candidates(plan.pattern)
-        if not candidates:
-            return False
-        current = getattr(active_engine, "group_signature", None)
-        if current == candidates[0][0]:
-            return False
-        choice = self._choose(plan, collector)
-        if choice is None:
-            return False
-        return choice[0] != current
 
     def _create_group(
         self, signature: Signature, pattern: Pattern, length: int

@@ -263,17 +263,11 @@ class TestAdaptationController:
         controller = AdaptationController(
             camera_pattern(), GreedyOrderPlanner(), InvariantBasedPolicy(), snapshot()
         )
-        assert controller.has_plan
         assert controller.current_plan.order == ("c", "b", "a")
-
-    def test_no_plan_raises_until_update(self):
-        controller = AdaptationController(
-            camera_pattern(), GreedyOrderPlanner(), InvariantBasedPolicy()
-        )
-        with pytest.raises(AdaptationError):
-            controller.current_plan
-        controller.update(snapshot())
-        assert controller.has_plan
+        # The initial plan is generated, but it replaces nothing.
+        assert controller.statistics.plans_generated == 1
+        assert controller.statistics.plans_replaced == 0
+        assert controller.statistics.replacements == []
 
     def test_no_reoptimization_without_changes(self):
         controller = AdaptationController(
@@ -292,6 +286,14 @@ class TestAdaptationController:
         assert new_plan.order == ("b", "c", "a")
         assert controller.statistics.plans_replaced == 1
         assert controller.statistics.replacements[0].new_cost < controller.statistics.replacements[0].previous_cost
+        assert controller.statistics.replacements[0].trigger_distance == 0.0
+
+    def test_policy_without_distance_records_none(self):
+        controller = AdaptationController(
+            camera_pattern(), GreedyOrderPlanner(), ConstantThresholdPolicy(0.5), snapshot()
+        )
+        assert controller.update(snapshot(c=30.0, t=5.0)) is not None
+        assert controller.statistics.replacements[0].trigger_distance is None
 
     def test_invariants_rebuilt_after_replacement(self):
         policy = InvariantBasedPolicy()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import json
+import random
 
 import pytest
 
@@ -26,14 +27,13 @@ from repro.engine import (
 )
 from repro.engine.protocol import CEPEngine
 from repro.errors import EngineError, PatternError
-from repro.events import EventType
+from repro.events import Event, EventType
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.method_comparison import compare_methods
 from repro.experiments.runner import build_dataset, build_workload
 from repro.multi import (
     PatternSet,
     PrefixShareManager,
-    SharedStatisticsCollector,
     SharedStatisticsHub,
     SuffixNFAEngine,
 )
@@ -42,7 +42,7 @@ from repro.parallel import ParallelCEPEngine
 from repro.patterns import PatternItem, Pattern, seq
 from repro.patterns.operators import PatternOperator
 from repro.plans import OrderBasedPlan
-from repro.statistics import StatisticsCollector, StatisticsSnapshot
+from repro.statistics import StatisticsSnapshot
 from repro.statistics.sliding_window import SlidingWindowRateEstimator
 from repro.streaming import DeltaTracker, materialize_engine_blob
 from repro.streaming.sinks import match_record
@@ -334,45 +334,69 @@ class TestSharingDecision:
         engine = manager(plan, self._StubCollector(StatisticsSnapshot({}, {})))
         assert not isinstance(engine, SuffixNFAEngine)
 
-    def test_wants_resharing_upgrades_then_settles(self):
-        manager, p1 = self._manager()
-        plan = OrderBasedPlan(p1, ("c", "a", "b"))
-        snapshot = StatisticsSnapshot({"A": 4.0, "B": 3.0, "C": 2.0, "D": 2.0}, {})
-        collector = self._StubCollector(snapshot)
-        standalone = manager(OrderBasedPlan(p1, ("c", "a", "b")), None)
-        assert manager.wants_resharing(plan, standalone, collector)
-        shared = manager(plan, collector)
-        # Already shared at the deepest structural prefix: no oscillation.
-        assert not manager.wants_resharing(plan, shared, collector)
+    def _shift_stream(self, seed=7):
+        """Poisson arrivals of A–D whose rates shift at t=40: before, A is
+        the rarest type, so p1 is planned prefix-first; after, C is."""
+        rng = random.Random(seed)
+        phases = [
+            (0.0, 40.0, {A: 0.3, B: 0.6, C: 1.5, D: 1.5}),
+            (40.0, 100.0, {A: 1.5, B: 1.0, C: 0.05, D: 0.05}),
+        ]
+        rows = []
+        for start, end, rates in phases:
+            for event_type, rate in rates.items():
+                t = start + rng.expovariate(rate)
+                while t < end:
+                    rows.append((round(t, 3), event_type.name, event_type))
+                    t += rng.expovariate(rate)
+        rows.sort()
+        return [
+            Event(event_type, t, {}, sequence_number=index)
+            for index, (t, _name, event_type) in enumerate(rows)
+        ]
 
-    def test_probe_without_shareable_prefix_takes_no_snapshot(self, monkeypatch):
-        hub = SharedStatisticsHub(window=50.0)
-        manager = PrefixShareManager(hub)
-        p1, p2 = self._patterns()
-        lone = Pattern(
-            PatternOperator.SEQUENCE,
-            [PatternItem("a", C), PatternItem("b", D), PatternItem("c", A)],
-            window=10.0, name="lone",
+    def test_replan_redecides_sharing_at_the_build(self, monkeypatch):
+        """Sharing is decided when an engine is built: p1's engine is
+        shared from the initial build until the rate shift makes ``D``
+        re-plan it suffix-first, and the engine built then is whatever the
+        manager's ``_choose`` decides for that plan — join with a reorder,
+        or standalone."""
+        patterns = list(self._patterns())
+        events = self._shift_stream()
+        engine = _shared_engine(patterns)
+        manager = engine.share_manager
+        decisions = []
+        choose = manager._choose
+
+        def recorded(plan, collector):
+            choice = choose(plan, collector)
+            decisions.append((plan, choice))
+            return choice
+
+        monkeypatch.setattr(manager, "_choose", recorded)
+        p1 = next(a for a in engine.sub_engines if a.pattern.name == "p1")
+        matches, rebuilt = [], 0
+        for event in events:
+            if event.timestamp >= 40.0 and not rebuilt:
+                assert isinstance(p1.migration_manager.active_engine, SuffixNFAEngine)
+            builds = len(decisions)
+            matches.extend(engine.process(event))
+            for plan, choice in decisions[builds:]:
+                if plan.pattern.name != "p1" or plan.order[0] != "c":
+                    continue
+                rebuilt += 1
+                active = p1.migration_manager.active_engine
+                if choice is None:
+                    assert not isinstance(active, SuffixNFAEngine)
+                    assert active.plan == plan
+                else:
+                    assert isinstance(active, SuffixNFAEngine)
+                    assert active.group_signature == choice[0]
+                    assert active.plan == choice[2]
+        assert rebuilt, "the rate shift never re-planned p1 suffix-first"
+        assert _per_pattern_records(patterns, matches) == _isolated_records(
+            patterns, events
         )
-        for pattern in (p1, p2, lone):
-            manager.register(pattern)
-        collector = SharedStatisticsCollector(hub)
-        collector.register_pattern(lone)
-        plan = OrderBasedPlan(lone, ("a", "b", "c"))
-        engine = manager(plan, collector)
-        assert not isinstance(engine, SuffixNFAEngine)
-
-        calls = []
-        snapshot = StatisticsCollector.snapshot
-
-        def counted(self, now=None):
-            calls.append(now)
-            return snapshot(self, now)
-
-        monkeypatch.setattr(StatisticsCollector, "snapshot", counted)
-        for _ in range(3):
-            assert not manager.wants_resharing(plan, engine, collector)
-        assert calls == []
 
 
 class TestSharedVsIsolated:
