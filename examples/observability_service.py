@@ -7,9 +7,12 @@ The script plays the operational story on a small synthetic workload:
    :class:`DecisionLog`, with the HTTP :class:`ControlPlane` attached on
    an ephemeral port (it reads the pipeline's metrics, decision log and
    engine frame from the pipeline itself);
-3. poke the live endpoints from a separate thread while the pipeline runs:
-   ``GET /health``, ``GET /ready``, ``GET /metrics`` (Prometheus text) and
-   ``POST /checkpoint`` (a manual cut, recorded with reason ``manual``);
+3. poke the live endpoints from a separate thread while the pipeline is
+   provably mid-run — its source holds the run loop at an event until the
+   poke has begun: ``GET /health``, ``GET /ready``, ``GET /metrics``
+   (Prometheus text) and ``POST /checkpoint`` (a manual cut, recorded with
+   reason ``manual``, which the run loop performs once the source lets it
+   go on);
 4. **kill** the pipeline partway through (stop without a final checkpoint,
    exactly what ``kill -9`` leaves behind);
 5. start a *fresh* pipeline on the same checkpoint directory and the same
@@ -52,11 +55,15 @@ from repro.streaming import (
     StreamingPipeline,
     write_events_jsonl,
 )
+from repro.streaming.pipeline import FILL_CHUNK
 from repro.streaming.sinks import match_record
 from repro.workloads import WorkloadGenerator
 
 DURATION = 120.0
 DEFAULT_MAX_EVENTS = 6000
+#: Bound on each wait of the poke, so a failed request fails the run
+#: instead of hanging it.
+POKE_TIMEOUT_SECONDS = 30.0
 
 
 def build_workload(max_events: int):
@@ -71,11 +78,39 @@ def fresh_engine(pattern):
     return AdaptiveCEPEngine(pattern, GreedyOrderPlanner(), InvariantBasedPolicy())
 
 
-def build_pipeline(pattern, dataset, events_path, matches_path, store, log):
-    source = JSONLFileSource(
-        events_path, {t.name: t for t in dataset.event_types}
-    )
-    return StreamingPipeline(
+class GatedSource(JSONLFileSource):
+    """The event file, holding the run loop at event ``gate_at`` until
+    ``release`` is set (``reached`` is set as it stops there)."""
+
+    def __init__(self, path, types, gate_at: int):
+        super().__init__(path, types)
+        self.gate_at = gate_at
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def _records(self):
+        for index, event in enumerate(super()._records()):
+            if index == self.gate_at:
+                self.reached.set()
+                self.release.wait()
+            yield event
+
+
+class NotifyingPipeline(StreamingPipeline):
+    """A pipeline that also signals when a manual cut has been requested."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cut_requested = threading.Event()
+
+    def request_checkpoint(self) -> threading.Event:
+        done = super().request_checkpoint()
+        self.cut_requested.set()
+        return done
+
+
+def build_pipeline(pattern, source, matches_path, store, log):
+    return NotifyingPipeline(
         fresh_engine(pattern),
         source,
         sinks=[JSONLMatchWriter(matches_path), MetricsSink()],
@@ -99,18 +134,34 @@ def http_post(url: str) -> tuple:
         return response.status, response.read().decode("utf-8")
 
 
-def poke_endpoints(base: str, report: dict) -> None:
-    """Exercise the control plane while the pipeline is serving."""
+def poke_endpoints(base: str, pipeline, source: GatedSource, report: dict) -> None:
+    """Exercise the control plane while the pipeline is serving.
+
+    The GETs are answered while the run loop waits at the gate.  The cut
+    is the run loop's own work, so the gate opens once the POST has
+    registered it: the loop then performs it at its next batch boundary,
+    which comes before the run ends (the gate sits more than a fill chunk
+    before the last event of the run).
+    """
+    source.reached.wait(POKE_TIMEOUT_SECONDS)
     report["health"] = http_get(f"{base}/health")
     report["ready"] = http_get(f"{base}/ready")
     report["metrics"] = http_get(f"{base}/metrics")
-    report["checkpoint"] = http_post(f"{base}/checkpoint")
+    poster = threading.Thread(
+        target=lambda: report.__setitem__("checkpoint", http_post(f"{base}/checkpoint")),
+        daemon=True,
+    )
+    poster.start()
+    pipeline.cut_requested.wait(POKE_TIMEOUT_SECONDS)
+    source.release.set()
+    poster.join(POKE_TIMEOUT_SECONDS)
     report["decisions"] = http_get(f"{base}/decisions?limit=5")
 
 
 def main() -> None:
     max_events = int(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_MAX_EVENTS
     dataset, pattern, stream = build_workload(max_events)
+    event_types = {t.name: t for t in dataset.event_types}
     workdir = tempfile.mkdtemp(prefix="repro-obs-")
     events_path = os.path.join(workdir, "events.jsonl")
     matches_path = os.path.join(workdir, "matches.jsonl")
@@ -124,13 +175,20 @@ def main() -> None:
     # 2+3. Serve with the control plane attached; curl it mid-run; die
     # without a final checkpoint ("kill -9").
     log = DecisionLog(decisions_path)
-    first = build_pipeline(pattern, dataset, events_path, matches_path, store, log)
+    first_run = recorded // 2
+    gate_at = first_run // 2
+    if first_run - gate_at <= FILL_CHUNK:
+        raise SystemExit(f"MAX_EVENTS too small: record more than {4 * FILL_CHUNK} events")
+    source = GatedSource(events_path, event_types, gate_at)
+    first = build_pipeline(pattern, source, matches_path, store, log)
     report: dict = {}
     with ControlPlane(first) as control:
         print(f"control plane listening on {control.url}")
-        poker = threading.Timer(0.05, poke_endpoints, args=(control.url, report))
+        poker = threading.Thread(
+            target=poke_endpoints, args=(control.url, first, source, report), daemon=True
+        )
         poker.start()
-        result = first.run(max_events=recorded // 2, final_checkpoint=False)
+        result = first.run(max_events=first_run, final_checkpoint=False)
         poker.join()
     log.close()
 
@@ -160,7 +218,7 @@ def main() -> None:
     # stopped (the log re-reads its own tail on open).
     resumed_log = DecisionLog(decisions_path)
     second = build_pipeline(
-        pattern, dataset, events_path, matches_path, store, resumed_log
+        pattern, JSONLFileSource(events_path, event_types), matches_path, store, resumed_log
     )
     result = second.run()
     resumed_log.close()
@@ -171,8 +229,7 @@ def main() -> None:
     )
 
     # 6a. Exactly-once check against a batch run over the same file.
-    replay = JSONLFileSource(events_path, {t.name: t for t in dataset.event_types})
-    batch = fresh_engine(pattern).run(replay)
+    batch = fresh_engine(pattern).run(JSONLFileSource(events_path, event_types))
     expected = [json.dumps(match_record(match)) for match in batch.matches]
     with open(matches_path, "r", encoding="utf-8") as handle:
         served = [line for line in handle.read().splitlines() if line]

@@ -2,7 +2,7 @@
 
 An *invariant* is a deciding condition selected for runtime verification,
 optionally relaxed by a minimal distance ``d``: the invariant is considered
-violated when ``(1 + d) * lhs >= rhs``.
+violated when ``lhs > (1 + d) * rhs``.
 
 An :class:`InvariantSet` holds the invariants of the currently installed
 plan in verification order (plan order for order-based plans, bottom-up for
@@ -20,7 +20,7 @@ variance of each statistic is known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import AdaptationError
 from repro.optimizer.recorder import (
@@ -185,10 +185,6 @@ class InvariantSet:
     def is_violated(self, snapshot: StatisticsSnapshot) -> bool:
         return self.first_violated(snapshot) is not None
 
-    def violations(self, snapshot: StatisticsSnapshot) -> List[Invariant]:
-        """All violated invariants (diagnostics; D only needs the first)."""
-        return [inv for inv in self._invariants if inv.is_violated(snapshot)]
-
     def describe(self) -> str:
         return "\n".join(invariant.describe() for invariant in self._invariants)
 
@@ -201,7 +197,6 @@ def build_invariant_set(
     k: int = 1,
     distance: float = 0.0,
     strategy: Optional[SelectionStrategy] = None,
-    per_block_distances: Optional[Dict[str, float]] = None,
 ) -> InvariantSet:
     """Build the invariant set for a freshly generated plan.
 
@@ -219,9 +214,6 @@ def build_invariant_set(
     strategy:
         Invariant selection strategy; defaults to the tightest-condition
         heuristic.
-    per_block_distances:
-        Optional per-block overrides of ``distance`` (fine-grained
-        distances, mentioned as an extension in Section 3.4).
     """
     if distance < 0:
         raise AdaptationError("invariant distance must be >= 0")
@@ -229,15 +221,12 @@ def build_invariant_set(
     snapshot = result.snapshot
     invariants: List[Invariant] = []
     for condition_set in result.condition_sets:
-        block_distance = distance
-        if per_block_distances and condition_set.block_label in per_block_distances:
-            block_distance = per_block_distances[condition_set.block_label]
         for condition in strategy.select(condition_set, snapshot, k):
             invariants.append(
                 Invariant(
                     condition=condition,
                     block_label=condition_set.block_label,
-                    distance=block_distance,
+                    distance=distance,
                 )
             )
     return InvariantSet(invariants)

@@ -17,30 +17,30 @@ controller compares are the ones the invariants encode:
 * :meth:`CostModel.step_factor` — the greedy selection expression: the
   leaf factor of a candidate times its join selectivity with the prefix.
 
-Plan costs are numeric folds over these:
+Plan costs are built from these:
 
 * an order-based plan ``p1, ..., pn`` costs the sum over its prefixes of
   the product of their step factors (:func:`order_plan_cost`);
 * a tree plan costs the ZStream recursion
   ``Cost(T) = Cost(L) + Cost(R) + Card(T)`` with
-  ``Card(T) = Card(L) * Card(R) * SEL(L, R)`` (:meth:`CostModel.leaf`,
-  :meth:`CostModel.join`, :func:`tree_plan_cost`).
+  ``Card(T) = Card(L) * Card(R) * SEL(L, R)``, written once per subtree
+  as a :class:`SubtreeCost` expression (:meth:`CostModel.leaf`,
+  :meth:`CostModel.join`).  The ZStream planner picks a split by
+  evaluating it, records it as its split comparison, and
+  ``TreeBasedPlan.cost`` evaluates it (:func:`tree_plan_cost`): all three
+  read the same float from the same snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.optimizer.base import default_block_label_for_subset
 from repro.optimizer.terms import (
-    ConstantTerm,
     LocalSelectivityTerm,
     ProductExpression,
     RateTerm,
     SelectivityTerm,
     StatExpression,
-    SumExpression,
 )
 from repro.patterns import Pattern
 from repro.plans import TreeInternalNode, TreeLeaf, TreePlanNode
@@ -52,21 +52,60 @@ def _product(factors: List[StatExpression]) -> StatExpression:
     return factors[0] if len(factors) == 1 else ProductExpression(factors)
 
 
-@dataclass
-class SubtreeCost:
-    """A subtree costed under one snapshot.
+class SubtreeCost(StatExpression):
+    """The ZStream cost of one (sub)tree, read live from every snapshot.
 
-    The expressions are what a parent's deciding condition reads of this
-    subtree: a leaf stays symbolic (its rate is re-read from every future
-    snapshot), an internal subtree is frozen to its values, whose own
-    changes the invariants of lower blocks catch first (Section 4.2).
+    A leaf costs, and holds, its own cardinality ``factor``.  A joined
+    subtree evaluates ``Cost(L) + Cost(R) + Card(L) * Card(R) * SEL`` in
+    exactly that association, with ``SEL`` multiplied out on its own
+    first, and renders as the flattened sum of its leaves' factors.
     """
 
-    node: TreePlanNode
-    cost: float
-    cardinality: float
-    cost_expression: StatExpression
-    cardinality_expression: StatExpression
+    __slots__ = ("node", "factor", "left", "right", "selectivity")
+
+    def __init__(
+        self,
+        node: TreePlanNode,
+        factor: Optional[StatExpression] = None,
+        left: Optional["SubtreeCost"] = None,
+        right: Optional["SubtreeCost"] = None,
+        selectivity: Optional[StatExpression] = None,
+    ):
+        self.node = node
+        self.factor = factor
+        self.left = left
+        self.right = right
+        self.selectivity = selectivity
+
+    def _fold(self, snapshot: StatisticsSnapshot) -> Tuple[float, float]:
+        """``(cost, cardinality)`` of the subtree under ``snapshot``."""
+        if self.left is None:
+            value = self.factor.evaluate(snapshot)
+            return value, value
+        left_cost, left_cardinality = self.left._fold(snapshot)
+        right_cost, right_cardinality = self.right._fold(snapshot)
+        cardinality = left_cardinality * right_cardinality
+        if self.selectivity is not None:
+            cardinality *= self.selectivity.evaluate(snapshot)
+        return left_cost + right_cost + cardinality, cardinality
+
+    def evaluate(self, snapshot: StatisticsSnapshot) -> float:
+        return self._fold(snapshot)[0]
+
+    def _describe_cardinality(self) -> str:
+        if self.left is None:
+            return self.factor.describe()
+        factors = [self.left._describe_cardinality(), self.right._describe_cardinality()]
+        if self.selectivity is not None:
+            factors.append(self.selectivity.describe())
+        return " * ".join(factors)
+
+    def describe(self) -> str:
+        if self.left is None:
+            return self.factor.describe()
+        return " + ".join(
+            (self.left.describe(), self.right.describe(), self._describe_cardinality())
+        )
 
 
 class CostModel:
@@ -125,55 +164,28 @@ class CostModel:
             total += prefix_product
         return total
 
-    def leaf(self, snapshot: StatisticsSnapshot, variable: str) -> SubtreeCost:
+    def leaf(self, variable: str) -> SubtreeCost:
         """A leaf costs, and holds, its own cardinality."""
-        expression = self.leaf_factor(variable)
-        value = expression.evaluate(snapshot)
         item = self.pattern.item_by_variable(variable)
         return SubtreeCost(
-            TreeLeaf(variable, item.event_type.name), value, value, expression, expression
+            TreeLeaf(variable, item.event_type.name), factor=self.leaf_factor(variable)
         )
 
-    def join(
-        self, snapshot: StatisticsSnapshot, left: SubtreeCost, right: SubtreeCost
-    ) -> Tuple[SubtreeCost, StatExpression]:
-        """The tree joining ``left`` and ``right``, and its cost as an
-        expression over the children's — one side of a ZStream split
-        comparison."""
-        selectivity = self.join_selectivity(left.node.variables(), right.node.variables())
-        selectivity_value = selectivity.evaluate(snapshot) if selectivity is not None else 1.0
-        cardinality = left.cardinality * right.cardinality * selectivity_value
-        cost = left.cost + right.cost + cardinality
-
-        node = TreeInternalNode(left.node, right.node)
-        label = default_block_label_for_subset(node.variables())
-        cardinality_factors = [left.cardinality_expression, right.cardinality_expression]
-        if selectivity is not None:
-            cardinality_factors.append(selectivity)
-        expression = SumExpression(
-            [
-                left.cost_expression,
-                right.cost_expression,
-                ProductExpression(cardinality_factors),
-            ]
+    def join(self, left: SubtreeCost, right: SubtreeCost) -> SubtreeCost:
+        """The tree joining ``left`` and ``right`` — one side of a ZStream
+        split comparison."""
+        return SubtreeCost(
+            TreeInternalNode(left.node, right.node),
+            left=left,
+            right=right,
+            selectivity=self.join_selectivity(left.node.variables(), right.node.variables()),
         )
-        joined = SubtreeCost(
-            node,
-            cost,
-            cardinality,
-            ConstantTerm(cost, label=f"cost[{label}]"),
-            ConstantTerm(cardinality, label=f"card[{label}]"),
-        )
-        return joined, expression
 
-    def subtree(self, snapshot: StatisticsSnapshot, node: TreePlanNode) -> SubtreeCost:
-        """Cost an existing (sub)tree bottom-up."""
+    def subtree(self, node: TreePlanNode) -> SubtreeCost:
+        """The cost expression of an existing (sub)tree."""
         if isinstance(node, TreeLeaf):
-            return self.leaf(snapshot, node.variable)
-        joined, _expression = self.join(
-            snapshot, self.subtree(snapshot, node.left), self.subtree(snapshot, node.right)
-        )
-        return joined
+            return self.leaf(node.variable)
+        return self.join(self.subtree(node.left), self.subtree(node.right))
 
 
 def order_plan_cost(
@@ -187,7 +199,7 @@ def tree_plan_cost(
     snapshot: StatisticsSnapshot, pattern: Pattern, root: TreePlanNode
 ) -> float:
     """Total ZStream cost of a tree plan."""
-    return CostModel(pattern).subtree(snapshot, root).cost
+    return CostModel(pattern).subtree(root).evaluate(snapshot)
 
 
 def sharing_score(

@@ -14,9 +14,8 @@ invariants without knowing anything about the algorithm's internals
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from repro.errors import OptimizerError
 from repro.optimizer.terms import StatExpression
 from repro.plans.base import EvaluationPlan
 from repro.statistics import StatisticsSnapshot
@@ -29,7 +28,7 @@ class DecidingCondition:
     The condition held at plan-generation time (it was checked and
     satisfied by a BBC); the adaptation layer re-verifies it, possibly with
     a minimal distance ``d`` (Section 3.4): the condition counts as violated
-    once ``(1 + d) * lhs >= rhs``.
+    once ``lhs > (1 + d) * rhs``.
     """
 
     lhs: StatExpression
@@ -154,23 +153,6 @@ class ComparisonRecorder:
     def condition_sets(self) -> List[DecidingConditionSet]:
         """Deciding-condition sets in block-construction order."""
         return [self._sets[label] for label in self._order]
-
-    def drop_blocks_not_in(self, kept_labels: Sequence[str]) -> None:
-        """Discard sets for blocks that did not make it into the final plan.
-
-        Dynamic-programming planners consider many candidate blocks; only
-        the ones present in the returned plan carry invariants.
-        """
-        kept = set(kept_labels)
-        self._order = [label for label in self._order if label in kept]
-        self._sets = {label: self._sets[label] for label in self._order}
-
-    def reorder_blocks(self, ordered_labels: Sequence[str]) -> None:
-        """Reorder the recorded blocks to match the plan's block order."""
-        missing = [label for label in ordered_labels if label not in self._sets]
-        if missing:
-            raise OptimizerError(f"cannot reorder: unknown block labels {missing}")
-        self._order = list(ordered_labels)
 
 
 @dataclass

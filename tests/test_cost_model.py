@@ -183,10 +183,9 @@ class TestRecordedComparisonsMatchPlanCost:
         root_conditions = result.condition_sets[-1].conditions if result.condition_sets else []
         cost = result.plan.cost(result.snapshot)
         for condition in root_conditions:
-            # The recorded expression multiplies its flattened factors left
-            # to right, the numeric recursion as Card(L) * Card(R) * SEL, so
-            # the two agree up to the association of the product.
-            assert condition.lhs.evaluate(result.snapshot) == pytest.approx(cost, rel=1e-12)
+            # The recorded side is the expression plan.cost evaluates: the
+            # same float, not an approximation of it.
+            assert condition.lhs.evaluate(result.snapshot) == cost
         if len(pattern.positive_items) >= 3:
             assert root_conditions
 
@@ -263,16 +262,25 @@ PINNED = {
         "  [c preferred over a at position 3]",
     ],
     ("seq", "zstream-tree"): [
-        "cost[subset:b+c]=53.8 + rate(D) + card[subset:b+c]=24 * rate(D) * sel(c,d)"
-        " < rate(B) * sel(b) + cost[subset:c+d]=65.5"
-        " + rate(B) * sel(b) * card[subset:c+d]=37.5 * sel(b,c)"
+        "rate(B) * sel(b) + rate(C) + rate(B) * sel(b) * rate(C) * sel(b,c) + rate(D)"
+        " + rate(B) * sel(b) * rate(C) * sel(b,c) * rate(D) * sel(c,d)"
+        " < rate(B) * sel(b) + rate(C) + rate(D) + rate(C) * rate(D) * sel(c,d)"
+        " + rate(B) * sel(b) * rate(C) * rate(D) * sel(c,d) * sel(b,c)"
         "  [split choice for [b+c+d]]",
-        "rate(A) + cost[subset:b+c+d]=92.8 + rate(A) * card[subset:b+c+d]=36 * sel(a,b)"
-        " < cost[subset:a+b]=102.4 + cost[subset:c+d]=65.5"
-        " + card[subset:a+b]=57.6 * card[subset:c+d]=37.5 * sel(b,c)"
+        "rate(A) + rate(B) * sel(b) + rate(C) + rate(B) * sel(b) * rate(C) * sel(b,c)"
+        " + rate(D) + rate(B) * sel(b) * rate(C) * sel(b,c) * rate(D) * sel(c,d)"
+        " + rate(A) * rate(B) * sel(b) * rate(C) * sel(b,c) * rate(D) * sel(c,d) * sel(a,b)"
+        " < rate(A) + rate(B) * sel(b) + rate(A) * rate(B) * sel(b) * sel(a,b)"
+        " + rate(C) + rate(D) + rate(C) * rate(D) * sel(c,d)"
+        " + rate(A) * rate(B) * sel(b) * sel(a,b) * rate(C) * rate(D) * sel(c,d) * sel(b,c)"
         "  [split choice for [a+b+c+d]]",
-        "rate(A) + cost[subset:b+c+d]=92.8 + rate(A) * card[subset:b+c+d]=36 * sel(a,b)"
-        " < cost[subset:a+b+c]=381.8 + rate(D) + card[subset:a+b+c]=288 * rate(D) * sel(c,d)"
+        "rate(A) + rate(B) * sel(b) + rate(C) + rate(B) * sel(b) * rate(C) * sel(b,c)"
+        " + rate(D) + rate(B) * sel(b) * rate(C) * sel(b,c) * rate(D) * sel(c,d)"
+        " + rate(A) * rate(B) * sel(b) * rate(C) * sel(b,c) * rate(D) * sel(c,d) * sel(a,b)"
+        " < rate(A) + rate(B) * sel(b) + rate(C)"
+        " + rate(B) * sel(b) * rate(C) * sel(b,c)"
+        " + rate(A) * rate(B) * sel(b) * rate(C) * sel(b,c) * sel(a,b) + rate(D)"
+        " + rate(A) * rate(B) * sel(b) * rate(C) * sel(b,c) * sel(a,b) * rate(D) * sel(c,d)"
         "  [split choice for [a+b+c+d]]",
     ],
     ("and", "greedy-order"): [
@@ -284,19 +292,26 @@ PINNED = {
         "rate(A) * sel(c,a) < rate(B) * sel(d,b)  [a preferred over b at position 3]",
     ],
     ("and", "zstream-tree"): [
-        "rate(B) + cost[subset:c+d]=17.5 + rate(B) * card[subset:c+d]=2.5 * sel(b,d)"
-        " < cost[subset:b+c]=185 + rate(D) * sel(d)"
-        " + card[subset:b+c]=150 * rate(D) * sel(d) * sel(b,d) * sel(c,d)"
+        "rate(B) + rate(C) + rate(D) * sel(d) + rate(C) * rate(D) * sel(d) * sel(c,d)"
+        " + rate(B) * rate(C) * rate(D) * sel(d) * sel(c,d) * sel(b,d) < rate(B)"
+        " + rate(C) + rate(B) * rate(C) + rate(D) * sel(d)"
+        " + rate(B) * rate(C) * rate(D) * sel(d) * sel(b,d) * sel(c,d)"
         "  [split choice for [b+c+d]]",
-        "rate(A) + cost[subset:b+c+d]=66.25"
-        " + rate(A) * card[subset:b+c+d]=18.75 * sel(a,b) * sel(a,c)"
-        " < cost[subset:a+b]=62 + cost[subset:c+d]=17.5"
-        " + card[subset:a+b]=24 * card[subset:c+d]=2.5 * sel(a,c) * sel(b,d)"
+        "rate(A) + rate(B) + rate(C) + rate(D) * sel(d)"
+        " + rate(C) * rate(D) * sel(d) * sel(c,d)"
+        " + rate(B) * rate(C) * rate(D) * sel(d) * sel(c,d) * sel(b,d)"
+        " + rate(A) * rate(B) * rate(C) * rate(D) * sel(d) * sel(c,d) * sel(b,d) * sel(a,b) * sel(a,c)"
+        " < rate(A) + rate(B) + rate(A) * rate(B) * sel(a,b) + rate(C)"
+        " + rate(D) * sel(d) + rate(C) * rate(D) * sel(d) * sel(c,d)"
+        " + rate(A) * rate(B) * sel(a,b) * rate(C) * rate(D) * sel(d) * sel(c,d) * sel(a,c) * sel(b,d)"
         "  [split choice for [a+b+c+d]]",
-        "rate(A) + cost[subset:b+c+d]=66.25"
-        " + rate(A) * card[subset:b+c+d]=18.75 * sel(a,b) * sel(a,c)"
-        " < cost[subset:a+b+c]=139 + rate(D) * sel(d)"
-        " + card[subset:a+b+c]=72 * rate(D) * sel(d) * sel(b,d) * sel(c,d)"
+        "rate(A) + rate(B) + rate(C) + rate(D) * sel(d)"
+        " + rate(C) * rate(D) * sel(d) * sel(c,d)"
+        " + rate(B) * rate(C) * rate(D) * sel(d) * sel(c,d) * sel(b,d)"
+        " + rate(A) * rate(B) * rate(C) * rate(D) * sel(d) * sel(c,d) * sel(b,d) * sel(a,b) * sel(a,c)"
+        " < rate(A) + rate(B) + rate(A) * rate(B) * sel(a,b) + rate(C)"
+        " + rate(A) * rate(B) * sel(a,b) * rate(C) * sel(a,c) + rate(D) * sel(d)"
+        " + rate(A) * rate(B) * sel(a,b) * rate(C) * sel(a,c) * rate(D) * sel(d) * sel(b,d) * sel(c,d)"
         "  [split choice for [a+b+c+d]]",
     ],
 }

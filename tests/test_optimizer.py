@@ -112,19 +112,6 @@ class TestComparisonRecorder:
         assert [s.block_label for s in sets] == ["block1", "block2"]
         assert len(sets[0]) == 2
 
-    def test_drop_blocks_not_in(self):
-        recorder = ComparisonRecorder()
-        recorder.record("keep", RateTerm("C"), RateTerm("B"))
-        recorder.record("drop", RateTerm("B"), RateTerm("A"))
-        recorder.drop_blocks_not_in(["keep"])
-        assert [s.block_label for s in recorder.condition_sets()] == ["keep"]
-
-    def test_reorder_blocks_unknown_label(self):
-        recorder = ComparisonRecorder()
-        recorder.record("x", RateTerm("C"), RateTerm("B"))
-        with pytest.raises(OptimizerError):
-            recorder.reorder_blocks(["x", "y"])
-
     def test_tightest_selection(self):
         recorder = ComparisonRecorder()
         recorder.record("block", RateTerm("C"), RateTerm("B"))   # slack 5
